@@ -66,6 +66,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def check_args(parser, args) -> None:
+    """Reject argument values that argparse's types alone cannot; exits 2."""
+    if args.command == "torsion":
+        if args.prime < 2:
+            parser.error(f"--prime must be at least 2, got {args.prime}")
+        if args.max_degree < 2 * args.prime:
+            parser.error(f"--max-degree must be at least 2*prime = {2 * args.prime}, "
+                         f"got {args.max_degree}")
+
+
 # -- identity suite -----------------------------------------------------------
 
 def identity_suite(c, rank, trials, seed) -> list[dict]:
@@ -338,6 +348,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        check_args(parser, args)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -6,19 +6,22 @@ the free Lie power of the graded abelian group A with basis u(s,t) of ambient
 degree s+t+2, on which the ambient generators act by u(s,t)x = u(s+1,t) and
 u(s,t)y = u(s,t+1).  Killing that action degree by degree presents the
 quotient as an integer cokernel, so torsion is read off Smith normal form.
+Each degree's relations are presented once, and the theorem vectors are read
+off that presentation by reducing them through its recorded pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .elements import (IntegralityError, LieElement, TensorElement, ZZ,
                        leftnormed_tensor, lie_from_tensor, lyndon_monomial)
 from .maps import (ActionSpec, derive, eta, metabelian_of_word, mixed_basis,
                    metabelian_normal_coords, normal_words, theta)
 from .words import Alphabet, Generator, LyndonWord, lyndon_words_of_length
-from .zlinalg import (CokernelStructure, IntLattice, cokernel_structure,
-                      integer_kernel, order_in_cokernel, solve_left, transpose)
+from .zlinalg import (CokernelStructure, Presentation, cokernel_structure,
+                      integer_kernel, solve_left, transpose)
 
 VARIABLES = ("x", "y")
 
@@ -145,6 +148,7 @@ class TorsionEngine:
         self._lie_basis = {}
         self._normal_basis = {}
         self._derived = {}
+        self._presentations = {}
 
     # -- bases ------------------------------------------------------------
 
@@ -178,20 +182,27 @@ class TorsionEngine:
             self._derived[key] = derive(e, var, self.action).terms
         return self._derived[key]
 
-    def action_matrix(self, d: int) -> list[list[int]]:
-        """Relations of degree d: the x- and y-images of the degree d-1 basis."""
+    def relation_rows(self, d: int) -> list[dict]:
+        """Relations of degree d: the x- and y-images of the degree d-1 basis,
+        as sparse {basis index: coefficient} rows."""
         index = self.lie_index(d)
-        rows = []
-        for word in self.lie_basis(d - 1):
-            for var in VARIABLES:
-                row = [0] * len(index)
-                for w, c in self.derived_coords(word, var).items():
-                    row[index[w]] = c
-                rows.append(row)
-        return rows
+        return [{index[w]: c for w, c in self.derived_coords(word, var).items()}
+                for word in self.lie_basis(d - 1) for var in VARIABLES]
+
+    def action_matrix(self, d: int) -> list[list[int]]:
+        """The relations of degree d as a dense matrix."""
+        n = len(self.lie_basis(d))
+        return [[row.get(j, 0) for j in range(n)] for row in self.relation_rows(d)]
+
+    def presentation(self, d: int) -> Presentation:
+        """The degree-d piece as a cokernel, eliminated once and cached."""
+        if d not in self._presentations:
+            self._presentations[d] = Presentation(self.relation_rows(d),
+                                                  len(self.lie_basis(d)))
+        return self._presentations[d]
 
     def graded_cokernel(self, d: int) -> CokernelStructure:
-        return cokernel_structure(self.action_matrix(d), len(self.lie_basis(d)))
+        return self.presentation(d).cokernel
 
     # -- theorem elements ---------------------------------------------------
 
@@ -231,9 +242,9 @@ class TorsionEngine:
         return [(s, k - s) for s in range(k + 1)]
 
     def verify_theorem_degree(self, d: int) -> TorsionReport:
-        relations = self.action_matrix(d)
         n = len(self.lie_basis(d))
-        coker = self.graded_cokernel(d)
+        pres = self.presentation(d)
+        coker = pres.cokernel
         theorem_checked = is_prime(self.p)
         torsion_all_p = all(q == self.p for q in coker.torsion)
         if not theorem_checked:
@@ -247,13 +258,11 @@ class TorsionEngine:
                 vectors.append(self.theorem_vector(s, t, d))
             except IntegralityError:
                 integrality = False
-        all_order_p = all(
-            order_in_cokernel(relations, n, v) == self.p for v in vectors)
-        base_torsion = coker.torsion
-        aug = cokernel_structure(relations + vectors, n)
+        all_order_p = all(pres.order(v) == self.p for v in vectors)
+        aug = pres.quotient(vectors)
         independent = (aug.free_rank == coker.free_rank
-                       and _product(base_torsion) ==
-                       _product(aug.torsion) * self.p ** len(vectors))
+                       and prod(coker.torsion) ==
+                       prod(aug.torsion) * self.p ** len(vectors))
         spanning = independent and not aug.torsion
         return TorsionReport(self.p, d, n, coker, len(pairs), all_order_p,
                              independent, spanning, torsion_all_p,
@@ -283,15 +292,14 @@ class TorsionEngine:
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         p = self.p
-        l_coker = self.graded_cokernel(d)
+        pres = self.presentation(d)
+        l_coker = pres.cokernel
         m_coker = cokernel_structure(self.metabelian_matrix(d),
                                      len(self.normal_basis(d)))
         ranks_agree = (len(l_coker.torsion) == len(m_coker.torsion)
                        and all(q == p for q in l_coker.torsion + m_coker.torsion))
-        relations = self.action_matrix(d)
         n = len(self.lie_basis(d))
         index = self.lie_index(d)
-        lattice = IntLattice(n, relations)
         matches = True
         units = []
         for s, t in self.theorem_indices(d):
@@ -306,7 +314,7 @@ class TorsionEngine:
                 vec[index[w]] = c
             target = self.theorem_vector(s, t, d)
             unit = next((a for a in range(1, p)
-                         if [x - a * y for x, y in zip(vec, target)] in lattice),
+                         if [x - a * y for x, y in zip(vec, target)] in pres),
                         None)
             if unit is None:
                 matches = False
@@ -384,13 +392,6 @@ class TorsionEngine:
 def _combination(alphabet, basis, coeffs) -> LieElement:
     terms = [(w, c) for w, c in zip(basis, coeffs) if c]
     return LieElement(alphabet, ZZ, terms)
-
-
-def _product(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 # -- module-level wrappers matching the operation names ----------------------

@@ -1,14 +1,22 @@
 """Exact integer linear algebra: Smith and Hermite forms, kernels, cokernels.
 
 Matrices are plain lists of rows of Python ints, so there is no coefficient
-growth ceiling.  The pivot rule (smallest nonzero absolute value, ties by
-position) keeps intermediate entries small at the scales this package runs.
+growth ceiling.  Smith forms, cokernels and element orders all go through one
+``Presentation``: a sparse elimination of +-1 pivots (short rows first, and in
+a row the unit entry whose column meets the fewest rows) that records each
+pivot row, leaves untouched columns as free summands and hands only the small
+remaining core to the dense kernel.  The dense kernel's pivot rule (smallest
+nonzero absolute value, ties by position) keeps intermediate entries small.
+Vectors are reduced onto the core through the recorded pivots, so one
+presentation answers many order and quotient questions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from functools import cached_property
+from heapq import heapify, heappop, heappush
+from math import gcd, prod
 
 
 @dataclass(frozen=True)
@@ -43,11 +51,141 @@ def _copy_matrix(rows):
     return out
 
 
+def _sparse(vec, ncols):
+    """A dense list or a {column: value} dict as a dict without zeros."""
+    if isinstance(vec, dict):
+        if any(not 0 <= j < ncols for j in vec):
+            raise ValueError(f"column index out of range in ambient rank {ncols}")
+        return {j: v for j, v in vec.items() if v}
+    if len(vec) != ncols:
+        raise ValueError(f"relation of length {len(vec)} in ambient rank {ncols}")
+    return {j: v for j, v in enumerate(vec) if v}
+
+
+class Presentation:
+    """Z^ncols modulo the lattice spanned by ``rows`` (dense lists or dicts).
+
+    Relations with a +-1 entry are used up one at a time: the row becomes a
+    recorded pivot, its column leaves the presentation, and every other row
+    touching that column is reduced by it.  A heap hands out the shortest row
+    with a unit entry first, ties going to the row whose unit column meets the
+    fewest rows; that column is the one eliminated.  What is left, the core,
+    touches few columns; every other column is a free summand.
+    """
+
+    def __init__(self, rows, ncols=None):
+        rows = list(rows)
+        if ncols is None:
+            if any(isinstance(r, dict) for r in rows):
+                raise ValueError("sparse rows need ncols")
+            ncols = len(rows[0]) if rows else 0
+        self.ncols = ncols
+        live = [_sparse(r, ncols) for r in rows]
+        cols = {}                       # column -> ids of the live rows touching it
+        for i, row in enumerate(live):
+            for j in row:
+                cols.setdefault(j, set()).add(i)
+
+        def entry(i):
+            row = live[i]
+            units = [len(cols[j]) for j, v in row.items() if v in (1, -1)]
+            return (len(row), min(units), i) if units else None
+
+        heap = [e for e in map(entry, range(len(live))) if e]
+        heapify(heap)
+        self.pivots = []                # (column, +-1, row) in elimination order
+        while heap:
+            length, _, i = heappop(heap)
+            row = live[i]
+            if row is None or len(row) != length:
+                continue                # stale: pivoted, or changed and pushed again
+            units = [j for j, v in row.items() if v in (1, -1)]
+            if not units:
+                continue                # a change since the push cost its units
+            c = min(units, key=lambda j: (len(cols[j]), j))
+            s = row[c]
+            live[i] = None
+            for j in row:
+                cols[j].discard(i)
+            for k in cols.pop(c):
+                other = live[k]
+                f = other.pop(c) * s
+                for j, v in row.items():
+                    if j == c:
+                        continue
+                    x = other.get(j, 0) - f * v
+                    if x:
+                        if j not in other:
+                            cols[j].add(k)
+                        other[j] = x
+                    elif j in other:
+                        del other[j]
+                        cols[j].discard(k)
+                e = entry(k) if other else None
+                if e:
+                    heappush(heap, e)
+            self.pivots.append((c, s, row))
+        self.core = [r for r in live if r]
+        self.core_cols = sorted({j for r in self.core for j in r})
+
+    def _core_divisors(self, extra=()):
+        cols = sorted(set(self.core_cols).union(*extra)) if extra else self.core_cols
+        matrix = [[r.get(j, 0) for j in cols] for r in self.core + list(extra)]
+        return _dense_snf(matrix, len(cols)).divisors
+
+    @cached_property
+    def snf(self) -> SNFResult:
+        return SNFResult((1,) * len(self.pivots) + self._core_divisors())
+
+    @cached_property
+    def cokernel(self) -> CokernelStructure:
+        return self._cokernel(self.snf.divisors)
+
+    def _cokernel(self, divisors):
+        return CokernelStructure(self.ncols - len(divisors),
+                                 tuple(d for d in divisors if d > 1))
+
+    def reduce(self, vec) -> dict:
+        """vec modulo the pivot rows: a dict on the non-pivot columns."""
+        v = _sparse(vec, self.ncols)
+        for c, s, row in self.pivots:
+            a = v.get(c)
+            if a:
+                f = a * s
+                for j, x in row.items():
+                    y = v.get(j, 0) - f * x
+                    if y:
+                        v[j] = y
+                    else:
+                        del v[j]
+        return v
+
+    def quotient(self, vecs) -> CokernelStructure:
+        """Cokernel after adding the vectors to the relations."""
+        extra = [r for r in map(self.reduce, vecs) if r]
+        if not extra:
+            return self.cokernel
+        return self._cokernel((1,) * len(self.pivots) + self._core_divisors(extra))
+
+    def order(self, vec):
+        """Additive order of vec in the cokernel; None when infinite."""
+        base, aug = self.cokernel, self.quotient([vec])
+        if aug.free_rank != base.free_rank:
+            return None
+        return prod(base.torsion) // prod(aug.torsion)
+
+    def __contains__(self, vec) -> bool:
+        return self.order(vec) == 1
+
+
 def smith_normal_form(rows, ncols=None) -> SNFResult:
     """Elementary divisor chain of an integer matrix."""
-    a = _copy_matrix(rows)
+    return Presentation(rows, ncols).snf
+
+
+def _dense_snf(a, n) -> SNFResult:
+    """Dense Smith form of the m x n list of lists a, which it overwrites."""
     m = len(a)
-    n = len(a[0]) if a else (ncols or 0)
     diag = []
     t = 0
     while t < min(m, n):
@@ -62,8 +200,7 @@ def smith_normal_form(rows, ncols=None) -> SNFResult:
         _clear_position(a, t, m, n)
         diag.append(abs(a[t][t]))
         t += 1
-    divisors = _divisor_chain(diag)
-    return SNFResult(tuple(divisors))
+    return SNFResult(tuple(_divisor_chain(diag)))
 
 
 def _find_pivot(a, t, m, n):
@@ -136,12 +273,7 @@ def _divisor_chain(diag):
 
 def cokernel_structure(rows, ambient_rank) -> CokernelStructure:
     """Structure of Z^ambient modulo the row lattice of the relation matrix."""
-    for r in rows:
-        if len(r) != ambient_rank:
-            raise ValueError(f"relation of length {len(r)} in ambient rank {ambient_rank}")
-    snf = smith_normal_form(rows, ncols=ambient_rank)
-    return CokernelStructure(ambient_rank - snf.rank,
-                             tuple(d for d in snf.divisors if d > 1))
+    return Presentation(rows, ambient_rank).cokernel
 
 
 def hermite_normal_form(rows, ncols=None, transform=False):
@@ -342,20 +474,5 @@ def saturation(rows, ncols) -> list[list[int]]:
 
 
 def order_in_cokernel(relations, ambient_rank, vec):
-    """Additive order of vec in Z^ambient / row lattice; None when infinite.
-
-    Computed by augmenting the relation matrix with the vector and comparing
-    the two Smith invariant lists.
-    """
-    base = cokernel_structure(relations, ambient_rank)
-    aug = cokernel_structure(list(relations) + [list(vec)], ambient_rank)
-    if aug.free_rank != base.free_rank:
-        return None
-    return _product(base.torsion) // _product(aug.torsion)
-
-
-def _product(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
+    """Additive order of vec in Z^ambient / row lattice; None when infinite."""
+    return Presentation(relations, ambient_rank).order(vec)

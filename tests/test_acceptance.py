@@ -129,6 +129,8 @@ def test_criterion3_theorem_element_integrality():
     (2, 10, {6: 1, 8: 2, 10: 3}),
     (3, 11, {8: 1, 11: 2}),
     (5, 12, {12: 1}),
+    (3, 20, {8: 1, 11: 2, 14: 3, 17: 4, 20: 5}),
+    (5, 17, {12: 1, 17: 2}),
 ])
 def test_criterion4_torsion_tables(p, top, expected):
     for report in torsion_report(p, top):

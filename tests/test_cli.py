@@ -127,6 +127,17 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "prime" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--prime", "1", "--max-degree", "5"],
+    ["--prime", "0", "--max-degree", "5"],
+    ["--prime", "3", "--max-degree", "-5"],
+], ids=["prime-1", "prime-0", "negative-degree"])
+def test_torsion_out_of_range_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "torsion", *argv)
+    assert code == 2 and out == ""
+    assert "must be at least" in err
+
+
 def test_verify_cli(capsys):
     code, out, _ = run_cli(capsys, "verify", "--c", "3", "--rank", "2",
                            "--trials", "25", "--seed", "9")

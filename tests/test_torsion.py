@@ -13,7 +13,7 @@ from lietorsion.torsion import (TorsionEngine, a_generator, a_generators,
                                 graded_cokernel, lie_power_basis,
                                 metabelian_torsion_check, st_of, theorem_element,
                                 torsion_report, verify_theorem_degree)
-from lietorsion.zlinalg import cokernel_structure
+from lietorsion.zlinalg import CokernelStructure, _dense_snf, cokernel_structure
 
 
 def test_a_generators_examples():
@@ -95,6 +95,17 @@ def test_action_matrix_against_pair_oracle(d):
 def test_action_matrix_shapes():
     assert action_matrix(2, 5) == []
     assert len(lie_power_basis(2, 5)) == 2
+
+
+@pytest.mark.parametrize("p,top", [(2, 16), (3, 15), (5, 15)])
+def test_graded_cokernel_matches_dense_kernel(p, top):
+    # the sparse presentation against the dense kernel on the whole matrix
+    engine = TorsionEngine(p, top)
+    for d in range(2 * p, top + 1):
+        n = len(engine.lie_basis(d))
+        ds = _dense_snf(engine.action_matrix(d), n).divisors
+        want = CokernelStructure(n - len(ds), tuple(q for q in ds if q > 1))
+        assert engine.graded_cokernel(d) == want, (p, d)
 
 
 def test_graded_cokernel_examples():

@@ -2,11 +2,15 @@
 
 import random
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors
 
-from lietorsion.zlinalg import (CokernelStructure, IntLattice, cokernel_structure,
+from lietorsion.zlinalg import (CokernelStructure, IntLattice, Presentation,
+                                _dense_snf, cokernel_structure,
                                 hermite_normal_form, integer_kernel,
                                 order_in_cokernel, saturation, smith_normal_form,
                                 solve_left, transpose)
@@ -175,3 +179,84 @@ def test_order_in_cokernel():
     assert order_in_cokernel(relations, 2, [0, 1]) == 1
     assert order_in_cokernel([[2, 0]], 2, [0, 1]) is None  # infinite order
     assert order_in_cokernel([[6, 0], [0, 1]], 2, [2, 0]) == 3
+
+
+# -- the sparse front end against the dense kernel and an external oracle -----
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=120, deadline=None)
+
+# mostly zeros and +-1, as in the action matrices; the non-unit alphabet leaves
+# the elimination nothing to pivot on
+UNIT_HEAVY = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, 6])
+NON_UNIT = st.sampled_from([0, 0, 0, 2, -2, 3, -4, 6])
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=8, max_cols=8):
+    """(rows, ncols) with some rows and columns forced to zero; rows may be 0."""
+    entries = draw(st.sampled_from([UNIT_HEAVY, NON_UNIT]))
+    m, n = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=2)) if m else ():
+        rows[i] = [0] * n
+    for j in draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=2)) if n else ():
+        for row in rows:
+            row[j] = 0
+    return rows, n
+
+
+def dense_divisors(rows, n):
+    return _dense_snf([list(r) for r in rows], n).divisors
+
+
+def dense_cokernel(rows, n):
+    ds = dense_divisors(rows, n)
+    return CokernelStructure(n - len(ds), tuple(d for d in ds if d > 1))
+
+
+def sympy_divisors(rows, n):
+    factors = invariant_factors(Matrix(len(rows), n, [x for r in rows for x in r]),
+                                domain=ZZ)
+    return tuple(sorted(abs(int(d)) for d in factors if d))
+
+
+@PROPERTY
+@given(sparse_matrices())
+def test_snf_matches_dense_kernel_and_sympy(case):
+    rows, n = case
+    got = smith_normal_form(rows, ncols=n).divisors
+    assert got == dense_divisors(rows, n)
+    assert got == sympy_divisors(rows, n)
+    sparse_rows = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    assert Presentation(sparse_rows, n).snf.divisors == got
+
+
+@PROPERTY
+@given(sparse_matrices(), st.data())
+def test_presentation_order_and_quotient_match_augmented_dense(case, data):
+    rows, n = case
+    pres = Presentation(rows, n)
+    base = dense_cokernel(rows, n)
+    assert pres.cokernel == base
+    vecs = data.draw(st.lists(st.lists(UNIT_HEAVY, min_size=n, max_size=n), max_size=3))
+    assert pres.quotient(vecs) == dense_cokernel(rows + vecs, n)
+    for v in vecs:
+        aug = dense_cokernel(rows + [v], n)
+        want = (None if aug.free_rank != base.free_rank
+                else prod(base.torsion) // prod(aug.torsion))
+        assert pres.order(v) == want
+        assert (v in pres) == (want == 1)
+
+
+def test_presentation_records_unit_pivots():
+    # the unit row goes first and is kept; the untouched column is free
+    pres = Presentation([{0: 1, 1: 2}, {1: 4}], 3)
+    assert pres.pivots == [(0, 1, {0: 1, 1: 2})]
+    assert pres.core == [{1: 4}] and pres.core_cols == [1]
+    assert pres.cokernel == CokernelStructure(1, (4,))
+    assert pres.reduce([3, 0, 5]) == {1: -6, 2: 5}
+    assert pres.order([0, 1, 0]) == 4 and pres.order([0, 0, 1]) is None
+    with pytest.raises(ValueError):
+        Presentation([{3: 1}], 3)
+    with pytest.raises(ValueError):
+        Presentation([{0: 1}])
