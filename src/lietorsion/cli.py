@@ -16,12 +16,12 @@ from math import factorial
 
 from . import __version__
 from .charp import check_summand
-from .elements import IntegralityError, normal_form
+from .elements import IntegralityError, is_prime, normal_form
 from .exprs import ParseError, format_leftnormed, format_lie
 from .maps import (check_exactness, derive, eta, lam, mu, nu, random_action,
                    random_homogeneous, random_metabelian, rho, theta,
                    metabelian_of_word, normal_words)
-from .torsion import TorsionEngine, is_prime
+from .torsion import TorsionEngine
 from .words import unit_alphabet
 
 
@@ -66,14 +66,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# command -> (flag, least value) pairs; below them a command fails or checks nothing
+LOWER_BOUNDS = {
+    "torsion": (("prime", 2),),
+    "theorem": (("s", 0), ("t", 0)),
+    "verify": (("c", 2), ("rank", 2), ("trials", 1)),
+    "summand": (("dim", 1),),
+    "report": (("trials", 1),),
+}
+
+
 def check_args(parser, args) -> None:
     """Reject argument values that argparse's types alone cannot; exits 2."""
-    if args.command == "torsion":
-        if args.prime < 2:
-            parser.error(f"--prime must be at least 2, got {args.prime}")
-        if args.max_degree < 2 * args.prime:
-            parser.error(f"--max-degree must be at least 2*prime = {2 * args.prime}, "
-                         f"got {args.max_degree}")
+    for flag, least in LOWER_BOUNDS.get(args.command, ()):
+        value = getattr(args, flag)
+        if value < least:
+            parser.error(f"--{flag} must be at least {least}, got {value}")
+    if args.command == "torsion" and args.max_degree < 2 * args.prime:
+        parser.error(f"--max-degree must be at least 2*prime = {2 * args.prime}, "
+                     f"got {args.max_degree}")
 
 
 # -- identity suite -----------------------------------------------------------

@@ -37,7 +37,7 @@ class Domain:
             raise ValueError(f"unknown domain kind {kind!r}")
         if (kind == "Fp") != (p is not None):
             raise ValueError("a modulus is given exactly for Fp domains")
-        if p is not None and not _is_prime(p):
+        if p is not None and not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.kind = kind
         self.p = p
@@ -96,7 +96,7 @@ class Domain:
         return q
 
 
-def _is_prime(n):
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     d = 2

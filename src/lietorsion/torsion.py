@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .elements import (IntegralityError, LieElement, TensorElement, ZZ,
+from .elements import (IntegralityError, LieElement, TensorElement, ZZ, is_prime,
                        leftnormed_tensor, lie_from_tensor, lyndon_monomial)
 from .maps import (ActionSpec, derive, eta, metabelian_of_word, mixed_basis,
                    metabelian_normal_coords, normal_words, theta)
@@ -69,17 +69,6 @@ def a_action(alphabet: Alphabet) -> ActionSpec:
                 continue
             images[(i, var)] = {j: 1}
     return ActionSpec(alphabet, VARIABLES, images)
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)

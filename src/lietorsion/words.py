@@ -6,9 +6,9 @@ tuple comparison is the lexicographic word order everywhere in the package.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
-from itertools import permutations
 
 
 @dataclass(frozen=True)
@@ -214,75 +214,92 @@ def standard_factorization(w: LyndonWord) -> tuple[LyndonWord, LyndonWord]:
 
 
 def lyndon_words(alphabet: Alphabet, max_weight: int, weight_of=None) -> list[LyndonWord]:
-    """All Lyndon words of total weight <= max_weight, sorted by (weight, lex).
-
-    Generation walks the prenecklace tree, pruning on accumulated weight, so
-    graded alphabets with heavy letters stay cheap.
-    """
+    """All Lyndon words of total weight <= max_weight, sorted by (weight, lex)."""
     if weight_of is None:
         wt = [g.weight for g in alphabet]
     else:
         wt = [weight_of(g) for g in alphabet]
     if any(w <= 0 for w in wt):
         raise ValueError("letter weights must be positive")
-    k = len(alphabet)
-    found = []
-
-    def extend(word, period, weight):
-        t = len(word)
-        base = word[t - period]
-        for a in range(base, k):
-            w2 = weight + wt[a]
-            if w2 > max_weight:
-                continue
-            word.append(a)
-            if a == base:
-                extend(word, period, w2)
-            else:
-                found.append((w2, tuple(word)))
-                extend(word, t + 1, w2)
-            word.pop()
-
-    for a in range(k):
-        if wt[a] <= max_weight:
-            found.append((wt[a], (a,)))
-            extend([a], 1, wt[a])
-    found.sort()
-    return [LyndonWord(alphabet, idx) for _, idx in found]
+    found = _lyndon_walk(wt, hi=max_weight)
+    found.sort(key=lambda idx: sum(wt[i] for i in idx))   # stable: lex within a weight
+    return [LyndonWord(alphabet, idx) for idx in found]
 
 
 def lyndon_words_with_content(alphabet: Alphabet, content) -> list[LyndonWord]:
-    """Lyndon words whose letter multiset is exactly ``content`` (letter indices)."""
-    arrangements = set(permutations(sorted(content)))
-    out = sorted(w for w in arrangements if is_lyndon(w))
-    return [LyndonWord(alphabet, idx) for idx in out]
+    """Lyndon words whose letter multiset is exactly ``content`` (letter indices),
+    in lexicographic order."""
+    content = tuple(content)
+    k = len(alphabet)
+    if any(not 0 <= i < k for i in content):
+        raise ValueError(f"letter index out of range in {content}")
+    budget = [content.count(a) for a in range(k)]
+    found = _lyndon_walk([g.weight for g in alphabet], length=len(content), budget=budget)
+    return [LyndonWord(alphabet, idx) for idx in found]
 
 
 def lyndon_words_of_length(alphabet: Alphabet, length: int,
                            weight: int | None = None,
                            max_weight: int | None = None) -> list[LyndonWord]:
-    """Lyndon words of a fixed length, optionally filtered by total weight."""
-    wt = [g.weight for g in alphabet]
-    k = len(alphabet)
-    words = []
+    """Lyndon words of a fixed length, optionally of a given total weight or
+    at most a given total weight, in lexicographic order."""
+    if length < 1:
+        return []
+    hi = min(b for b in (weight, max_weight, math.inf) if b is not None)
+    found = _lyndon_walk([g.weight for g in alphabet], length=length,
+                         lo=weight or 0, hi=hi)
+    return [LyndonWord(alphabet, idx) for idx in found]
 
-    def contents(start, remaining, acc, acc_weight):
-        if remaining == 0:
-            if weight is not None and acc_weight != weight:
-                return
-            words.extend(lyndon_words_with_content(alphabet, acc))
-            return
-        for a in range(start, k):
-            w2 = acc_weight + wt[a]
-            if weight is not None and w2 > weight:
-                continue
-            if max_weight is not None and w2 > max_weight:
-                continue
-            acc.append(a)
-            contents(a, remaining - 1, acc, w2)
-            acc.pop()
 
-    if length >= 1:
-        contents(0, length, [], 0)
-    words.sort(key=lambda w: w.idx)
-    return words
+def _lyndon_walk(wt, length=None, lo=0, hi=math.inf, budget=None) -> list[tuple]:
+    """Index tuples of the Lyndon words over letters of positive weights ``wt``,
+    in lexicographic order, of weight at most ``hi`` and, when ``length`` is
+    given, of exactly that length and weight at least ``lo``; ``budget[a]``
+    caps the uses of letter a.
+
+    This is the FKM prenecklace walk (Ruskey, Savage & Wang 1992): a
+    prenecklace of period q extends by any letter no smaller than the one q
+    places back, and it is Lyndon exactly when q is its length.  Every letter
+    of a prenecklace is at least its first, so a branch is cut as soon as the
+    letters still to come, each weighing between the lightest and the
+    heaviest letter from the first on, cannot land the weight in range.
+    Nothing enumerates the arrangements of a content: eleven copies of one
+    letter are a single chain of eleven prefixes.
+    """
+    k = len(wt)
+    if budget is None:
+        budget = [math.inf] * k
+    lightest = [min(wt[a:]) for a in range(k)]
+    heaviest = [max(wt[a:]) for a in range(k)]
+    found = []
+    word = []
+
+    def window(first, t):
+        """The weights a prefix of length t can have and still complete in range."""
+        if length is None:
+            return -math.inf, hi
+        rest = length - t
+        return lo - rest * heaviest[first], hi - rest * lightest[first]
+
+    def visit(a, period, w):
+        budget[a] -= 1
+        word.append(a)
+        t = len(word)
+        if period == t and length in (None, t):
+            found.append(tuple(word))
+        if t != length:
+            low, high = window(word[0], t + 1)
+            base = word[t - period]
+            for b in range(base, k):
+                w2 = w + wt[b]
+                if budget[b] and low <= w2 <= high:
+                    visit(b, period if b == base else t + 1, w2)
+        word.pop()
+        budget[a] += 1
+
+    for a in range(k):
+        low, high = window(a, 1)
+        # the letters from the first on must fill the whole word
+        if budget[a] and sum(budget[a:]) >= (length or 1) and low <= wt[a] <= high:
+            visit(a, 1, wt[a])
+    return found

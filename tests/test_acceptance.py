@@ -202,6 +202,9 @@ def test_criterion3_theorem_element_integrality():
     (5, 12, {12: 1}),
     (3, 20, {8: 1, 11: 2, 14: 3, 17: 4, 20: 5}),
     (5, 17, {12: 1, 17: 2}),
+    (7, 16, {16: 1}),
+    (11, 24, {24: 1}),
+    (13, 28, {28: 1}),
 ])
 def test_criterion4_torsion_tables(p, top, expected):
     for report in torsion_report(p, top):
@@ -220,7 +223,7 @@ def test_criterion4_torsion_tables(p, top, expected):
 
 # -- criterion 5: the two torsion subgroups coincide through the section ------
 
-@pytest.mark.parametrize("p,d", [(2, 6), (2, 8), (3, 8)])
+@pytest.mark.parametrize("p,d", [(2, 6), (2, 8), (3, 8), (7, 16), (11, 24)])
 def test_criterion5_metabelian_comparison(p, d):
     r = metabelian_torsion_check(p, d)
     assert r.ranks_agree, (r.lie_torsion, r.metabelian_torsion)

@@ -138,6 +138,24 @@ def test_torsion_out_of_range_exit_2(capsys, argv):
     assert "must be at least" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["theorem", "--prime", "3", "--s", "-1"],
+    ["theorem", "--prime", "3", "--t", "-2"],
+    ["verify", "--c", "1"],
+    ["verify", "--rank", "1"],
+    ["verify", "--rank", "0"],
+    ["verify", "--trials", "0"],
+    ["summand", "--prime", "3", "--dim", "0"],
+    ["report", "--trials", "0"],
+], ids=["theorem-s", "theorem-t", "verify-c", "verify-rank-1", "verify-rank-0",
+        "verify-trials", "summand-dim", "report-trials"])
+def test_out_of_range_exit_2(capsys, argv):
+    # each of these failed with a traceback or passed after checking nothing
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "must be at least" in err and "Traceback" not in err
+
+
 def test_verify_cli(capsys):
     code, out, _ = run_cli(capsys, "verify", "--c", "3", "--rank", "2",
                            "--trials", "25", "--seed", "9")

@@ -1,13 +1,15 @@
 """The power maps: examples, the multiplication-by-c composites, exactness of
 the mixed-power sequence, and equivariance under derivation actions."""
 
+import itertools
 import random
 from math import factorial
 
 import pytest
 
-from lietorsion.elements import (IntegralityError, MixedElement, ZZ,
-                                 generator_element, normal_form)
+from lietorsion.elements import (IntegralityError, MixedElement, TensorElement, ZZ,
+                                 generator_element, leftnormed_tensor,
+                                 lie_from_tensor, normal_form)
 from lietorsion.maps import (ActionSpec, check_exactness, derive, eta, kappa,
                              lam, metabelian_normal_coords, metabelian_of_word,
                              mu, normal_words, nu, random_action,
@@ -133,6 +135,10 @@ def test_theta_integrality_falsified_at_composite_degree_rank3():
     assert witnesses == [(1, 0, 0, 2), (1, 0, 1, 2), (2, 0, 0, 1), (2, 0, 1, 2)]
     with pytest.raises(IntegralityError):
         theta(witnesses[0], alphabet=AB3)
+    # integrality is checked per normal word: 4*theta(m_w) is integral over QQ,
+    # yet theta(4*m_w) refuses over Z
+    with pytest.raises(IntegralityError):
+        theta(4 * metabelian_of_word(AB3, witnesses[0]))
     # the composite identity itself still holds for the rational value
     from lietorsion.elements import QQ
     from fractions import Fraction
@@ -140,6 +146,33 @@ def test_theta_integrality_falsified_at_composite_degree_rank3():
         pre = theta_presum(AB3, w, domain=QQ)
         rational_theta = Fraction(1, 4) * pre
         assert eta(rational_theta) == 2 * metabelian_of_word(AB3, w, QQ)
+
+
+def theta_presum_oracle(ab, letters):
+    # the double sum over every permutation of each tail, repeats included
+    a1, a2, rest = letters[0], letters[1], letters[2:]
+    acc = {}
+    for head, tail, sign in ((a1, (a2,) + rest, 1), (a2, (a1,) + rest, -1)):
+        for perm in itertools.permutations(tail):
+            for w, k in leftnormed_tensor((head,) + perm).items():
+                acc[w] = acc.get(w, 0) + sign * k
+    terms = {w: k for w, k in acc.items() if k}
+    return lie_from_tensor(TensorElement(ab, ZZ, terms, _clean=True))
+
+
+def test_theta_presum_matches_permutation_sum():
+    rng = random.Random(34)
+    ab4 = a_alphabet(4)
+    u, vx, vy = ab4.index("u(0,0)"), ab4.index("u(1,0)"), ab4.index("u(0,1)")
+    cases = [(ab4, (vy, vx) + (u,) * 5)]          # the theorem word at p = 7
+    for c in range(2, 8):
+        for ab in (AB2, AB3):
+            for _ in range(3):
+                word = tuple(rng.randrange(len(ab)) for _ in range(c))
+                cases.append((ab, word))
+                cases.append((ab, word[:2] + (word[-1],) * (c - 2)))
+    for ab, word in cases:
+        assert theta_presum(ab, word) == theta_presum_oracle(ab, word), word
 
 
 def test_theta_integrality_prime_degrees():

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lietorsion.words import (Alphabet, Generator, LyndonWord, lyndon_words,
                               lyndon_words_of_length, lyndon_words_with_content,
@@ -174,3 +175,50 @@ def test_alphabet_uniqueness_and_order():
     assert ab.index("z") == 2
     assert ab.word_weight((0, 1, 2)) == 3
     assert ab.word_multidegree((0, 1, 1)) == (1, 2, 0)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(weights=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       length=st.integers(1, 7), data=st.data())
+def test_walk_matches_product_oracle(weights, length, data):
+    # every entry point against all words of the length, filtered; product
+    # yields them in lexicographic order, which each list must keep
+    ab = Alphabet([Generator(f"g{i}", (w,)) for i, w in enumerate(weights)])
+    k = len(weights)
+
+    def weight(word):
+        return sum(weights[i] for i in word)
+
+    def oracle(n):
+        return [w for w in itertools.product(range(k), repeat=n) if brute_is_lyndon(w)]
+
+    words = oracle(length)
+    target = data.draw(st.integers(length, 3 * length), label="target")
+    content = data.draw(st.lists(st.integers(0, k - 1), min_size=length,
+                                 max_size=length), label="content")
+    cut = data.draw(st.integers(0, 7), label="cut")
+
+    assert [w.idx for w in lyndon_words_of_length(ab, length)] == words
+    assert ([w.idx for w in lyndon_words_of_length(ab, length, weight=target)]
+            == [w for w in words if weight(w) == target])
+    assert ([w.idx for w in lyndon_words_of_length(ab, length, max_weight=target)]
+            == [w for w in words if weight(w) <= target])
+    assert ([w.idx for w in lyndon_words_with_content(ab, content)]
+            == [w for w in words if sorted(w) == sorted(content)])
+    graded = [w for n in range(1, cut + 1) for w in oracle(n) if weight(w) <= cut]
+    assert ([w.idx for w in lyndon_words(ab, cut)]
+            == sorted(graded, key=lambda w: (weight(w), w)))
+
+
+def test_words_with_content_out_of_range():
+    ab = unit_alphabet(2)
+    assert lyndon_words_with_content(ab, ()) == []
+    with pytest.raises(ValueError):
+        lyndon_words_with_content(ab, (0, 2))
+
+
+def test_words_with_long_repeated_content():
+    # eleven letters, as at p = 11: the answer must not cost 11! arrangements
+    ab = unit_alphabet(2)
+    assert lyndon_words_with_content(ab, (0,) * 11) == []
+    assert [w.idx for w in lyndon_words_with_content(ab, (0,) * 10 + (1,))] == [(0,) * 10 + (1,)]
