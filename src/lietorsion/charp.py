@@ -5,65 +5,146 @@ ordered degree-first, filters it by type, and verifies that the kernel of the
 symmetrization onto V (x) S^(p-1)(V) is the span of the block symmetrizer
 images together with the degree-p part of the second derived ideal, which is
 therefore a direct summand.
+
+Vectors are sparse dicts ``{index: coeff mod p}`` holding no zero, and all
+linear algebra runs on one echelon kernel, :class:`Echelon`.  The list-based
+functions (``rref_mod``, ``alpha_vector`` and so on) convert to and from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
+from math import factorial, prod
 
 from .elements import GF, _expand_lyndon, lyndon_monomial
-from .maps import eta, mixed_basis as _mixed_keys
+from .maps import _distinct_permutations, eta, mixed_basis
 from .words import lyndon_words_of_length, unit_alphabet
 
 
-# -- small dense linear algebra over Z/p -------------------------------------
+# -- sparse linear algebra over Z/p -------------------------------------------
+
+def _axpy(acc, vec, c, p):
+    """acc += c * vec mod p, in place, dropping the entries that cancel."""
+    for j, x in vec.items():
+        s = (acc.get(j, 0) + c * x) % p
+        if s:
+            acc[j] = s
+        else:
+            acc.pop(j, None)
+
+
+class Echelon:
+    """The reduced row echelon form over GF(p) of the span of sparse rows.
+
+    ``rows`` maps each pivot column to its row: the pivot entry is 1, it is
+    the row's smallest column, and no other pivot column occurs in the row,
+    so the form is the unique reduced one of the span.  ``users`` maps each
+    non-pivot column to the pivots of the rows holding it, so a new pivot is
+    cleared from exactly the rows that contain it.
+    """
+
+    def __init__(self, p, rows=()):
+        self.p = p
+        self.rows = {}
+        self.users = {}
+        self.extend(rows)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __contains__(self, vec):
+        return not self.reduce(vec)
+
+    def extend(self, rows):
+        """Add rows, shortest first."""
+        for r in sorted(rows, key=len):
+            self.add(r)
+
+    def reduce(self, vec) -> dict:
+        """The remainder of vec modulo the span, as a new vector."""
+        p, rows = self.p, self.rows
+        v = {j: x % p for j, x in vec.items() if x % p}
+        # a pivot row holds no other pivot column, so one pass clears them all
+        for j in [j for j in v if j in rows]:
+            _axpy(v, rows[j], -v[j], p)
+        return v
+
+    def add(self, vec):
+        """Add vec to the span."""
+        v = self.reduce(vec)
+        if not v:
+            return
+        p, users = self.p, self.users
+        k = min(v)
+        inv = pow(v[k], -1, p)
+        row = {j: x * inv % p for j, x in v.items()}
+        for i in users.pop(k, ()):
+            old = self.rows[i]
+            c = old[k]
+            for j, x in row.items():
+                s = (old.get(j, 0) - c * x) % p
+                if s:
+                    if j not in old:
+                        users.setdefault(j, set()).add(i)
+                    old[j] = s
+                else:
+                    del old[j]
+                    if j != k:
+                        users[j].discard(i)
+        for j in row:
+            if j != k:
+                users.setdefault(j, set()).add(k)
+        self.rows[k] = row
+
+    def kernel(self, n) -> list[dict]:
+        """A basis of the right kernel on columns 0..n-1: one vector per free
+        column j, ascending, with 1 at j and 0 at the other free columns."""
+        p = self.p
+        out = []
+        for j in range(n):
+            if j not in self.rows:
+                v = {j: 1}
+                for i in self.users.get(j, ()):
+                    v[i] = -self.rows[i][j] % p
+                out.append(v)
+        return out
+
+
+def _sparse(vec, p) -> dict:
+    return {j: x % p for j, x in enumerate(vec) if x % p}
+
+
+def _dense(vec, n) -> list[int]:
+    out = [0] * n
+    for j, x in vec.items():
+        out[j] = x
+    return out
+
+
+def _echelon(rows, p) -> Echelon:
+    return Echelon(p, (_sparse(r, p) for r in rows))
+
 
 def rref_mod(rows, n, p):
     """Reduced row echelon form mod p; returns (rows, pivot columns)."""
-    a = [[x % p for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for j in range(n):
-        k = next((i for i in range(r, len(a)) if a[i][j]), None)
-        if k is None:
-            continue
-        a[r], a[k] = a[k], a[r]
-        inv = pow(a[r][j], -1, p)
-        a[r] = [(x * inv) % p for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][j]:
-                c = a[i][j]
-                a[i] = [(x - c * y) % p for x, y in zip(a[i], a[r])]
-        pivots.append(j)
-        r += 1
-    return a[:r], pivots
+    e = _echelon(rows, p)
+    pivots = sorted(e.rows)
+    return [_dense(e.rows[j], n) for j in pivots], pivots
 
 
 def rank_mod(rows, n, p):
-    return len(rref_mod(rows, n, p)[0])
+    return len(_echelon(rows, p))
 
 
 def in_span_mod(echelon, pivots, vec, p):
-    v = [x % p for x in vec]
-    for row, j in zip(echelon, pivots):
-        if v[j]:
-            c = v[j]
-            v = [(x - c * y) % p for x, y in zip(v, row)]
-    return not any(v)
+    """Whether vec lies in the span of the rows of ``rref_mod``'s output
+    (the pivots are implied by the rows)."""
+    return _sparse(vec, p) in _echelon(echelon, p)
 
 
 def right_kernel_mod(rows, n, p):
-    echelon, pivots = rref_mod(rows, n, p)
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [0] * n
-        v[j] = 1
-        for row, pj in zip(echelon, pivots):
-            v[pj] = (-row[j]) % p
-        basis.append(v)
-    return basis
+    return [_dense(v, n) for v in _echelon(rows, p).kernel(n)]
 
 
 # -- PBW scaffolding ----------------------------------------------------------
@@ -103,7 +184,12 @@ def type_list(p: int) -> list[tuple[int, ...]]:
 
 
 class PBWBasis:
-    """The type-filtered PBW basis of the degree-p tensor power."""
+    """The type-filtered PBW basis of the degree-p tensor power.
+
+    Tensor words are indexed in lexicographic order, so a word's index is the
+    word read as a base-``dim`` numeral.  ``mixed`` indexes the basis of
+    V (x) S^(p-1)(V) and ``alpha_col[i]`` is the mixed column of word i.
+    """
 
     def __init__(self, p: int, dim: int):
         if p < 2:
@@ -123,6 +209,9 @@ class PBWBasis:
         words = list(product(range(dim), repeat=p))
         self.word_index = {w: i for i, w in enumerate(words)}
         self.n_tensor = len(words)
+        self.mixed = {key: i for i, key in enumerate(mixed_basis(self.alphabet, p))}
+        self.alpha_col = [self.mixed[(w[0], tuple(sorted(w[1:])))] for w in words]
+        self._expansions = {}
 
     def _class_of(self, typ):
         per_degree = []
@@ -143,22 +232,37 @@ class PBWBasis:
         for cls in self.classes:
             yield from cls
 
+    def _expansion(self, f):
+        """(index as a numeral, coefficient mod p) pairs of a Lie basis word's
+        tensor expansion."""
+        terms = self._expansions.get(f)
+        if terms is None:
+            p, dim = self.p, self.dim
+            terms = []
+            for w, c in _expand_lyndon(self.alphabet, f).items():
+                if c % p:
+                    i = 0
+                    for a in w:
+                        i = i * dim + a
+                    terms.append((i, c % p))
+            self._expansions[f] = terms
+        return terms
+
+    def factor_terms(self, factors) -> dict:
+        """Sparse tensor coordinates mod p of a product of Lie basis factors."""
+        p, dim = self.p, self.dim
+        terms = {0: 1}
+        for f in factors:
+            shift = dim ** len(f)
+            expansion = self._expansion(f)
+            # the words of a product are the concatenations, all distinct
+            terms = {i * shift + j: c * k % p
+                     for i, c in terms.items() for j, k in expansion}
+        return terms
+
     def factor_vector(self, factors) -> list[int]:
         """Tensor coordinates mod p of a product of Lie basis factors."""
-        p = self.field.p
-        terms = {(): 1}
-        for f in factors:
-            expansion = _expand_lyndon(self.alphabet, f)
-            nxt = {}
-            for w, c in terms.items():
-                for v, k in expansion.items():
-                    key = w + v
-                    nxt[key] = (nxt.get(key, 0) + c * k) % p
-            terms = {w: c for w, c in nxt.items() if c}
-        vec = [0] * self.n_tensor
-        for w, c in terms.items():
-            vec[self.word_index[w]] = c
-        return vec
+        return _dense(self.factor_terms(factors), self.n_tensor)
 
     def pbw_vector(self, elem: PBWElement) -> list[int]:
         return self.factor_vector(elem.factors)
@@ -174,6 +278,49 @@ class PBWBasis:
             out.extend(self.class_vectors(k))
         return out
 
+    def sigma(self, i: int, elem: PBWElement) -> dict:
+        """Image of the class-i basis element under the block symmetrizer sigma_i."""
+        if not 2 <= i <= self.m - 1:
+            raise ValueError(f"sigma index {i} out of range 2..{self.m - 1}")
+        typ = self.types[i - 1]
+        if elem.type != typ:
+            raise ValueError("element does not belong to the requested class")
+        p = self.p
+        blocks = []
+        pos = 0
+        for k in typ:
+            if k:
+                blocks.append(elem.factors[pos:pos + k])
+                pos += k
+        inv = pow(prod(factorial(len(b)) for b in blocks), -1, p)
+        acc = {}
+        for perms in product(*(permutations(b) for b in blocks)):
+            factors = tuple(f for block in perms for f in block)
+            _axpy(acc, self.factor_terms(factors), inv, p)
+        return acc
+
+    def alpha(self, vec) -> dict:
+        """a1 (x) ... (x) ap  ->  a1 (x) (a2 o ... o ap) on a sparse tensor vector."""
+        p, col = self.p, self.alpha_col
+        out = {}
+        for i, c in vec.items():
+            j = col[i]
+            s = (out.get(j, 0) + c) % p
+            if s:
+                out[j] = s
+            else:
+                out.pop(j, None)
+        return out
+
+    def beta(self, key) -> dict:
+        """Image of a mixed basis element under the averaged splitting beta."""
+        p = self.p
+        a, mult = key
+        # each distinct arrangement of mult is prod(m!) of its (p-1)! permutations
+        c = (prod(factorial(mult.count(b)) for b in set(mult))
+             * pow(factorial(p - 1), -1, p) % p)
+        return {self.word_index[(a,) + w]: c for w in _distinct_permutations(mult)}
+
 
 def pbw_basis(p: int, dim: int) -> PBWBasis:
     return PBWBasis(p, dim)
@@ -181,64 +328,42 @@ def pbw_basis(p: int, dim: int) -> PBWBasis:
 
 def sigma_vector(data: PBWBasis, i: int, elem: PBWElement) -> list[int]:
     """Image of the class-i basis element under the block symmetrizer sigma_i."""
-    if not 2 <= i <= data.m - 1:
-        raise ValueError(f"sigma index {i} out of range 2..{data.m - 1}")
-    typ = data.types[i - 1]
-    if elem.type != typ:
-        raise ValueError("element does not belong to the requested class")
-    p = data.field.p
-    blocks = []
-    pos = 0
-    for r, k in enumerate(typ, start=1):
-        if k:
-            blocks.append(list(elem.factors[pos:pos + k]))
-            pos += k
-    scale = 1
-    for block in blocks:
-        f = 1
-        for j in range(2, len(block) + 1):
-            f *= j
-        scale = (scale * f) % p
-    inv = pow(scale, -1, p)
-    acc = [0] * data.n_tensor
-    for perms in product(*(permutations(b) for b in blocks)):
-        factors = tuple(f for block in perms for f in block)
-        vec = data.factor_vector(factors)
-        acc = [(a + b) % p for a, b in zip(acc, vec)]
-    return [(a * inv) % p for a in acc]
+    return _dense(data.sigma(i, elem), data.n_tensor)
 
 
 def mixed_index(data: PBWBasis) -> dict:
-    keys = _mixed_keys(data.alphabet, data.p)
-    return {key: i for i, key in enumerate(keys)}
+    return dict(data.mixed)
 
 
 def alpha_vector(data: PBWBasis, vec) -> list[int]:
     """a1 (x) ... (x) ap  ->  a1 (x) (a2 o ... o ap), applied to a tensor vector."""
-    p = data.field.p
-    index = mixed_index(data)
-    out = [0] * len(index)
-    for w, i in data.word_index.items():
-        c = vec[i] % p
-        if c:
-            key = (w[0], tuple(sorted(w[1:])))
-            out[index[key]] = (out[index[key]] + c) % p
-    return out
+    return _dense(data.alpha(_sparse(vec, data.p)), len(data.mixed))
 
 
 def beta_vector(data: PBWBasis, key) -> list[int]:
     """Image of a mixed basis element under the averaged splitting beta."""
-    p = data.field.p
-    a, mult = key
-    fact = 1
-    for j in range(2, data.p):
-        fact *= j
-    inv = pow(fact % p, -1, p)
-    acc = [0] * data.n_tensor
-    for perm in permutations(mult):
-        w = (a,) + perm
-        acc[data.word_index[w]] = (acc[data.word_index[w]] + 1) % p
-    return [(x * inv) % p for x in acc]
+    return _dense(data.beta(key), data.n_tensor)
+
+
+def _bp_space(data: PBWBasis):
+    """Sparse (Lyndon coordinate vectors, tensor vectors) of a basis of the
+    degree-p part of the second derived ideal: the left kernel of eta."""
+    p = data.p
+    words = data.lie_basis[p]
+    # the eta matrix by columns: per mixed basis element, {word position: coeff}
+    columns = {}
+    for pos, w in enumerate(words):
+        m = eta(lyndon_monomial(data.alphabet, w, data.field))
+        for key, c in m.mixed.terms.items():
+            columns.setdefault(data.mixed[key], {})[pos] = c
+    kernel = Echelon(p, columns.values()).kernel(len(words))
+    tensors = []
+    for v in kernel:
+        acc = {}
+        for pos, c in v.items():
+            _axpy(acc, data.factor_terms((words[pos],)), c, p)
+        tensors.append(acc)
+    return kernel, tensors
 
 
 def bp_space(p: int, dim: int, data: PBWBasis | None = None):
@@ -247,28 +372,10 @@ def bp_space(p: int, dim: int, data: PBWBasis | None = None):
     Returns (lyndon coordinate vectors, tensor vectors, lyndon word list).
     """
     data = data or PBWBasis(p, dim)
-    field = data.field
     words = data.lie_basis[p]
-    key_index = mixed_index(data)
-    rows = []
-    for w in words:
-        m = eta(lyndon_monomial(data.alphabet, w, field))
-        row = [0] * len(key_index)
-        for key, c in m.mixed.terms.items():
-            row[key_index[key]] = c
-        rows.append(row)
-    # left kernel of the eta matrix
-    kernel = right_kernel_mod([[r[i] for r in rows] for i in range(len(key_index))],
-                              len(words), p) if words else []
-    tensor_vectors = []
-    for v in kernel:
-        acc = [0] * data.n_tensor
-        for coeff, w in zip(v, words):
-            if coeff % p:
-                vec = data.factor_vector((w,))
-                acc = [(a + coeff * b) % p for a, b in zip(acc, vec)]
-        tensor_vectors.append(acc)
-    return kernel, tensor_vectors, words
+    kernel, tensors = _bp_space(data)
+    return ([_dense(v, len(words)) for v in kernel],
+            [_dense(t, data.n_tensor) for t in tensors], words)
 
 
 @dataclass(frozen=True)
@@ -306,62 +413,43 @@ def check_summand(p: int, dim: int) -> SummandReport:
     class_sizes = tuple(len(c) for c in data.classes)
     assert sum(class_sizes) == n
 
-    index = mixed_index(data)
-    alpha_rows = [alpha_vector(data, _unit(n, i)) for i in range(n)]
-    rank_alpha = rank_mod(alpha_rows, len(index), p)
-    dim_ker_alpha = n - rank_alpha
+    dim_ker_alpha = n - len(Echelon(p, (data.alpha({i: 1}) for i in range(n))))
 
-    beta_vectors = []
-    beta_alpha_identity = True
-    for key, pos in sorted(index.items(), key=lambda kv: kv[1]):
-        bv = beta_vector(data, key)
-        beta_vectors.append(bv)
-        image = alpha_vector(data, bv)
-        expected = [0] * len(index)
-        expected[pos] = 1
-        if image != expected:
-            beta_alpha_identity = False
-    dim_im_beta = rank_mod(beta_vectors, n, p)
+    beta_vectors = [data.beta(key) for key in data.mixed]
+    beta_alpha_identity = all(data.alpha(bv) == {pos: 1}
+                              for bv, pos in zip(beta_vectors, data.mixed.values()))
+    dim_im_beta = len(Echelon(p, beta_vectors))
 
-    sigma_vectors = []
-    sigma_dims = []
-    sigma_injective = True
+    # sigma_i for 2 <= i < m, each checked against X_i (classes i..m), which
+    # grows from the last class up
+    sigma_of = {}
     sigma_in_filtration = True
-    kp_zero_inside = True
-    for i in range(2, data.m):
-        typ = data.types[i - 1]
-        if typ[-1] != 0:
-            kp_zero_inside = False
-        vecs = [sigma_vector(data, i, e) for e in data.classes[i - 1]]
-        sigma_vectors.extend(vecs)
-        r = rank_mod(vecs, n, p) if vecs else 0
-        sigma_dims.append(r)
-        if r != len(vecs):
-            sigma_injective = False
-        filt, piv = rref_mod(data.filtration_vectors(i), n, p)
-        if not all(in_span_mod(filt, piv, v, p) for v in vecs):
-            sigma_in_filtration = False
+    filtration = Echelon(p)
+    for i in range(data.m, 1, -1):
+        filtration.extend(data.factor_terms(e.factors) for e in data.classes[i - 1])
+        if i < data.m:
+            sigma_of[i] = [data.sigma(i, e) for e in data.classes[i - 1]]
+            sigma_in_filtration &= all(v in filtration for v in sigma_of[i])
+    inner = range(2, data.m)
+    sigma_vectors = [v for i in inner for v in sigma_of[i]]
+    sigma_dims = [len(Echelon(p, sigma_of[i])) for i in inner]
+    sigma_injective = all(r == len(sigma_of[i]) for r, i in zip(sigma_dims, inner))
+    kp_zero_inside = all(data.types[i - 1][-1] == 0 for i in inner)
 
-    _, bp_vectors, _ = bp_space(p, dim, data)
+    _, bp_vectors = _bp_space(data)
     dim_bp = len(bp_vectors)
 
     w_vectors = sigma_vectors + bp_vectors
-    dim_w = rank_mod(w_vectors, n, p) if w_vectors else 0
+    w = Echelon(p, w_vectors)
+    dim_w = len(w)
     summands_independent = dim_w == sum(sigma_dims) + dim_bp
 
-    zero_mixed = [0] * len(index)
-    w_in_kernel = all(alpha_vector(data, v) == zero_mixed for v in w_vectors)
+    w_in_kernel = not any(data.alpha(v) for v in w_vectors)
     kernel_is_w = w_in_kernel and dim_w == dim_ker_alpha
-    splits_tensor = (dim_w + dim_im_beta == n
-                     and rank_mod(w_vectors + beta_vectors, n, p) == n)
+    w.extend(beta_vectors)
+    splits_tensor = dim_w + dim_im_beta == n and len(w) == n
     return SummandReport(p, dim, n, class_sizes, dim_w, dim_ker_alpha,
                          dim_im_beta, dim_bp, tuple(sigma_dims),
                          sigma_injective, sigma_in_filtration, w_in_kernel,
                          kernel_is_w, splits_tensor, summands_independent,
                          beta_alpha_identity, kp_zero_inside)
-
-
-def _unit(n, i):
-    v = [0] * n
-    v[i] = 1
-    return v

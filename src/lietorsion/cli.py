@@ -68,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # command -> (flag, least value) pairs; below them a command fails or checks nothing
 LOWER_BOUNDS = {
+    "lyndon": (("rank", 1), ("max_degree", 1)),
     "torsion": (("prime", 2),),
     "theorem": (("s", 0), ("t", 0)),
     "verify": (("c", 2), ("rank", 2), ("trials", 1)),
@@ -81,7 +82,7 @@ def check_args(parser, args) -> None:
     for flag, least in LOWER_BOUNDS.get(args.command, ()):
         value = getattr(args, flag)
         if value < least:
-            parser.error(f"--{flag} must be at least {least}, got {value}")
+            parser.error(f"--{flag.replace('_', '-')} must be at least {least}, got {value}")
     if args.command == "torsion" and args.max_degree < 2 * args.prime:
         parser.error(f"--max-degree must be at least 2*prime = {2 * args.prime}, "
                      f"got {args.max_degree}")

@@ -13,12 +13,11 @@ off that presentation by reducing them through its recorded pivots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import factorial, prod
 
-from .elements import (IntegralityError, LieElement, TensorElement, ZZ, is_prime,
-                       leftnormed_tensor, lie_from_tensor, lyndon_monomial)
+from .elements import IntegralityError, LieElement, ZZ, is_prime, lyndon_monomial
 from .maps import (ActionSpec, derive, eta, metabelian_of_word, mixed_basis,
-                   metabelian_normal_coords, normal_words, theta)
+                   metabelian_normal_coords, normal_words, theta, theta_presum)
 from .words import Alphabet, Generator, LyndonWord, lyndon_words_of_length
 from .zlinalg import (CokernelStructure, Presentation, cokernel_structure,
                       integer_kernel, solve_left, transpose)
@@ -198,7 +197,9 @@ class TorsionEngine:
     def theorem_element(self, s: int, t: int) -> LieElement:
         """The degree p(s+t+2)+2 torsion representative built from u = u(s,t).
 
-        The double sum is divided by p; the division is asserted exact.
+        It is theta's double sum of (vy, vx, u^(p-2)), in which each of the
+        p-1 arrangements of (vx, u^(p-2)) occurs (p-2)! times, divided by
+        (p-2)! p; the division is asserted exact.
         """
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
@@ -206,15 +207,8 @@ class TorsionEngine:
         u = self.alphabet.index(f"u({s},{t})")
         vx = self.alphabet.index(f"u({s + 1},{t})")
         vy = self.alphabet.index(f"u({s},{t + 1})")
-        acc = {}
-        for i in range(p - 1):
-            for word, sign in (((vy,) + (u,) * i + (vx,) + (u,) * (p - 2 - i), 1),
-                               ((vx,) + (u,) * i + (vy,) + (u,) * (p - 2 - i), -1)):
-                for w, k in leftnormed_tensor(word).items():
-                    acc[w] = acc.get(w, 0) + sign * k
-        acc = {w: c for w, c in acc.items() if c}
-        presum = lie_from_tensor(TensorElement(self.alphabet, ZZ, acc, _clean=True))
-        return presum.divided_by(p)
+        presum = theta_presum(self.alphabet, (vy, vx) + (u,) * (p - 2))
+        return presum.divided_by(factorial(p - 2) * p)
 
     def theorem_vector(self, s: int, t: int, d: int) -> list[int]:
         index = self.lie_index(d)

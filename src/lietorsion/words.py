@@ -115,6 +115,8 @@ class Alphabet:
 def unit_alphabet(names) -> Alphabet:
     """Alphabet of unit-weight generators, one ambient variable per letter."""
     if isinstance(names, int):
+        if names < 0:
+            raise ValueError(f"alphabet rank must be non-negative, got {names}")
         if names <= 3:
             names = ["x", "y", "z"][:names]
         else:
@@ -129,18 +131,32 @@ def unit_alphabet(names) -> Alphabet:
     return Alphabet(gens)
 
 
-def is_lyndon(word) -> bool:
-    """Whether the index tuple is strictly smaller than all proper rotations."""
+def _lyndon_factor_starts(word) -> list[int]:
+    """Start positions of the Lyndon factors of a word, whose factors read
+    left to right are non-increasing Lyndon words (Chen, Fox & Lyndon).
+
+    Duval's algorithm (1983), in linear time: a scan from i keeps j - k, the
+    period of the longest prefix of word[i:] that is a power of a Lyndon
+    word plus a prefix of it, and emits one factor per whole period.
+    """
     n = len(word)
-    if n == 0:
-        return False
-    if n == 1:
-        return True
-    doubled = word + word
-    for k in range(1, n):
-        if not word < doubled[k:k + n]:
-            return False
-    return True
+    starts = []
+    i = 0
+    while i < n:
+        j, k = i + 1, i
+        while j < n and word[k] <= word[j]:
+            k = i if word[k] < word[j] else k + 1
+            j += 1
+        while i <= k:
+            starts.append(i)
+            i += j - k
+    return starts
+
+
+def is_lyndon(word) -> bool:
+    """Whether the index tuple is strictly smaller than all proper rotations,
+    that is, whether it is its own single Lyndon factor."""
+    return _lyndon_factor_starts(word) == [0]
 
 
 class LyndonWord:
@@ -199,14 +215,10 @@ class LyndonWord:
 
 
 def _split_point(idx):
-    n = len(idx)
-    if n == 1:
+    # the longest proper Lyndon suffix is the last Lyndon factor of idx[1:]
+    if len(idx) == 1:
         return None
-    # the first position whose suffix is Lyndon starts the longest such suffix
-    for j in range(1, n):
-        if is_lyndon(idx[j:]):
-            return j
-    raise AssertionError("every Lyndon word has a Lyndon proper suffix")
+    return 1 + _lyndon_factor_starts(idx[1:])[-1]
 
 
 def standard_factorization(w: LyndonWord) -> tuple[LyndonWord, LyndonWord]:

@@ -18,7 +18,7 @@ rather than assuming integrality there:
 
 import random
 from itertools import combinations, permutations
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -265,13 +265,21 @@ def test_criterion6_exponent_cross_check():
 
 # -- criterion 7: the characteristic-p decomposition ---------------------------
 
-@pytest.mark.parametrize("p,dim", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p,dim", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2),
+                                   (3, 10), (5, 4)])
 def test_criterion7_summand(p, dim):
     r = check_summand(p, dim)
     assert r.kernel_is_w, "Ker(alpha) must equal W"
     assert r.splits_tensor, "T^p must split as W + Im(beta)"
     assert r.beta_alpha_identity
     assert r.summands_independent
+    # count oracles: Im(beta) is V (x) S^(p-1)(V), W is its complement in
+    # T^p(V), and the second-derived part has the Lyndon words of length p
+    # minus the normal words as its dimension
+    ab = unit_alphabet(dim)
+    im_beta = dim * comb(dim + p - 2, p - 1)
+    assert (r.dim_tensor, r.dim_im_beta, r.dim_w) == (dim ** p, im_beta, dim ** p - im_beta)
+    assert r.dim_bp == len(lyndon_words_of_length(ab, p)) - len(normal_words(ab, p))
     print(f"[criterion 7] PASS p={p} dim={dim}: Ker(alpha)=W ({r.dim_w}) and "
           f"T^p = W + Im(beta) ({r.dim_w}+{r.dim_im_beta}={r.dim_tensor})")
 

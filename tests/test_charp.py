@@ -5,14 +5,74 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lietorsion.charp import (alpha_vector, beta_vector, bp_space,
                               check_summand, in_span_mod, mixed_index,
-                              pbw_basis, rank_mod, rref_mod, sigma_vector,
-                              type_list)
+                              pbw_basis, rank_mod, right_kernel_mod, rref_mod,
+                              sigma_vector, type_list)
 from lietorsion.elements import GF
 from lietorsion.maps import ActionSpec, normal_words
 from lietorsion.words import lyndon_words_of_length, unit_alphabet
+
+
+def dense_rref_mod(rows, n, p):
+    """Dense Gauss-Jordan elimination mod p, column by column: the oracle
+    for the sparse kernel.  Returns (rows, pivot columns)."""
+    a = [[x % p for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for j in range(n):
+        k = next((i for i in range(r, len(a)) if a[i][j]), None)
+        if k is None:
+            continue
+        a[r], a[k] = a[k], a[r]
+        inv = pow(a[r][j], -1, p)
+        a[r] = [(x * inv) % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][j]:
+                c = a[i][j]
+                a[i] = [(x - c * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(j)
+        r += 1
+    return a[:r], pivots
+
+
+@st.composite
+def matrices_mod_p(draw):
+    """(rows, n, p, vec): a random matrix, sparse or dense, and a vector that
+    is either random or a combination of the rows."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 9))
+    density = draw(st.sampled_from([0.15, 0.5, 1.0]))
+    entry = st.integers(-p, 2 * p)
+    rows = [[draw(entry) if draw(st.floats(0, 1)) <= density else 0 for _ in range(n)]
+            for _ in range(draw(st.integers(0, 8)))]
+    if rows and draw(st.booleans()):
+        coeffs = [draw(st.integers(0, p - 1)) for _ in rows]
+        vec = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+    else:
+        vec = [draw(entry) for _ in range(n)]
+    return rows, n, p, vec
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=matrices_mod_p())
+def test_sparse_echelon_matches_dense_oracle(case):
+    rows, n, p, vec = case
+    want_rows, want_pivots = dense_rref_mod(rows, n, p)
+    got_rows, got_pivots = rref_mod(rows, n, p)
+    assert got_pivots == want_pivots
+    assert got_rows == want_rows          # the reduced form is unique
+    assert rank_mod(rows, n, p) == len(want_pivots)
+    # membership: vec is in the span iff appending it keeps the rank
+    in_span = len(dense_rref_mod(rows + [vec], n, p)[1]) == len(want_pivots)
+    assert in_span_mod(got_rows, got_pivots, vec, p) == in_span
+    kernel = right_kernel_mod(rows, n, p)
+    assert len(kernel) == n - len(want_pivots)
+    for k in kernel:
+        assert all(sum(a * b for a, b in zip(r, k)) % p == 0 for r in rows)
+    assert len(dense_rref_mod(kernel, n, p)[1]) == len(kernel)
 
 
 def test_type_list():

@@ -147,8 +147,12 @@ def test_torsion_out_of_range_exit_2(capsys, argv):
     ["verify", "--trials", "0"],
     ["summand", "--prime", "3", "--dim", "0"],
     ["report", "--trials", "0"],
+    ["lyndon", "--rank", "-1"],
+    ["lyndon", "--rank", "0"],
+    ["lyndon", "--max-degree", "0"],
 ], ids=["theorem-s", "theorem-t", "verify-c", "verify-rank-1", "verify-rank-0",
-        "verify-trials", "summand-dim", "report-trials"])
+        "verify-trials", "summand-dim", "report-trials", "lyndon-rank-negative",
+        "lyndon-rank-0", "lyndon-degree-0"])
 def test_out_of_range_exit_2(capsys, argv):
     # each of these failed with a traceback or passed after checking nothing
     code, out, err = run_cli(capsys, *argv)

@@ -7,7 +7,8 @@ Leibniz oracle that never touches the package's normal-form machinery.
 
 import pytest
 
-from lietorsion.elements import normal_form
+from lietorsion.elements import (ZZ, TensorElement, leftnormed_tensor, lie_from_tensor,
+                                 normal_form)
 from lietorsion.torsion import (TorsionEngine, a_generator, a_generators,
                                 action_matrix, bp_freeness_check, bp_kernel_basis,
                                 graded_cokernel, lie_power_basis,
@@ -165,6 +166,30 @@ def test_theorem_element_examples():
     assert e8 == expected8
     assert set(map(len, e8.terms)) == {2}
     assert engine8.alphabet.word_weight(next(iter(e8.terms))) == 8
+
+
+def hand_theorem_element(engine, s, t):
+    # the double sum over the p-1 placements of vx among the u's, written out
+    # by hand and divided by p
+    p, ab = engine.p, engine.alphabet
+    u, vx, vy = (ab.index(f"u({a},{b})") for a, b in ((s, t), (s + 1, t), (s, t + 1)))
+    acc = {}
+    for i in range(p - 1):
+        for word, sign in (((vy,) + (u,) * i + (vx,) + (u,) * (p - 2 - i), 1),
+                           ((vx,) + (u,) * i + (vy,) + (u,) * (p - 2 - i), -1)):
+            for w, k in leftnormed_tensor(word).items():
+                acc[w] = acc.get(w, 0) + sign * k
+    acc = {w: c for w, c in acc.items() if c}
+    return lie_from_tensor(TensorElement(ab, ZZ, acc, _clean=True)).divided_by(p)
+
+
+@pytest.mark.parametrize("p,s,t", [(2, 0, 0), (2, 1, 2), (3, 0, 0), (3, 1, 0),
+                                   (5, 0, 1), (7, 0, 0)])
+def test_theorem_element_matches_hand_double_sum(p, s, t):
+    engine = TorsionEngine(p, p * (s + t + 2) + 2)
+    e = engine.theorem_element(s, t)
+    assert e == hand_theorem_element(engine, s, t)
+    assert e.terms
 
 
 def test_theorem_element_requires_prime():

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lietorsion.words import (Alphabet, Generator, LyndonWord, lyndon_words,
+from lietorsion.words import (Alphabet, Generator, LyndonWord, is_lyndon, lyndon_words,
                               lyndon_words_of_length, lyndon_words_with_content,
                               standard_factorization, unit_alphabet)
 
@@ -144,6 +144,33 @@ def test_factorization_against_suffix_oracle():
         assert u.idx + v.idx == w.idx
         assert brute_is_lyndon(u.idx) and brute_is_lyndon(v.idx)
         assert u.idx < v.idx
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(word=st.lists(st.integers(0, 3), max_size=12).map(tuple))
+def test_duval_checks_match_oracles(word):
+    # is_lyndon and the split point come from Duval's factorization; check
+    # them against rotation-minimality and the direct longest-suffix scan, on
+    # the word and on its least rotation (Lyndon whenever the word is primitive)
+    least = min((word[k:] + word[:k] for k in range(len(word))), default=word)
+    for w in (word, least):
+        assert is_lyndon(w) == brute_is_lyndon(w)
+        if not brute_is_lyndon(w):
+            if w:
+                with pytest.raises(ValueError):
+                    LyndonWord(unit_alphabet(4), w)
+            continue
+        lw = LyndonWord(unit_alphabet(4), w)
+        if len(w) == 1:
+            assert lw.split is None
+        else:
+            assert lw.split == min(j for j in range(1, len(w)) if brute_is_lyndon(w[j:]))
+
+
+def test_unit_alphabet_negative_rank():
+    with pytest.raises(ValueError):
+        unit_alphabet(-1)
+    assert len(unit_alphabet(0)) == 0
 
 
 def test_non_lyndon_rejected():
