@@ -22,7 +22,7 @@ from .maps import (check_exactness, derive, eta, lam, mu, nu, random_action,
                    random_homogeneous, random_metabelian, rho, theta,
                    metabelian_of_word, normal_words)
 from .torsion import TorsionEngine
-from .words import unit_alphabet
+from .words import MAX_UNIT_RANK, unit_alphabet
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,23 +66,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# command -> (flag, least value) pairs; below them a command fails or checks nothing
-LOWER_BOUNDS = {
-    "lyndon": (("rank", 1), ("max_degree", 1)),
-    "torsion": (("prime", 2),),
-    "theorem": (("s", 0), ("t", 0)),
-    "verify": (("c", 2), ("rank", 2), ("trials", 1)),
-    "summand": (("dim", 1),),
-    "report": (("trials", 1),),
+# command -> (flag, least value, greatest value or None) triples; below the
+# least a command fails or checks nothing, and a unit alphabet has at most
+# MAX_UNIT_RANK letter names
+BOUNDS = {
+    "lyndon": (("rank", 1, MAX_UNIT_RANK), ("max_degree", 1, None)),
+    "torsion": (("prime", 2, None),),
+    "theorem": (("s", 0, None), ("t", 0, None)),
+    "verify": (("c", 2, None), ("rank", 2, MAX_UNIT_RANK), ("trials", 1, None)),
+    "summand": (("dim", 1, MAX_UNIT_RANK),),
+    "report": (("trials", 1, None),),
 }
 
 
 def check_args(parser, args) -> None:
     """Reject argument values that argparse's types alone cannot; exits 2."""
-    for flag, least in LOWER_BOUNDS.get(args.command, ()):
+    for flag, least, most in BOUNDS.get(args.command, ()):
         value = getattr(args, flag)
+        name = flag.replace("_", "-")
         if value < least:
-            parser.error(f"--{flag.replace('_', '-')} must be at least {least}, got {value}")
+            parser.error(f"--{name} must be at least {least}, got {value}")
+        if most is not None and value > most:
+            parser.error(f"--{name} must be at most {most}, got {value}")
     if args.command == "torsion" and args.max_degree < 2 * args.prime:
         parser.error(f"--max-degree must be at least 2*prime = {2 * args.prime}, "
                      f"got {args.max_degree}")

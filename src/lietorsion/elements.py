@@ -10,7 +10,6 @@ words of the same content.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .words import Generator, LyndonWord, is_lyndon
 
@@ -52,14 +51,16 @@ class Domain:
         return {"Z": "ZZ", "Q": "QQ"}.get(self.kind, f"GF({self.p})")
 
     def coerce(self, c):
-        if isinstance(c, Fraction):
-            if self.kind == "Q":
-                return c
-            if c.denominator != 1:
-                raise DomainError(f"{c} is not an element of {self!r}")
-            c = c.numerator
-        if isinstance(c, bool) or not isinstance(c, int):
-            raise DomainError(f"bad coefficient {c!r} for {self!r}")
+        # the exact-type test first: isinstance(c, Fraction) runs ABCMeta's slow check
+        if type(c) is not int:
+            if isinstance(c, Fraction):
+                if self.kind == "Q":
+                    return c
+                if c.denominator != 1:
+                    raise DomainError(f"{c} is not an element of {self!r}")
+                c = c.numerator
+            elif isinstance(c, bool) or not isinstance(c, int):
+                raise DomainError(f"bad coefficient {c!r} for {self!r}")
         if self.kind == "Fp":
             return c % self.p
         if self.kind == "Q":
@@ -336,8 +337,11 @@ def tensor_of_tree(alphabet, tree) -> dict:
 def _expand_tree(tree):
     if isinstance(tree, int):
         return {(tree,): 1}
-    left = _expand_tree(tree[0])
-    right = _expand_tree(tree[1])
+    return _expand_bracket(_expand_tree(tree[0]), _expand_tree(tree[1]))
+
+
+def _expand_bracket(left, right) -> dict:
+    """Tensor expansion of [a, b] from the expansions of a and b, over Z."""
     out = {}
     for wa, ca in left.items():
         for wb, cb in right.items():
@@ -347,21 +351,22 @@ def _expand_tree(tree):
     return {w: c for w, c in out.items() if c}
 
 
-@lru_cache(maxsize=None)
-def _expand_lyndon(alphabet, idx):
-    """Tensor expansion of the standard bracketing of a Lyndon word, over Z."""
-    if len(idx) == 1:
-        return {idx: 1}
-    split = LyndonWord(alphabet, idx).split
-    left = _expand_lyndon(alphabet, idx[:split])
-    right = _expand_lyndon(alphabet, idx[split:])
-    out = {}
-    for wa, ca in left.items():
-        for wb, cb in right.items():
-            c = ca * cb
-            out[wa + wb] = out.get(wa + wb, 0) + c
-            out[wb + wa] = out.get(wb + wa, 0) - c
-    return {w: c for w, c in out.items() if c}
+def _expand_lyndon(alphabet, idx) -> dict:
+    """Tensor expansion of the standard bracketing of a Lyndon word, over Z.
+
+    Memoised in the alphabet: the dict returned is the table's, read-only.
+    """
+    table = alphabet.table("lyndon")
+    out = table.get(idx)
+    if out is None:
+        if len(idx) == 1:
+            out = {idx: 1}
+        else:
+            split = LyndonWord(alphabet, idx).split
+            out = _expand_bracket(_expand_lyndon(alphabet, idx[:split]),
+                                  _expand_lyndon(alphabet, idx[split:]))
+        table[idx] = out
+    return out
 
 
 def leftnormed_tensor(letters) -> dict:
@@ -378,18 +383,36 @@ def leftnormed_tensor(letters) -> dict:
     return out
 
 
+def leftnormed_expansion(alphabet, letters) -> dict:
+    """leftnormed_tensor of a letter tuple, memoised in the alphabet: the
+    dict returned is the table's, read-only."""
+    table = alphabet.table("leftnormed")
+    out = table.get(letters)
+    if out is None:
+        out = table[letters] = leftnormed_tensor(letters)
+    return out
+
+
+def add_into(acc: dict, terms: dict, scale, dom) -> None:
+    """acc += scale * terms in place over dom, dropping the zeros.
+
+    ``scale`` is an element of dom; ``terms`` has integer coefficients or
+    coefficients in dom.
+    """
+    for key, k in terms.items():
+        s = dom.add(acc.get(key, 0), scale * k)   # dom.add reduces mod p
+        if s == 0:
+            acc.pop(key, None)
+        else:
+            acc[key] = s
+
+
 def to_tensor(e: LieElement) -> TensorElement:
     """The canonical embedding into the tensor ring."""
-    dom = e.domain
     out = {}
     for w, c in e.terms.items():
-        for v, k in _expand_lyndon(e.alphabet, w).items():
-            acc = dom.add(out.get(v, 0), dom.mul(c, dom.coerce(k)))
-            if dom.is_zero(acc):
-                out.pop(v, None)
-            else:
-                out[v] = acc
-    return TensorElement(e.alphabet, dom, out, _clean=True)
+        add_into(out, _expand_lyndon(e.alphabet, w), c, e.domain)
+    return TensorElement(e.alphabet, e.domain, out, _clean=True)
 
 
 def lie_from_tensor(t: TensorElement) -> LieElement:
@@ -397,7 +420,7 @@ def lie_from_tensor(t: TensorElement) -> LieElement:
 
     Peels the lexicographically smallest word of the remainder; if the input
     is a Lie element that word is Lyndon and carries the coordinate of its
-    standard bracketing.
+    standard bracketing, whose expansion holds the word itself once.
     """
     dom = t.domain
     alphabet = t.alphabet
@@ -405,21 +428,15 @@ def lie_from_tensor(t: TensorElement) -> LieElement:
     coords = {}
     while rem:
         w = min(rem)
-        c = rem.pop(w)
+        c = rem[w]
         if dom.is_zero(c):
+            del rem[w]
             continue
         if not is_lyndon(w):
             raise NotLieElementError(
                 f"not a Lie element: stray word {alphabet.word_name(w)!r}")
         coords[w] = c
-        for v, k in _expand_lyndon(alphabet, w).items():
-            if v == w:
-                continue
-            acc = dom.add(rem.get(v, 0), dom.neg(dom.mul(c, dom.coerce(k))))
-            if dom.is_zero(acc):
-                rem.pop(v, None)
-            else:
-                rem[v] = acc
+        add_into(rem, _expand_lyndon(alphabet, w), dom.neg(c), dom)
     return LieElement(alphabet, dom, coords, _clean=True)
 
 

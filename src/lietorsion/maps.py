@@ -10,13 +10,12 @@ mixed key (a, m) satisfies a > min(m) while every trailing key does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from math import factorial, prod
 
 from .elements import (DomainError, LieElement, MixedElement, SymElement,
-                       TensorElement, ZZ, left_normalize, leftnormed_tensor,
-                       lie_from_tensor, lie_zero, to_tensor)
-from .words import Alphabet, lyndon_words_of_length
+                       TensorElement, ZZ, add_into, left_normalize, leftnormed_expansion,
+                       lie_from_tensor, lie_zero, lyndon_monomial, to_tensor)
+from .words import Alphabet, lyndon_words_of_length, multisets, weight_range
 from .zlinalg import IntLattice, integer_kernel, transpose
 
 
@@ -63,16 +62,10 @@ def nu(e: LieElement, c=None) -> TensorElement:
 def rho(t: TensorElement) -> LieElement:
     """Left-normed bracketing of each tensor word."""
     t.degree()  # raises on inhomogeneous input
-    dom = t.domain
     acc = {}
     for word, c in t.terms.items():
-        for w, k in leftnormed_tensor(word).items():
-            s = dom.add(acc.get(w, 0), dom.mul(c, dom.coerce(k)))
-            if dom.is_zero(s):
-                acc.pop(w, None)
-            else:
-                acc[w] = s
-    return lie_from_tensor(TensorElement(t.alphabet, dom, acc, _clean=True))
+        add_into(acc, leftnormed_expansion(t.alphabet, word), c, t.domain)
+    return lie_from_tensor(TensorElement(t.alphabet, t.domain, acc, _clean=True))
 
 
 class MetabelianElement:
@@ -134,11 +127,17 @@ def mu_of_leftnormed(alphabet, letters, domain=ZZ, coeff=1) -> MixedElement:
     """Mu-image of a left-normed monomial [a1,...,ac]."""
     if len(letters) < 2:
         raise ValueError("mu needs degree >= 2")
-    coeff = domain.coerce(coeff)
+    terms = {}
+    add_into(terms, _mu_terms(letters), domain.coerce(coeff), domain)
+    return MixedElement(alphabet, domain, terms, _clean=True)
+
+
+def _mu_terms(letters) -> dict:
+    """Mu-image of a left-normed monomial of degree >= 2 as integer mixed terms."""
     a1, a2, rest = letters[0], letters[1], letters[2:]
-    terms = [((a1, tuple(sorted((a2,) + rest))), coeff),
-             ((a2, tuple(sorted((a1,) + rest))), domain.neg(coeff))]
-    return MixedElement(alphabet, domain, terms)
+    k1 = (a1, tuple(sorted((a2,) + rest)))
+    k2 = (a2, tuple(sorted((a1,) + rest)))
+    return {} if k1 == k2 else {k1: 1, k2: -1}
 
 
 def mu(m, c=None, alphabet=None, domain=ZZ) -> MixedElement:
@@ -183,19 +182,16 @@ def lam(t: MixedElement, c=None) -> MetabelianElement:
     if c < 2:
         raise ValueError("lambda needs degree >= 2")
     dom = t.domain
-    acc = MixedElement(t.alphabet, dom, {}, _clean=True)
+    acc = {}
     for (a, rest), coeff in t.terms.items():
         seen = set()
         for k, b in enumerate(rest):
             if b in seen:
                 continue
             seen.add(b)
-            mult = rest.count(b)
             remaining = rest[:k] + rest[k + 1:]
-            img = mu_of_leftnormed(t.alphabet, (a, b) + remaining, dom,
-                                   dom.mul(coeff, dom.coerce(mult)))
-            acc = acc + img
-    return MetabelianElement(c, acc)
+            add_into(acc, _mu_terms((a, b) + remaining), dom.mul(coeff, rest.count(b)), dom)
+    return MetabelianElement(c, MixedElement(t.alphabet, dom, acc, _clean=True))
 
 
 def eta(e: LieElement, c=None) -> MetabelianElement:
@@ -209,11 +205,23 @@ def eta(e: LieElement, c=None) -> MetabelianElement:
         raise ValueError(f"element has degree {d}, expected {c}")
     if d < 2:
         raise ValueError("eta needs degree >= 2")
-    dom = e.domain
-    acc = MixedElement(e.alphabet, dom, {}, _clean=True)
-    for coeff, letters in left_normalize(e):
-        acc = acc + mu_of_leftnormed(e.alphabet, letters, dom, coeff)
-    return MetabelianElement(d, acc)
+    acc = {}
+    for w, coeff in e.terms.items():
+        add_into(acc, _eta_word(e.alphabet, w), coeff, e.domain)
+    return MetabelianElement(d, MixedElement(e.alphabet, e.domain, acc, _clean=True))
+
+
+def _eta_word(alphabet, w) -> dict:
+    """eta of the Lyndon word w as integer mixed terms, memoised in the
+    alphabet: the dict returned is the table's, read-only."""
+    table = alphabet.table("eta")
+    terms = table.get(w)
+    if terms is None:
+        terms = {}
+        for coeff, letters in left_normalize(lyndon_monomial(alphabet, w)):
+            add_into(terms, _mu_terms(letters), coeff, ZZ)
+        table[w] = terms
+    return terms
 
 
 def metabelian_of_word(alphabet, letters, domain=ZZ) -> MetabelianElement:
@@ -223,26 +231,17 @@ def metabelian_of_word(alphabet, letters, domain=ZZ) -> MetabelianElement:
 
 
 def normal_words(alphabet, c, max_weight=None, weight=None) -> list[tuple]:
-    """Normal words b1 > b2 <= ... <= bc as letter-index tuples.
+    """Normal words b1 > b2 <= ... <= bc as letter-index tuples, in
+    lexicographic order, of total weight at most max_weight or exactly weight.
 
     These index the basis of the degree-c metabelian power.
     """
     if c < 2:
         raise ValueError("normal words need degree >= 2")
-    n = len(alphabet)
     wt = [g.weight for g in alphabet]
-    out = []
-    for tail in combinations_with_replacement(range(n), c - 1):
-        tail_weight = sum(wt[i] for i in tail)
-        for b1 in range(tail[0] + 1, n):
-            w = tail_weight + wt[b1]
-            if weight is not None and w != weight:
-                continue
-            if max_weight is not None and w > max_weight:
-                continue
-            out.append((b1,) + tail)
-    out.sort()
-    return out
+    lo, hi = weight_range(weight, max_weight)
+    return [(b1,) + tail for b1, w1 in enumerate(wt)
+            for tail in multisets(wt, c - 1, lo - w1, hi - w1, below=b1)]
 
 
 def metabelian_normal_coords(m: MetabelianElement) -> dict:
@@ -253,7 +252,6 @@ def metabelian_normal_coords(m: MetabelianElement) -> dict:
     Raises if the mixed element is not in the image of mu.
     """
     dom = m.domain
-    alphabet = m.alphabet
     rem = dict(m.mixed.terms)
     coords = {}
     strict = [key for key in rem if key[0] > key[1][0]] if rem else []
@@ -264,12 +262,7 @@ def metabelian_normal_coords(m: MetabelianElement) -> dict:
         a, tail = key
         word = (a,) + tail
         coords[word] = c
-        for k2, c2 in mu_of_leftnormed(alphabet, word, dom, c).terms.items():
-            acc = dom.add(rem.get(k2, 0), dom.neg(c2))
-            if dom.is_zero(acc):
-                rem.pop(k2, None)
-            else:
-                rem[k2] = acc
+        add_into(rem, _mu_terms(word), dom.neg(c), dom)
     if any(not dom.is_zero(c) for c in rem.values()):
         raise DomainError("mixed element is not in the image of mu")
     return coords
@@ -293,12 +286,7 @@ def theta_presum(alphabet, letters, domain=ZZ) -> LieElement:
     def accumulate(head, tail, sign):
         times = dom.coerce(sign * prod(factorial(tail.count(b)) for b in set(tail)))
         for arrangement in _distinct_permutations(tail):
-            for w, k in leftnormed_tensor((head,) + arrangement).items():
-                s = dom.add(acc.get(w, 0), dom.mul(times, dom.coerce(k)))
-                if dom.is_zero(s):
-                    acc.pop(w, None)
-                else:
-                    acc[w] = s
+            add_into(acc, leftnormed_expansion(alphabet, (head,) + arrangement), times, dom)
 
     accumulate(a1, (a2,) + rest, 1)
     accumulate(a2, (a1,) + rest, -1)
@@ -336,11 +324,10 @@ def theta(m, c=None, alphabet=None, domain=ZZ) -> LieElement:
     rational value 4*theta(m_w) is integral.
     """
     if isinstance(m, MetabelianElement):
-        coords = metabelian_normal_coords(m)
-        out = lie_zero(m.alphabet, m.domain)
-        for word, coeff in sorted(coords.items()):
-            out = out + coeff * theta_word(m.alphabet, word, m.domain)
-        return out
+        acc = {}
+        for word, coeff in sorted(metabelian_normal_coords(m).items()):
+            add_into(acc, _theta_terms(m.alphabet, word, m.domain), coeff, m.domain)
+        return LieElement(m.alphabet, m.domain, acc, _clean=True)
     letters = tuple(m)
     if c is not None and len(letters) != c:
         raise ValueError(f"monomial has degree {len(letters)}, expected {c}")
@@ -350,8 +337,20 @@ def theta(m, c=None, alphabet=None, domain=ZZ) -> LieElement:
 
 
 def theta_word(alphabet, letters, domain=ZZ) -> LieElement:
-    pre = theta_presum(alphabet, letters, domain)
-    return pre.divided_by(len(letters))
+    terms = _theta_terms(alphabet, tuple(letters), domain)
+    return LieElement(alphabet, domain, dict(terms), _clean=True)
+
+
+def _theta_terms(alphabet, letters, domain) -> dict:
+    """Terms of theta of one normal word over domain, memoised in the
+    alphabet: the dict returned is the table's, read-only.  A division that
+    fails raises before anything is stored, so it raises on every call."""
+    table = alphabet.table("theta")
+    terms = table.get((letters, domain))
+    if terms is None:
+        pre = theta_presum(alphabet, letters, domain)
+        terms = table[(letters, domain)] = pre.divided_by(len(letters)).terms
+    return terms
 
 
 def derive(x, var, spec: ActionSpec):
@@ -457,29 +456,19 @@ class ExactnessReport:
         return self.mu_injective and self.kappa_surjective and self.image_equals_kernel
 
 
-def mixed_basis(alphabet, c, max_weight=None) -> list[tuple]:
-    n = len(alphabet)
+def mixed_basis(alphabet, c, max_weight=None, weight=None) -> list[tuple]:
+    """Keys (a, multiset of c-1 letters) of A (x) A^(c-1), in lexicographic
+    order, of total weight at most max_weight or exactly weight."""
     wt = [g.weight for g in alphabet]
-    out = []
-    for a in range(n):
-        for mult in combinations_with_replacement(range(n), c - 1):
-            if max_weight is not None:
-                if wt[a] + sum(wt[i] for i in mult) > max_weight:
-                    continue
-            out.append((a, mult))
-    out.sort()
-    return out
+    lo, hi = weight_range(weight, max_weight)
+    return [(a, mult) for a, wa in enumerate(wt)
+            for mult in multisets(wt, c - 1, lo - wa, hi - wa)]
 
 
 def sym_basis(alphabet, c, max_weight=None) -> list[tuple]:
-    n = len(alphabet)
+    """Keys (multisets of c letters) of A^c, in lexicographic order."""
     wt = [g.weight for g in alphabet]
-    out = []
-    for mult in combinations_with_replacement(range(n), c):
-        if max_weight is not None and sum(wt[i] for i in mult) > max_weight:
-            continue
-        out.append(mult)
-    return out
+    return multisets(wt, c, *weight_range(max_weight=max_weight))
 
 
 def check_exactness(c, alphabet, degree_cut) -> ExactnessReport:
@@ -529,28 +518,34 @@ def check_exactness(c, alphabet, degree_cut) -> ExactnessReport:
 
 def random_homogeneous(alphabet, c, rng, domain=ZZ, max_weight=None,
                        max_terms=4, coeff_bound=4) -> LieElement:
-    words = lyndon_words_of_length(alphabet, c, max_weight=max_weight)
+    table = alphabet.table("lyndon_of_length")
+    words = table.get((c, max_weight))
+    if words is None:
+        words = table[(c, max_weight)] = tuple(
+            w.idx for w in lyndon_words_of_length(alphabet, c, max_weight=max_weight))
     if not words:
         return lie_zero(alphabet, domain)
     picks = rng.sample(words, k=min(len(words), rng.randint(1, max_terms)))
     terms = []
     for w in picks:
         coeff = rng.randint(1, coeff_bound) * rng.choice((1, -1))
-        terms.append((w.idx, coeff))
+        terms.append((w, coeff))
     return LieElement(alphabet, domain, terms)
 
 
 def random_metabelian(alphabet, c, rng, domain=ZZ, max_weight=None,
                       max_terms=4, coeff_bound=4) -> MetabelianElement:
-    words = normal_words(alphabet, c, max_weight=max_weight)
-    acc = MetabelianElement(c, MixedElement(alphabet, domain, {}, _clean=True))
-    if not words:
-        return acc
-    picks = rng.sample(words, k=min(len(words), rng.randint(1, max_terms)))
-    for w in picks:
-        coeff = rng.randint(1, coeff_bound) * rng.choice((1, -1))
-        acc = acc + coeff * metabelian_of_word(alphabet, w, domain)
-    return acc
+    table = alphabet.table("normal_words")
+    words = table.get((c, max_weight))
+    if words is None:
+        words = table[(c, max_weight)] = tuple(normal_words(alphabet, c, max_weight=max_weight))
+    acc = {}
+    if words:
+        picks = rng.sample(words, k=min(len(words), rng.randint(1, max_terms)))
+        for w in picks:
+            coeff = rng.randint(1, coeff_bound) * rng.choice((1, -1))
+            add_into(acc, _mu_terms(w), domain.coerce(coeff), domain)
+    return MetabelianElement(c, MixedElement(alphabet, domain, acc, _clean=True))
 
 
 def random_action(alphabet, variables, rng, coeff_bound=2) -> ActionSpec:

@@ -310,10 +310,7 @@ class TorsionEngine:
 
     def eta_matrix(self, d: int):
         basis = self.lie_basis(d)
-        keys = mixed_basis(self.alphabet, self.p, max_weight=d)
-        keys = [k for k in keys
-                if self.alphabet.weight_of(k[0])
-                + sum(self.alphabet.weight_of(i) for i in k[1]) == d]
+        keys = mixed_basis(self.alphabet, self.p, weight=d)
         key_index = {k: i for i, k in enumerate(keys)}
         rows = []
         for word in basis:

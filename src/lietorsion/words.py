@@ -39,9 +39,12 @@ class Alphabet:
     lifetime of every word built over the alphabet.  Alphabets compare by
     value (their generator sequences), so structurally identical alphabets
     are interchangeable.
+
+    ``memo`` holds the tables of ``table``: images of basis words under the
+    package's linear maps, computed once and dropped with the alphabet.
     """
 
-    __slots__ = ("generators", "_by_name", "_hash")
+    __slots__ = ("generators", "_by_name", "_hash", "memo", "__weakref__")
 
     def __init__(self, generators):
         gens = tuple(generators)
@@ -56,6 +59,15 @@ class Alphabet:
         self.generators = gens
         self._by_name = by_name
         self._hash = hash(gens)
+        self.memo = {}
+
+    def table(self, name) -> dict:
+        """The memo table ``name`` of this alphabet; a value stored there is
+        a function of its key and this alphabet alone and is never mutated."""
+        t = self.memo.get(name)
+        if t is None:
+            t = self.memo[name] = {}
+        return t
 
     def __len__(self):
         return len(self.generators)
@@ -112,11 +124,19 @@ class Alphabet:
         return sep.join(names)
 
 
+MAX_UNIT_RANK = len(string.ascii_lowercase)
+
+
 def unit_alphabet(names) -> Alphabet:
-    """Alphabet of unit-weight generators, one ambient variable per letter."""
+    """Alphabet of unit-weight generators, one ambient variable per letter.
+
+    An integer rank names its letters x, y, z up to rank 3 and a, b, c, ...
+    beyond, so it is at most MAX_UNIT_RANK.
+    """
     if isinstance(names, int):
-        if names < 0:
-            raise ValueError(f"alphabet rank must be non-negative, got {names}")
+        if not 0 <= names <= MAX_UNIT_RANK:
+            raise ValueError(f"alphabet rank must be between 0 and {MAX_UNIT_RANK}, "
+                             f"got {names}")
         if names <= 3:
             names = ["x", "y", "z"][:names]
         else:
@@ -257,10 +277,15 @@ def lyndon_words_of_length(alphabet: Alphabet, length: int,
     at most a given total weight, in lexicographic order."""
     if length < 1:
         return []
-    hi = min(b for b in (weight, max_weight, math.inf) if b is not None)
-    found = _lyndon_walk([g.weight for g in alphabet], length=length,
-                         lo=weight or 0, hi=hi)
+    lo, hi = weight_range(weight, max_weight)
+    found = _lyndon_walk([g.weight for g in alphabet], length=length, lo=lo, hi=hi)
     return [LyndonWord(alphabet, idx) for idx in found]
+
+
+def weight_range(weight=None, max_weight=None) -> tuple:
+    """The (least, greatest) total weight allowed by an exact weight and a
+    weight cap, either of them optional."""
+    return weight or 0, min(b for b in (weight, max_weight, math.inf) if b is not None)
 
 
 def _lyndon_walk(wt, length=None, lo=0, hi=math.inf, budget=None) -> list[tuple]:
@@ -314,4 +339,34 @@ def _lyndon_walk(wt, length=None, lo=0, hi=math.inf, budget=None) -> list[tuple]
         # the letters from the first on must fill the whole word
         if budget[a] and sum(budget[a:]) >= (length or 1) and low <= wt[a] <= high:
             visit(a, 1, wt[a])
+    return found
+
+
+def multisets(wt, size, lo=0, hi=math.inf, below=None) -> list[tuple]:
+    """The multisets of ``size`` letters over positive weights ``wt``, as
+    sorted index tuples in lexicographic order, whose weight lies in
+    [lo, hi]; when ``below`` is given the smallest letter is less than it.
+
+    A branch is cut as soon as the letters still to come, none smaller than
+    the last one taken, cannot land the weight in range.
+    """
+    k = len(wt)
+    lightest = [min(wt[a:]) for a in range(k)]
+    heaviest = [max(wt[a:]) for a in range(k)]
+    found = []
+    word = []
+
+    def visit(start, stop, rest, w):
+        if not rest:
+            if lo <= w <= hi:
+                found.append(tuple(word))
+            return
+        for a in range(start, stop):
+            w2 = w + wt[a]
+            if w2 + (rest - 1) * lightest[a] <= hi and w2 + (rest - 1) * heaviest[a] >= lo:
+                word.append(a)
+                visit(a, k, rest - 1, w2)
+                word.pop()
+
+    visit(0, k if below is None else min(below, k), size, 0)
     return found

@@ -160,6 +160,25 @@ def test_out_of_range_exit_2(capsys, argv):
     assert "must be at least" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lyndon", "--rank", "27"],
+    ["verify", "--rank", "27"],
+    ["summand", "--prime", "2", "--dim", "27"],
+], ids=["lyndon-rank-27", "verify-rank-27", "summand-dim-27"])
+def test_above_range_exit_2(capsys, argv):
+    # a unit alphabet has 26 letter names: lyndon listed 26 words with exit 0,
+    # summand ended in a KeyError traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "must be at most 26" in err and "Traceback" not in err
+
+
+def test_lyndon_cli_rank_26(capsys):
+    code, out, _ = run_cli(capsys, "lyndon", "--rank", "26", "--max-degree", "1")
+    assert code == 0
+    assert json.loads(out)["results"]["count"] == 26
+
+
 def test_verify_cli(capsys):
     code, out, _ = run_cli(capsys, "verify", "--c", "3", "--rank", "2",
                            "--trials", "25", "--seed", "9")

@@ -183,6 +183,39 @@ def test_domains():
         Fraction(1, 2) * e  # no halves mod 5 by coercion of a fraction
 
 
+def test_coerce_accepts_exact_integers_and_rejects_bool():
+    from fractions import Fraction
+    for dom, three in ((ZZ, 3), (QQ, Fraction(3)), (GF(5), 3)):
+        assert dom.coerce(3) == three and type(dom.coerce(3)) is type(three)
+        assert dom.coerce(Fraction(6, 2)) == three
+        for bad in (True, False, 1.0, "1"):
+            with pytest.raises(DomainError):
+                dom.coerce(bad)
+    assert GF(5).coerce(-2) == 3
+    assert QQ.coerce(Fraction(1, 2)) == Fraction(1, 2)
+    with pytest.raises(DomainError):
+        ZZ.coerce(Fraction(1, 2))
+
+
+def test_memoised_expansions_match_the_tree_oracle():
+    # to_tensor and lie_from_tensor read the alphabet's memoised expansions;
+    # on a fresh alphabet they are cold, then warm, and never mutated
+    for domain in (ZZ, QQ, GF(3)):
+        ab = unit_alphabet(3)
+        assert not ab.memo
+        words = lyndon_words(ab, 5)
+        for _ in range(2):
+            for w in words:
+                e = lyndon_monomial(ab, w, domain)
+                t = to_tensor(e)
+                expected = TensorElement(ab, domain, oracle_expand(
+                    _tree_to_indices(ab, bracketing(w))))
+                assert t == expected
+                t.terms.clear()
+                assert lie_from_tensor(to_tensor(e)) == e
+            assert ab.memo
+
+
 def test_degree_and_zero():
     z = normal_form(AB2, (X, X))
     assert z.is_zero() and z.degree() is None

@@ -1,21 +1,25 @@
 """The power maps: examples, the multiplication-by-c composites, exactness of
-the mixed-power sequence, and equivariance under derivation actions."""
+the mixed-power sequence, equivariance under derivation actions, and the
+per-alphabet memo of basis-word images against the pre-memo bodies."""
 
+import gc
 import itertools
 import random
+import weakref
 from math import factorial
 
 import pytest
 
-from lietorsion.elements import (IntegralityError, MixedElement, TensorElement, ZZ,
-                                 generator_element, leftnormed_tensor,
-                                 lie_from_tensor, normal_form)
-from lietorsion.maps import (ActionSpec, check_exactness, derive, eta, kappa,
-                             lam, metabelian_normal_coords, metabelian_of_word,
-                             mu, normal_words, nu, random_action,
-                             random_homogeneous, random_metabelian, rho, theta,
-                             theta_presum)
-from lietorsion.torsion import a_action, a_alphabet
+from lietorsion.charp import PBWBasis
+from lietorsion.elements import (GF, QQ, IntegralityError, LieElement, MixedElement,
+                                 TensorElement, ZZ, generator_element, left_normalize,
+                                 leftnormed_tensor, lie_from_tensor, normal_form)
+from lietorsion.maps import (ActionSpec, MetabelianElement, check_exactness, derive, eta,
+                             kappa, lam, metabelian_normal_coords, metabelian_of_word,
+                             mixed_basis, mu, mu_of_leftnormed, normal_words, nu,
+                             random_action, random_homogeneous, random_metabelian, rho,
+                             sym_basis, theta, theta_presum, theta_word)
+from lietorsion.torsion import TorsionEngine, a_action, a_alphabet
 from lietorsion.words import Alphabet, Generator, unit_alphabet
 
 AB2 = unit_alphabet(2)
@@ -283,3 +287,147 @@ def test_action_spec_validation():
     assert not spec.is_total()
     with pytest.raises(KeyError):
         spec.image(1, "x")
+
+
+# -- the per-alphabet memo: the pre-memo bodies are the oracles ----------------
+
+def eta_oracle(e, c):
+    # one mu image per left-normed term, added element by element
+    dom = e.domain
+    acc = MixedElement(e.alphabet, dom, {}, _clean=True)
+    for coeff, letters in left_normalize(e):
+        acc = acc + mu_of_leftnormed(e.alphabet, letters, dom, coeff)
+    return MetabelianElement(c, acc)
+
+
+def rho_oracle(t):
+    dom = t.domain
+    acc = {}
+    for word, c in t.terms.items():
+        for w, k in leftnormed_tensor(word).items():
+            s = dom.add(acc.get(w, 0), dom.mul(c, dom.coerce(k)))
+            if dom.is_zero(s):
+                acc.pop(w, None)
+            else:
+                acc[w] = s
+    return lie_from_tensor(TensorElement(t.alphabet, dom, acc, _clean=True))
+
+
+def theta_word_oracle(ab, letters, domain):
+    # the integer permutation sum, read in the domain, divided by the degree
+    pre = theta_presum_oracle(ab, letters)
+    return LieElement(ab, domain, pre.terms).divided_by(len(letters))
+
+
+@pytest.mark.parametrize("domain", [ZZ, QQ, GF(3)], ids=repr)
+def test_memoised_maps_match_pre_memo_bodies(domain):
+    rng = random.Random(35)
+    for c in (2, 3, 4, 5):
+        for rank in (2, 3):
+            ab = unit_alphabet(rank)          # a new alphabet: every table is cold
+            assert not ab.memo
+            lies = [random_homogeneous(ab, c, rng, domain=domain) for _ in range(6)]
+            tensors = [TensorElement(ab, domain, [
+                (tuple(rng.randrange(rank) for _ in range(c)), rng.randint(-3, 3))
+                for _ in range(4)]) for _ in range(6)]
+            for _ in ("cold", "warm"):
+                for e in lies:
+                    assert eta(e, c) == eta_oracle(e, c)
+                for t in tensors:
+                    assert rho(t) == rho_oracle(t)
+                for w in normal_words(ab, c):
+                    try:
+                        expected = theta_word_oracle(ab, w, domain)
+                    except IntegralityError:
+                        with pytest.raises(IntegralityError):
+                            theta_word(ab, w, domain)
+                    else:
+                        assert theta_word(ab, w, domain) == expected
+                assert ab.memo
+
+
+def test_returned_elements_do_not_share_memo_tables():
+    ab = unit_alphabet(3)
+    e = normal_form(ab, ((ab[0], ab[1]), ab[2]))
+    t = TensorElement(ab, ZZ, {(1, 0, 2): 2, (2, 2, 0): -1})
+    m = metabelian_of_word(ab, (1, 0, 2)) + 2 * metabelian_of_word(ab, (2, 0, 1))
+    calls = [lambda: nu(e), lambda: eta(e).mixed, lambda: rho(t),
+             lambda: theta_word(ab, (2, 0, 1)), lambda: theta(m),
+             lambda: random_homogeneous(ab, 3, random.Random(1)),
+             lambda: random_metabelian(ab, 3, random.Random(1)).mixed]
+    for call in calls:
+        first = call()
+        expected = dict(first.terms)
+        assert expected
+        first.terms.clear()
+        assert call().terms == expected
+
+
+def test_failed_theta_division_raises_on_every_call():
+    ab = unit_alphabet(3)
+    w = (1, 0, 0, 2)                      # y.x.x.z, a composite-degree witness
+    for _ in range(2):
+        with pytest.raises(IntegralityError):
+            theta(4 * metabelian_of_word(ab, w))
+        with pytest.raises(IntegralityError):
+            theta_word(ab, w)
+    assert theta_word(ab, w, QQ) == theta_word_oracle(ab, w, QQ)
+
+
+def test_memo_dies_with_its_alphabet():
+    engine = TorsionEngine(3, 9)
+    assert engine.bp_freeness_check(9).passed
+    assert engine.metabelian_torsion_check(8).passed
+    ref = weakref.ref(engine.alphabet)
+    assert ref().memo
+    del engine
+    gc.collect()
+    assert ref() is None
+
+    basis = PBWBasis(3, 2)
+    assert basis.factor_terms([(0, 1), (1,)])
+    ref = weakref.ref(basis.alphabet)
+    assert ref().memo
+    del basis
+    gc.collect()
+    assert ref() is None
+
+
+def normal_words_oracle(ab, c):
+    n = len(ab)
+    return sorted((b1,) + tail
+                  for tail in itertools.combinations_with_replacement(range(n), c - 1)
+                  for b1 in range(tail[0] + 1, n))
+
+
+def mixed_basis_oracle(ab, c):
+    n = len(ab)
+    return sorted((a, mult) for a in range(n)
+                  for mult in itertools.combinations_with_replacement(range(n), c - 1))
+
+
+def test_bases_match_full_enumeration():
+    # the old full enumerations, then the weight filters applied to them
+    weighted = Alphabet([Generator("a", (1, 0, 0)), Generator("b", (0, 2, 0)),
+                         Generator("c", (0, 0, 3))])
+    cases = [(ab, c, c + 3) for ab in (unit_alphabet(["x"]), AB2, AB3, unit_alphabet(4))
+             for c in (2, 3, 4, 5)]
+    cases += [(weighted, c, 9) for c in (2, 3, 4, 5)]
+    # the torsion engine's alphabets at the moduli the tests and the report use
+    cases += [(a_alphabet(k), p, k + 2 * (p - 1)) for p in (2, 3, 5) for k in (2, 4, 6)]
+    cases += [(a_alphabet(4), 7, 16)]
+    for ab, c, top in cases:
+        wt = [g.weight for g in ab]
+        words = [(w, sum(wt[i] for i in w)) for w in normal_words_oracle(ab, c)]
+        mixed = [((a, m), wt[a] + sum(wt[i] for i in m)) for a, m in mixed_basis_oracle(ab, c)]
+        syms = [(m, sum(wt[i] for i in m))
+                for m in itertools.combinations_with_replacement(range(len(ab)), c)]
+        assert normal_words(ab, c) == [w for w, _ in words]
+        assert mixed_basis(ab, c) == [k for k, _ in mixed]
+        assert sym_basis(ab, c) == [m for m, _ in syms]
+        for d in range(c, top + 1):
+            assert normal_words(ab, c, weight=d) == [w for w, x in words if x == d]
+            assert normal_words(ab, c, max_weight=d) == [w for w, x in words if x <= d]
+            assert mixed_basis(ab, c, weight=d) == [k for k, x in mixed if x == d]
+            assert mixed_basis(ab, c, max_weight=d) == [k for k, x in mixed if x <= d]
+            assert sym_basis(ab, c, max_weight=d) == [m for m, x in syms if x <= d]

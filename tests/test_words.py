@@ -5,9 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lietorsion.words import (Alphabet, Generator, LyndonWord, is_lyndon, lyndon_words,
-                              lyndon_words_of_length, lyndon_words_with_content,
-                              standard_factorization, unit_alphabet)
+from lietorsion.words import (MAX_UNIT_RANK, Alphabet, Generator, LyndonWord, is_lyndon,
+                              lyndon_words, lyndon_words_of_length, lyndon_words_with_content,
+                              multisets, standard_factorization, unit_alphabet)
 
 
 def brute_is_lyndon(word):
@@ -171,6 +171,29 @@ def test_unit_alphabet_negative_rank():
     with pytest.raises(ValueError):
         unit_alphabet(-1)
     assert len(unit_alphabet(0)) == 0
+
+
+def test_unit_alphabet_has_at_most_26_letters():
+    assert MAX_UNIT_RANK == 26
+    ab = unit_alphabet(26)
+    assert len(ab) == 26 and ab[25].name == "z"
+    with pytest.raises(ValueError):
+        unit_alphabet(27)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(weights=st.lists(st.integers(1, 4), min_size=0, max_size=5),
+       size=st.integers(0, 5), lo=st.integers(0, 12), span=st.integers(0, 8),
+       below=st.one_of(st.none(), st.integers(0, 6)))
+def test_multisets_match_filtered_combinations(weights, size, lo, span, below):
+    # weights in any order, so the pruning cannot lean on sorted letters
+    hi = lo + span
+    expected = [m for m in itertools.combinations_with_replacement(range(len(weights)), size)
+                if lo <= sum(weights[i] for i in m) <= hi
+                and (below is None or not m or m[0] < below)]
+    assert multisets(weights, size, lo, hi, below=below) == expected
+    assert (multisets(weights, size)
+            == list(itertools.combinations_with_replacement(range(len(weights)), size)))
 
 
 def test_non_lyndon_rejected():
