@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .words import Generator, LyndonWord, is_lyndon
+from .words import Generator, LyndonWord, _split_point, is_lyndon
 
 
 class DomainError(ValueError):
@@ -362,7 +362,7 @@ def _expand_lyndon(alphabet, idx) -> dict:
         if len(idx) == 1:
             out = {idx: 1}
         else:
-            split = LyndonWord(alphabet, idx).split
+            split = _split_point(idx)
             out = _expand_bracket(_expand_lyndon(alphabet, idx[:split]),
                                   _expand_lyndon(alphabet, idx[split:]))
         table[idx] = out

@@ -8,19 +8,30 @@ u(s,t)y = u(s,t+1).  Killing that action degree by degree presents the
 quotient as an integer cokernel, so torsion is read off Smith normal form.
 Each degree's relations are presented once, and the theorem vectors are read
 off that presentation by reducing them through its recorded pivots.
+
+A relation row is the x- or y-image of a degree d-1 basis word in the
+degree-d Lyndon coordinates.  It is built from the word's cached tensor
+expansion: Leibniz moves one letter at a time, and only the words that are
+degree-d Lyndon words are kept.  The standard bracketing of a Lyndon word
+expands to the word itself once plus lexicographically larger words (Chen,
+Fox & Lyndon 1958), so its coefficients on the Lyndon words form a
+unitriangular matrix, and the coordinates follow by subtracting, smallest
+word first, the Lyndon part of each basis word's expansion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import factorial, prod
 
-from .elements import IntegralityError, LieElement, ZZ, is_prime, lyndon_monomial
+from .elements import (IntegralityError, LieElement, _expand_lyndon, is_prime,
+                       lyndon_monomial)
 from .maps import (ActionSpec, derive, eta, metabelian_of_word, mixed_basis,
                    metabelian_normal_coords, normal_words, theta, theta_presum)
 from .words import Alphabet, Generator, LyndonWord, lyndon_words_of_length
 from .zlinalg import (CokernelStructure, Presentation, cokernel_structure,
-                      integer_kernel, solve_left, transpose)
+                      integer_kernel, left_solver, transpose)
 
 VARIABLES = ("x", "y")
 
@@ -134,6 +145,8 @@ class TorsionEngine:
         self.alphabet = a_alphabet(max(2, max_degree - 2 * (p - 1)))
         self.action = a_action(self.alphabet)
         self._lie_basis = {}
+        self._lie_index = {}
+        self._lyndon_parts = {}
         self._normal_basis = {}
         self._derived = {}
         self._presentations = {}
@@ -151,7 +164,10 @@ class TorsionEngine:
         return self._lie_basis[d]
 
     def lie_index(self, d: int) -> dict:
-        return {w: i for i, w in enumerate(self.lie_basis(d))}
+        """{word: column} of lie_basis(d); the dict is the cache's, read-only."""
+        if d not in self._lie_index:
+            self._lie_index[d] = {w: i for i, w in enumerate(self.lie_basis(d))}
+        return self._lie_index[d]
 
     def normal_basis(self, d: int) -> list[tuple]:
         if d not in self._normal_basis:
@@ -163,18 +179,88 @@ class TorsionEngine:
 
     # -- the Lie-side presentation -----------------------------------------
 
-    def derived_coords(self, word: tuple, var: str) -> dict:
+    def derived_row(self, word: tuple, var: str) -> dict:
+        """The var-image of a degree d-1 basis word as {column of lie_basis(d):
+        coefficient}, in column order; the dict is the cache's, read-only.
+
+        An action leaving the alphabet's degree cut raises KeyError.
+        """
         key = (word, var)
-        if key not in self._derived:
-            e = lyndon_monomial(self.alphabet, word)
-            self._derived[key] = derive(e, var, self.action).terms
-        return self._derived[key]
+        row = self._derived.get(key)
+        if row is None:
+            d = self.alphabet.word_weight(word) + 1
+            index = self.lie_index(d)
+            # every expansion word rearranges the letters of ``word``
+            image = {a: self.action.image(a, var).items() for a in set(word)}
+            # A Lyndon word starts with its least letter, and the action
+            # raises the letter it moves.  So when w does not start with the
+            # least letter of ``word``, only moving that letter, if it occurs
+            # once, can give a Lyndon word.
+            least = min(word)
+            lone = word.count(least) == 1
+            acc = {}
+            for w, c in _expand_lyndon(self.alphabet, word).items():
+                if w[0] == least:
+                    places = range(len(w))
+                elif lone:
+                    places = (w.index(least),)
+                else:
+                    continue
+                for pos in places:
+                    for j, k in image[w[pos]]:
+                        col = index.get(w[:pos] + (j,) + w[pos + 1:])
+                        if col is not None:
+                            acc[col] = acc.get(col, 0) + c * k
+            row = self._derived[key] = self._lyndon_solve(d, acc)
+        return row
+
+    def _lyndon_solve(self, d: int, acc: dict) -> dict:
+        """Lyndon coordinates of an element of degree d from its coefficients
+        {column: c} on the degree-d Lyndon words; ``acc`` is used up.
+
+        The smallest column left carries its coordinate: only the expansions
+        of smaller basis words meet it, and those are already subtracted.  A
+        column is on the heap exactly while it is a key of ``acc``.
+        """
+        heap = list(acc)
+        heapify(heap)
+        row = {}
+        while heap:
+            col = heappop(heap)
+            c = acc.pop(col)
+            if not c:
+                continue
+            row[col] = c
+            for col2, k in self._lyndon_part(d, col).items():
+                if col2 in acc:
+                    acc[col2] -= c * k
+                else:
+                    acc[col2] = -c * k
+                    heappush(heap, col2)
+        return row
+
+    def _lyndon_part(self, d: int, col: int) -> dict:
+        """{column: coefficient} of the degree-d Lyndon words other than
+        lie_basis(d)[col] in the expansion of its standard bracketing."""
+        parts = self._lyndon_parts.setdefault(d, {})
+        part = parts.get(col)
+        if part is None:
+            word = self.lie_basis(d)[col]
+            index = self.lie_index(d)
+            part = parts[col] = {index[w]: k for w, k in
+                                 _expand_lyndon(self.alphabet, word).items()
+                                 if w != word and w in index}
+        return part
+
+    def derived_coords(self, word: tuple, var: str) -> dict:
+        """The var-image of a basis word as {Lyndon word: coefficient}."""
+        basis = self.lie_basis(self.alphabet.word_weight(word) + 1)
+        return {basis[col]: c for col, c in self.derived_row(word, var).items()}
 
     def relation_rows(self, d: int) -> list[dict]:
         """Relations of degree d: the x- and y-images of the degree d-1 basis,
         as sparse {basis index: coefficient} rows."""
-        index = self.lie_index(d)
-        return [{index[w]: c for w, c in self.derived_coords(word, var).items()}
+        return [dict(self.derived_row(word, var))
                 for word in self.lie_basis(d - 1) for var in VARIABLES]
 
     def action_matrix(self, d: int) -> list[list[int]]:
@@ -342,21 +428,21 @@ class TorsionEngine:
             dims.append((d, len(kernels[d])))
         for d in range(2 * self.p, top + 1):
             k_d = kernels[d]
-            prev = kernels.get(d - 1, [])
+            solve = left_solver(k_d)
+            n = len(self.lie_basis(d))
             rows = []
-            index = self.lie_index(d)
-            for v in prev:
-                e = _combination(self.alphabet, self.lie_basis(d - 1), v)
+            for v in kernels.get(d - 1, []):
                 for var in VARIABLES:
-                    image = derive(e, var, self.action)
-                    vec = [0] * len(index)
-                    for w, c in image.terms.items():
-                        vec[index[w]] = c
+                    vec = [0] * n
+                    for word, a in zip(self.lie_basis(d - 1), v):
+                        if a:
+                            for j, c in self.derived_row(word, var).items():
+                                vec[j] += a * c
                     if not k_d:
                         if any(vec):
                             raise AssertionError("kernel is not action stable")
                         continue
-                    coords = solve_left(k_d, vec)
+                    coords = solve(vec)
                     if coords is None:
                         raise AssertionError("kernel is not action stable")
                     rows.append(coords)
@@ -367,11 +453,6 @@ class TorsionEngine:
         nonvacuous = any(r for _, r in dims)
         return FreenessReport(self.p, top, tuple(dims), tuple(torsion_found),
                               all_free, nonvacuous)
-
-
-def _combination(alphabet, basis, coeffs) -> LieElement:
-    terms = [(w, c) for w, c in zip(basis, coeffs) if c]
-    return LieElement(alphabet, ZZ, terms)
 
 
 # -- module-level wrappers matching the operation names ----------------------

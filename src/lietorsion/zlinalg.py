@@ -347,32 +347,45 @@ def integer_kernel(rows, ncols=None) -> list[list[int]]:
     return [list(u[i]) for i in range(rank, ncols)]
 
 
-def solve_left(rows, target, ncols=None):
-    """Integer x with x @ rows == target, or None."""
+def left_solver(rows):
+    """The solver target -> integer x with x @ rows == target, or None.
+
+    The Hermite form with transform of ``rows`` is computed once, here, and
+    each call reduces the target along its pivots.
+    """
     rows = _copy_matrix(rows)
     if not rows:
-        return [] if not any(target) else None
+        return lambda target: [] if not any(target) else None
     h, u, rank = hermite_normal_form(rows, transform=True)
-    v = list(target)
-    if len(v) != len(rows[0]):
-        raise ValueError("length mismatch")
-    coeffs = [0] * rank
-    for k in range(rank):
-        j = next(jj for jj, x in enumerate(h[k]) if x)
-        q, rem = divmod(v[j], h[k][j])
-        if rem:
+    pivots = [next(j for j, x in enumerate(h[k]) if x) for k in range(rank)]
+    ncols, m = len(rows[0]), len(rows)
+
+    def solve(target):
+        v = list(target)
+        if len(v) != ncols:
+            raise ValueError("length mismatch")
+        coeffs = [0] * rank
+        for k, j in enumerate(pivots):
+            q, rem = divmod(v[j], h[k][j])
+            if rem:
+                return None
+            if q:
+                v = [x - q * y for x, y in zip(v, h[k])]
+            coeffs[k] = q
+        if any(v):
             return None
-        if q:
-            v = [x - q * y for x, y in zip(v, h[k])]
-        coeffs[k] = q
-    if any(v):
-        return None
-    m = len(rows)
-    x = [0] * m
-    for k, c in enumerate(coeffs):
-        if c:
-            x = [xi + c * ui for xi, ui in zip(x, u[k])]
-    return x
+        x = [0] * m
+        for k, c in enumerate(coeffs):
+            if c:
+                x = [xi + c * ui for xi, ui in zip(x, u[k])]
+        return x
+
+    return solve
+
+
+def solve_left(rows, target, ncols=None):
+    """Integer x with x @ rows == target, or None."""
+    return left_solver(rows)(target)
 
 
 class IntLattice:

@@ -6,15 +6,19 @@ Leibniz oracle that never touches the package's normal-form machinery.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lietorsion.elements import (ZZ, TensorElement, leftnormed_tensor, lie_from_tensor,
-                                 normal_form)
+from lietorsion.elements import (ZZ, LieElement, TensorElement, leftnormed_tensor,
+                                 lie_from_tensor, lyndon_monomial, normal_form,
+                                 to_tensor)
+from lietorsion.maps import derive
 from lietorsion.torsion import (TorsionEngine, a_generator, a_generators,
                                 action_matrix, bp_freeness_check, bp_kernel_basis,
                                 graded_cokernel, lie_power_basis,
                                 metabelian_torsion_check, st_of, theorem_element,
                                 torsion_report, verify_theorem_degree)
-from lietorsion.zlinalg import CokernelStructure, _dense_snf, cokernel_structure
+from lietorsion.zlinalg import (CokernelStructure, IntLattice, _dense_snf,
+                                cokernel_structure, left_solver, solve_left)
 
 
 def test_a_generators_examples():
@@ -299,3 +303,104 @@ def test_action_variables_commute():
         xy = derive(derive(e, "x", act), "y", act)
         yx = derive(derive(e, "y", act), "x", act)
         assert xy == yx
+
+
+def tensor_round_trip_coords(engine, word, var):
+    # the former path of derived_coords: expand, Leibniz on every tensor
+    # word, peel the result back to Lyndon coordinates
+    e = lyndon_monomial(engine.alphabet, word)
+    return lie_from_tensor(derive(to_tensor(e), var, engine.action)).terms
+
+
+@pytest.mark.parametrize("p,top", [(2, 16), (3, 15), (5, 15), (7, 16)])
+def test_derived_coords_match_tensor_round_trip(p, top):
+    engine = TorsionEngine(p, top)
+    oracle = TorsionEngine(p, top)      # its own alphabet, so its own memo
+    checked = 0
+    for d in range(2 * p + 1, top + 1):
+        index = engine.lie_index(d)
+        pairs = [(w, var) for w in engine.lie_basis(d - 1) for var in ("x", "y")]
+        for (word, var), row in zip(pairs, engine.relation_rows(d), strict=True):
+            want = tensor_round_trip_coords(oracle, word, var)
+            assert engine.derived_coords(word, var) == want
+            assert row == {index[w]: c for w, c in want.items()}
+            checked += 1
+    assert checked
+
+
+def test_derived_coords_at_the_degree_cut_raise_key_error():
+    engine = TorsionEngine(3, 9)
+    top = max(range(len(engine.alphabet)), key=engine.alphabet.weight_of)
+    word = next(w for w in engine.lie_basis(9) if top in w)
+    for var in ("x", "y"):
+        with pytest.raises(KeyError, match="is not defined"):
+            tensor_round_trip_coords(engine, word, var)
+        for _ in range(2):      # nothing half-built is cached
+            with pytest.raises(KeyError, match="is not defined"):
+                engine.derived_coords(word, var)
+
+
+def freeness_by_tensor_round_trip(p, top):
+    # the former body of bp_freeness_check: each kernel vector as a Lie
+    # element, derived through the tensor ring; it solves with left_solver
+    # (checked against solve_left below) so that (5, 15) stays quick
+    engine = TorsionEngine(p, top)
+    kernels = {d: engine.bp_kernel_basis(d) for d in range(2 * p, top + 1)}
+    torsion_found = []
+    for d in range(2 * p, top + 1):
+        k_d = kernels[d]
+        solve = left_solver(k_d)
+        index = engine.lie_index(d)
+        rows = []
+        for v in kernels.get(d - 1, []):
+            e = LieElement(engine.alphabet, ZZ,
+                           [(w, c) for w, c in zip(engine.lie_basis(d - 1), v) if c])
+            for var in ("x", "y"):
+                vec = [0] * len(index)
+                for w, c in derive(e, var, engine.action).terms.items():
+                    vec[index[w]] = c
+                if k_d:
+                    rows.append(solve(vec))
+                else:
+                    assert not any(vec)
+        torsion_found.append(cokernel_structure(rows, len(k_d)).torsion)
+    return [(d, len(kernels[d])) for d in range(2 * p, top + 1)], torsion_found
+
+
+@pytest.mark.parametrize("p,top", [(2, 8), (3, 9), (5, 14), (5, 15)])
+def test_bp_freeness_check_matches_tensor_round_trip(p, top):
+    dims, torsion_found = freeness_by_tensor_round_trip(p, top)
+    r = bp_freeness_check(p, top)
+    assert r.dimensions == tuple(dims)
+    assert r.torsion_found == tuple(torsion_found)
+    assert r.all_torsion_free == (not any(torsion_found))
+    assert r.nonvacuous == any(n for _, n in dims)
+
+
+@st.composite
+def solver_cases(draw):
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-4, 4)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    targets = []
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+        shift = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+        targets.append([sum(a * r[j] for a, r in zip(coeffs, rows)) + shift[j]
+                        for j in range(n)])
+    return rows, n, targets
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=solver_cases())
+def test_shared_hermite_solve_matches_solve_left(case):
+    rows, n, targets = case
+    solve = left_solver(rows)
+    lattice = IntLattice(n, rows)
+    for target in targets:
+        x = solve(target)
+        assert x == solve_left(rows, target)
+        assert (x is not None) == (target in lattice)
+        if x is not None:
+            assert [sum(a * r[j] for a, r in zip(x, rows)) for j in range(n)] == target
