@@ -168,14 +168,8 @@ class _Element:
 
     def __add__(self, other):
         self._check_compatible(other)
-        dom = self.domain
         out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = dom.add(out.get(key, 0), c)
-            if dom.is_zero(acc):
-                out.pop(key, None)
-            else:
-                out[key] = acc
+        add_into(out, other.terms, 1, self.domain)
         return self._new(out)
 
     def __sub__(self, other):
@@ -341,7 +335,11 @@ def _expand_tree(tree):
 
 
 def _expand_bracket(left, right) -> dict:
-    """Tensor expansion of [a, b] from the expansions of a and b, over Z."""
+    """Tensor expansion of [a, b] from the expansions of a and b.
+
+    Plain + and *, so integer or rational coefficients stay exact; over
+    GF(p) the caller reduces the result.
+    """
     out = {}
     for wa, ca in left.items():
         for wb, cb in right.items():
@@ -443,36 +441,18 @@ def lie_from_tensor(t: TensorElement) -> LieElement:
 def normal_form(alphabet, expr, domain=ZZ) -> LieElement:
     """Lyndon coordinates of a bracket tree or a list of (coeff, tree) pairs."""
     pairs = expr if isinstance(expr, list) else [(1, expr)]
-    dom = domain
     acc = {}
     for coeff, tree in pairs:
-        coeff = dom.coerce(coeff)
-        for w, k in tensor_of_tree(alphabet, tree).items():
-            s = dom.add(acc.get(w, 0), dom.mul(coeff, dom.coerce(k)))
-            if dom.is_zero(s):
-                acc.pop(w, None)
-            else:
-                acc[w] = s
-    return lie_from_tensor(TensorElement(alphabet, dom, acc, _clean=True))
+        add_into(acc, tensor_of_tree(alphabet, tree), domain.coerce(coeff), domain)
+    return lie_from_tensor(TensorElement(alphabet, domain, acc, _clean=True))
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
-    """Lie bracket, computed in the tensor ring and converted back."""
+    """Lie bracket: the commutator of the tensor expansions, peeled back."""
     a._check_compatible(b)
-    dom = a.domain
-    ta = to_tensor(a).terms
-    tb = to_tensor(b).terms
     out = {}
-    for wa, ca in ta.items():
-        for wb, cb in tb.items():
-            c = dom.mul(ca, cb)
-            for w, sgn in ((wa + wb, c), (wb + wa, dom.neg(c))):
-                acc = dom.add(out.get(w, 0), sgn)
-                if dom.is_zero(acc):
-                    out.pop(w, None)
-                else:
-                    out[w] = acc
-    return lie_from_tensor(TensorElement(a.alphabet, dom, out, _clean=True))
+    add_into(out, _expand_bracket(to_tensor(a).terms, to_tensor(b).terms), 1, a.domain)
+    return lie_from_tensor(TensorElement(a.alphabet, a.domain, out, _clean=True))
 
 
 def left_normalize(x, alphabet=None, domain=None):

@@ -1,7 +1,10 @@
 """Exact integer linear algebra: Smith and Hermite forms, kernels, cokernels.
 
 Matrices are plain lists of rows of Python ints, so there is no coefficient
-growth ceiling.  Smith forms, cokernels and element orders all go through one
+growth ceiling.  Two eliminations serve everything: one for cokernels, one
+for lattices.
+
+Smith forms, cokernels and element orders all go through one
 ``Presentation``: a sparse elimination of +-1 pivots (short rows first, and in
 a row the unit entry whose column meets the fewest rows) that records each
 pivot row, leaves untouched columns as free summands and hands only the small
@@ -9,6 +12,11 @@ remaining core to the dense kernel.  The dense kernel's pivot rule (smallest
 nonzero absolute value, ties by position) keeps intermediate entries small.
 Vectors are reduced onto the core through the recorded pivots, so one
 presentation answers many order and quotient questions.
+
+Hermite forms, integer kernels, left solves and lattice membership all go
+through one ``IntLattice``: a sparse row echelon form grown one input at a
+time by unimodular steps.  Each row carries its combination of the inputs,
+so the inputs that reduce to zero leave a basis of the relations among them.
 """
 
 from __future__ import annotations
@@ -38,19 +46,6 @@ class CokernelStructure:
         return len(self.torsion)
 
 
-def _copy_matrix(rows):
-    out = []
-    width = None
-    for r in rows:
-        r = list(r)
-        if width is None:
-            width = len(r)
-        elif len(r) != width:
-            raise ValueError("ragged matrix")
-        out.append(r)
-    return out
-
-
 def _sparse(vec, ncols):
     """A dense list or a {column: value} dict as a dict without zeros."""
     if isinstance(vec, dict):
@@ -58,7 +53,7 @@ def _sparse(vec, ncols):
             raise ValueError(f"column index out of range in ambient rank {ncols}")
         return {j: v for j, v in vec.items() if v}
     if len(vec) != ncols:
-        raise ValueError(f"relation of length {len(vec)} in ambient rank {ncols}")
+        raise ValueError(f"vector of length {len(vec)} in ambient rank {ncols}")
     return {j: v for j, v in enumerate(vec) if v}
 
 
@@ -151,13 +146,7 @@ class Presentation:
         for c, s, row in self.pivots:
             a = v.get(c)
             if a:
-                f = a * s
-                for j, x in row.items():
-                    y = v.get(j, 0) - f * x
-                    if y:
-                        v[j] = y
-                    else:
-                        del v[j]
+                _axpy(v, -a * s, row)
         return v
 
     def quotient(self, vecs) -> CokernelStructure:
@@ -276,194 +265,40 @@ def cokernel_structure(rows, ambient_rank) -> CokernelStructure:
     return Presentation(rows, ambient_rank).cokernel
 
 
-def hermite_normal_form(rows, ncols=None, transform=False):
-    """Row Hermite form.
-
-    Returns (H, U, rank) when transform is requested, with U unimodular,
-    U @ rows == H padded by zero rows, and the rows of U beyond ``rank``
-    spanning the left kernel.  Otherwise returns (H, rank).
-    """
-    a = _copy_matrix(rows)
-    m = len(a)
-    n = len(a[0]) if a else (ncols or 0)
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
-    r = 0
-    for j in range(n):
-        # fold column j below row r into a single pivot via gcd steps
-        while True:
-            nz = [i for i in range(r, m) if a[i][j]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: (abs(a[i][j]), i))
-            i0, i1 = nz[0], nz[1]
-            q = a[i1][j] // a[i0][j]
-            a[i1] = [x - q * y for x, y in zip(a[i1], a[i0])]
-            if transform:
-                u[i1] = [x - q * y for x, y in zip(u[i1], u[i0])]
-        if not nz:
-            continue
-        i0 = nz[0]
-        a[r], a[i0] = a[i0], a[r]
-        if transform:
-            u[r], u[i0] = u[i0], u[r]
-        if a[r][j] < 0:
-            a[r] = [-x for x in a[r]]
-            if transform:
-                u[r] = [-x for x in u[r]]
-        for i in range(r):
-            q = a[i][j] // a[r][j]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                if transform:
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-        r += 1
-    h = a[:r]
-    if transform:
-        return h, u, r
-    return h, r
+def _dense(vec, n) -> list[int]:
+    out = [0] * n
+    for j, x in vec.items():
+        out[j] = x
+    return out
 
 
-def transpose(rows, ncols=None):
-    if not rows:
-        return [[] for _ in range(ncols)] if ncols else []
-    return [list(col) for col in zip(*rows)]
+def _width(rows, ncols):
+    """The common length of the dense rows, which must equal ncols if given."""
+    n = ncols if ncols is not None else len(rows[0]) if rows else 0
+    if any(len(r) != n for r in rows):
+        raise ValueError(f"rows of a length other than {n}")
+    return n
 
 
-def integer_kernel(rows, ncols=None) -> list[list[int]]:
-    """Basis of the integer right kernel {x : rows @ x = 0}.
-
-    The result generates the full kernel lattice, which is saturated by
-    construction.
-    """
-    rows = _copy_matrix(rows)
-    if rows:
-        ncols = len(rows[0])
-    elif not ncols:
-        return []
-    b = transpose(rows, ncols=ncols)
-    if not b:
-        b = [[] for _ in range(ncols)]
-    _, u, rank = hermite_normal_form(b, ncols=len(rows), transform=True)
-    return [list(u[i]) for i in range(rank, ncols)]
+def _axpy(acc, q, vec):
+    """acc += q * vec in place, for sparse integer vectors; drops zeros."""
+    for j, x in vec.items():
+        y = acc.get(j, 0) + q * x
+        if y:
+            acc[j] = y
+        else:
+            acc.pop(j, None)
 
 
-def left_solver(rows):
-    """The solver target -> integer x with x @ rows == target, or None.
-
-    The Hermite form with transform of ``rows`` is computed once, here, and
-    each call reduces the target along its pivots.
-    """
-    rows = _copy_matrix(rows)
-    if not rows:
-        return lambda target: [] if not any(target) else None
-    h, u, rank = hermite_normal_form(rows, transform=True)
-    pivots = [next(j for j, x in enumerate(h[k]) if x) for k in range(rank)]
-    ncols, m = len(rows[0]), len(rows)
-
-    def solve(target):
-        v = list(target)
-        if len(v) != ncols:
-            raise ValueError("length mismatch")
-        coeffs = [0] * rank
-        for k, j in enumerate(pivots):
-            q, rem = divmod(v[j], h[k][j])
-            if rem:
-                return None
-            if q:
-                v = [x - q * y for x, y in zip(v, h[k])]
-            coeffs[k] = q
-        if any(v):
-            return None
-        x = [0] * m
-        for k, c in enumerate(coeffs):
-            if c:
-                x = [xi + c * ui for xi, ui in zip(x, u[k])]
-        return x
-
-    return solve
-
-
-def solve_left(rows, target, ncols=None):
-    """Integer x with x @ rows == target, or None."""
-    return left_solver(rows)(target)
-
-
-class IntLattice:
-    """An integer row lattice kept in echelon form; supports exact membership."""
-
-    def __init__(self, ncols, rows=()):
-        self.ncols = ncols
-        self.rows = []          # echelon rows ordered by pivot column
-        self.pivots = []        # pivot column of each row
-        for r in rows:
-            self.add(r)
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def basis(self):
-        return [list(r) for r in self.rows]
-
-    def _row_at(self, j):
-        try:
-            return self.pivots.index(j)
-        except ValueError:
-            return None
-
-    def add(self, vec):
-        """Insert a vector, refining the lattice; True if the lattice grew."""
-        v = list(vec)
-        if len(v) != self.ncols:
-            raise ValueError("length mismatch")
-        grew = False
-        while True:
-            j = next((k for k, x in enumerate(v) if x), None)
-            if j is None:
-                return grew
-            pos = self._row_at(j)
-            if pos is None:
-                if v[j] < 0:
-                    v = [-x for x in v]
-                at = sum(1 for p in self.pivots if p < j)
-                self.rows.insert(at, v)
-                self.pivots.insert(at, j)
-                return True
-            row = self.rows[pos]
-            a, b = row[j], v[j]
-            if b % a == 0:
-                q = b // a
-                v = [x - q * y for x, y in zip(v, row)]
-            else:
-                g, s, t = _xgcd(a, b)
-                new_row = [s * x + t * y for x, y in zip(row, v)]
-                v = [(a // g) * y - (b // g) * x for x, y in zip(row, v)]
-                self.rows[pos] = new_row
-                grew = True
-
-    def __contains__(self, vec):
-        v = list(vec)
-        if len(v) != self.ncols:
-            return False
-        for row, j in zip(self.rows, self.pivots):
-            if any(v[k] for k in range(j)):
-                return False
-            if v[j]:
-                q, rem = divmod(v[j], row[j])
-                if rem:
-                    return False
-                v = [x - q * y for x, y in zip(v, row)]
-        return not any(v)
-
-    def contains_lattice(self, other: "IntLattice") -> bool:
-        return all(r in self for r in other.rows)
-
-    def __eq__(self, other):
-        return (isinstance(other, IntLattice) and self.ncols == other.ncols
-                and self.rank == other.rank and self.contains_lattice(other)
-                and other.contains_lattice(self))
-
-    __hash__ = None
+def _gcd_step(x, y, s, t, a, b):
+    """s*x + t*y as a new vector; y becomes a*y - b*x in place."""
+    out = {}
+    _axpy(out, s, x)
+    _axpy(out, t, y)
+    for j in y:
+        y[j] *= a
+    _axpy(y, -b, x)
+    return out
 
 
 def _xgcd(a, b):
@@ -478,6 +313,158 @@ def _xgcd(a, b):
     if g < 0:
         x, y, g = -x, -y, -g
     return g, x, y
+
+
+class IntLattice:
+    """An integer row lattice in echelon form; exact membership and relations.
+
+    Rows are sparse {column: value} dicts keyed by their pivot, the smallest
+    column, whose entry is positive.  Each row carries its combination of the
+    inputs, {input number: coefficient}; an input that reduces to zero leaves
+    its combination in ``relations``.  Every step is unimodular (subtracting
+    a multiple of a row, or the 2x2 xgcd step), so the relations generate all
+    integer relations among the inputs.
+    """
+
+    def __init__(self, ncols, rows=()):
+        self.ncols = ncols
+        self.rows = {}          # pivot column -> row
+        self.combos = {}        # pivot column -> the row as a combination of the inputs
+        self.relations = []     # combinations of the inputs that vanish
+        for r in rows:
+            self.add(r)
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def basis(self):
+        return [_dense(self.rows[j], self.ncols) for j in sorted(self.rows)]
+
+    def _reduce(self, v, combo=None, grow=False) -> bool:
+        """Reduce the sparse v along the rows, in place; True if v is outside.
+
+        ``combo`` follows v, so v minus combo's combination of the inputs
+        stays fixed.  Without grow the loop stops at the first leading entry
+        no row divides.  With grow that entry joins the lattice: v becomes a
+        new row, or the xgcd step gives the row the gcd and v the rest.
+        """
+        outside = False
+        while v:
+            j = min(v)
+            row = self.rows.get(j)
+            if row is not None and v[j] % row[j] == 0:
+                q = v[j] // row[j]
+                _axpy(v, -q, row)
+                if combo is not None:
+                    _axpy(combo, -q, self.combos[j])
+            elif not grow:
+                return True
+            elif row is None:
+                if v[j] < 0:
+                    for w in (v, combo):
+                        for k in w:
+                            w[k] = -w[k]
+                self.rows[j], self.combos[j] = v, combo
+                return True
+            else:
+                g, s, t = _xgcd(row[j], v[j])
+                a, b = row[j] // g, v[j] // g
+                self.rows[j] = _gcd_step(row, v, s, t, a, b)
+                self.combos[j] = _gcd_step(self.combos[j], combo, s, t, a, b)
+                outside = True
+        return outside
+
+    def add(self, vec):
+        """Insert a vector (a dense list or a dict); True if the lattice grew."""
+        # each input ends as a row or a relation, so their count numbers it
+        v, combo = _sparse(vec, self.ncols), {len(self.rows) + len(self.relations): 1}
+        grew = self._reduce(v, combo, grow=True)
+        if not v:
+            self.relations.append(combo)
+        return grew
+
+    def __contains__(self, vec):
+        return not self._reduce(_sparse(vec, self.ncols))
+
+    def contains_lattice(self, other: "IntLattice") -> bool:
+        return all(r in self for r in other.rows.values())
+
+    def __eq__(self, other):
+        return (isinstance(other, IntLattice) and self.ncols == other.ncols
+                and self.rank == other.rank and self.contains_lattice(other)
+                and other.contains_lattice(self))
+
+    __hash__ = None
+
+
+def hermite_normal_form(rows, ncols=None, transform=False):
+    """Row Hermite form.
+
+    Returns (H, U, rank) when transform is requested, with U unimodular,
+    U @ rows == H padded by zero rows, and the rows of U beyond ``rank``
+    spanning the left kernel.  Otherwise returns (H, rank).
+    """
+    rows = list(rows)
+    lattice = IntLattice(_width(rows, ncols), rows)
+    pivots = sorted(lattice.rows)
+    # reduce the entries above each pivot into [0, pivot)
+    for r, c in enumerate(pivots):
+        row, combo = lattice.rows[c], lattice.combos[c]
+        for above in pivots[:r]:
+            q = lattice.rows[above].get(c, 0) // row[c]
+            if q:
+                _axpy(lattice.rows[above], -q, row)
+                _axpy(lattice.combos[above], -q, combo)
+    h = lattice.basis()
+    if not transform:
+        return h, len(h)
+    u = [_dense(x, len(rows)) for x in [lattice.combos[c] for c in pivots]
+         + lattice.relations]
+    return h, u, len(h)
+
+
+def transpose(rows, ncols=None):
+    if not rows:
+        return [[] for _ in range(ncols)] if ncols else []
+    return [list(col) for col in zip(*rows)]
+
+
+def integer_kernel(rows, ncols=None) -> list[list[int]]:
+    """Basis of the integer right kernel {x : rows @ x = 0}.
+
+    These are the relations among the columns, so they generate the full
+    kernel lattice, which is saturated by construction.
+    """
+    rows = list(rows)
+    n = _width(rows, ncols)
+    lattice = IntLattice(len(rows), transpose(rows, ncols=n))
+    return [_dense(x, n) for x in lattice.relations]
+
+
+def left_solver(rows):
+    """The solver target -> integer x with x @ rows == target, or None.
+
+    The lattice of ``rows`` is built once, here, and each call reduces the
+    target along it, accumulating the coefficients.
+    """
+    rows = list(rows)
+    if not rows:
+        return lambda target: [] if not any(target) else None
+    lattice = IntLattice(len(rows[0]), rows)
+
+    def solve(target):
+        combo = {}
+        if lattice._reduce(_sparse(target, lattice.ncols), combo):
+            return None
+        return [-x for x in _dense(combo, len(rows))]
+
+    return solve
+
+
+def solve_left(rows, target):
+    """Integer x with x @ rows == target, or None."""
+    return left_solver(rows)(target)
 
 
 def saturation(rows, ncols) -> list[list[int]]:

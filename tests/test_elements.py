@@ -8,10 +8,11 @@ import random
 
 import pytest
 
-from lietorsion.elements import (GF, QQ, ZZ, DomainError, NotLieElementError,
-                                 bracket, bracketing, generator_element,
-                                 left_normalize, lyndon_monomial, normal_form,
-                                 to_tensor, TensorElement, lie_from_tensor)
+from lietorsion.elements import (GF, QQ, ZZ, DomainError, LieElement,
+                                 NotLieElementError, bracket, bracketing,
+                                 generator_element, left_normalize,
+                                 lyndon_monomial, normal_form, to_tensor,
+                                 TensorElement, lie_from_tensor)
 from lietorsion.maps import random_homogeneous
 from lietorsion.words import LyndonWord, lyndon_words, unit_alphabet
 
@@ -71,6 +72,18 @@ def test_bracket_examples():
     for _ in range(20):
         m = random_homogeneous(AB2, rng.randint(1, 4), rng)
         assert bracket(m, m).is_zero()
+
+
+def test_bracket_over_qq_and_gf3_maps_the_zz_bracket():
+    rng = random.Random(13)
+    for _ in range(40):
+        ab = rng.choice((AB2, AB3))
+        a = random_homogeneous(ab, rng.randint(1, 3), rng)
+        b = random_homogeneous(ab, rng.randint(1, 3), rng)
+        over_z = bracket(a, b)
+        for dom in (QQ, GF(3)):
+            got = bracket(LieElement(ab, dom, a.terms), LieElement(ab, dom, b.terms))
+            assert got == LieElement(ab, dom, over_z.terms)
 
 
 def test_antisymmetry_on_random_pairs():

@@ -17,8 +17,9 @@ from lietorsion.torsion import (TorsionEngine, a_generator, a_generators,
                                 graded_cokernel, lie_power_basis,
                                 metabelian_torsion_check, st_of, theorem_element,
                                 torsion_report, verify_theorem_degree)
-from lietorsion.zlinalg import (CokernelStructure, IntLattice, _dense_snf,
-                                cokernel_structure, left_solver, solve_left)
+from lietorsion.zlinalg import (CokernelStructure, IntLattice, Presentation,
+                                _dense_snf, cokernel_structure, left_solver,
+                                solve_left)
 
 
 def test_a_generators_examples():
@@ -398,9 +399,11 @@ def test_shared_hermite_solve_matches_solve_left(case):
     rows, n, targets = case
     solve = left_solver(rows)
     lattice = IntLattice(n, rows)
+    pres = Presentation(rows, n)      # membership by an independent elimination
     for target in targets:
         x = solve(target)
         assert x == solve_left(rows, target)
         assert (x is not None) == (target in lattice)
+        assert (x is not None) == (target in pres)
         if x is not None:
             assert [sum(a * r[j] for a, r in zip(x, rows)) for j in range(n)] == target

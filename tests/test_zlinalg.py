@@ -1,4 +1,5 @@
-"""Smith/Hermite forms, kernels, and cokernels against determinantal oracles."""
+"""Smith/Hermite forms, kernels, and cokernels against determinantal oracles
+and a dense gcd-stepping Hermite form."""
 
 import random
 from itertools import combinations
@@ -260,3 +261,101 @@ def test_presentation_records_unit_pivots():
         Presentation([{3: 1}], 3)
     with pytest.raises(ValueError):
         Presentation([{0: 1}])
+
+
+# -- the lattice kernel against the dense Hermite form ------------------------
+
+def dense_hermite_normal_form(rows, ncols=None, transform=False):
+    """Row Hermite form by dense gcd steps down each column (the oracle)."""
+    a = [list(r) for r in rows]
+    m = len(a)
+    n = len(a[0]) if a else (ncols or 0)
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
+    r = 0
+    for j in range(n):
+        # fold column j below row r into a single pivot via gcd steps
+        while True:
+            nz = [i for i in range(r, m) if a[i][j]]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda i: (abs(a[i][j]), i))
+            i0, i1 = nz[0], nz[1]
+            q = a[i1][j] // a[i0][j]
+            a[i1] = [x - q * y for x, y in zip(a[i1], a[i0])]
+            if transform:
+                u[i1] = [x - q * y for x, y in zip(u[i1], u[i0])]
+        if not nz:
+            continue
+        i0 = nz[0]
+        a[r], a[i0] = a[i0], a[r]
+        if transform:
+            u[r], u[i0] = u[i0], u[r]
+        if a[r][j] < 0:
+            a[r] = [-x for x in a[r]]
+            if transform:
+                u[r] = [-x for x in u[r]]
+        for i in range(r):
+            q = a[i][j] // a[r][j]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                if transform:
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+        r += 1
+    h = a[:r]
+    if transform:
+        return h, u, r
+    return h, r
+
+
+def dense_kernel(rows, n):
+    """The oracle's right kernel: the left kernel rows of U for the columns."""
+    if not n:
+        return []
+    cols = transpose(rows, ncols=n)
+    _, u, rank = dense_hermite_normal_form(cols, ncols=len(rows), transform=True)
+    return u[rank:]
+
+
+@st.composite
+def integer_matrices(draw, max_rows=7, max_cols=7):
+    m, n = draw(st.integers(0, max_rows)), draw(st.integers(1, max_cols))
+    entry = st.integers(-9, 9)
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)], n
+
+
+@PROPERTY
+@given(st.one_of(sparse_matrices(), integer_matrices()))
+def test_lattice_hermite_and_kernel_match_dense_oracle(case):
+    rows, n = case
+    h, u, rank = hermite_normal_form(rows, ncols=n, transform=True)
+    assert (h, rank) == dense_hermite_normal_form(rows, ncols=n)
+    m = len(rows)
+    for k in range(m):
+        combo = [sum(u[k][i] * rows[i][j] for i in range(m)) for j in range(n)]
+        assert combo == (h[k] if k < rank else [0] * n)
+    if m <= 5:
+        assert abs(det(u)) == 1
+    kernel, oracle = integer_kernel(rows, ncols=n), dense_kernel(rows, n)
+    assert len(kernel) == n - rank
+    assert (dense_hermite_normal_form(kernel, ncols=n)
+            == dense_hermite_normal_form(oracle, ncols=n))
+    # saturated: no torsion in Z^n / kernel, and it holds the oracle's kernel
+    pres = Presentation(kernel, n)
+    assert pres.cokernel.torsion == ()
+    assert all(v in pres for v in oracle)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: integer_kernel([[1, 2]], ncols=3), ValueError),
+    (lambda: integer_kernel([[1, 2], [3]]), ValueError),
+    (lambda: hermite_normal_form([[1, 2]], ncols=3), ValueError),
+    (lambda: hermite_normal_form([[1, 2], [3]]), ValueError),
+    (lambda: [1, 2] in IntLattice(3, [[1, 0, 0]]), ValueError),
+    (lambda: IntLattice(3).add([1, 2]), ValueError),
+    (lambda: solve_left([[1, 2]], [1, 2, 0]), ValueError),
+    (lambda: solve_left([[1, 2]], [1, 2], ncols=2), TypeError),
+], ids=["kernel-ncols", "kernel-ragged", "hermite-ncols", "hermite-ragged",
+        "contains-length", "add-length", "solve-length", "solve-no-ncols"])
+def test_widths_that_disagree_raise(call, error):
+    with pytest.raises(error):
+        call()
