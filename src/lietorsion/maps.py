@@ -15,7 +15,8 @@ from math import factorial, prod
 from .elements import (DomainError, LieElement, MixedElement, SymElement,
                        TensorElement, ZZ, add_into, left_normalize, leftnormed_expansion,
                        lie_from_tensor, lie_zero, lyndon_monomial, to_tensor)
-from .words import Alphabet, lyndon_words_of_length, multisets, weight_range
+from .words import (Alphabet, lyndon_words_of_length, multisets, suffix_bounds,
+                    weight_range)
 from .zlinalg import IntLattice, integer_kernel, transpose
 
 
@@ -240,29 +241,35 @@ def normal_words(alphabet, c, max_weight=None, weight=None) -> list[tuple]:
         raise ValueError("normal words need degree >= 2")
     wt = [g.weight for g in alphabet]
     lo, hi = weight_range(weight, max_weight)
+    bounds = suffix_bounds(wt)
     return [(b1,) + tail for b1, w1 in enumerate(wt)
-            for tail in multisets(wt, c - 1, lo - w1, hi - w1, below=b1)]
+            for tail in multisets(wt, c - 1, lo - w1, hi - w1, below=b1, bounds=bounds)]
 
 
 def metabelian_normal_coords(m: MetabelianElement) -> dict:
-    """Coordinates of a metabelian element in the normal-word basis.
+    """Coordinates of a metabelian element in the normal-word basis."""
+    return peel_strict_keys(dict(m.mixed.terms), m.domain)
 
-    The mu-image of the normal word (b1, tail) is the only one whose strict
-    key (b1, tail) appears, so peeling strict keys is a complete solve.
-    Raises if the mixed element is not in the image of mu.
+
+def peel_strict_keys(rem: dict, dom=ZZ) -> dict:
+    """Normal-word coordinates {word: coefficient}, in lexicographic order,
+    of the mixed terms ``rem`` over dom, which it uses up.
+
+    The mu-image of the normal word (b1, tail) is its strict key (b1, tail)
+    minus the key (tail[0], b1 o tail[1:]), which is not strict.  So each
+    strict key is met by one normal word alone and carries its coordinate,
+    and peeling the strict keys is a complete solve.  Raises if the terms are
+    not in the image of mu.
     """
-    dom = m.domain
-    rem = dict(m.mixed.terms)
     coords = {}
-    strict = [key for key in rem if key[0] > key[1][0]] if rem else []
-    for key in sorted(strict):
-        c = rem.get(key)
-        if c is None or dom.is_zero(c):
+    for key in sorted(key for key in rem if key[0] > key[1][0]):
+        c = rem.pop(key)
+        if dom.is_zero(c):
             continue
         a, tail = key
-        word = (a,) + tail
-        coords[word] = c
-        add_into(rem, _mu_terms(word), dom.neg(c), dom)
+        coords[(a,) + tail] = c
+        low = (tail[0], tuple(sorted((a,) + tail[1:])))
+        rem[low] = dom.add(rem.get(low, 0), c)
     if any(not dom.is_zero(c) for c in rem.values()):
         raise DomainError("mixed element is not in the image of mu")
     return coords
@@ -461,8 +468,9 @@ def mixed_basis(alphabet, c, max_weight=None, weight=None) -> list[tuple]:
     order, of total weight at most max_weight or exactly weight."""
     wt = [g.weight for g in alphabet]
     lo, hi = weight_range(weight, max_weight)
+    bounds = suffix_bounds(wt)
     return [(a, mult) for a, wa in enumerate(wt)
-            for mult in multisets(wt, c - 1, lo - wa, hi - wa)]
+            for mult in multisets(wt, c - 1, lo - wa, hi - wa, bounds=bounds)]
 
 
 def sym_basis(alphabet, c, max_weight=None) -> list[tuple]:

@@ -17,6 +17,12 @@ expands to the word itself once plus lexicographically larger words (Chen,
 Fox & Lyndon 1958), so its coefficients on the Lyndon words form a
 unitriangular matrix, and the coordinates follow by subtracting, smallest
 word first, the Lyndon part of each basis word's expansion.
+
+The metabelian side is presented the same way, once per degree, from sparse
+rows: the x- and y-images of the degree d-1 normal words, taken by Leibniz
+on each word's integer mu terms and read in normal-word coordinates by the
+strict-key peel.  The section theta's images and the theorem vectors meet
+the Lie-side presentation as sparse {column: coefficient} vectors.
 """
 
 from __future__ import annotations
@@ -27,11 +33,11 @@ from math import factorial, prod
 
 from .elements import (IntegralityError, LieElement, _expand_lyndon, is_prime,
                        lyndon_monomial)
-from .maps import (ActionSpec, derive, eta, metabelian_of_word, mixed_basis,
-                   metabelian_normal_coords, normal_words, theta, theta_presum)
-from .words import Alphabet, Generator, LyndonWord, lyndon_words_of_length
-from .zlinalg import (CokernelStructure, Presentation, cokernel_structure,
-                      integer_kernel, left_solver, transpose)
+from .maps import (ActionSpec, _mu_terms, eta, metabelian_of_word, mixed_basis,
+                   normal_words, peel_strict_keys, theta, theta_presum)
+from .words import Alphabet, Generator, LyndonWord, _lyndon_walk
+from .zlinalg import (CokernelStructure, Presentation, _dense,
+                      cokernel_structure, integer_kernel, left_solver, transpose)
 
 VARIABLES = ("x", "y")
 
@@ -150,6 +156,7 @@ class TorsionEngine:
         self._normal_basis = {}
         self._derived = {}
         self._presentations = {}
+        self._metabelian_presentations = {}
 
     # -- bases ------------------------------------------------------------
 
@@ -159,8 +166,8 @@ class TorsionEngine:
             if d < 2 * self.p:
                 self._lie_basis[d] = []
             else:
-                words = lyndon_words_of_length(self.alphabet, self.p, weight=d)
-                self._lie_basis[d] = [w.idx for w in words]
+                wt = [g.weight for g in self.alphabet]
+                self._lie_basis[d] = _lyndon_walk(wt, length=self.p, lo=d, hi=d)
         return self._lie_basis[d]
 
     def lie_index(self, d: int) -> dict:
@@ -266,7 +273,7 @@ class TorsionEngine:
     def action_matrix(self, d: int) -> list[list[int]]:
         """The relations of degree d as a dense matrix."""
         n = len(self.lie_basis(d))
-        return [[row.get(j, 0) for j in range(n)] for row in self.relation_rows(d)]
+        return [_dense(row, n) for row in self.relation_rows(d)]
 
     def presentation(self, d: int) -> Presentation:
         """The degree-d piece as a cokernel, eliminated once and cached."""
@@ -280,6 +287,13 @@ class TorsionEngine:
 
     # -- theorem elements ---------------------------------------------------
 
+    def theorem_word(self, s: int, t: int) -> tuple:
+        """The letters (vy, vx, u^(p-2)) with u = u(s,t), vx = u x, vy = u y."""
+        u = self.alphabet.index(f"u({s},{t})")
+        vx = self.alphabet.index(f"u({s + 1},{t})")
+        vy = self.alphabet.index(f"u({s},{t + 1})")
+        return (vy, vx) + (u,) * (self.p - 2)
+
     def theorem_element(self, s: int, t: int) -> LieElement:
         """The degree p(s+t+2)+2 torsion representative built from u = u(s,t).
 
@@ -289,19 +303,16 @@ class TorsionEngine:
         """
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        p = self.p
-        u = self.alphabet.index(f"u({s},{t})")
-        vx = self.alphabet.index(f"u({s + 1},{t})")
-        vy = self.alphabet.index(f"u({s},{t + 1})")
-        presum = theta_presum(self.alphabet, (vy, vx) + (u,) * (p - 2))
-        return presum.divided_by(factorial(p - 2) * p)
+        presum = theta_presum(self.alphabet, self.theorem_word(s, t))
+        return presum.divided_by(factorial(self.p - 2) * self.p)
 
-    def theorem_vector(self, s: int, t: int, d: int) -> list[int]:
+    def theorem_vector(self, s: int, t: int, d: int) -> dict:
+        """The theorem element as {column of lie_basis(d): coefficient}."""
+        return self._lie_coords(self.theorem_element(s, t), d)
+
+    def _lie_coords(self, e: LieElement, d: int) -> dict:
         index = self.lie_index(d)
-        vec = [0] * len(index)
-        for w, c in self.theorem_element(s, t).terms.items():
-            vec[index[w]] = c
-        return vec
+        return {index[w]: c for w, c in e.terms.items()}
 
     def theorem_indices(self, d: int) -> list[tuple[int, int]]:
         p = self.p
@@ -343,19 +354,47 @@ class TorsionEngine:
 
     # -- the metabelian side ------------------------------------------------
 
-    def metabelian_matrix(self, d: int) -> list[list[int]]:
-        basis = self.normal_basis(d)
-        index = {w: i for i, w in enumerate(basis)}
+    def metabelian_rows(self, d: int) -> list[dict]:
+        """Relations of degree d on the metabelian side: the x- and y-images
+        of the degree d-1 normal words, as sparse {column of normal_basis(d):
+        coefficient} rows in column order.
+
+        Leibniz acts on the word's mu terms a (x) m: it moves the head a, or
+        one letter of the multiset m, times that letter's multiplicity.  The
+        image is read in normal coordinates by peeling its strict keys.
+        """
+        index = {w: i for i, w in enumerate(self.normal_basis(d))}
         rows = []
         for word in self.normal_basis(d - 1):
-            m = metabelian_of_word(self.alphabet, word)
+            terms = _mu_terms(word).items()
             for var in VARIABLES:
-                dm = derive(m, var, self.action)
-                row = [0] * len(basis)
-                for w, c in metabelian_normal_coords(dm).items():
-                    row[index[w]] = c
-                rows.append(row)
+                image = {a: self.action.image(a, var).items() for a in set(word)}
+                acc = {}
+                for (a, mult), c in terms:
+                    for j, k in image[a]:
+                        acc[j, mult] = acc.get((j, mult), 0) + c * k
+                    for pos, letter in enumerate(mult):
+                        if pos and mult[pos - 1] == letter:
+                            continue            # m is sorted: each letter once
+                        ck = c * mult.count(letter)
+                        rest = mult[:pos] + mult[pos + 1:]
+                        for j, k in image[letter]:
+                            key = (a, tuple(sorted(rest + (j,))))
+                            acc[key] = acc.get(key, 0) + ck * k
+                rows.append({index[w]: c for w, c in peel_strict_keys(acc).items()})
         return rows
+
+    def metabelian_matrix(self, d: int) -> list[list[int]]:
+        """The metabelian relations of degree d as a dense matrix."""
+        n = len(self.normal_basis(d))
+        return [_dense(row, n) for row in self.metabelian_rows(d)]
+
+    def metabelian_presentation(self, d: int) -> Presentation:
+        """The degree-d metabelian piece as a cokernel, eliminated once and cached."""
+        if d not in self._metabelian_presentations:
+            self._metabelian_presentations[d] = Presentation(
+                self.metabelian_rows(d), len(self.normal_basis(d)))
+        return self._metabelian_presentations[d]
 
     def metabelian_torsion_check(self, d: int) -> MetabelianTorsionReport:
         if not is_prime(self.p):
@@ -363,28 +402,18 @@ class TorsionEngine:
         p = self.p
         pres = self.presentation(d)
         l_coker = pres.cokernel
-        m_coker = cokernel_structure(self.metabelian_matrix(d),
-                                     len(self.normal_basis(d)))
+        m_coker = self.metabelian_presentation(d).cokernel
         ranks_agree = (len(l_coker.torsion) == len(m_coker.torsion)
                        and all(q == p for q in l_coker.torsion + m_coker.torsion))
-        n = len(self.lie_basis(d))
-        index = self.lie_index(d)
         matches = True
         units = []
         for s, t in self.theorem_indices(d):
-            u = self.alphabet.index(f"u({s},{t})")
-            vx = self.alphabet.index(f"u({s + 1},{t})")
-            vy = self.alphabet.index(f"u({s},{t + 1})")
-            word = (vy, vx) + (u,) * (p - 2)
-            m_elt = metabelian_of_word(self.alphabet, word)
-            image = theta(m_elt)
-            vec = [0] * n
-            for w, c in image.terms.items():
-                vec[index[w]] = c
+            m_elt = metabelian_of_word(self.alphabet, self.theorem_word(s, t))
+            vec = self._lie_coords(theta(m_elt), d)
             target = self.theorem_vector(s, t, d)
             unit = next((a for a in range(1, p)
-                         if [x - a * y for x, y in zip(vec, target)] in pres),
-                        None)
+                         if {j: vec.get(j, 0) - a * target.get(j, 0)
+                             for j in vec | target} in pres), None)
             if unit is None:
                 matches = False
             else:

@@ -306,8 +306,7 @@ def _lyndon_walk(wt, length=None, lo=0, hi=math.inf, budget=None) -> list[tuple]
     k = len(wt)
     if budget is None:
         budget = [math.inf] * k
-    lightest = [min(wt[a:]) for a in range(k)]
-    heaviest = [max(wt[a:]) for a in range(k)]
+    lightest, heaviest = suffix_bounds(wt)
     found = []
     word = []
 
@@ -342,17 +341,28 @@ def _lyndon_walk(wt, length=None, lo=0, hi=math.inf, budget=None) -> list[tuple]
     return found
 
 
-def multisets(wt, size, lo=0, hi=math.inf, below=None) -> list[tuple]:
+def suffix_bounds(wt) -> tuple[list, list]:
+    """The lists lightest[a] = min(wt[a:]) and heaviest[a] = max(wt[a:]),
+    built in one pass from the last letter down."""
+    lightest, heaviest = list(wt), list(wt)
+    for a in range(len(wt) - 2, -1, -1):
+        lightest[a] = min(wt[a], lightest[a + 1])
+        heaviest[a] = max(wt[a], heaviest[a + 1])
+    return lightest, heaviest
+
+
+def multisets(wt, size, lo=0, hi=math.inf, below=None, bounds=None) -> list[tuple]:
     """The multisets of ``size`` letters over positive weights ``wt``, as
     sorted index tuples in lexicographic order, whose weight lies in
     [lo, hi]; when ``below`` is given the smallest letter is less than it.
 
     A branch is cut as soon as the letters still to come, none smaller than
-    the last one taken, cannot land the weight in range.
+    the last one taken, cannot land the weight in range.  ``bounds`` is
+    ``suffix_bounds(wt)``, passed in by callers that enumerate many times
+    over one alphabet.
     """
     k = len(wt)
-    lightest = [min(wt[a:]) for a in range(k)]
-    heaviest = [max(wt[a:]) for a in range(k)]
+    lightest, heaviest = bounds or suffix_bounds(wt)
     found = []
     word = []
 

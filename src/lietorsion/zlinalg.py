@@ -425,9 +425,9 @@ def hermite_normal_form(rows, ncols=None, transform=False):
 
 
 def transpose(rows, ncols=None):
-    if not rows:
-        return [[] for _ in range(ncols)] if ncols else []
-    return [list(col) for col in zip(*rows)]
+    """The columns of the dense rows, which all have ncols entries if given."""
+    n = _width(rows, ncols)
+    return [list(col) for col in zip(*rows)] if rows else [[] for _ in range(n)]
 
 
 def integer_kernel(rows, ncols=None) -> list[list[int]]:

@@ -223,7 +223,8 @@ def test_criterion4_torsion_tables(p, top, expected):
 
 # -- criterion 5: the two torsion subgroups coincide through the section ------
 
-@pytest.mark.parametrize("p,d", [(2, 6), (2, 8), (3, 8), (7, 16), (11, 24)])
+@pytest.mark.parametrize("p,d", [(2, 6), (2, 8), (3, 8), (7, 16), (11, 24),
+                                 (2, 18), (3, 17), (5, 17), (3, 20)])
 def test_criterion5_metabelian_comparison(p, d):
     r = metabelian_torsion_check(p, d)
     assert r.ranks_agree, (r.lie_torsion, r.metabelian_torsion)

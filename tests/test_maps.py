@@ -431,3 +431,18 @@ def test_bases_match_full_enumeration():
             assert mixed_basis(ab, c, weight=d) == [k for k, x in mixed if x == d]
             assert mixed_basis(ab, c, max_weight=d) == [k for k, x in mixed if x <= d]
             assert sym_basis(ab, c, max_weight=d) == [m for m, x in syms if x <= d]
+
+
+def test_bases_match_full_enumeration_on_91_letters():
+    # a_alphabet(14) is the p=2, d=16 engine's alphabet: letters of weight
+    # 2..14, heaviest last; every exact and every maximal weight cut
+    ab = a_alphabet(14)
+    assert len(ab) == 91
+    wt = [g.weight for g in ab]
+    words = [(w, sum(wt[i] for i in w)) for w in normal_words_oracle(ab, 2)]
+    mixed = [(k, wt[k[0]] + wt[k[1][0]]) for k in mixed_basis_oracle(ab, 2)]
+    for d in range(3, 30):
+        assert normal_words(ab, 2, weight=d) == [w for w, x in words if x == d]
+        assert normal_words(ab, 2, max_weight=d) == [w for w, x in words if x <= d]
+        assert mixed_basis(ab, 2, weight=d) == [k for k, x in mixed if x == d]
+        assert mixed_basis(ab, 2, max_weight=d) == [k for k, x in mixed if x <= d]

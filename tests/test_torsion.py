@@ -8,10 +8,12 @@ Leibniz oracle that never touches the package's normal-form machinery.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lietorsion.elements import (ZZ, LieElement, TensorElement, leftnormed_tensor,
-                                 lie_from_tensor, lyndon_monomial, normal_form,
-                                 to_tensor)
-from lietorsion.maps import derive
+from lietorsion.elements import (ZZ, DomainError, LieElement, TensorElement,
+                                 leftnormed_tensor, lie_from_tensor, lyndon_monomial,
+                                 normal_form, to_tensor)
+from lietorsion.maps import (MetabelianElement, MixedElement, derive,
+                             metabelian_normal_coords, metabelian_of_word,
+                             mu_of_leftnormed, peel_strict_keys, theta)
 from lietorsion.torsion import (TorsionEngine, a_generator, a_generators,
                                 action_matrix, bp_freeness_check, bp_kernel_basis,
                                 graded_cokernel, lie_power_basis,
@@ -407,3 +409,94 @@ def test_shared_hermite_solve_matches_solve_left(case):
         assert (x is not None) == (target in pres)
         if x is not None:
             assert [sum(a * r[j] for a, r in zip(x, rows)) for j in range(n)] == target
+
+
+def metabelian_matrix_oracle(engine, d):
+    # the former body of metabelian_matrix: each normal word as a
+    # MetabelianElement, derived as a MixedElement, read back by
+    # metabelian_normal_coords into a dense row; every row is also checked
+    # against mu of its coordinates, so the oracle does not rest on the peel
+    basis = engine.normal_basis(d)
+    index = {w: i for i, w in enumerate(basis)}
+    rows = []
+    for word in engine.normal_basis(d - 1):
+        m = metabelian_of_word(engine.alphabet, word)
+        for var in ("x", "y"):
+            dm = derive(m, var, engine.action)
+            row = [0] * len(basis)
+            back = {}
+            for w, c in metabelian_normal_coords(dm).items():
+                row[index[w]] = c
+                for key, k in mu_of_leftnormed(engine.alphabet, w).terms.items():
+                    back[key] = back.get(key, 0) + c * k
+            assert {k: c for k, c in back.items() if c} == dm.mixed.terms
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("p,top", [(2, 16), (3, 14), (5, 15), (7, 16), (4, 12)])
+def test_metabelian_rows_match_dense_oracle(p, top):
+    engine = TorsionEngine(p, top)
+    checked = 0
+    for d in range(2 * p, top + 1):
+        n = len(engine.normal_basis(d))
+        want = metabelian_matrix_oracle(engine, d)
+        rows = engine.metabelian_rows(d)
+        assert [[row.get(j, 0) for j in range(n)] for row in rows] == want, (p, d)
+        assert all(list(row) == sorted(row) and all(row.values()) for row in rows)
+        assert engine.metabelian_matrix(d) == want
+        ds = _dense_snf(want, n).divisors
+        coker = CokernelStructure(n - len(ds), tuple(q for q in ds if q > 1))
+        pres = engine.metabelian_presentation(d)
+        assert pres is engine.metabelian_presentation(d)
+        assert pres.cokernel == coker, (p, d)
+        checked += len(rows)
+    assert checked
+
+
+def metabelian_check_by_dense_path(p, d):
+    # the former body of metabelian_torsion_check: dense matrices and dense
+    # vectors throughout, on an engine of its own
+    engine = TorsionEngine(p, max(d, 2 * p))
+    lie = engine.action_matrix(d)
+    n = len(engine.lie_basis(d))
+    l_coker = cokernel_structure(lie, n)
+    m_coker = cokernel_structure(metabelian_matrix_oracle(engine, d),
+                                 len(engine.normal_basis(d)))
+    index = engine.lie_index(d)
+    units = []
+    for s, t in engine.theorem_indices(d):
+        vec, target = [0] * n, [0] * n
+        for w, c in theta(metabelian_of_word(engine.alphabet,
+                                             engine.theorem_word(s, t))).terms.items():
+            vec[index[w]] = c
+        for w, c in engine.theorem_element(s, t).terms.items():
+            target[index[w]] = c
+        units.append(next((a for a in range(1, p) if cokernel_structure(
+            lie + [[x - a * y for x, y in zip(vec, target)]], n) == l_coker), None))
+    return l_coker.torsion, m_coker.torsion, units
+
+
+@pytest.mark.parametrize("p,d", [(2, 8), (2, 12), (3, 11), (3, 14), (5, 12), (7, 16)])
+def test_metabelian_torsion_check_matches_dense_path(p, d):
+    lie_torsion, m_torsion, units = metabelian_check_by_dense_path(p, d)
+    r = metabelian_torsion_check(p, d)
+    assert (r.lie_torsion, r.metabelian_torsion) == (lie_torsion, m_torsion)
+    assert r.units == tuple(units)
+    assert r.passed and None not in units
+
+
+def test_strict_key_peel_refuses_terms_outside_the_image_of_mu():
+    engine = TorsionEngine(3, 12)
+    ab = engine.alphabet
+    word = engine.normal_basis(11)[0]
+    terms = mu_of_leftnormed(ab, word).terms
+    assert peel_strict_keys(dict(terms)) == {word: 1}
+    strict = next(k for k in terms if k[0] > k[1][0])
+    for bad in ({strict: 1}, {k: 1 for k in terms if k != strict},
+                {**terms, strict: 2}):
+        with pytest.raises(DomainError, match="not in the image of mu"):
+            peel_strict_keys(dict(bad))
+        with pytest.raises(DomainError, match="not in the image of mu"):
+            metabelian_normal_coords(
+                MetabelianElement(3, MixedElement(ab, ZZ, bad)))

@@ -354,8 +354,19 @@ def test_lattice_hermite_and_kernel_match_dense_oracle(case):
     (lambda: IntLattice(3).add([1, 2]), ValueError),
     (lambda: solve_left([[1, 2]], [1, 2, 0]), ValueError),
     (lambda: solve_left([[1, 2]], [1, 2], ncols=2), TypeError),
+    (lambda: transpose([[1, 2], [3]]), ValueError),
+    (lambda: transpose([[1, 2]], ncols=5), ValueError),
 ], ids=["kernel-ncols", "kernel-ragged", "hermite-ncols", "hermite-ragged",
-        "contains-length", "add-length", "solve-length", "solve-no-ncols"])
+        "contains-length", "add-length", "solve-length", "solve-no-ncols",
+        "transpose-ragged", "transpose-ncols"])
 def test_widths_that_disagree_raise(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_transpose_shapes():
+    assert transpose([]) == []
+    assert transpose([], ncols=3) == [[], [], []]
+    assert transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
+    assert transpose([[1, 2, 3], [4, 5, 6]], ncols=3) == [[1, 4], [2, 5], [3, 6]]
+    assert transpose([[7]], ncols=1) == [[7]]
