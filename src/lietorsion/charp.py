@@ -20,19 +20,10 @@ from math import factorial, prod
 from .elements import GF, _expand_lyndon, lyndon_monomial
 from .maps import _distinct_permutations, eta, mixed_basis
 from .words import lyndon_words_of_length, unit_alphabet
+from .zlinalg import _dense, add_into
 
 
 # -- sparse linear algebra over Z/p -------------------------------------------
-
-def _axpy(acc, vec, c, p):
-    """acc += c * vec mod p, in place, dropping the entries that cancel."""
-    for j, x in vec.items():
-        s = (acc.get(j, 0) + c * x) % p
-        if s:
-            acc[j] = s
-        else:
-            acc.pop(j, None)
-
 
 class Echelon:
     """The reduced row echelon form over GF(p) of the span of sparse rows.
@@ -67,7 +58,7 @@ class Echelon:
         v = {j: x % p for j, x in vec.items() if x % p}
         # a pivot row holds no other pivot column, so one pass clears them all
         for j in [j for j in v if j in rows]:
-            _axpy(v, rows[j], -v[j], p)
+            add_into(v, rows[j].items(), -v[j], p)
         return v
 
     def add(self, vec):
@@ -113,13 +104,6 @@ class Echelon:
 
 def _sparse(vec, p) -> dict:
     return {j: x % p for j, x in enumerate(vec) if x % p}
-
-
-def _dense(vec, n) -> list[int]:
-    out = [0] * n
-    for j, x in vec.items():
-        out[j] = x
-    return out
 
 
 def _echelon(rows, p) -> Echelon:
@@ -296,20 +280,14 @@ class PBWBasis:
         acc = {}
         for perms in product(*(permutations(b) for b in blocks)):
             factors = tuple(f for block in perms for f in block)
-            _axpy(acc, self.factor_terms(factors), inv, p)
+            add_into(acc, self.factor_terms(factors).items(), inv, p)
         return acc
 
     def alpha(self, vec) -> dict:
         """a1 (x) ... (x) ap  ->  a1 (x) (a2 o ... o ap) on a sparse tensor vector."""
-        p, col = self.p, self.alpha_col
+        col = self.alpha_col
         out = {}
-        for i, c in vec.items():
-            j = col[i]
-            s = (out.get(j, 0) + c) % p
-            if s:
-                out[j] = s
-            else:
-                out.pop(j, None)
+        add_into(out, ((col[i], c) for i, c in vec.items()), 1, self.p)
         return out
 
     def beta(self, key) -> dict:
@@ -361,7 +339,7 @@ def _bp_space(data: PBWBasis):
     for v in kernel:
         acc = {}
         for pos, c in v.items():
-            _axpy(acc, data.factor_terms((words[pos],)), c, p)
+            add_into(acc, data.factor_terms((words[pos],)).items(), c, p)
         tensors.append(acc)
     return kernel, tensors
 

@@ -213,10 +213,7 @@ def run_theorem(args):
     engine = TorsionEngine(p, p * (s + t + 2) + 2)
     element = engine.theorem_element(s, t)
     alphabet = engine.alphabet
-    u = alphabet.index(f"u({s},{t})")
-    vx = alphabet.index(f"u({s + 1},{t})")
-    vy = alphabet.index(f"u({s},{t + 1})")
-    letters = (vy, vx) + (u,) * (p - 2)
+    letters = engine.theorem_word(s, t)
     tree = alphabet.generators[letters[0]]
     for i in letters[1:]:
         tree = (tree, alphabet.generators[i])

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .words import Generator, LyndonWord, _split_point, is_lyndon
+from .zlinalg import add_into
 
 
 class DomainError(ValueError):
@@ -128,18 +129,9 @@ class _Element:
         if _clean:
             self.terms = terms
         else:
-            clean = {}
             items = terms.items() if isinstance(terms, dict) else terms
-            for key, c in items:
-                c = domain.coerce(c)
-                if domain.is_zero(c):
-                    continue
-                acc = domain.add(clean.get(key, 0), c)
-                if domain.is_zero(acc):
-                    clean.pop(key, None)
-                else:
-                    clean[key] = acc
-            self.terms = clean
+            self.terms = {}
+            add_into(self.terms, ((key, domain.coerce(c)) for key, c in items), 1, domain.p)
 
     def _new(self, terms):
         return type(self)(self.alphabet, self.domain, terms, _clean=True)
@@ -169,7 +161,7 @@ class _Element:
     def __add__(self, other):
         self._check_compatible(other)
         out = dict(self.terms)
-        add_into(out, other.terms, 1, self.domain)
+        add_into(out, other.terms.items(), 1, self.domain.p)
         return self._new(out)
 
     def __sub__(self, other):
@@ -242,14 +234,7 @@ class TensorElement(_Element):
     """Element of the tensor ring; keys are arbitrary words (index tuples)."""
 
     space = "tensor"
-
-    def degree(self):
-        lengths = {len(w) for w in self.terms}
-        if not lengths:
-            return None
-        if len(lengths) > 1:
-            raise ValueError("inhomogeneous element has no degree")
-        return lengths.pop()
+    degree = LieElement.degree
 
     def _key_name(self, key):
         return self.alphabet.word_name(key)
@@ -391,25 +376,11 @@ def leftnormed_expansion(alphabet, letters) -> dict:
     return out
 
 
-def add_into(acc: dict, terms: dict, scale, dom) -> None:
-    """acc += scale * terms in place over dom, dropping the zeros.
-
-    ``scale`` is an element of dom; ``terms`` has integer coefficients or
-    coefficients in dom.
-    """
-    for key, k in terms.items():
-        s = dom.add(acc.get(key, 0), scale * k)   # dom.add reduces mod p
-        if s == 0:
-            acc.pop(key, None)
-        else:
-            acc[key] = s
-
-
 def to_tensor(e: LieElement) -> TensorElement:
     """The canonical embedding into the tensor ring."""
     out = {}
     for w, c in e.terms.items():
-        add_into(out, _expand_lyndon(e.alphabet, w), c, e.domain)
+        add_into(out, _expand_lyndon(e.alphabet, w).items(), c, e.domain.p)
     return TensorElement(e.alphabet, e.domain, out, _clean=True)
 
 
@@ -434,7 +405,7 @@ def lie_from_tensor(t: TensorElement) -> LieElement:
             raise NotLieElementError(
                 f"not a Lie element: stray word {alphabet.word_name(w)!r}")
         coords[w] = c
-        add_into(rem, _expand_lyndon(alphabet, w), dom.neg(c), dom)
+        add_into(rem, _expand_lyndon(alphabet, w).items(), dom.neg(c), dom.p)
     return LieElement(alphabet, dom, coords, _clean=True)
 
 
@@ -443,7 +414,7 @@ def normal_form(alphabet, expr, domain=ZZ) -> LieElement:
     pairs = expr if isinstance(expr, list) else [(1, expr)]
     acc = {}
     for coeff, tree in pairs:
-        add_into(acc, tensor_of_tree(alphabet, tree), domain.coerce(coeff), domain)
+        add_into(acc, tensor_of_tree(alphabet, tree).items(), domain.coerce(coeff), domain.p)
     return lie_from_tensor(TensorElement(alphabet, domain, acc, _clean=True))
 
 
@@ -451,7 +422,8 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Lie bracket: the commutator of the tensor expansions, peeled back."""
     a._check_compatible(b)
     out = {}
-    add_into(out, _expand_bracket(to_tensor(a).terms, to_tensor(b).terms), 1, a.domain)
+    add_into(out, _expand_bracket(to_tensor(a).terms, to_tensor(b).terms).items(), 1,
+             a.domain.p)
     return lie_from_tensor(TensorElement(a.alphabet, a.domain, out, _clean=True))
 
 
@@ -479,14 +451,8 @@ def left_normalize(x, alphabet=None, domain=None):
         raise ValueError("inhomogeneous input")
     acc = {}
     for coeff, tree in pairs:
-        coeff = dom.coerce(coeff)
-        for sign, letters in _leftnorm_tree(_tree_to_idx(alphabet, tree)):
-            c = dom.mul(coeff, dom.coerce(sign))
-            s = dom.add(acc.get(letters, 0), c)
-            if dom.is_zero(s):
-                acc.pop(letters, None)
-            else:
-                acc[letters] = s
+        signed = _leftnorm_tree(_tree_to_idx(alphabet, tree))
+        add_into(acc, ((letters, sign) for sign, letters in signed), dom.coerce(coeff), dom.p)
     return [(c, letters) for letters, c in sorted(acc.items())]
 
 

@@ -10,14 +10,15 @@ mixed key (a, m) satisfies a > min(m) while every trailing key does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import factorial, prod
 
 from .elements import (DomainError, LieElement, MixedElement, SymElement,
-                       TensorElement, ZZ, add_into, left_normalize, leftnormed_expansion,
+                       TensorElement, ZZ, left_normalize, leftnormed_expansion,
                        lie_from_tensor, lie_zero, lyndon_monomial, to_tensor)
 from .words import (Alphabet, lyndon_words_of_length, multisets, suffix_bounds,
                     weight_range)
-from .zlinalg import IntLattice, integer_kernel, transpose
+from .zlinalg import IntLattice, add_into, integer_kernel, transpose
 
 
 class ActionSpec:
@@ -65,7 +66,7 @@ def rho(t: TensorElement) -> LieElement:
     t.degree()  # raises on inhomogeneous input
     acc = {}
     for word, c in t.terms.items():
-        add_into(acc, leftnormed_expansion(t.alphabet, word), c, t.domain)
+        add_into(acc, leftnormed_expansion(t.alphabet, word).items(), c, t.domain.p)
     return lie_from_tensor(TensorElement(t.alphabet, t.domain, acc, _clean=True))
 
 
@@ -129,7 +130,7 @@ def mu_of_leftnormed(alphabet, letters, domain=ZZ, coeff=1) -> MixedElement:
     if len(letters) < 2:
         raise ValueError("mu needs degree >= 2")
     terms = {}
-    add_into(terms, _mu_terms(letters), domain.coerce(coeff), domain)
+    add_into(terms, _mu_terms(letters).items(), domain.coerce(coeff), domain.p)
     return MixedElement(alphabet, domain, terms, _clean=True)
 
 
@@ -155,16 +156,10 @@ def mu(m, c=None, alphabet=None, domain=ZZ) -> MixedElement:
 
 def kappa(t: MixedElement) -> SymElement:
     """Symmetrization A (x) A^(c-1) -> A^c."""
-    dom = t.domain
     out = {}
-    for (a, rest), c in t.terms.items():
-        key = tuple(sorted((a,) + rest))
-        acc = dom.add(out.get(key, 0), c)
-        if dom.is_zero(acc):
-            out.pop(key, None)
-        else:
-            out[key] = acc
-    return SymElement(t.alphabet, dom, out, _clean=True)
+    add_into(out, ((tuple(sorted((a,) + rest)), c) for (a, rest), c in t.terms.items()),
+             1, t.domain.p)
+    return SymElement(t.alphabet, t.domain, out, _clean=True)
 
 
 def lam(t: MixedElement, c=None) -> MetabelianElement:
@@ -191,7 +186,8 @@ def lam(t: MixedElement, c=None) -> MetabelianElement:
                 continue
             seen.add(b)
             remaining = rest[:k] + rest[k + 1:]
-            add_into(acc, _mu_terms((a, b) + remaining), dom.mul(coeff, rest.count(b)), dom)
+            add_into(acc, _mu_terms((a, b) + remaining).items(),
+                     dom.mul(coeff, rest.count(b)), dom.p)
     return MetabelianElement(c, MixedElement(t.alphabet, dom, acc, _clean=True))
 
 
@@ -208,7 +204,7 @@ def eta(e: LieElement, c=None) -> MetabelianElement:
         raise ValueError("eta needs degree >= 2")
     acc = {}
     for w, coeff in e.terms.items():
-        add_into(acc, _eta_word(e.alphabet, w), coeff, e.domain)
+        add_into(acc, _eta_word(e.alphabet, w).items(), coeff, e.domain.p)
     return MetabelianElement(d, MixedElement(e.alphabet, e.domain, acc, _clean=True))
 
 
@@ -220,7 +216,7 @@ def _eta_word(alphabet, w) -> dict:
     if terms is None:
         terms = {}
         for coeff, letters in left_normalize(lyndon_monomial(alphabet, w)):
-            add_into(terms, _mu_terms(letters), coeff, ZZ)
+            add_into(terms, _mu_terms(letters).items(), coeff)
         table[w] = terms
     return terms
 
@@ -293,7 +289,8 @@ def theta_presum(alphabet, letters, domain=ZZ) -> LieElement:
     def accumulate(head, tail, sign):
         times = dom.coerce(sign * prod(factorial(tail.count(b)) for b in set(tail)))
         for arrangement in _distinct_permutations(tail):
-            add_into(acc, leftnormed_expansion(alphabet, (head,) + arrangement), times, dom)
+            add_into(acc, leftnormed_expansion(alphabet, (head,) + arrangement).items(),
+                     times, dom.p)
 
     accumulate(a1, (a2,) + rest, 1)
     accumulate(a2, (a1,) + rest, -1)
@@ -333,7 +330,8 @@ def theta(m, c=None, alphabet=None, domain=ZZ) -> LieElement:
     if isinstance(m, MetabelianElement):
         acc = {}
         for word, coeff in sorted(metabelian_normal_coords(m).items()):
-            add_into(acc, _theta_terms(m.alphabet, word, m.domain), coeff, m.domain)
+            add_into(acc, _theta_terms(m.alphabet, word, m.domain).items(), coeff,
+                     m.domain.p)
         return LieElement(m.alphabet, m.domain, acc, _clean=True)
     letters = tuple(m)
     if c is not None and len(letters) != c:
@@ -360,88 +358,64 @@ def _theta_terms(alphabet, letters, domain) -> dict:
     return terms
 
 
+# ---------------------------------------------------------------------------
+# the Leibniz step
+#
+# Each step yields the integer (key, k) pairs of the image of one basis key,
+# where ``image(letter)`` is the letter's degree-1 image {letter: k}; the same
+# key may come more than once.
+
+def leibniz_word(word, image):
+    """Tensor word: each position's letter replaced by each letter of its image."""
+    for pos, letter in enumerate(word):
+        for j, k in image(letter).items():
+            yield word[:pos] + (j,) + word[pos + 1:], k
+
+
+def leibniz_multiset(mult, image):
+    """Sorted multiset: each distinct letter moved once, times its multiplicity."""
+    for pos, letter in enumerate(mult):
+        if pos and mult[pos - 1] == letter:
+            continue
+        n = mult.count(letter)
+        rest = mult[:pos] + mult[pos + 1:]
+        for j, k in image(letter).items():
+            yield tuple(sorted(rest + (j,))), n * k
+
+
+def leibniz_mixed(key, image):
+    """Mixed key (a, m): the head a moved, then the multiset m by leibniz_multiset."""
+    a, mult = key
+    for j, k in image(a).items():
+        yield (j, mult), k
+    for m, k in leibniz_multiset(mult, image):
+        yield (a, m), k
+
+
+_LEIBNIZ = {TensorElement: leibniz_word, SymElement: leibniz_multiset,
+            MixedElement: leibniz_mixed}
+
+
 def derive(x, var, spec: ActionSpec):
-    """Leibniz extension of the generator-level action; same type out as in."""
+    """Leibniz extension of the generator-level action; same type out as in.
+
+    Lie elements are derived through the tensor ring and metabelian elements
+    through their mu-coordinates.
+    """
     if var not in spec.variables:
         raise KeyError(f"unknown variable {var!r}")
     if isinstance(x, LieElement):
-        return _derive_lie(x, var, spec)
-    if isinstance(x, TensorElement):
-        return _derive_wordlike(x, var, spec)
-    if isinstance(x, SymElement):
-        return _derive_sym(x, var, spec)
-    if isinstance(x, MixedElement):
-        return _derive_mixed(x, var, spec)
+        return lie_from_tensor(derive(to_tensor(x), var, spec))
     if isinstance(x, MetabelianElement):
-        return MetabelianElement(x.degree, _derive_mixed(x.mixed, var, spec))
-    raise TypeError(f"cannot derive {type(x).__name__}")
-
-
-def _derive_lie(e, var, spec):
-    t = _derive_wordlike(to_tensor(e), var, spec)
-    return lie_from_tensor(t)
-
-
-def _derive_wordlike(t, var, spec):
-    dom = t.domain
+        return MetabelianElement(x.degree, derive(x.mixed, var, spec))
+    step = _LEIBNIZ.get(type(x))
+    if step is None:
+        raise TypeError(f"cannot derive {type(x).__name__}")
+    image = partial(spec.image, var=var)
     out = {}
-    for word, c in t.terms.items():
-        for pos, letter in enumerate(word):
-            for j, k in spec.image(letter, var).items():
-                w = word[:pos] + (j,) + word[pos + 1:]
-                s = dom.add(out.get(w, 0), dom.mul(c, dom.coerce(k)))
-                if dom.is_zero(s):
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-    return TensorElement(t.alphabet, dom, out, _clean=True)
-
-
-def _derive_sym(t, var, spec):
-    dom = t.domain
-    out = {}
-    for mult, c in t.terms.items():
-        seen = set()
-        for pos, letter in enumerate(mult):
-            if letter in seen:
-                continue
-            seen.add(letter)
-            count = mult.count(letter)
-            rest = mult[:pos] + mult[pos + 1:]
-            for j, k in spec.image(letter, var).items():
-                key = tuple(sorted(rest + (j,)))
-                s = dom.add(out.get(key, 0), dom.mul(c, dom.coerce(k * count)))
-                if dom.is_zero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return SymElement(t.alphabet, dom, out, _clean=True)
-
-
-def _derive_mixed(t, var, spec):
-    dom = t.domain
-    out = {}
-
-    def bump(key, val):
-        s = dom.add(out.get(key, 0), val)
-        if dom.is_zero(s):
-            out.pop(key, None)
-        else:
-            out[key] = s
-
-    for (a, mult), c in t.terms.items():
-        for j, k in spec.image(a, var).items():
-            bump((j, mult), dom.mul(c, dom.coerce(k)))
-        seen = set()
-        for pos, letter in enumerate(mult):
-            if letter in seen:
-                continue
-            seen.add(letter)
-            count = mult.count(letter)
-            rest = mult[:pos] + mult[pos + 1:]
-            for j, k in spec.image(letter, var).items():
-                bump((a, tuple(sorted(rest + (j,)))), dom.mul(c, dom.coerce(k * count)))
-    return MixedElement(t.alphabet, dom, out, _clean=True)
+    for key, c in x.terms.items():
+        add_into(out, step(key, image), c, x.domain.p)
+    return x._new(out)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +526,7 @@ def random_metabelian(alphabet, c, rng, domain=ZZ, max_weight=None,
         picks = rng.sample(words, k=min(len(words), rng.randint(1, max_terms)))
         for w in picks:
             coeff = rng.randint(1, coeff_bound) * rng.choice((1, -1))
-            add_into(acc, _mu_terms(w), domain.coerce(coeff), domain)
+            add_into(acc, _mu_terms(w).items(), domain.coerce(coeff), domain.p)
     return MetabelianElement(c, MixedElement(alphabet, domain, acc, _clean=True))
 
 

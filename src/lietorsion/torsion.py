@@ -33,10 +33,10 @@ from math import factorial, prod
 
 from .elements import (IntegralityError, LieElement, _expand_lyndon, is_prime,
                        lyndon_monomial)
-from .maps import (ActionSpec, _mu_terms, eta, metabelian_of_word, mixed_basis,
-                   normal_words, peel_strict_keys, theta, theta_presum)
+from .maps import (ActionSpec, _mu_terms, eta, leibniz_mixed, metabelian_of_word,
+                   mixed_basis, normal_words, peel_strict_keys, theta, theta_presum)
 from .words import Alphabet, Generator, LyndonWord, _lyndon_walk
-from .zlinalg import (CokernelStructure, Presentation, _dense,
+from .zlinalg import (CokernelStructure, Presentation, _dense, add_into,
                       cokernel_structure, integer_kernel, left_solver, transpose)
 
 VARIABLES = ("x", "y")
@@ -359,8 +359,7 @@ class TorsionEngine:
         of the degree d-1 normal words, as sparse {column of normal_basis(d):
         coefficient} rows in column order.
 
-        Leibniz acts on the word's mu terms a (x) m: it moves the head a, or
-        one letter of the multiset m, times that letter's multiplicity.  The
+        Leibniz acts on the word's mu terms (``maps.leibniz_mixed``), and the
         image is read in normal coordinates by peeling its strict keys.
         """
         index = {w: i for i, w in enumerate(self.normal_basis(d))}
@@ -368,19 +367,10 @@ class TorsionEngine:
         for word in self.normal_basis(d - 1):
             terms = _mu_terms(word).items()
             for var in VARIABLES:
-                image = {a: self.action.image(a, var).items() for a in set(word)}
+                image = {a: self.action.image(a, var) for a in set(word)}.__getitem__
                 acc = {}
-                for (a, mult), c in terms:
-                    for j, k in image[a]:
-                        acc[j, mult] = acc.get((j, mult), 0) + c * k
-                    for pos, letter in enumerate(mult):
-                        if pos and mult[pos - 1] == letter:
-                            continue            # m is sorted: each letter once
-                        ck = c * mult.count(letter)
-                        rest = mult[:pos] + mult[pos + 1:]
-                        for j, k in image[letter]:
-                            key = (a, tuple(sorted(rest + (j,))))
-                            acc[key] = acc.get(key, 0) + ck * k
+                for key, c in terms:
+                    add_into(acc, leibniz_mixed(key, image), c)
                 rows.append({index[w]: c for w, c in peel_strict_keys(acc).items()})
         return rows
 
@@ -448,6 +438,8 @@ class TorsionEngine:
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         top = self.max_degree if max_degree is None else max_degree
+        if top < 2 * self.p:
+            raise ValueError(f"max_degree {top} is below the first degree {2 * self.p}")
         dims = []
         torsion_found = []
         all_free = True

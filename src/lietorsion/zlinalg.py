@@ -17,6 +17,8 @@ Hermite forms, integer kernels, left solves and lattice membership all go
 through one ``IntLattice``: a sparse row echelon form grown one input at a
 time by unimodular steps.  Each row carries its combination of the inputs,
 so the inputs that reduce to zero leave a basis of the relations among them.
+
+``add_into`` is the package's sparse accumulator, over Z, Q or GF(p).
 """
 
 from __future__ import annotations
@@ -44,6 +46,29 @@ class CokernelStructure:
     @property
     def torsion_rank(self) -> int:
         return len(self.torsion)
+
+
+def add_into(acc: dict, pairs, scale=1, p=None) -> None:
+    """acc[key] += scale * k in place for each (key, k) in pairs; drops zeros.
+
+    The one sparse accumulator.  Sums are reduced mod p when p is given; over
+    Z and Q, p is None.  ``pairs`` is a dict's ``.items()`` or a generator, and
+    the same key may come more than once.
+    """
+    if p is None:
+        for key, k in pairs:
+            s = acc.get(key, 0) + scale * k
+            if s:
+                acc[key] = s
+            else:
+                acc.pop(key, None)
+    else:
+        for key, k in pairs:
+            s = (acc.get(key, 0) + scale * k) % p
+            if s:
+                acc[key] = s
+            else:
+                acc.pop(key, None)
 
 
 def _sparse(vec, ncols):
@@ -146,7 +171,7 @@ class Presentation:
         for c, s, row in self.pivots:
             a = v.get(c)
             if a:
-                _axpy(v, -a * s, row)
+                add_into(v, row.items(), -a * s)
         return v
 
     def quotient(self, vecs) -> CokernelStructure:
@@ -280,24 +305,14 @@ def _width(rows, ncols):
     return n
 
 
-def _axpy(acc, q, vec):
-    """acc += q * vec in place, for sparse integer vectors; drops zeros."""
-    for j, x in vec.items():
-        y = acc.get(j, 0) + q * x
-        if y:
-            acc[j] = y
-        else:
-            acc.pop(j, None)
-
-
 def _gcd_step(x, y, s, t, a, b):
     """s*x + t*y as a new vector; y becomes a*y - b*x in place."""
     out = {}
-    _axpy(out, s, x)
-    _axpy(out, t, y)
+    add_into(out, x.items(), s)
+    add_into(out, y.items(), t)
     for j in y:
         y[j] *= a
-    _axpy(y, -b, x)
+    add_into(y, x.items(), -b)
     return out
 
 
@@ -355,9 +370,9 @@ class IntLattice:
             row = self.rows.get(j)
             if row is not None and v[j] % row[j] == 0:
                 q = v[j] // row[j]
-                _axpy(v, -q, row)
+                add_into(v, row.items(), -q)
                 if combo is not None:
-                    _axpy(combo, -q, self.combos[j])
+                    add_into(combo, self.combos[j].items(), -q)
             elif not grow:
                 return True
             elif row is None:
@@ -414,8 +429,8 @@ def hermite_normal_form(rows, ncols=None, transform=False):
         for above in pivots[:r]:
             q = lattice.rows[above].get(c, 0) // row[c]
             if q:
-                _axpy(lattice.rows[above], -q, row)
-                _axpy(lattice.combos[above], -q, combo)
+                add_into(lattice.rows[above], row.items(), -q)
+                add_into(lattice.combos[above], combo.items(), -q)
     h = lattice.basis()
     if not transform:
         return h, len(h)
@@ -450,7 +465,8 @@ def left_solver(rows):
     """
     rows = list(rows)
     if not rows:
-        return lambda target: [] if not any(target) else None
+        return lambda target: None if any(
+            target.values() if isinstance(target, dict) else target) else []
     lattice = IntLattice(len(rows[0]), rows)
 
     def solve(target):

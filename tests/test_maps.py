@@ -1,6 +1,7 @@
 """The power maps: examples, the multiplication-by-c composites, exactness of
 the mixed-power sequence, equivariance under derivation actions, and the
-per-alphabet memo of basis-word images against the pre-memo bodies."""
+per-alphabet memo of basis-word images against the pre-memo bodies, and
+derive against the hand-written Leibniz loops it replaced."""
 
 import gc
 import itertools
@@ -9,11 +10,13 @@ import weakref
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lietorsion.charp import PBWBasis
 from lietorsion.elements import (GF, QQ, IntegralityError, LieElement, MixedElement,
-                                 TensorElement, ZZ, generator_element, left_normalize,
-                                 leftnormed_tensor, lie_from_tensor, normal_form)
+                                 SymElement, TensorElement, ZZ, generator_element, left_normalize,
+                                 leftnormed_tensor, lie_from_tensor, normal_form,
+                                 to_tensor)
 from lietorsion.maps import (ActionSpec, MetabelianElement, check_exactness, derive, eta,
                              kappa, lam, metabelian_normal_coords, metabelian_of_word,
                              mixed_basis, mu, mu_of_leftnormed, normal_words, nu,
@@ -446,3 +449,94 @@ def test_bases_match_full_enumeration_on_91_letters():
         assert normal_words(ab, 2, max_weight=d) == [w for w, x in words if x <= d]
         assert mixed_basis(ab, 2, weight=d) == [k for k, x in mixed if x == d]
         assert mixed_basis(ab, 2, max_weight=d) == [k for k, x in mixed if x <= d]
+
+
+# -- derive: the per-type Leibniz loops it replaced are the oracles -----------
+
+def derive_wordlike_oracle(t, var, spec):
+    dom = t.domain
+    out = {}
+    for word, c in t.terms.items():
+        for pos, letter in enumerate(word):
+            for j, k in spec.image(letter, var).items():
+                w = word[:pos] + (j,) + word[pos + 1:]
+                s = dom.add(out.get(w, 0), dom.mul(c, dom.coerce(k)))
+                if dom.is_zero(s):
+                    out.pop(w, None)
+                else:
+                    out[w] = s
+    return TensorElement(t.alphabet, dom, out, _clean=True)
+
+
+def derive_sym_oracle(t, var, spec):
+    dom = t.domain
+    out = {}
+    for mult, c in t.terms.items():
+        seen = set()
+        for pos, letter in enumerate(mult):
+            if letter in seen:
+                continue
+            seen.add(letter)
+            count = mult.count(letter)
+            rest = mult[:pos] + mult[pos + 1:]
+            for j, k in spec.image(letter, var).items():
+                key = tuple(sorted(rest + (j,)))
+                s = dom.add(out.get(key, 0), dom.mul(c, dom.coerce(k * count)))
+                if dom.is_zero(s):
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+    return SymElement(t.alphabet, dom, out, _clean=True)
+
+
+def derive_mixed_oracle(t, var, spec):
+    dom = t.domain
+    out = {}
+
+    def bump(key, val):
+        s = dom.add(out.get(key, 0), val)
+        if dom.is_zero(s):
+            out.pop(key, None)
+        else:
+            out[key] = s
+
+    for (a, mult), c in t.terms.items():
+        for j, k in spec.image(a, var).items():
+            bump((j, mult), dom.mul(c, dom.coerce(k)))
+        seen = set()
+        for pos, letter in enumerate(mult):
+            if letter in seen:
+                continue
+            seen.add(letter)
+            count = mult.count(letter)
+            rest = mult[:pos] + mult[pos + 1:]
+            for j, k in spec.image(letter, var).items():
+                bump((a, tuple(sorted(rest + (j,)))), dom.mul(c, dom.coerce(k * count)))
+    return MixedElement(t.alphabet, dom, out, _clean=True)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), domain=st.sampled_from([ZZ, QQ, GF(3)]),
+       rank=st.integers(2, 3), c=st.integers(2, 4))
+def test_derive_matches_the_per_type_leibniz_loops(seed, domain, rank, c):
+    # random_action may map a letter to itself, so a mixed key's head step
+    # and one of its multiset steps can land on the same key
+    rng = random.Random(seed)
+    ab = unit_alphabet(rank)
+    spec = random_action(ab, ("x", "y"), rng)
+    e = random_homogeneous(ab, c, rng, domain=domain)
+    m = random_metabelian(ab, c, rng, domain=domain)
+    words = [tuple(rng.randrange(rank) for _ in range(c)) for _ in range(4)]
+    coeffs = [rng.randint(-3, 3) for _ in words]
+    t = TensorElement(ab, domain, list(zip(words, coeffs)))
+    sym = SymElement(ab, domain, [(tuple(sorted(w)), k) for w, k in zip(words, coeffs)])
+    mixed = MixedElement(ab, domain, [((w[0], tuple(sorted(w[1:]))), k)
+                                      for w, k in zip(words, coeffs)])
+    for var in ("x", "y"):
+        assert derive(t, var, spec) == derive_wordlike_oracle(t, var, spec)
+        assert derive(sym, var, spec) == derive_sym_oracle(sym, var, spec)
+        assert derive(mixed, var, spec) == derive_mixed_oracle(mixed, var, spec)
+        assert derive(m, var, spec) == MetabelianElement(
+            c, derive_mixed_oracle(m.mixed, var, spec))
+        assert derive(e, var, spec) == lie_from_tensor(
+            derive_wordlike_oracle(to_tensor(e), var, spec))

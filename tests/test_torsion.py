@@ -281,6 +281,15 @@ def test_bp_freeness_small():
     assert dict(r.dimensions) == {10: 0, 11: 0, 12: 4}
 
 
+@pytest.mark.parametrize("p,top", [(2, 3), (3, 5), (5, 9)])
+def test_bp_freeness_check_below_the_first_degree_raises(p, top):
+    # no degree below 2p is checked, so such a report would pass vacuously
+    with pytest.raises(ValueError, match="below the first degree"):
+        bp_freeness_check(p, top)
+    with pytest.raises(ValueError, match="below the first degree"):
+        TorsionEngine(p, 2 * p).bp_freeness_check(top)
+
+
 def test_report_wrapper_functions():
     assert len(bp_kernel_basis(5, 11)) == 0
     r = verify_theorem_degree(5, 12)
@@ -409,6 +418,15 @@ def test_shared_hermite_solve_matches_solve_left(case):
         assert (x is not None) == (target in pres)
         if x is not None:
             assert [sum(a * r[j] for a, r in zip(x, rows)) for j in range(n)] == target
+
+
+def test_solve_with_no_rows_reads_the_target_values():
+    # a dict target's keys are columns, not entries: {0: 5} is not zero
+    for target in ({0: 5}, [0, 5]):
+        assert solve_left([], target) is None
+        assert left_solver([])(target) is None
+    for target in ({}, {0: 0}, [], [0, 0]):
+        assert solve_left([], target) == []
 
 
 def metabelian_matrix_oracle(engine, d):

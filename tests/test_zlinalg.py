@@ -1,7 +1,9 @@
 """Smith/Hermite forms, kernels, and cokernels against determinantal oracles
-and a dense gcd-stepping Hermite form."""
+and a dense gcd-stepping Hermite form; the sparse accumulator against a dense
+one."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
@@ -11,10 +13,43 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
 from lietorsion.zlinalg import (CokernelStructure, IntLattice, Presentation,
-                                _dense_snf, cokernel_structure,
+                                _dense_snf, add_into, cokernel_structure,
                                 hermite_normal_form, integer_kernel,
                                 order_in_cokernel, saturation, smith_normal_form,
                                 solve_left, transpose)
+
+
+@st.composite
+def accumulations(draw):
+    p = draw(st.sampled_from([None, 2, 3, 7]))
+    n = draw(st.integers(1, 6))
+    if p is None:
+        entry = st.integers(-3, 3)
+        scale = st.one_of(st.integers(-3, 3),
+                          st.fractions(Fraction(-3), Fraction(3), max_denominator=4))
+    else:
+        entry = st.integers(-2 * p, 2 * p)
+        scale = st.integers(0, p - 1)
+    start = draw(st.dictionaries(st.integers(0, n - 1), entry))
+    if p is not None:
+        start = {j: x % p for j, x in start.items()}
+    start = {j: x for j, x in start.items() if x}
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), entry), max_size=12))
+    return p, n, start, pairs, draw(scale)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=accumulations())
+def test_add_into_matches_a_dense_accumulator(case):
+    p, n, start, pairs, scale = case
+    dense = [start.get(j, 0) for j in range(n)]
+    for j, k in pairs:
+        dense[j] += scale * k
+    if p is not None:
+        dense = [x % p for x in dense]
+    acc = dict(start)
+    add_into(acc, iter(pairs), scale, p)
+    assert acc == {j: x for j, x in enumerate(dense) if x}
 
 
 def det(m):
