@@ -7,8 +7,11 @@ images together with the degree-p part of the second derived ideal, which is
 therefore a direct summand.
 
 Vectors are sparse dicts ``{index: coeff mod p}`` holding no zero, and all
-linear algebra runs on one echelon kernel, :class:`Echelon`.  The list-based
-functions (``rref_mod``, ``alpha_vector`` and so on) convert to and from it.
+linear algebra runs on the package's one row echelon form,
+``zlinalg.IntLattice`` given the modulus p: ranks, memberships and the
+relations among the eta rows that span the second derived part.  The
+list-based functions (``rref_mod``, ``alpha_vector`` and so on) convert to
+and from sparse vectors.
 """
 
 from __future__ import annotations
@@ -20,115 +23,32 @@ from math import factorial, prod
 from .elements import GF, _expand_lyndon, lyndon_monomial
 from .maps import _distinct_permutations, eta, mixed_basis
 from .words import lyndon_words_of_length, unit_alphabet
-from .zlinalg import _dense, add_into
+from .zlinalg import (IntLattice, _dense, _sparse, add_into, hermite_normal_form,
+                      integer_kernel)
 
 
-# -- sparse linear algebra over Z/p -------------------------------------------
-
-class Echelon:
-    """The reduced row echelon form over GF(p) of the span of sparse rows.
-
-    ``rows`` maps each pivot column to its row: the pivot entry is 1, it is
-    the row's smallest column, and no other pivot column occurs in the row,
-    so the form is the unique reduced one of the span.  ``users`` maps each
-    non-pivot column to the pivots of the rows holding it, so a new pivot is
-    cleared from exactly the rows that contain it.
-    """
-
-    def __init__(self, p, rows=()):
-        self.p = p
-        self.rows = {}
-        self.users = {}
-        self.extend(rows)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __contains__(self, vec):
-        return not self.reduce(vec)
-
-    def extend(self, rows):
-        """Add rows, shortest first."""
-        for r in sorted(rows, key=len):
-            self.add(r)
-
-    def reduce(self, vec) -> dict:
-        """The remainder of vec modulo the span, as a new vector."""
-        p, rows = self.p, self.rows
-        v = {j: x % p for j, x in vec.items() if x % p}
-        # a pivot row holds no other pivot column, so one pass clears them all
-        for j in [j for j in v if j in rows]:
-            add_into(v, rows[j].items(), -v[j], p)
-        return v
-
-    def add(self, vec):
-        """Add vec to the span."""
-        v = self.reduce(vec)
-        if not v:
-            return
-        p, users = self.p, self.users
-        k = min(v)
-        inv = pow(v[k], -1, p)
-        row = {j: x * inv % p for j, x in v.items()}
-        for i in users.pop(k, ()):
-            old = self.rows[i]
-            c = old[k]
-            for j, x in row.items():
-                s = (old.get(j, 0) - c * x) % p
-                if s:
-                    if j not in old:
-                        users.setdefault(j, set()).add(i)
-                    old[j] = s
-                else:
-                    del old[j]
-                    if j != k:
-                        users[j].discard(i)
-        for j in row:
-            if j != k:
-                users.setdefault(j, set()).add(k)
-        self.rows[k] = row
-
-    def kernel(self, n) -> list[dict]:
-        """A basis of the right kernel on columns 0..n-1: one vector per free
-        column j, ascending, with 1 at j and 0 at the other free columns."""
-        p = self.p
-        out = []
-        for j in range(n):
-            if j not in self.rows:
-                v = {j: 1}
-                for i in self.users.get(j, ()):
-                    v[i] = -self.rows[i][j] % p
-                out.append(v)
-        return out
-
-
-def _sparse(vec, p) -> dict:
-    return {j: x % p for j, x in enumerate(vec) if x % p}
-
-
-def _echelon(rows, p) -> Echelon:
-    return Echelon(p, (_sparse(r, p) for r in rows))
-
+# -- linear algebra over Z/p, on zlinalg.IntLattice ---------------------------
 
 def rref_mod(rows, n, p):
     """Reduced row echelon form mod p; returns (rows, pivot columns)."""
-    e = _echelon(rows, p)
-    pivots = sorted(e.rows)
-    return [_dense(e.rows[j], n) for j in pivots], pivots
+    h, _ = hermite_normal_form(rows, n, p=p)
+    return h, [next(j for j, x in enumerate(r) if x) for r in h]
 
 
 def rank_mod(rows, n, p):
-    return len(_echelon(rows, p))
+    return IntLattice(n, rows, p).rank
 
 
 def in_span_mod(echelon, pivots, vec, p):
     """Whether vec lies in the span of the rows of ``rref_mod``'s output
     (the pivots are implied by the rows)."""
-    return _sparse(vec, p) in _echelon(echelon, p)
+    return vec in IntLattice(len(vec), echelon, p)
 
 
 def right_kernel_mod(rows, n, p):
-    return [_dense(v, n) for v in _echelon(rows, p).kernel(n)]
+    """A basis of the right kernel mod p: one vector per free column j of the
+    reduced form, ascending, with 1 at j and 0 at the other free columns."""
+    return integer_kernel(rows, n, p)
 
 
 # -- PBW scaffolding ----------------------------------------------------------
@@ -315,7 +235,7 @@ def mixed_index(data: PBWBasis) -> dict:
 
 def alpha_vector(data: PBWBasis, vec) -> list[int]:
     """a1 (x) ... (x) ap  ->  a1 (x) (a2 o ... o ap), applied to a tensor vector."""
-    return _dense(data.alpha(_sparse(vec, data.p)), len(data.mixed))
+    return _dense(data.alpha(_sparse(vec, data.n_tensor, data.p)), len(data.mixed))
 
 
 def beta_vector(data: PBWBasis, key) -> list[int]:
@@ -328,13 +248,10 @@ def _bp_space(data: PBWBasis):
     degree-p part of the second derived ideal: the left kernel of eta."""
     p = data.p
     words = data.lie_basis[p]
-    # the eta matrix by columns: per mixed basis element, {word position: coeff}
-    columns = {}
-    for pos, w in enumerate(words):
-        m = eta(lyndon_monomial(data.alphabet, w, data.field))
-        for key, c in m.mixed.terms.items():
-            columns.setdefault(data.mixed[key], {})[pos] = c
-    kernel = Echelon(p, columns.values()).kernel(len(words))
+    rows = ({data.mixed[key]: c for key, c in
+             eta(lyndon_monomial(data.alphabet, w, data.field)).mixed.terms.items()}
+            for w in words)
+    kernel = IntLattice(len(data.mixed), rows, p).relations
     tensors = []
     for v in kernel:
         acc = {}
@@ -391,26 +308,28 @@ def check_summand(p: int, dim: int) -> SummandReport:
     class_sizes = tuple(len(c) for c in data.classes)
     assert sum(class_sizes) == n
 
-    dim_ker_alpha = n - len(Echelon(p, (data.alpha({i: 1}) for i in range(n))))
+    dim_ker_alpha = n - IntLattice(len(data.mixed),
+                                   (data.alpha({i: 1}) for i in range(n)), p).rank
 
     beta_vectors = [data.beta(key) for key in data.mixed]
     beta_alpha_identity = all(data.alpha(bv) == {pos: 1}
                               for bv, pos in zip(beta_vectors, data.mixed.values()))
-    dim_im_beta = len(Echelon(p, beta_vectors))
+    dim_im_beta = IntLattice(n, beta_vectors, p).rank
 
     # sigma_i for 2 <= i < m, each checked against X_i (classes i..m), which
     # grows from the last class up
     sigma_of = {}
     sigma_in_filtration = True
-    filtration = Echelon(p)
+    filtration = IntLattice(n, (), p)
     for i in range(data.m, 1, -1):
-        filtration.extend(data.factor_terms(e.factors) for e in data.classes[i - 1])
+        for e in data.classes[i - 1]:
+            filtration.add(data.factor_terms(e.factors))
         if i < data.m:
             sigma_of[i] = [data.sigma(i, e) for e in data.classes[i - 1]]
             sigma_in_filtration &= all(v in filtration for v in sigma_of[i])
     inner = range(2, data.m)
     sigma_vectors = [v for i in inner for v in sigma_of[i]]
-    sigma_dims = [len(Echelon(p, sigma_of[i])) for i in inner]
+    sigma_dims = [IntLattice(n, sigma_of[i], p).rank for i in inner]
     sigma_injective = all(r == len(sigma_of[i]) for r, i in zip(sigma_dims, inner))
     kp_zero_inside = all(data.types[i - 1][-1] == 0 for i in inner)
 
@@ -418,14 +337,15 @@ def check_summand(p: int, dim: int) -> SummandReport:
     dim_bp = len(bp_vectors)
 
     w_vectors = sigma_vectors + bp_vectors
-    w = Echelon(p, w_vectors)
-    dim_w = len(w)
+    w = IntLattice(n, w_vectors, p)
+    dim_w = w.rank
     summands_independent = dim_w == sum(sigma_dims) + dim_bp
 
     w_in_kernel = not any(data.alpha(v) for v in w_vectors)
     kernel_is_w = w_in_kernel and dim_w == dim_ker_alpha
-    w.extend(beta_vectors)
-    splits_tensor = dim_w + dim_im_beta == n and len(w) == n
+    for v in beta_vectors:
+        w.add(v)
+    splits_tensor = dim_w + dim_im_beta == n and w.rank == n
     return SummandReport(p, dim, n, class_sizes, dim_w, dim_ker_alpha,
                          dim_im_beta, dim_bp, tuple(sigma_dims),
                          sigma_injective, sigma_in_filtration, w_in_kernel,

@@ -122,6 +122,7 @@ class _Element:
 
     __slots__ = ("alphabet", "domain", "terms")
     space = "?"
+    _canonical = None       # key -> its normal form, where keys have one
 
     def __init__(self, alphabet, domain, terms=(), _clean=False):
         self.alphabet = alphabet
@@ -130,6 +131,8 @@ class _Element:
             self.terms = terms
         else:
             items = terms.items() if isinstance(terms, dict) else terms
+            if self._canonical is not None:
+                items = [(self._canonical(key), c) for key, c in items]
             self.terms = {}
             add_into(self.terms, ((key, domain.coerce(c)) for key, c in items), 1, domain.p)
 
@@ -245,6 +248,10 @@ class SymElement(_Element):
 
     space = "sym"
 
+    @staticmethod
+    def _canonical(key):
+        return tuple(sorted(key))
+
     def _key_name(self, key):
         return "o".join(self.alphabet.generators[i].name for i in key)
 
@@ -253,6 +260,11 @@ class MixedElement(_Element):
     """Element of A (x) A^(c-1); keys are (index, sorted index tuple) pairs."""
 
     space = "mixed"
+
+    @staticmethod
+    def _canonical(key):
+        a, rest = key
+        return a, tuple(sorted(rest))
 
     def _key_name(self, key):
         a, rest = key

@@ -18,7 +18,7 @@ from .elements import (DomainError, LieElement, MixedElement, SymElement,
                        lie_from_tensor, lie_zero, lyndon_monomial, to_tensor)
 from .words import (Alphabet, lyndon_words_of_length, multisets, suffix_bounds,
                     weight_range)
-from .zlinalg import IntLattice, add_into, integer_kernel, transpose
+from .zlinalg import IntLattice, add_into
 
 
 class ActionSpec:
@@ -464,30 +464,15 @@ def check_exactness(c, alphabet, degree_cut) -> ExactnessReport:
     mixed_index = {key: i for i, key in enumerate(mixed)}
     sym_index = {key: i for i, key in enumerate(syms)}
 
-    mu_rows = []
-    for word in nwords:
-        img = mu_of_leftnormed(alphabet, word)
-        row = [0] * len(mixed)
-        for key, coeff in img.terms.items():
-            row[mixed_index[key]] = coeff
-        mu_rows.append(row)
-
+    mu_rows = [{mixed_index[key]: k for key, k in
+                mu_of_leftnormed(alphabet, word).terms.items()} for word in nwords]
     image = IntLattice(len(mixed), mu_rows)
     mu_injective = image.rank == len(nwords)
 
-    kappa_rows = []
-    covered = set()
-    for (a, mult) in mixed:
-        key = tuple(sorted((a,) + mult))
-        row = [0] * len(syms)
-        row[sym_index[key]] = 1
-        covered.add(key)
-        kappa_rows.append(row)
-    kappa_surjective = covered == set(syms)
-
-    kernel_rows = integer_kernel(transpose(kappa_rows, ncols=len(syms)),
-                                 ncols=len(mixed))
-    kernel = IntLattice(len(mixed), kernel_rows)
+    kappa_rows = [{sym_index[tuple(sorted((a,) + mult))]: 1} for a, mult in mixed]
+    kappa_surjective = len(set().union(*kappa_rows)) == len(syms)
+    # Ker kappa is spanned by the relations among kappa's rows
+    kernel = IntLattice(len(mixed), IntLattice(len(syms), kappa_rows).relations)
     image_equals_kernel = (image.rank == kernel.rank
                            and kernel.contains_lattice(image)
                            and image.contains_lattice(kernel))

@@ -36,8 +36,8 @@ from .elements import (IntegralityError, LieElement, _expand_lyndon, is_prime,
 from .maps import (ActionSpec, _mu_terms, eta, leibniz_mixed, metabelian_of_word,
                    mixed_basis, normal_words, peel_strict_keys, theta, theta_presum)
 from .words import Alphabet, Generator, LyndonWord, _lyndon_walk
-from .zlinalg import (CokernelStructure, Presentation, _dense, add_into,
-                      cokernel_structure, integer_kernel, left_solver, transpose)
+from .zlinalg import (CokernelStructure, IntLattice, Presentation, _dense, add_into,
+                      cokernel_structure, left_solver)
 
 VARIABLES = ("x", "y")
 
@@ -414,25 +414,20 @@ class TorsionEngine:
     # -- the second-derived kernel -------------------------------------------
 
     def eta_matrix(self, d: int):
-        basis = self.lie_basis(d)
+        """The eta images of lie_basis(d) as sparse {column of the degree-d
+        mixed basis: coefficient} rows, and the mixed basis's size."""
         keys = mixed_basis(self.alphabet, self.p, weight=d)
         key_index = {k: i for i, k in enumerate(keys)}
-        rows = []
-        for word in basis:
-            m = eta(lyndon_monomial(self.alphabet, word))
-            row = [0] * len(keys)
-            for key, c in m.mixed.terms.items():
-                row[key_index[key]] = c
-            rows.append(row)
+        rows = [{key_index[key]: c for key, c in
+                 eta(lyndon_monomial(self.alphabet, word)).mixed.terms.items()}
+                for word in self.lie_basis(d)]
         return rows, len(keys)
 
     def bp_kernel_basis(self, d: int) -> list[list[int]]:
-        """Basis of the degree-d kernel of the metabelian projection."""
-        basis = self.lie_basis(d)
-        if not basis:
-            return []
+        """Basis of the degree-d kernel of the metabelian projection: the
+        integer relations among the eta rows."""
         rows, width = self.eta_matrix(d)
-        return integer_kernel(transpose(rows, ncols=width), ncols=len(basis))
+        return [_dense(x, len(rows)) for x in IntLattice(width, rows).relations]
 
     def bp_freeness_check(self, max_degree=None) -> FreenessReport:
         if not is_prime(self.p):
@@ -450,17 +445,15 @@ class TorsionEngine:
         for d in range(2 * self.p, top + 1):
             k_d = kernels[d]
             solve = left_solver(k_d)
-            n = len(self.lie_basis(d))
             rows = []
             for v in kernels.get(d - 1, []):
                 for var in VARIABLES:
-                    vec = [0] * n
+                    vec = {}
                     for word, a in zip(self.lie_basis(d - 1), v):
                         if a:
-                            for j, c in self.derived_row(word, var).items():
-                                vec[j] += a * c
+                            add_into(vec, self.derived_row(word, var).items(), a)
                     if not k_d:
-                        if any(vec):
+                        if vec:
                             raise AssertionError("kernel is not action stable")
                         continue
                     coords = solve(vec)

@@ -1,8 +1,8 @@
 """Exact integer linear algebra: Smith and Hermite forms, kernels, cokernels.
 
 Matrices are plain lists of rows of Python ints, so there is no coefficient
-growth ceiling.  Two eliminations serve everything: one for cokernels, one
-for lattices.
+growth ceiling.  Two eliminations serve everything: one for cokernels, and
+one row echelon form over Z or GF(p) for lattices, spans and kernels.
 
 Smith forms, cokernels and element orders all go through one
 ``Presentation``: a sparse elimination of +-1 pivots (short rows first, and in
@@ -13,10 +13,11 @@ nonzero absolute value, ties by position) keeps intermediate entries small.
 Vectors are reduced onto the core through the recorded pivots, so one
 presentation answers many order and quotient questions.
 
-Hermite forms, integer kernels, left solves and lattice membership all go
-through one ``IntLattice``: a sparse row echelon form grown one input at a
-time by unimodular steps.  Each row carries its combination of the inputs,
-so the inputs that reduce to zero leave a basis of the relations among them.
+Hermite forms, kernels, left solves and membership all go through one
+``IntLattice``: a sparse row echelon form grown one input at a time by
+invertible steps, over Z or, given a prime p, over GF(p).  Each row carries
+its combination of the inputs, so the inputs that reduce to zero leave a
+basis of the relations among them.
 
 ``add_into`` is the package's sparse accumulator, over Z, Q or GF(p).
 """
@@ -71,15 +72,20 @@ def add_into(acc: dict, pairs, scale=1, p=None) -> None:
                 acc.pop(key, None)
 
 
-def _sparse(vec, ncols):
-    """A dense list or a {column: value} dict as a dict without zeros."""
+def _sparse(vec, ncols, p=None):
+    """A dense list or a {column: value} dict as a dict without zeros, its
+    values reduced mod p when p is given."""
     if isinstance(vec, dict):
         if any(not 0 <= j < ncols for j in vec):
             raise ValueError(f"column index out of range in ambient rank {ncols}")
-        return {j: v for j, v in vec.items() if v}
-    if len(vec) != ncols:
+        items = vec.items()
+    elif len(vec) != ncols:
         raise ValueError(f"vector of length {len(vec)} in ambient rank {ncols}")
-    return {j: v for j, v in enumerate(vec) if v}
+    else:
+        items = enumerate(vec)
+    if p is None:
+        return {j: v for j, v in items if v}
+    return {j: r for j, v in items if (r := v % p)}
 
 
 class Presentation:
@@ -331,18 +337,21 @@ def _xgcd(a, b):
 
 
 class IntLattice:
-    """An integer row lattice in echelon form; exact membership and relations.
+    """A row lattice over Z, or a row space over GF(p) when p is given, in
+    echelon form; exact membership and relations.
 
     Rows are sparse {column: value} dicts keyed by their pivot, the smallest
-    column, whose entry is positive.  Each row carries its combination of the
-    inputs, {input number: coefficient}; an input that reduces to zero leaves
-    its combination in ``relations``.  Every step is unimodular (subtracting
-    a multiple of a row, or the 2x2 xgcd step), so the relations generate all
-    integer relations among the inputs.
+    column, whose entry is positive, and 1 over GF(p), where every value lies
+    in [0, p).  Each row carries its combination of the inputs, {input number:
+    coefficient}; an input that reduces to zero leaves its combination in
+    ``relations``.  Every step is invertible (subtracting a multiple of a row,
+    scaling a new row by a unit, or the 2x2 xgcd step, which over GF(p) never
+    runs), so the relations generate all relations among the inputs.
     """
 
-    def __init__(self, ncols, rows=()):
+    def __init__(self, ncols, rows=(), p=None):
         self.ncols = ncols
+        self.p = p
         self.rows = {}          # pivot column -> row
         self.combos = {}        # pivot column -> the row as a combination of the inputs
         self.relations = []     # combinations of the inputs that vanish
@@ -364,22 +373,24 @@ class IntLattice:
         no row divides.  With grow that entry joins the lattice: v becomes a
         new row, or the xgcd step gives the row the gcd and v the rest.
         """
+        p = self.p
         outside = False
         while v:
             j = min(v)
             row = self.rows.get(j)
             if row is not None and v[j] % row[j] == 0:
                 q = v[j] // row[j]
-                add_into(v, row.items(), -q)
+                add_into(v, row.items(), -q, p)
                 if combo is not None:
-                    add_into(combo, self.combos[j].items(), -q)
+                    add_into(combo, self.combos[j].items(), -q, p)
             elif not grow:
                 return True
             elif row is None:
-                if v[j] < 0:
+                s = (-1 if v[j] < 0 else 1) if p is None else pow(v[j], -1, p)
+                if s != 1:
                     for w in (v, combo):
-                        for k in w:
-                            w[k] = -w[k]
+                        for k, x in w.items():
+                            w[k] = x * s if p is None else x * s % p
                 self.rows[j], self.combos[j] = v, combo
                 return True
             else:
@@ -393,14 +404,15 @@ class IntLattice:
     def add(self, vec):
         """Insert a vector (a dense list or a dict); True if the lattice grew."""
         # each input ends as a row or a relation, so their count numbers it
-        v, combo = _sparse(vec, self.ncols), {len(self.rows) + len(self.relations): 1}
+        v = _sparse(vec, self.ncols, self.p)
+        combo = {len(self.rows) + len(self.relations): 1}
         grew = self._reduce(v, combo, grow=True)
         if not v:
             self.relations.append(combo)
         return grew
 
     def __contains__(self, vec):
-        return not self._reduce(_sparse(vec, self.ncols))
+        return not self._reduce(_sparse(vec, self.ncols, self.p))
 
     def contains_lattice(self, other: "IntLattice") -> bool:
         return all(r in self for r in other.rows.values())
@@ -413,24 +425,24 @@ class IntLattice:
     __hash__ = None
 
 
-def hermite_normal_form(rows, ncols=None, transform=False):
-    """Row Hermite form.
+def hermite_normal_form(rows, ncols=None, transform=False, p=None):
+    """Row Hermite form; with p, the reduced row echelon form mod p.
 
-    Returns (H, U, rank) when transform is requested, with U unimodular,
+    Returns (H, U, rank) when transform is requested, with U invertible,
     U @ rows == H padded by zero rows, and the rows of U beyond ``rank``
     spanning the left kernel.  Otherwise returns (H, rank).
     """
     rows = list(rows)
-    lattice = IntLattice(_width(rows, ncols), rows)
+    lattice = IntLattice(_width(rows, ncols), rows, p)
     pivots = sorted(lattice.rows)
-    # reduce the entries above each pivot into [0, pivot)
+    # reduce the entries above each pivot into [0, pivot), to 0 over GF(p)
     for r, c in enumerate(pivots):
         row, combo = lattice.rows[c], lattice.combos[c]
         for above in pivots[:r]:
             q = lattice.rows[above].get(c, 0) // row[c]
             if q:
-                add_into(lattice.rows[above], row.items(), -q)
-                add_into(lattice.combos[above], combo.items(), -q)
+                add_into(lattice.rows[above], row.items(), -q, p)
+                add_into(lattice.combos[above], combo.items(), -q, p)
     h = lattice.basis()
     if not transform:
         return h, len(h)
@@ -445,15 +457,15 @@ def transpose(rows, ncols=None):
     return [list(col) for col in zip(*rows)] if rows else [[] for _ in range(n)]
 
 
-def integer_kernel(rows, ncols=None) -> list[list[int]]:
-    """Basis of the integer right kernel {x : rows @ x = 0}.
+def integer_kernel(rows, ncols=None, p=None) -> list[list[int]]:
+    """Basis of the right kernel {x : rows @ x = 0} over Z, or mod p.
 
-    These are the relations among the columns, so they generate the full
-    kernel lattice, which is saturated by construction.
+    These are the relations among the columns, so over Z they generate the
+    full kernel lattice, which is saturated by construction.
     """
     rows = list(rows)
     n = _width(rows, ncols)
-    lattice = IntLattice(len(rows), transpose(rows, ncols=n))
+    lattice = IntLattice(len(rows), transpose(rows, ncols=n), p)
     return [_dense(x, n) for x in lattice.relations]
 
 

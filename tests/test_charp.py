@@ -11,9 +11,10 @@ from lietorsion.charp import (alpha_vector, beta_vector, bp_space,
                               check_summand, in_span_mod, mixed_index,
                               pbw_basis, rank_mod, right_kernel_mod, rref_mod,
                               sigma_vector, type_list)
-from lietorsion.elements import GF
-from lietorsion.maps import ActionSpec, normal_words
+from lietorsion.elements import GF, lyndon_monomial
+from lietorsion.maps import ActionSpec, eta, mixed_basis, normal_words
 from lietorsion.words import lyndon_words_of_length, unit_alphabet
+from lietorsion.zlinalg import IntLattice
 
 
 def dense_rref_mod(rows, n, p):
@@ -73,6 +74,27 @@ def test_sparse_echelon_matches_dense_oracle(case):
     for k in kernel:
         assert all(sum(a * b for a, b in zip(r, k)) % p == 0 for r in rows)
     assert len(dense_rref_mod(kernel, n, p)[1]) == len(kernel)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=matrices_mod_p())
+def test_int_lattice_mod_p_matches_dense_oracle(case):
+    rows, n, p, vec = case
+    lattice = IntLattice(n, rows, p)
+    _, pivots = dense_rref_mod(rows, n, p)
+    assert lattice.rank == len(pivots)
+    # each row is monic at its pivot, the smallest column, with values in [0, p)
+    for j, row in lattice.rows.items():
+        assert min(row) == j and row[j] == 1 and all(0 < x < p for x in row.values())
+    in_span = len(dense_rref_mod(rows + [vec], n, p)[1]) == len(pivots)
+    assert (vec in lattice) == in_span
+    # the relations are the left kernel mod p, at full dimension
+    relations = [[r.get(i, 0) for i in range(len(rows))] for r in lattice.relations]
+    assert len(relations) == len(rows) - len(pivots)
+    for r in relations:
+        assert all(0 <= c < p for c in r)
+        assert all(sum(c * row[j] for c, row in zip(r, rows)) % p == 0 for j in range(n))
+    assert len(dense_rref_mod(relations, len(rows), p)[1]) == len(relations)
 
 
 def test_type_list():
@@ -188,6 +210,27 @@ def test_bp_space_dimensions():
     assert (lyndon, normal) == (6, 4)
     assert len(kernel) == lyndon - normal == 2
     assert len(tensors) == 2
+
+
+@pytest.mark.parametrize("p,dim", [(5, 2), (7, 2), (5, 3)])
+def test_bp_space_is_the_left_kernel_of_eta(p, dim):
+    # dense eta rows of the degree-p Lyndon words over GF(p), built here
+    kernel, _, words = bp_space(p, dim)
+    ab = unit_alphabet(dim)
+    col = {key: j for j, key in enumerate(mixed_basis(ab, p))}
+    eta_rows = []
+    for w in words:
+        row = [0] * len(col)
+        for key, c in eta(lyndon_monomial(ab, w, GF(p))).mixed.terms.items():
+            row[col[key]] = c
+        eta_rows.append(row)
+    assert kernel
+    for k in kernel:
+        assert all(sum(a * r[j] for a, r in zip(k, eta_rows)) % p == 0
+                   for j in range(len(col)))
+    rank = len(dense_rref_mod(eta_rows, len(col), p)[1])
+    assert len(kernel) == len(words) - rank
+    assert len(dense_rref_mod(kernel, len(words), p)[1]) == len(kernel)
 
 
 def test_check_summand_p2():

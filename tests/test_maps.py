@@ -226,6 +226,19 @@ def test_derive_examples_on_derived_alphabet():
                          (u00, tuple(sorted((u01, u00)))): 2}
 
 
+def test_multiset_keys_are_sorted_on_construction():
+    # a multiset key given in any order is the same basis element, and
+    # Leibniz moves each of its letters once: (a o b o a) x = 2 (a o b o b)
+    ab = unit_alphabet(2)
+    act = ActionSpec(ab, ("x",), {(0, "x"): {1: 1}, (1, "x"): {}})
+    assert SymElement(ab, ZZ, {(1, 0): 1}) == SymElement(ab, ZZ, {(0, 1): 1})
+    assert SymElement(ab, ZZ, [((1, 0), 1), ((0, 1), 2)]).terms == {(0, 1): 3}
+    assert derive(SymElement(ab, ZZ, {(0, 1, 0): 1}), "x", act).terms == {(0, 1, 1): 2}
+    assert MixedElement(ab, ZZ, {(1, (1, 0)): 1}) == MixedElement(ab, ZZ, {(1, (0, 1)): 1})
+    assert derive(MixedElement(ab, ZZ, {(1, (0, 1, 0)): 1}), "x", act).terms == {
+        (1, (0, 1, 1)): 2}
+
+
 def test_derive_unknown_variable():
     ab = a_alphabet(3)
     act = a_action(ab)

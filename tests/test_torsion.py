@@ -11,17 +11,17 @@ from hypothesis import given, settings, strategies as st
 from lietorsion.elements import (ZZ, DomainError, LieElement, TensorElement,
                                  leftnormed_tensor, lie_from_tensor, lyndon_monomial,
                                  normal_form, to_tensor)
-from lietorsion.maps import (MetabelianElement, MixedElement, derive,
+from lietorsion.maps import (MetabelianElement, MixedElement, derive, eta,
                              metabelian_normal_coords, metabelian_of_word,
-                             mu_of_leftnormed, peel_strict_keys, theta)
+                             mixed_basis, mu_of_leftnormed, peel_strict_keys, theta)
 from lietorsion.torsion import (TorsionEngine, a_generator, a_generators,
                                 action_matrix, bp_freeness_check, bp_kernel_basis,
                                 graded_cokernel, lie_power_basis,
                                 metabelian_torsion_check, st_of, theorem_element,
                                 torsion_report, verify_theorem_degree)
 from lietorsion.zlinalg import (CokernelStructure, IntLattice, Presentation,
-                                _dense_snf, cokernel_structure, left_solver,
-                                solve_left)
+                                _dense_snf, cokernel_structure, integer_kernel,
+                                left_solver, solve_left, transpose)
 
 
 def test_a_generators_examples():
@@ -273,6 +273,28 @@ def test_bp_kernel_p5():
     k12 = engine.bp_kernel_basis(12)
     assert len(k12) == len(engine.lie_basis(12)) - len(engine.normal_basis(12))
     assert len(k12) == 4
+
+
+def bp_kernel_by_dense_path(engine, d):
+    # the former body of bp_kernel_basis: dense eta rows, transposed, and
+    # the integer right kernel of the transpose
+    keys = mixed_basis(engine.alphabet, engine.p, weight=d)
+    col = {k: i for i, k in enumerate(keys)}
+    rows = []
+    for word in engine.lie_basis(d):
+        row = [0] * len(keys)
+        for key, c in eta(lyndon_monomial(engine.alphabet, word)).mixed.terms.items():
+            row[col[key]] = c
+        rows.append(row)
+    return integer_kernel(transpose(rows, ncols=len(keys)), ncols=len(rows))
+
+
+def test_bp_kernel_matches_dense_path():
+    engine = TorsionEngine(5, 16)
+    for d in range(12, 17):
+        want = bp_kernel_by_dense_path(engine, d)
+        assert want
+        assert engine.bp_kernel_basis(d) == want
 
 
 def test_bp_freeness_small():
