@@ -6,8 +6,14 @@ the free Lie power of the graded abelian group A with basis u(s,t) of ambient
 degree s+t+2, on which the ambient generators act by u(s,t)x = u(s+1,t) and
 u(s,t)y = u(s,t+1).  Killing that action degree by degree presents the
 quotient as an integer cokernel, so torsion is read off Smith normal form.
-Each degree's relations are presented once, and the theorem vectors are read
-off that presentation by reducing them through its recorded pivots.
+A generator u(s,t) has bidegree (s+1, t+1), x raises the first component and
+y the second, so each degree splits into blocks, one per bidegree (a, d-a),
+each presented once.  Swapping x and y sends u(s,t) to -u(t,s) modulo the
+second derived ideal; that is a graded automorphism commuting with the
+action, so block (a, b) and block (b, a) have isomorphic cokernels, and a
+degree's cokernel is built from the blocks with a <= b alone.  A theorem
+vector of bidegree (a, b) is read off its own block by reducing it through
+the block's recorded pivots.
 
 A relation row is the x- or y-image of a degree d-1 basis word in the
 degree-d Lyndon coordinates.  It is built from the word's cached tensor
@@ -18,11 +24,11 @@ Fox & Lyndon 1958), so its coefficients on the Lyndon words form a
 unitriangular matrix, and the coordinates follow by subtracting, smallest
 word first, the Lyndon part of each basis word's expansion.
 
-The metabelian side is presented the same way, once per degree, from sparse
-rows: the x- and y-images of the degree d-1 normal words, taken by Leibniz
-on each word's integer mu terms and read in normal-word coordinates by the
+The metabelian side is presented once per whole degree, from sparse rows:
+the x- and y-images of the degree d-1 normal words, taken by Leibniz on each
+word's integer mu terms and read in normal-word coordinates by the
 strict-key peel.  The section theta's images and the theorem vectors meet
-the Lie-side presentation as sparse {column: coefficient} vectors.
+the Lie-side blocks as sparse {column: coefficient} vectors.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from .elements import (IntegralityError, LieElement, _expand_lyndon, is_prime,
 from .maps import (ActionSpec, _mu_terms, eta, leibniz_mixed, metabelian_of_word,
                    mixed_basis, normal_words, peel_strict_keys, theta, theta_presum)
 from .words import Alphabet, Generator, LyndonWord, _lyndon_walk
-from .zlinalg import (CokernelStructure, IntLattice, Presentation, _dense, add_into,
-                      cokernel_structure, left_solver)
+from .zlinalg import (CokernelStructure, IntLattice, Presentation, _dense, _divisor_chain,
+                      add_into, cokernel_structure, left_solver)
 
 VARIABLES = ("x", "y")
 
@@ -155,7 +161,8 @@ class TorsionEngine:
         self._lyndon_parts = {}
         self._normal_basis = {}
         self._derived = {}
-        self._presentations = {}
+        self._bigradings = {}
+        self._blocks = {}
         self._metabelian_presentations = {}
 
     # -- bases ------------------------------------------------------------
@@ -275,15 +282,61 @@ class TorsionEngine:
         n = len(self.lie_basis(d))
         return [_dense(row, n) for row in self.relation_rows(d)]
 
-    def presentation(self, d: int) -> Presentation:
-        """The degree-d piece as a cokernel, eliminated once and cached."""
-        if d not in self._presentations:
-            self._presentations[d] = Presentation(self.relation_rows(d),
-                                                  len(self.lie_basis(d)))
-        return self._presentations[d]
+    def bigrading(self, d: int):
+        """lie_basis(d) split by bidegree, in one pass: {a: the columns of
+        bidegree (a, d-a), ascending}, and for each column its pair (a,
+        position in that block).  Both are the cache's, read-only."""
+        if d not in self._bigradings:
+            blocks, where = {}, []
+            for col, w in enumerate(self.lie_basis(d)):
+                a = self.alphabet.word_multidegree(w)[0]
+                cols = blocks.setdefault(a, [])
+                where.append((a, len(cols)))
+                cols.append(col)
+            self._bigradings[d] = blocks, where
+        return self._bigradings[d]
+
+    def _in_block(self, d: int, a: int, vec: dict) -> dict:
+        """A sparse vector on lie_basis(d) in the columns of block (a, d-a).
+
+        A block's columns keep the order of lie_basis(d).  A column of
+        another block raises ValueError: every map here preserves bidegree.
+        """
+        where = self.bigrading(d)[1]
+        out = {}
+        for col, c in vec.items():
+            b, i = where[col]
+            if b != a:
+                raise ValueError(f"column {col} of degree {d} lies outside "
+                                 f"the block ({a},{d - a})")
+            out[i] = c
+        return out
+
+    def block(self, d: int, a: int) -> Presentation:
+        """The bidegree (a, d-a) piece as a cokernel, eliminated once and
+        cached: the x-images of the block (a-1, d-a) words and the y-images
+        of the block (a, d-a-1) words."""
+        key = (d, a)
+        if key not in self._blocks:
+            below = self.lie_basis(d - 1)
+            blocks = self.bigrading(d - 1)[0]
+            rows = [self._in_block(d, a, self.derived_row(below[col], var))
+                    for var, a0 in (("x", a - 1), ("y", a))
+                    for col in blocks.get(a0, ())]
+            self._blocks[key] = Presentation(rows, len(self.bigrading(d)[0].get(a, ())))
+        return self._blocks[key]
 
     def graded_cokernel(self, d: int) -> CokernelStructure:
-        return self.presentation(d).cokernel
+        """The degree-d cokernel, the direct sum of its blocks: each block
+        (a, b) with a < b is counted twice, once for its mirror (b, a)."""
+        free, torsion = 0, []
+        for a in self.bigrading(d)[0]:
+            if 2 * a <= d:
+                ck = self.block(d, a).cokernel
+                times = 1 if 2 * a == d else 2
+                free += times * ck.free_rank
+                torsion += ck.torsion * times
+        return CokernelStructure(free, tuple(q for q in _divisor_chain(torsion) if q > 1))
 
     # -- theorem elements ---------------------------------------------------
 
@@ -321,32 +374,49 @@ class TorsionEngine:
         k = (d - 2) // p - 2
         return [(s, k - s) for s in range(k + 1)]
 
+    def theorem_block(self, s: int, t: int) -> int:
+        """The first bidegree component of the theorem element built from
+        u(s,t), whose bidegree is (p(s+1)+1, p(t+1)+1)."""
+        return self.p * (s + 1) + 1
+
     def verify_theorem_degree(self, d: int) -> TorsionReport:
+        """Each theorem vector is read in its own block, which is built
+        directly even past the mirror, since the vector is written in that
+        block's Lyndon basis.  One quotient per block gives the vector's
+        order; the vectors span when no block quotient keeps torsion and the
+        theorem blocks hold all of the degree's torsion."""
+        p = self.p
         n = len(self.lie_basis(d))
-        pres = self.presentation(d)
-        coker = pres.cokernel
-        theorem_checked = is_prime(self.p)
-        torsion_all_p = all(q == self.p for q in coker.torsion)
+        coker = self.graded_cokernel(d)
+        theorem_checked = is_prime(p)
+        torsion_all_p = all(q == p for q in coker.torsion)
         if not theorem_checked:
-            return TorsionReport(self.p, d, n, coker, 0, True, True, True,
+            return TorsionReport(p, d, n, coker, 0, True, True, True,
                                  torsion_all_p, True, False)
         pairs = self.theorem_indices(d)
-        integrality = True
-        vectors = []
+        orders = []
+        held = 1            # the torsion order of the theorem blocks
+        left = False        # torsion left in a theorem block after its quotient
         for s, t in pairs:
+            a = self.theorem_block(s, t)
+            pres = self.block(d, a)
+            base = pres.cokernel
+            held *= prod(base.torsion)
             try:
-                vectors.append(self.theorem_vector(s, t, d))
+                vec = self._in_block(d, a, self.theorem_vector(s, t, d))
             except IntegralityError:
-                integrality = False
-        all_order_p = all(pres.order(v) == self.p for v in vectors)
-        aug = pres.quotient(vectors)
-        independent = (aug.free_rank == coker.free_rank
-                       and prod(coker.torsion) ==
-                       prod(aug.torsion) * self.p ** len(vectors))
-        spanning = independent and not aug.torsion
-        return TorsionReport(self.p, d, n, coker, len(pairs), all_order_p,
+                left = left or bool(base.torsion)
+                continue
+            aug = pres.quotient([vec])
+            orders.append(prod(base.torsion) // prod(aug.torsion)
+                          if aug.free_rank == base.free_rank else None)
+            left = left or bool(aug.torsion)
+        all_order_p = all(q == p for q in orders)
+        independent = None not in orders and prod(orders) == p ** len(orders)
+        spanning = independent and not left and held == prod(coker.torsion)
+        return TorsionReport(p, d, n, coker, len(pairs), all_order_p,
                              independent, spanning, torsion_all_p,
-                             integrality and len(vectors) == len(pairs), True)
+                             len(orders) == len(pairs), True)
 
     def torsion_report(self, max_degree=None) -> list[TorsionReport]:
         top = self.max_degree if max_degree is None else max_degree
@@ -387,23 +457,27 @@ class TorsionEngine:
         return self._metabelian_presentations[d]
 
     def metabelian_torsion_check(self, d: int) -> MetabelianTorsionReport:
+        """theta's image of each theorem word is compared with the theorem
+        vector inside their common block: both are reduced through its
+        pivots once, and each candidate unit is tested on its core alone."""
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         p = self.p
-        pres = self.presentation(d)
-        l_coker = pres.cokernel
+        l_coker = self.graded_cokernel(d)
         m_coker = self.metabelian_presentation(d).cokernel
         ranks_agree = (len(l_coker.torsion) == len(m_coker.torsion)
                        and all(q == p for q in l_coker.torsion + m_coker.torsion))
         matches = True
         units = []
         for s, t in self.theorem_indices(d):
+            a = self.theorem_block(s, t)
+            pres = self.block(d, a)
             m_elt = metabelian_of_word(self.alphabet, self.theorem_word(s, t))
-            vec = self._lie_coords(theta(m_elt), d)
-            target = self.theorem_vector(s, t, d)
-            unit = next((a for a in range(1, p)
-                         if {j: vec.get(j, 0) - a * target.get(j, 0)
-                             for j in vec | target} in pres), None)
+            vec = pres.reduce(self._in_block(d, a, self._lie_coords(theta(m_elt), d)))
+            target = pres.reduce(self._in_block(d, a, self.theorem_vector(s, t, d)))
+            unit = next((u for u in range(1, p) if pres._order(
+                {j: x for j in vec | target
+                 if (x := vec.get(j, 0) - u * target.get(j, 0))}) == 1), None)
             if unit is None:
                 matches = False
             else:

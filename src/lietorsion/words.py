@@ -317,27 +317,37 @@ def _lyndon_walk(wt, length=None, lo=0, hi=math.inf, budget=None) -> list[tuple]
         rest = length - t
         return lo - rest * heaviest[first], hi - rest * lightest[first]
 
-    def visit(a, period, w):
-        budget[a] -= 1
-        word.append(a)
-        t = len(word)
-        if period == t and length in (None, t):
-            found.append(tuple(word))
-        if t != length:
-            low, high = window(word[0], t + 1)
-            base = word[t - period]
-            for b in range(base, k):
-                w2 = w + wt[b]
-                if budget[b] and low <= w2 <= high:
-                    visit(b, period if b == base else t + 1, w2)
-        word.pop()
-        budget[a] += 1
-
+    # one frame per letter of ``word``, so a long word costs no recursion:
+    # (the letters still to try after the prefix, its period, its weight,
+    # the least letter that may extend it, the weight window of the
+    # extended prefix)
+    frames = []
     for a in range(k):
         low, high = window(a, 1)
         # the letters from the first on must fill the whole word
-        if budget[a] and sum(budget[a:]) >= (length or 1) and low <= wt[a] <= high:
-            visit(a, 1, wt[a])
+        if not (budget[a] and sum(budget[a:]) >= (length or 1) and low <= wt[a] <= high):
+            continue
+        step = (a, 1, wt[a])
+        while step:
+            b, period, w = step
+            budget[b] -= 1
+            word.append(b)
+            t = len(word)
+            if period == t and length in (None, t):
+                found.append(tuple(word))
+            base = k if t == length else word[t - period]    # k: no extension
+            frames.append((iter(range(base, k)), period, w, base, *window(a, t + 1)))
+            step = None
+            while frames and not step:
+                letters, period, w, base, low, high = frames[-1]
+                t = len(word)
+                for b in letters:
+                    if low <= w + wt[b] <= high and budget[b]:
+                        step = (b, period if b == base else t + 1, w + wt[b])
+                        break
+                else:
+                    frames.pop()
+                    budget[word.pop()] += 1
     return found
 
 
@@ -362,21 +372,27 @@ def multisets(wt, size, lo=0, hi=math.inf, below=None, bounds=None) -> list[tupl
     over one alphabet.
     """
     k = len(wt)
+    if not size:
+        return [()] if lo <= 0 <= hi else []
     lightest, heaviest = bounds or suffix_bounds(wt)
     found = []
-    word = []
-
-    def visit(start, stop, rest, w):
-        if not rest:
-            if lo <= w <= hi:
-                found.append(tuple(word))
-            return
-        for a in range(start, stop):
+    # one frame per position of ``word``, so a large size costs no
+    # recursion: (the letters still to try there, the weight so far)
+    word, frames = [], [(iter(range(k if below is None else min(below, k))), 0)]
+    while frames:
+        letters, w = frames[-1]
+        rest = size - len(word)
+        for a in letters:
             w2 = w + wt[a]
             if w2 + (rest - 1) * lightest[a] <= hi and w2 + (rest - 1) * heaviest[a] >= lo:
-                word.append(a)
-                visit(a, k, rest - 1, w2)
+                if rest == 1:
+                    found.append((*word, a))
+                else:
+                    word.append(a)
+                    frames.append((iter(range(a, k)), w2))
+                    break
+        else:
+            frames.pop()
+            if frames:
                 word.pop()
-
-    visit(0, k if below is None else min(below, k), size, 0)
     return found

@@ -182,14 +182,23 @@ class Presentation:
 
     def quotient(self, vecs) -> CokernelStructure:
         """Cokernel after adding the vectors to the relations."""
-        extra = [r for r in map(self.reduce, vecs) if r]
+        return self._quotient(list(map(self.reduce, vecs)))
+
+    def _quotient(self, reduced) -> CokernelStructure:
+        """quotient() of vectors already reduced through the pivots; since
+        reduction is linear, a combination of reduced vectors is reduced."""
+        extra = [r for r in reduced if r]
         if not extra:
             return self.cokernel
         return self._cokernel((1,) * len(self.pivots) + self._core_divisors(extra))
 
     def order(self, vec):
         """Additive order of vec in the cokernel; None when infinite."""
-        base, aug = self.cokernel, self.quotient([vec])
+        return self._order(self.reduce(vec))
+
+    def _order(self, reduced):
+        """order() of a vector already reduced through the pivots."""
+        base, aug = self.cokernel, self._quotient([reduced])
         if aug.free_rank != base.free_rank:
             return None
         return prod(base.torsion) // prod(aug.torsion)

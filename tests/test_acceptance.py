@@ -235,6 +235,28 @@ def test_criterion5_metabelian_comparison(p, d):
           f"(rank {len(r.lie_torsion)}), section image matches with units {r.units}")
 
 
+# -- computed check, not a claim of the paper: the bigraded torsion table -----
+
+@pytest.mark.parametrize("p,top", [(2, 16), (3, 17), (5, 17), (7, 16)])
+def test_bigraded_torsion_table(p, top):
+    # every block built directly, both halves of each mirror pair; the paper
+    # counts torsion per degree, this places it by bidegree
+    engine = TorsionEngine(p, top)
+    table = {}
+    for d in range(2 * p, top + 1):
+        blocks = engine.bigrading(d)[0]
+        theorem = [engine.theorem_block(s, t) for s, t in engine.theorem_indices(d)]
+        assert set(theorem) <= set(blocks), (p, d, theorem)
+        for a in blocks:
+            torsion = engine.block(d, a).cokernel.torsion
+            assert torsion == ((p,) if a in theorem else ()), (p, d, a, torsion)
+            if torsion:
+                table[a, d - a] = torsion
+    assert table, "no degree up to the top has torsion"
+    print(f"[bigraded, computed] PASS p={p} d<={top}: torsion only in the blocks "
+          f"(p(s+1)+1, p(t+1)+1), one Z/{p} each: {sorted(table)}")
+
+
 # -- criterion 6: the second-derived kernel has torsion-free presentation -----
 
 def test_criterion6_freeness_p5():

@@ -93,6 +93,17 @@ def test_torsion_cli_schema(tmp_path, capsys):
     assert degrees[7]["torsion"] == []
 
 
+def test_torsion_cli_at_a_large_prime(capsys):
+    # the single degree 2p has the one-letter word u(0,0)^p, which is not
+    # Lyndon; the word walk goes p letters deep without recursing
+    code, out, _ = run_cli(capsys, "torsion", "--prime", "997", "--max-degree", "1994")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["overallPass"] is True
+    [entry] = doc["results"]["degrees"]
+    assert (entry["degree"], entry["liePowerRank"], entry["torsion"]) == (1994, 0, [])
+
+
 def test_theorem_cli_prints_left_normed(capsys):
     code, out, _ = run_cli(capsys, "theorem", "--prime", "3", "--s", "0", "--t", "0")
     assert code == 0

@@ -5,6 +5,8 @@ The degree-2 action matrix is cross-checked against a standalone pair-level
 Leibniz oracle that never touches the package's normal-form machinery.
 """
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -114,6 +116,114 @@ def test_graded_cokernel_matches_dense_kernel(p, top):
         ds = _dense_snf(engine.action_matrix(d), n).divisors
         want = CokernelStructure(n - len(ds), tuple(q for q in ds if q > 1))
         assert engine.graded_cokernel(d) == want, (p, d)
+
+
+def whole_degree_cokernel(engine, d):
+    # the former TorsionEngine.presentation: every relation row of the
+    # degree eliminated at once
+    return Presentation(engine.relation_rows(d), len(engine.lie_basis(d))).cokernel
+
+
+@pytest.mark.parametrize("p,top", [(2, 16), (3, 17), (5, 15), (7, 16), (4, 12), (6, 14)])
+def test_graded_cokernel_matches_whole_degree_presentation(p, top):
+    engine = TorsionEngine(p, top)
+    for d in range(2 * p, top + 1):
+        assert engine.graded_cokernel(d) == whole_degree_cokernel(engine, d), (p, d)
+        blocks = engine.bigrading(d)[0]
+        for a, cols in blocks.items():
+            # both halves built directly: swapping x and y is an isomorphism
+            assert len(blocks[d - a]) == len(cols), (p, d, a)
+            assert engine.block(d, a).cokernel == engine.block(d, d - a).cokernel, (p, d, a)
+
+
+def test_graded_cokernel_combines_blocks_into_invariant_factors(monkeypatch):
+    # Z/2 in block (7,9), so in its mirror (9,7) too, and Z/3 in the middle
+    # block (8,8): the degree is Z/2 + Z/6, whose invariant factors are (2, 6)
+    engine = TorsionEngine(6, 16)
+    assert sorted(engine.bigrading(16)[0]) == [6, 7, 8, 9, 10]
+    fake = {6: CokernelStructure(1, ()), 7: CokernelStructure(2, (2,)),
+            8: CokernelStructure(3, (3,))}
+    monkeypatch.setattr(engine, "block", lambda d, a: SimpleNamespace(cokernel=fake[a]))
+    assert engine.graded_cokernel(16) == CokernelStructure(2 * 1 + 2 * 2 + 3, (2, 6))
+
+
+def test_bigrading_partitions_the_basis_in_order():
+    engine = TorsionEngine(3, 14)
+    for d in range(6, 15):
+        basis = engine.lie_basis(d)
+        blocks, where = engine.bigrading(d)
+        assert sorted(j for cols in blocks.values() for j in cols) == list(range(len(basis)))
+        for a, cols in blocks.items():
+            assert cols == sorted(cols)
+            for i, j in enumerate(cols):
+                assert engine.alphabet.word_multidegree(basis[j]) == (a, d - a)
+                assert where[j] == (a, i)
+    s, t = 1, 1
+    vec = engine.theorem_vector(s, t, 14)
+    a = engine.theorem_block(s, t)
+    assert engine.alphabet.word_multidegree(engine.theorem_word(s, t)) == (a, 14 - a)
+    with pytest.raises(ValueError, match="outside the block"):
+        engine._in_block(14, a + 1, vec)
+
+
+def mobius(n):
+    result, k = 1, 2
+    while k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            result = -result
+        k += 1
+    return -result if n > 1 else result
+
+
+def witt_block_ranks(c, top):
+    """{(a, b): Lie rank} and {(a, b): free rank} of the blocks of L^c(A) of
+    degree a + b <= top, as integer power series in X and Y.
+
+    ch L^c(A) = (1/c) sum over k | c of mu(k) psi^k(ch A)^(c/k), where
+    ch A = XY/((1-X)(1-Y)) has one generator u(s,t) in each bidegree
+    (s+1, t+1) and psi^k(X^i Y^j) = X^(ki) Y^(kj).  Over Q, L^c(A) is a
+    direct summand of A^(x)c, which is free over Q[x, y], so the free rank
+    of a block is the coefficient of (1-X)(1-Y) ch L^c(A).
+    """
+    def times(f, g):
+        out = {}
+        for (a, b), u in f.items():
+            for (a2, b2), v in g.items():
+                if a + a2 + b + b2 <= top:
+                    out[a + a2, b + b2] = out.get((a + a2, b + b2), 0) + u * v
+        return out
+
+    series = {}
+    for k in (k for k in range(1, c + 1) if c % k == 0):
+        psi = {(k * i, k * j): 1 for i in range(1, top) for j in range(1, top)
+               if k * (i + j) <= top}
+        power = {(0, 0): 1}
+        for _ in range(c // k):
+            power = times(power, psi)
+        for key, u in power.items():
+            series[key] = series.get(key, 0) + mobius(k) * u
+    assert all(u % c == 0 for u in series.values())
+    lie = {key: u // c for key, u in series.items() if u}
+    free = {(a, b): lie[a, b] - lie.get((a - 1, b), 0) - lie.get((a, b - 1), 0)
+            + lie.get((a - 1, b - 1), 0) for a, b in lie}
+    return lie, free
+
+
+@pytest.mark.parametrize("c,top", [(2, 14), (3, 17), (5, 17), (4, 14)])
+def test_block_ranks_match_witt_series(c, top):
+    lie, free = witt_block_ranks(c, top)
+    engine = TorsionEngine(c, top)
+    for d in range(2 * c, top + 1):
+        blocks = engine.bigrading(d)[0]
+        assert ({(a, d - a): len(cols) for a, cols in blocks.items()}
+                == {key: n for key, n in lie.items() if sum(key) == d}), (c, d)
+        for a in blocks:
+            assert engine.block(d, a).cokernel.free_rank == free[a, d - a], (c, d, a)
+        assert engine.graded_cokernel(d).free_rank == sum(
+            n for key, n in free.items() if sum(key) == d), (c, d)
 
 
 def test_graded_cokernel_examples():

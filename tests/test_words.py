@@ -196,6 +196,15 @@ def test_multisets_match_filtered_combinations(weights, size, lo, span, below):
             == list(itertools.combinations_with_replacement(range(len(weights)), size)))
 
 
+def test_enumerators_reach_past_the_recursion_limit():
+    # one frame per letter, not one call: words and multisets of 1500 letters
+    n = 1500
+    ab = Alphabet([Generator("a", (1,)), Generator("b", (2,))])
+    assert lyndon_words_with_content(ab, (0,) * n) == []
+    assert lyndon_words_of_length(ab, n, weight=n) == []
+    assert multisets([1, 2], n, lo=n + 1, hi=n + 1) == [(0,) * (n - 1) + (1,)]
+
+
 def test_non_lyndon_rejected():
     ab = unit_alphabet(2)
     with pytest.raises(ValueError):
