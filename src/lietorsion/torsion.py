@@ -24,11 +24,11 @@ Fox & Lyndon 1958), so its coefficients on the Lyndon words form a
 unitriangular matrix, and the coordinates follow by subtracting, smallest
 word first, the Lyndon part of each basis word's expansion.
 
-The metabelian side is presented once per whole degree, from sparse rows:
-the x- and y-images of the degree d-1 normal words, taken by Leibniz on each
-word's integer mu terms and read in normal-word coordinates by the
-strict-key peel.  The section theta's images and the theorem vectors meet
-the Lie-side blocks as sparse {column: coefficient} vectors.
+The metabelian side goes through the same blocks in normal words, whose
+relation rows are taken by Leibniz on each word's integer mu terms and read
+back by the strict-key peel; the x<->y swap is a graded automorphism there
+too.  The section theta's images and the theorem vectors meet the Lie-side
+blocks as sparse {column: coefficient} vectors.
 """
 
 from __future__ import annotations
@@ -157,13 +157,12 @@ class TorsionEngine:
         self.alphabet = a_alphabet(max(2, max_degree - 2 * (p - 1)))
         self.action = a_action(self.alphabet)
         self._lie_basis = {}
-        self._lie_index = {}
-        self._lyndon_parts = {}
         self._normal_basis = {}
+        self._indices = {}
+        self._lyndon_parts = {}
         self._derived = {}
         self._bigradings = {}
         self._blocks = {}
-        self._metabelian_presentations = {}
 
     # -- bases ------------------------------------------------------------
 
@@ -177,12 +176,6 @@ class TorsionEngine:
                 self._lie_basis[d] = _lyndon_walk(wt, length=self.p, lo=d, hi=d)
         return self._lie_basis[d]
 
-    def lie_index(self, d: int) -> dict:
-        """{word: column} of lie_basis(d); the dict is the cache's, read-only."""
-        if d not in self._lie_index:
-            self._lie_index[d] = {w: i for i, w in enumerate(self.lie_basis(d))}
-        return self._lie_index[d]
-
     def normal_basis(self, d: int) -> list[tuple]:
         if d not in self._normal_basis:
             if d < 2 * self.p:
@@ -191,7 +184,20 @@ class TorsionEngine:
                 self._normal_basis[d] = normal_words(self.alphabet, self.p, weight=d)
         return self._normal_basis[d]
 
-    # -- the Lie-side presentation -----------------------------------------
+    def _side(self, side: str):
+        """(basis, row builder) of a side: "lie" is the Lie power in Lyndon
+        words, "metabelian" the metabelian power in normal words."""
+        return {"lie": (self.lie_basis, self.derived_row),
+                "metabelian": (self.normal_basis, self.metabelian_row)}[side]
+
+    def column_index(self, d: int, side: str = "lie") -> dict:
+        """{word: column} of the side's degree-d basis, cached, read-only."""
+        key = (side, d)
+        if key not in self._indices:
+            self._indices[key] = {w: i for i, w in enumerate(self._side(side)[0](d))}
+        return self._indices[key]
+
+    # -- relation rows ------------------------------------------------------
 
     def derived_row(self, word: tuple, var: str) -> dict:
         """The var-image of a degree d-1 basis word as {column of lie_basis(d):
@@ -203,7 +209,7 @@ class TorsionEngine:
         row = self._derived.get(key)
         if row is None:
             d = self.alphabet.word_weight(word) + 1
-            index = self.lie_index(d)
+            index = self.column_index(d)
             # every expansion word rearranges the letters of ``word``
             image = {a: self.action.image(a, var).items() for a in set(word)}
             # A Lyndon word starts with its least letter, and the action
@@ -260,7 +266,7 @@ class TorsionEngine:
         part = parts.get(col)
         if part is None:
             word = self.lie_basis(d)[col]
-            index = self.lie_index(d)
+            index = self.column_index(d)
             part = parts[col] = {index[w]: k for w, k in
                                  _expand_lyndon(self.alphabet, word).items()
                                  if w != word and w in index}
@@ -271,38 +277,54 @@ class TorsionEngine:
         basis = self.lie_basis(self.alphabet.word_weight(word) + 1)
         return {basis[col]: c for col, c in self.derived_row(word, var).items()}
 
-    def relation_rows(self, d: int) -> list[dict]:
-        """Relations of degree d: the x- and y-images of the degree d-1 basis,
-        as sparse {basis index: coefficient} rows."""
-        return [dict(self.derived_row(word, var))
-                for word in self.lie_basis(d - 1) for var in VARIABLES]
+    def metabelian_row(self, word: tuple, var: str) -> dict:
+        """The var-image of a degree d-1 normal word as {column of
+        normal_basis(d): coefficient}, in column order, by Leibniz on its mu
+        terms (``maps.leibniz_mixed``) and the strict-key peel.  Not cached:
+        each row is read by one block alone."""
+        index = self.column_index(self.alphabet.word_weight(word) + 1, "metabelian")
+        image = {a: self.action.image(a, var) for a in set(word)}.__getitem__
+        acc = {}
+        for key, c in _mu_terms(word).items():
+            add_into(acc, leibniz_mixed(key, image), c)
+        return {index[w]: c for w, c in peel_strict_keys(acc).items()}
+
+    # -- the block presentation, on either side -----------------------------
 
     def action_matrix(self, d: int) -> list[list[int]]:
         """The relations of degree d as a dense matrix."""
         n = len(self.lie_basis(d))
-        return [_dense(row, n) for row in self.relation_rows(d)]
+        return [_dense(self.derived_row(w, v), n) for w in self.lie_basis(d - 1)
+                for v in VARIABLES]
 
-    def bigrading(self, d: int):
-        """lie_basis(d) split by bidegree, in one pass: {a: the columns of
-        bidegree (a, d-a), ascending}, and for each column its pair (a,
-        position in that block).  Both are the cache's, read-only."""
-        if d not in self._bigradings:
+    def metabelian_matrix(self, d: int) -> list[list[int]]:
+        """The metabelian relations of degree d as a dense matrix."""
+        n = len(self.normal_basis(d))
+        return [_dense(self.metabelian_row(w, v), n) for w in self.normal_basis(d - 1)
+                for v in VARIABLES]
+
+    def bigrading(self, d: int, side: str = "lie"):
+        """The side's degree-d basis split by bidegree, in one pass: {a: the
+        columns of bidegree (a, d-a), ascending}, and for each column its
+        pair (a, position in that block).  Both are the cache's, read-only."""
+        key = (side, d)
+        if key not in self._bigradings:
             blocks, where = {}, []
-            for col, w in enumerate(self.lie_basis(d)):
+            for col, w in enumerate(self._side(side)[0](d)):
                 a = self.alphabet.word_multidegree(w)[0]
                 cols = blocks.setdefault(a, [])
                 where.append((a, len(cols)))
                 cols.append(col)
-            self._bigradings[d] = blocks, where
-        return self._bigradings[d]
+            self._bigradings[key] = blocks, where
+        return self._bigradings[key]
 
-    def _in_block(self, d: int, a: int, vec: dict) -> dict:
-        """A sparse vector on lie_basis(d) in the columns of block (a, d-a).
+    def _in_block(self, d: int, a: int, vec: dict, side: str = "lie") -> dict:
+        """A sparse vector on the side's degree-d basis in the columns of block (a, d-a).
 
-        A block's columns keep the order of lie_basis(d).  A column of
-        another block raises ValueError: every map here preserves bidegree.
+        A block's columns keep the order of the basis.  A column of another
+        block raises ValueError: every map here preserves bidegree.
         """
-        where = self.bigrading(d)[1]
+        where = self.bigrading(d, side)[1]
         out = {}
         for col, c in vec.items():
             b, i = where[col]
@@ -312,27 +334,28 @@ class TorsionEngine:
             out[i] = c
         return out
 
-    def block(self, d: int, a: int) -> Presentation:
-        """The bidegree (a, d-a) piece as a cokernel, eliminated once and
-        cached: the x-images of the block (a-1, d-a) words and the y-images
-        of the block (a, d-a-1) words."""
-        key = (d, a)
+    def block(self, d: int, a: int, side: str = "lie") -> Presentation:
+        """The side's bidegree (a, d-a) piece as a cokernel, eliminated once
+        and cached: the x-images of the block (a-1, d-a) words and the
+        y-images of the block (a, d-a-1) words."""
+        key = (side, d, a)
         if key not in self._blocks:
-            below = self.lie_basis(d - 1)
-            blocks = self.bigrading(d - 1)[0]
-            rows = [self._in_block(d, a, self.derived_row(below[col], var))
+            basis, row = self._side(side)
+            below = basis(d - 1)
+            blocks = self.bigrading(d - 1, side)[0]
+            rows = [self._in_block(d, a, row(below[col], var), side)
                     for var, a0 in (("x", a - 1), ("y", a))
                     for col in blocks.get(a0, ())]
-            self._blocks[key] = Presentation(rows, len(self.bigrading(d)[0].get(a, ())))
+            self._blocks[key] = Presentation(rows, len(self.bigrading(d, side)[0].get(a, ())))
         return self._blocks[key]
 
-    def graded_cokernel(self, d: int) -> CokernelStructure:
-        """The degree-d cokernel, the direct sum of its blocks: each block
-        (a, b) with a < b is counted twice, once for its mirror (b, a)."""
+    def graded_cokernel(self, d: int, side: str = "lie") -> CokernelStructure:
+        """The side's degree-d cokernel, the direct sum of its blocks: each
+        block (a, b) with a < b is counted twice, once for its mirror (b, a)."""
         free, torsion = 0, []
-        for a in self.bigrading(d)[0]:
+        for a in self.bigrading(d, side)[0]:
             if 2 * a <= d:
-                ck = self.block(d, a).cokernel
+                ck = self.block(d, a, side).cokernel
                 times = 1 if 2 * a == d else 2
                 free += times * ck.free_rank
                 torsion += ck.torsion * times
@@ -364,7 +387,7 @@ class TorsionEngine:
         return self._lie_coords(self.theorem_element(s, t), d)
 
     def _lie_coords(self, e: LieElement, d: int) -> dict:
-        index = self.lie_index(d)
+        index = self.column_index(d)
         return {index[w]: c for w, c in e.terms.items()}
 
     def theorem_indices(self, d: int) -> list[tuple[int, int]]:
@@ -418,43 +441,18 @@ class TorsionEngine:
                              independent, spanning, torsion_all_p,
                              len(orders) == len(pairs), True)
 
-    def torsion_report(self, max_degree=None) -> list[TorsionReport]:
+    def _top(self, max_degree) -> int:
+        """A sweep's top degree; past the engine's own the alphabet is cut."""
         top = self.max_degree if max_degree is None else max_degree
+        if top > self.max_degree:
+            raise ValueError(f"max_degree {top} is above the engine's {self.max_degree}")
+        return top
+
+    def torsion_report(self, max_degree=None) -> list[TorsionReport]:
+        top = self._top(max_degree)
         return [self.verify_theorem_degree(d) for d in range(2 * self.p, top + 1)]
 
     # -- the metabelian side ------------------------------------------------
-
-    def metabelian_rows(self, d: int) -> list[dict]:
-        """Relations of degree d on the metabelian side: the x- and y-images
-        of the degree d-1 normal words, as sparse {column of normal_basis(d):
-        coefficient} rows in column order.
-
-        Leibniz acts on the word's mu terms (``maps.leibniz_mixed``), and the
-        image is read in normal coordinates by peeling its strict keys.
-        """
-        index = {w: i for i, w in enumerate(self.normal_basis(d))}
-        rows = []
-        for word in self.normal_basis(d - 1):
-            terms = _mu_terms(word).items()
-            for var in VARIABLES:
-                image = {a: self.action.image(a, var) for a in set(word)}.__getitem__
-                acc = {}
-                for key, c in terms:
-                    add_into(acc, leibniz_mixed(key, image), c)
-                rows.append({index[w]: c for w, c in peel_strict_keys(acc).items()})
-        return rows
-
-    def metabelian_matrix(self, d: int) -> list[list[int]]:
-        """The metabelian relations of degree d as a dense matrix."""
-        n = len(self.normal_basis(d))
-        return [_dense(row, n) for row in self.metabelian_rows(d)]
-
-    def metabelian_presentation(self, d: int) -> Presentation:
-        """The degree-d metabelian piece as a cokernel, eliminated once and cached."""
-        if d not in self._metabelian_presentations:
-            self._metabelian_presentations[d] = Presentation(
-                self.metabelian_rows(d), len(self.normal_basis(d)))
-        return self._metabelian_presentations[d]
 
     def metabelian_torsion_check(self, d: int) -> MetabelianTorsionReport:
         """theta's image of each theorem word is compared with the theorem
@@ -464,7 +462,7 @@ class TorsionEngine:
             raise ValueError(f"{self.p} is not prime")
         p = self.p
         l_coker = self.graded_cokernel(d)
-        m_coker = self.metabelian_presentation(d).cokernel
+        m_coker = self.graded_cokernel(d, "metabelian")
         ranks_agree = (len(l_coker.torsion) == len(m_coker.torsion)
                        and all(q == p for q in l_coker.torsion + m_coker.torsion))
         matches = True
@@ -506,7 +504,7 @@ class TorsionEngine:
     def bp_freeness_check(self, max_degree=None) -> FreenessReport:
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        top = self.max_degree if max_degree is None else max_degree
+        top = self._top(max_degree)
         if top < 2 * self.p:
             raise ValueError(f"max_degree {top} is below the first degree {2 * self.p}")
         dims = []

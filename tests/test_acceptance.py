@@ -257,6 +257,23 @@ def test_bigraded_torsion_table(p, top):
           f"(p(s+1)+1, p(t+1)+1), one Z/{p} each: {sorted(table)}")
 
 
+@pytest.mark.parametrize("p,top", [(2, 16), (3, 17), (5, 17), (7, 16)])
+def test_bigraded_lie_and_metabelian_torsion_agree(p, top):
+    # the blocks with a <= b on both sides; criterion 5 compares whole degrees
+    engine = TorsionEngine(p, top)
+    checked = 0
+    for d in range(2 * p, top + 1):
+        lie = engine.bigrading(d)[0]
+        metabelian = engine.bigrading(d, "metabelian")[0]
+        for a in sorted(set(lie) | set(metabelian)):
+            if 2 * a <= d:
+                want = engine.block(d, a).cokernel.torsion
+                assert engine.block(d, a, "metabelian").cokernel.torsion == want, (p, d, a)
+                checked += 1
+    print(f"[bigraded, computed] PASS p={p} d<={top}: Lie and metabelian torsion "
+          f"agree in each of {checked} blocks (a, b), a <= b")
+
+
 # -- criterion 6: the second-derived kernel has torsion-free presentation -----
 
 def test_criterion6_freeness_p5():

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lietorsion import torsion
 from lietorsion.elements import (ZZ, DomainError, LieElement, TensorElement,
                                  leftnormed_tensor, lie_from_tensor, lyndon_monomial,
                                  normal_form, to_tensor)
@@ -118,22 +119,44 @@ def test_graded_cokernel_matches_dense_kernel(p, top):
         assert engine.graded_cokernel(d) == want, (p, d)
 
 
-def whole_degree_cokernel(engine, d):
-    # the former TorsionEngine.presentation: every relation row of the
-    # degree eliminated at once
-    return Presentation(engine.relation_rows(d), len(engine.lie_basis(d))).cokernel
+def whole_degree_cokernel(engine, d, side):
+    # the former TorsionEngine.presentation and metabelian_presentation:
+    # every relation row of the degree eliminated at once
+    basis, row = {"lie": (engine.lie_basis, engine.derived_row),
+                  "metabelian": (engine.normal_basis, engine.metabelian_row)}[side]
+    rows = [row(word, var) for word in basis(d - 1) for var in ("x", "y")]
+    return Presentation(rows, len(basis(d))).cokernel
 
 
 @pytest.mark.parametrize("p,top", [(2, 16), (3, 17), (5, 15), (7, 16), (4, 12), (6, 14)])
 def test_graded_cokernel_matches_whole_degree_presentation(p, top):
     engine = TorsionEngine(p, top)
-    for d in range(2 * p, top + 1):
-        assert engine.graded_cokernel(d) == whole_degree_cokernel(engine, d), (p, d)
-        blocks = engine.bigrading(d)[0]
-        for a, cols in blocks.items():
-            # both halves built directly: swapping x and y is an isomorphism
-            assert len(blocks[d - a]) == len(cols), (p, d, a)
-            assert engine.block(d, a).cokernel == engine.block(d, d - a).cokernel, (p, d, a)
+    for side in ("lie", "metabelian"):
+        for d in range(2 * p, top + 1):
+            want = whole_degree_cokernel(engine, d, side)
+            assert engine.graded_cokernel(d, side) == want, (side, p, d)
+            blocks = engine.bigrading(d, side)[0]
+            for a, cols in blocks.items():
+                # both halves built directly: swapping x and y is an isomorphism
+                assert len(blocks[d - a]) == len(cols), (side, p, d, a)
+                assert (engine.block(d, a, side).cokernel
+                        == engine.block(d, d - a, side).cokernel), (side, p, d, a)
+
+
+def test_no_presentation_spans_a_whole_degree(monkeypatch):
+    # both sides go block by block: no Presentation is as wide as a degree
+    widths = []
+    real = torsion.Presentation
+
+    def spy(rows, ncols):
+        widths.append(ncols)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(torsion, "Presentation", spy)
+    engine = TorsionEngine(3, 14)
+    assert engine.metabelian_torsion_check(14).passed
+    whole = min(len(engine.lie_basis(14)), len(engine.normal_basis(14)))
+    assert widths and max(widths) < whole, (widths, whole)
 
 
 def test_graded_cokernel_combines_blocks_into_invariant_factors(monkeypatch):
@@ -143,21 +166,26 @@ def test_graded_cokernel_combines_blocks_into_invariant_factors(monkeypatch):
     assert sorted(engine.bigrading(16)[0]) == [6, 7, 8, 9, 10]
     fake = {6: CokernelStructure(1, ()), 7: CokernelStructure(2, (2,)),
             8: CokernelStructure(3, (3,))}
-    monkeypatch.setattr(engine, "block", lambda d, a: SimpleNamespace(cokernel=fake[a]))
+    monkeypatch.setattr(engine, "block",
+                        lambda d, a, side: SimpleNamespace(cokernel=fake[a]))
     assert engine.graded_cokernel(16) == CokernelStructure(2 * 1 + 2 * 2 + 3, (2, 6))
 
 
 def test_bigrading_partitions_the_basis_in_order():
     engine = TorsionEngine(3, 14)
-    for d in range(6, 15):
-        basis = engine.lie_basis(d)
-        blocks, where = engine.bigrading(d)
-        assert sorted(j for cols in blocks.values() for j in cols) == list(range(len(basis)))
-        for a, cols in blocks.items():
-            assert cols == sorted(cols)
-            for i, j in enumerate(cols):
-                assert engine.alphabet.word_multidegree(basis[j]) == (a, d - a)
-                assert where[j] == (a, i)
+    for side, bases in (("lie", engine.lie_basis), ("metabelian", engine.normal_basis)):
+        for d in range(6, 15):
+            basis = bases(d)
+            assert engine.column_index(d, side) == {w: i for i, w in enumerate(basis)}
+            blocks, where = engine.bigrading(d, side)
+            assert sorted(j for cols in blocks.values() for j in cols) == list(range(len(basis)))
+            for a, cols in blocks.items():
+                assert cols == sorted(cols)
+                for i, j in enumerate(cols):
+                    assert engine.alphabet.word_multidegree(basis[j]) == (a, d - a)
+                    assert where[j] == (a, i)
+    with pytest.raises(KeyError):
+        engine.graded_cokernel(14, "tensor")
     s, t = 1, 1
     vec = engine.theorem_vector(s, t, 14)
     a = engine.theorem_block(s, t)
@@ -422,6 +450,16 @@ def test_bp_freeness_check_below_the_first_degree_raises(p, top):
         TorsionEngine(p, 2 * p).bp_freeness_check(top)
 
 
+def test_sweeps_past_the_engine_degree_raise():
+    # the alphabet is cut at the engine's max_degree, so a higher top would
+    # read truncated bases: freeness would pass on zero ranks
+    with pytest.raises(ValueError, match="max_degree 14 is above the engine's 10"):
+        TorsionEngine(5, 10).bp_freeness_check(14)
+    with pytest.raises(ValueError, match="max_degree 14 is above the engine's 10"):
+        TorsionEngine(3, 10).torsion_report(14)
+    assert dict(TorsionEngine(5, 14).bp_freeness_check(14).dimensions)[14] == 84
+
+
 def test_report_wrapper_functions():
     assert len(bp_kernel_basis(5, 11)) == 0
     r = verify_theorem_degree(5, 12)
@@ -462,13 +500,13 @@ def test_derived_coords_match_tensor_round_trip(p, top):
     oracle = TorsionEngine(p, top)      # its own alphabet, so its own memo
     checked = 0
     for d in range(2 * p + 1, top + 1):
-        index = engine.lie_index(d)
-        pairs = [(w, var) for w in engine.lie_basis(d - 1) for var in ("x", "y")]
-        for (word, var), row in zip(pairs, engine.relation_rows(d), strict=True):
-            want = tensor_round_trip_coords(oracle, word, var)
-            assert engine.derived_coords(word, var) == want
-            assert row == {index[w]: c for w, c in want.items()}
-            checked += 1
+        index = engine.column_index(d)
+        for word in engine.lie_basis(d - 1):
+            for var in ("x", "y"):
+                want = tensor_round_trip_coords(oracle, word, var)
+                assert engine.derived_coords(word, var) == want
+                assert engine.derived_row(word, var) == {index[w]: c for w, c in want.items()}
+                checked += 1
     assert checked
 
 
@@ -494,7 +532,7 @@ def freeness_by_tensor_round_trip(p, top):
     for d in range(2 * p, top + 1):
         k_d = kernels[d]
         solve = left_solver(k_d)
-        index = engine.lie_index(d)
+        index = engine.column_index(d)
         rows = []
         for v in kernels.get(d - 1, []):
             e = LieElement(engine.alphabet, ZZ,
@@ -591,15 +629,17 @@ def test_metabelian_rows_match_dense_oracle(p, top):
     for d in range(2 * p, top + 1):
         n = len(engine.normal_basis(d))
         want = metabelian_matrix_oracle(engine, d)
-        rows = engine.metabelian_rows(d)
+        rows = [engine.metabelian_row(word, var)
+                for word in engine.normal_basis(d - 1) for var in ("x", "y")]
         assert [[row.get(j, 0) for j in range(n)] for row in rows] == want, (p, d)
         assert all(list(row) == sorted(row) and all(row.values()) for row in rows)
         assert engine.metabelian_matrix(d) == want
         ds = _dense_snf(want, n).divisors
         coker = CokernelStructure(n - len(ds), tuple(q for q in ds if q > 1))
-        pres = engine.metabelian_presentation(d)
-        assert pres is engine.metabelian_presentation(d)
-        assert pres.cokernel == coker, (p, d)
+        for a in engine.bigrading(d, "metabelian")[0]:
+            pres = engine.block(d, a, "metabelian")
+            assert pres is engine.block(d, a, "metabelian")
+        assert engine.graded_cokernel(d, "metabelian") == coker, (p, d)
         checked += len(rows)
     assert checked
 
@@ -613,7 +653,7 @@ def metabelian_check_by_dense_path(p, d):
     l_coker = cokernel_structure(lie, n)
     m_coker = cokernel_structure(metabelian_matrix_oracle(engine, d),
                                  len(engine.normal_basis(d)))
-    index = engine.lie_index(d)
+    index = engine.column_index(d)
     units = []
     for s, t in engine.theorem_indices(d):
         vec, target = [0] * n, [0] * n
@@ -634,6 +674,24 @@ def test_metabelian_torsion_check_matches_dense_path(p, d):
     assert (r.lie_torsion, r.metabelian_torsion) == (lie_torsion, m_torsion)
     assert r.units == tuple(units)
     assert r.passed and None not in units
+
+
+@pytest.mark.parametrize("p,d,units", [(7, 16, (2,)), (5, 17, (2, 2))])
+def test_metabelian_torsion_check_finds_a_unit_other_than_one(monkeypatch, p, d, units):
+    # theta's image doubled is twice the theorem vector, so the unit is 2; a
+    # difference of merely finite order must not be taken for zero
+    monkeypatch.setattr(torsion, "theta", lambda m: 2 * theta(m))
+    r = metabelian_torsion_check(p, d)
+    assert r.theta_matches and r.units == units
+
+
+@pytest.mark.parametrize("p,d", [(7, 16), (5, 17)])
+def test_metabelian_torsion_check_refuses_a_zero_image(monkeypatch, p, d):
+    # p times theta's image is zero in the cokernel: no unit times the
+    # theorem vector, which has order p, matches it
+    monkeypatch.setattr(torsion, "theta", lambda m: p * theta(m))
+    r = metabelian_torsion_check(p, d)
+    assert r.ranks_agree and not r.theta_matches and not r.passed
 
 
 def test_strict_key_peel_refuses_terms_outside_the_image_of_mu():
