@@ -10,6 +10,7 @@ words of the same content.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 from .words import Generator, LyndonWord, _split_point, is_lyndon
 from .zlinalg import add_into
@@ -341,8 +342,9 @@ def _expand_bracket(left, right) -> dict:
     for wa, ca in left.items():
         for wb, cb in right.items():
             c = ca * cb
-            out[wa + wb] = out.get(wa + wb, 0) + c
-            out[wb + wa] = out.get(wb + wa, 0) - c
+            ab, ba = wa + wb, wb + wa
+            out[ab] = out.get(ab, 0) + c
+            out[ba] = out.get(ba, 0) - c
     return {w: c for w, c in out.items() if c}
 
 
@@ -366,16 +368,8 @@ def _expand_lyndon(alphabet, idx) -> dict:
 
 def leftnormed_tensor(letters) -> dict:
     """Tensor expansion of the left-normed product of a letter-index tuple."""
-    out = {letters[:1]: 1}
-    for b in letters[1:]:
-        nxt = {}
-        for w, c in out.items():
-            wb = w + (b,)
-            nxt[wb] = nxt.get(wb, 0) + c
-            bw = (b,) + w
-            nxt[bw] = nxt.get(bw, 0) - c
-        out = {w: c for w, c in nxt.items() if c}
-    return out
+    return reduce(lambda out, b: _expand_bracket(out, {(b,): 1}), letters[1:],
+                  {letters[:1]: 1})
 
 
 def leftnormed_expansion(alphabet, letters) -> dict:

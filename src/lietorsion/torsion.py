@@ -33,7 +33,7 @@ blocks as sparse {column: coefficient} vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import factorial, prod
 
@@ -43,7 +43,7 @@ from .maps import (ActionSpec, _mu_terms, eta, leibniz_mixed, metabelian_of_word
                    mixed_basis, normal_words, peel_strict_keys, theta, theta_presum)
 from .words import Alphabet, Generator, LyndonWord, _lyndon_walk
 from .zlinalg import (CokernelStructure, IntLattice, Presentation, _dense, _divisor_chain,
-                      add_into, cokernel_structure, left_solver)
+                      add_into, cokernel_structure)
 
 VARIABLES = ("x", "y")
 
@@ -144,8 +144,25 @@ class FreenessReport:
         return self.all_torsion_free
 
 
+@dataclass
+class _Degree:
+    """One side's degree-d basis, split by bidegree in the same pass, and
+    what is built over it on demand."""
+    words: list           # the basis words, as index tuples
+    index: dict           # {word: column}
+    blocks: dict          # {a: the columns of bidegree (a, d-a), ascending}
+    where: list           # each column's (a, position in its block)
+    parts: dict = field(default_factory=dict)           # {column: Lyndon part}
+    presentations: dict = field(default_factory=dict)   # {a: block Presentation}
+
+
 class TorsionEngine:
-    """Caches bases and derivations for one modulus up to one ambient degree."""
+    """One modulus up to one ambient degree.  Everything cached is one record
+    per side and degree (``_Degree``): the side "lie" is the Lie power in
+    Lyndon words, "metabelian" the metabelian power in normal words.  The
+    relation rows are rebuilt on each call; every block reads its own rows
+    once.  Past ``max_degree`` the alphabet is cut, so a degree above it
+    raises ValueError."""
 
     def __init__(self, p: int, max_degree: int):
         if p < 2:
@@ -156,83 +173,77 @@ class TorsionEngine:
         self.max_degree = max_degree
         self.alphabet = a_alphabet(max(2, max_degree - 2 * (p - 1)))
         self.action = a_action(self.alphabet)
-        self._lie_basis = {}
-        self._normal_basis = {}
-        self._indices = {}
-        self._lyndon_parts = {}
-        self._derived = {}
-        self._bigradings = {}
-        self._blocks = {}
+        self._degrees = {}
 
     # -- bases ------------------------------------------------------------
 
+    def _degree(self, d: int, side: str = "lie") -> _Degree:
+        """The side's degree-d record, built once; an unknown side raises
+        KeyError."""
+        rec = self._degrees.get((side, d))
+        if rec is None:
+            if side not in ("lie", "metabelian"):
+                raise KeyError(side)
+            if d > self.max_degree:
+                raise ValueError(f"degree {d} is above the engine's max_degree "
+                                 f"{self.max_degree}, where the alphabet is cut")
+            if d < 2 * self.p:
+                words = []
+            elif side == "lie":
+                wt = [g.weight for g in self.alphabet]
+                words = _lyndon_walk(wt, length=self.p, lo=d, hi=d)
+            else:
+                words = normal_words(self.alphabet, self.p, weight=d)
+            index, blocks, where = {}, {}, []
+            for col, w in enumerate(words):
+                index[w] = col
+                a = self.alphabet.word_multidegree(w)[0]
+                cols = blocks.setdefault(a, [])
+                where.append((a, len(cols)))
+                cols.append(col)
+            rec = self._degrees[side, d] = _Degree(words, index, blocks, where)
+        return rec
+
     def lie_basis(self, d: int) -> list[tuple]:
         """Lyndon words of length p and ambient degree d, as index tuples."""
-        if d not in self._lie_basis:
-            if d < 2 * self.p:
-                self._lie_basis[d] = []
-            else:
-                wt = [g.weight for g in self.alphabet]
-                self._lie_basis[d] = _lyndon_walk(wt, length=self.p, lo=d, hi=d)
-        return self._lie_basis[d]
+        return self._degree(d).words
 
     def normal_basis(self, d: int) -> list[tuple]:
-        if d not in self._normal_basis:
-            if d < 2 * self.p:
-                self._normal_basis[d] = []
-            else:
-                self._normal_basis[d] = normal_words(self.alphabet, self.p, weight=d)
-        return self._normal_basis[d]
-
-    def _side(self, side: str):
-        """(basis, row builder) of a side: "lie" is the Lie power in Lyndon
-        words, "metabelian" the metabelian power in normal words."""
-        return {"lie": (self.lie_basis, self.derived_row),
-                "metabelian": (self.normal_basis, self.metabelian_row)}[side]
+        return self._degree(d, "metabelian").words
 
     def column_index(self, d: int, side: str = "lie") -> dict:
         """{word: column} of the side's degree-d basis, cached, read-only."""
-        key = (side, d)
-        if key not in self._indices:
-            self._indices[key] = {w: i for i, w in enumerate(self._side(side)[0](d))}
-        return self._indices[key]
+        return self._degree(d, side).index
 
     # -- relation rows ------------------------------------------------------
 
     def derived_row(self, word: tuple, var: str) -> dict:
         """The var-image of a degree d-1 basis word as {column of lie_basis(d):
-        coefficient}, in column order; the dict is the cache's, read-only.
-
-        An action leaving the alphabet's degree cut raises KeyError.
-        """
-        key = (word, var)
-        row = self._derived.get(key)
-        if row is None:
-            d = self.alphabet.word_weight(word) + 1
-            index = self.column_index(d)
-            # every expansion word rearranges the letters of ``word``
-            image = {a: self.action.image(a, var).items() for a in set(word)}
-            # A Lyndon word starts with its least letter, and the action
-            # raises the letter it moves.  So when w does not start with the
-            # least letter of ``word``, only moving that letter, if it occurs
-            # once, can give a Lyndon word.
-            least = min(word)
-            lone = word.count(least) == 1
-            acc = {}
-            for w, c in _expand_lyndon(self.alphabet, word).items():
-                if w[0] == least:
-                    places = range(len(w))
-                elif lone:
-                    places = (w.index(least),)
-                else:
-                    continue
-                for pos in places:
-                    for j, k in image[w[pos]]:
-                        col = index.get(w[:pos] + (j,) + w[pos + 1:])
-                        if col is not None:
-                            acc[col] = acc.get(col, 0) + c * k
-            row = self._derived[key] = self._lyndon_solve(d, acc)
-        return row
+        coefficient}, in column order."""
+        d = self.alphabet.word_weight(word) + 1
+        index = self.column_index(d)
+        # every expansion word rearranges the letters of ``word``
+        image = {a: self.action.image(a, var).items() for a in set(word)}
+        # A Lyndon word starts with its least letter, and the action raises
+        # the letter it moves.  So when w does not start with the least
+        # letter of ``word``, only moving that letter, if it occurs once, can
+        # give a Lyndon word.
+        least = min(word)
+        lone = word.count(least) == 1
+        acc = {}
+        for w, c in _expand_lyndon(self.alphabet, word).items():
+            if w[0] == least:
+                places = range(len(w))
+            elif lone:
+                places = (w.index(least),)
+            else:
+                continue
+            for pos in places:
+                for j, k in image[w[pos]]:
+                    col = index.get(w[:pos] + (j,) + w[pos + 1:])
+                    if col is not None:
+                        acc[col] = acc.get(col, 0) + c * k
+        return self._lyndon_solve(d, acc)
 
     def _lyndon_solve(self, d: int, acc: dict) -> dict:
         """Lyndon coordinates of an element of degree d from its coefficients
@@ -262,14 +273,13 @@ class TorsionEngine:
     def _lyndon_part(self, d: int, col: int) -> dict:
         """{column: coefficient} of the degree-d Lyndon words other than
         lie_basis(d)[col] in the expansion of its standard bracketing."""
-        parts = self._lyndon_parts.setdefault(d, {})
-        part = parts.get(col)
+        rec = self._degree(d)
+        part = rec.parts.get(col)
         if part is None:
-            word = self.lie_basis(d)[col]
-            index = self.column_index(d)
-            part = parts[col] = {index[w]: k for w, k in
-                                 _expand_lyndon(self.alphabet, word).items()
-                                 if w != word and w in index}
+            word = rec.words[col]
+            part = rec.parts[col] = {rec.index[w]: k for w, k in
+                                     _expand_lyndon(self.alphabet, word).items()
+                                     if w != word and w in rec.index}
         return part
 
     def derived_coords(self, word: tuple, var: str) -> dict:
@@ -304,19 +314,11 @@ class TorsionEngine:
                 for v in VARIABLES]
 
     def bigrading(self, d: int, side: str = "lie"):
-        """The side's degree-d basis split by bidegree, in one pass: {a: the
-        columns of bidegree (a, d-a), ascending}, and for each column its
-        pair (a, position in that block).  Both are the cache's, read-only."""
-        key = (side, d)
-        if key not in self._bigradings:
-            blocks, where = {}, []
-            for col, w in enumerate(self._side(side)[0](d)):
-                a = self.alphabet.word_multidegree(w)[0]
-                cols = blocks.setdefault(a, [])
-                where.append((a, len(cols)))
-                cols.append(col)
-            self._bigradings[key] = blocks, where
-        return self._bigradings[key]
+        """The side's degree-d basis split by bidegree: {a: the columns of
+        bidegree (a, d-a), ascending}, and for each column its pair (a,
+        position in that block).  Both are the cache's, read-only."""
+        rec = self._degree(d, side)
+        return rec.blocks, rec.where
 
     def _in_block(self, d: int, a: int, vec: dict, side: str = "lie") -> dict:
         """A sparse vector on the side's degree-d basis in the columns of block (a, d-a).
@@ -324,7 +326,7 @@ class TorsionEngine:
         A block's columns keep the order of the basis.  A column of another
         block raises ValueError: every map here preserves bidegree.
         """
-        where = self.bigrading(d, side)[1]
+        where = self._degree(d, side).where
         out = {}
         for col, c in vec.items():
             b, i = where[col]
@@ -338,22 +340,22 @@ class TorsionEngine:
         """The side's bidegree (a, d-a) piece as a cokernel, eliminated once
         and cached: the x-images of the block (a-1, d-a) words and the
         y-images of the block (a, d-a-1) words."""
-        key = (side, d, a)
-        if key not in self._blocks:
-            basis, row = self._side(side)
-            below = basis(d - 1)
-            blocks = self.bigrading(d - 1, side)[0]
-            rows = [self._in_block(d, a, row(below[col], var), side)
+        rec = self._degree(d, side)
+        pres = rec.presentations.get(a)
+        if pres is None:
+            below = self._degree(d - 1, side)
+            row = self.derived_row if side == "lie" else self.metabelian_row
+            rows = [self._in_block(d, a, row(below.words[col], var), side)
                     for var, a0 in (("x", a - 1), ("y", a))
-                    for col in blocks.get(a0, ())]
-            self._blocks[key] = Presentation(rows, len(self.bigrading(d, side)[0].get(a, ())))
-        return self._blocks[key]
+                    for col in below.blocks.get(a0, ())]
+            pres = rec.presentations[a] = Presentation(rows, len(rec.blocks.get(a, ())))
+        return pres
 
     def graded_cokernel(self, d: int, side: str = "lie") -> CokernelStructure:
         """The side's degree-d cokernel, the direct sum of its blocks: each
         block (a, b) with a < b is counted twice, once for its mirror (b, a)."""
         free, torsion = 0, []
-        for a in self.bigrading(d, side)[0]:
+        for a in self._degree(d, side).blocks:
             if 2 * a <= d:
                 ck = self.block(d, a, side).cokernel
                 times = 1 if 2 * a == d else 2
@@ -502,6 +504,12 @@ class TorsionEngine:
         return [_dense(x, len(rows)) for x in IntLattice(width, rows).relations]
 
     def bp_freeness_check(self, max_degree=None) -> FreenessReport:
+        """The degree-d kernel K_d is the relations among the eta rows, built
+        once and then the source of degree d+1.  The x- and y-images of
+        K_{d-1} span A, and eta is checked to kill each of them, so A lies in
+        K_d, which is exactly eta's kernel.  L_d/K_d embeds in the free mixed
+        power, so L_d/A is K_d/A plus a free part, and K_d/A's torsion is
+        read off L_d/A on the Lie columns."""
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         top = self._top(max_degree)
@@ -509,36 +517,28 @@ class TorsionEngine:
             raise ValueError(f"max_degree {top} is below the first degree {2 * self.p}")
         dims = []
         torsion_found = []
-        all_free = True
-        kernels = {}
+        below = []          # K_{d-1}, as sparse rows on lie_basis(d-1)
         for d in range(2 * self.p, top + 1):
-            kernels[d] = self.bp_kernel_basis(d)
-            dims.append((d, len(kernels[d])))
-        for d in range(2 * self.p, top + 1):
-            k_d = kernels[d]
-            solve = left_solver(k_d)
-            rows = []
-            for v in kernels.get(d - 1, []):
+            etas, width = self.eta_matrix(d)
+            words = self.lie_basis(d - 1)
+            images = []
+            for v in below:
                 for var in VARIABLES:
                     vec = {}
-                    for word, a in zip(self.lie_basis(d - 1), v):
-                        if a:
-                            add_into(vec, self.derived_row(word, var).items(), a)
-                    if not k_d:
-                        if vec:
-                            raise AssertionError("kernel is not action stable")
-                        continue
-                    coords = solve(vec)
-                    if coords is None:
+                    for col, a in v.items():
+                        add_into(vec, self.derived_row(words[col], var).items(), a)
+                    killed = {}
+                    for col, c in vec.items():
+                        add_into(killed, etas[col].items(), c)
+                    if killed:
                         raise AssertionError("kernel is not action stable")
-                    rows.append(coords)
-            coker = cokernel_structure(rows, len(k_d))
-            torsion_found.append(coker.torsion)
-            if coker.torsion:
-                all_free = False
+                    images.append(vec)
+            torsion_found.append(cokernel_structure(images, len(etas)).torsion)
+            below = IntLattice(width, etas).relations
+            dims.append((d, len(below)))
         nonvacuous = any(r for _, r in dims)
         return FreenessReport(self.p, top, tuple(dims), tuple(torsion_found),
-                              all_free, nonvacuous)
+                              not any(torsion_found), nonvacuous)
 
 
 # -- module-level wrappers matching the operation names ----------------------

@@ -5,12 +5,14 @@ independent of the package's Lyndon-basis plumbing.
 """
 
 import random
+from functools import reduce
+from itertools import product
 
 import pytest
 
 from lietorsion.elements import (GF, QQ, ZZ, DomainError, LieElement,
                                  NotLieElementError, bracket, bracketing,
-                                 generator_element, left_normalize,
+                                 generator_element, left_normalize, leftnormed_tensor,
                                  lyndon_monomial, normal_form, to_tensor,
                                  TensorElement, lie_from_tensor)
 from lietorsion.maps import random_homogeneous
@@ -227,6 +229,10 @@ def test_memoised_expansions_match_the_tree_oracle():
                 t.terms.clear()
                 assert lie_from_tensor(to_tensor(e)) == e
             assert ab.memo
+    # the left-normed expansion folds the same bracket step over the letters
+    for w in product(range(3), repeat=4):
+        left_normed = reduce(lambda tree, b: (tree, b), w[1:], w[0])
+        assert leftnormed_tensor(w) == oracle_expand(left_normed)
 
 
 def test_degree_and_zero():

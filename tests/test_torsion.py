@@ -460,6 +460,38 @@ def test_sweeps_past_the_engine_degree_raise():
     assert dict(TorsionEngine(5, 14).bp_freeness_check(14).dimensions)[14] == 84
 
 
+@pytest.mark.parametrize("check", [
+    lambda e: e.graded_cokernel(14),
+    lambda e: e.graded_cokernel(14, "metabelian"),
+    lambda e: e.bp_kernel_basis(14),
+    lambda e: e.verify_theorem_degree(14),
+    lambda e: e.metabelian_torsion_check(14),
+], ids=["lie-cokernel", "metabelian-cokernel", "kernel", "theorem", "metabelian-check"])
+def test_degrees_past_the_engine_degree_raise(check):
+    # at TorsionEngine(5, 14) degree 14 has free rank 66 on the Lie side, 22
+    # on the metabelian side and an 84-vector kernel; the cut alphabet of
+    # TorsionEngine(5, 10) would answer 0, 0 and [] and pass the theorem
+    with pytest.raises(ValueError, match="degree 14 is above the engine's max_degree 10"):
+        check(TorsionEngine(5, 10))
+
+
+def test_bp_freeness_check_refuses_an_image_eta_does_not_kill(monkeypatch):
+    # eta made injective at degree 13: the kernel there is 0, but the
+    # degree-12 kernel's images under x and y are not
+    engine = TorsionEngine(5, 13)
+    real = engine.eta_matrix
+
+    def injective_at_13(d):
+        if d < 13:
+            return real(d)
+        n = len(engine.lie_basis(d))
+        return [{i: 1} for i in range(n)], n
+
+    monkeypatch.setattr(engine, "eta_matrix", injective_at_13)
+    with pytest.raises(AssertionError, match="kernel is not action stable"):
+        engine.bp_freeness_check(13)
+
+
 def test_report_wrapper_functions():
     assert len(bp_kernel_basis(5, 11)) == 0
     r = verify_theorem_degree(5, 12)
@@ -518,7 +550,7 @@ def test_derived_coords_at_the_degree_cut_raise_key_error():
         with pytest.raises(KeyError, match="is not defined"):
             tensor_round_trip_coords(engine, word, var)
         for _ in range(2):      # nothing half-built is cached
-            with pytest.raises(KeyError, match="is not defined"):
+            with pytest.raises(ValueError, match="above the engine's max_degree 9"):
                 engine.derived_coords(word, var)
 
 

@@ -13,8 +13,8 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
 from lietorsion.zlinalg import (CokernelStructure, IntLattice, Presentation,
-                                _dense_snf, add_into, cokernel_structure,
-                                hermite_normal_form, integer_kernel,
+                                _dense, _dense_snf, add_into, cokernel_structure,
+                                hermite_normal_form, integer_kernel, left_solver,
                                 order_in_cokernel, saturation, smith_normal_form,
                                 solve_left, transpose)
 
@@ -378,6 +378,35 @@ def test_lattice_hermite_and_kernel_match_dense_oracle(case):
     pres = Presentation(kernel, n)
     assert pres.cokernel.torsion == ()
     assert all(v in pres for v in oracle)
+
+
+@st.composite
+def kernel_images(draw):
+    """(n, K, A): K the relations among n small integer rows, A random
+    combinations of K's vectors, some scaled by 2 or 3."""
+    n, w = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=w, max_size=w)) for _ in range(n)]
+    kernel = [_dense(x, n) for x in IntLattice(w, rows).relations]
+    images = []
+    for _ in range(draw(st.integers(0, 5))):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(kernel),
+                               max_size=len(kernel)))
+        scale = draw(st.sampled_from([1, 1, 2, 3]))
+        images.append([scale * sum(c * k[j] for c, k in zip(coeffs, kernel))
+                       for j in range(n)])
+    return n, kernel, images
+
+
+@PROPERTY
+@given(kernel_images())
+def test_torsion_of_kernel_images_reads_on_the_ambient_columns(case):
+    # Z^n / K embeds in Z^w, so Z^n / A is K / A plus a free part: the
+    # torsion of A on all n columns is that of A solved in K's basis
+    n, kernel, images = case
+    coords = list(map(left_solver(kernel), images))
+    assert None not in coords
+    assert (cokernel_structure(images, n).torsion
+            == cokernel_structure(coords, len(kernel)).torsion)
 
 
 @pytest.mark.parametrize("call,error", [
