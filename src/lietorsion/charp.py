@@ -16,7 +16,7 @@ and from sparse vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
 
@@ -53,11 +53,10 @@ def right_kernel_mod(rows, n, p):
 
 # -- PBW scaffolding ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class PBWElement:
+class PBWElement(namedtuple("PBWElement", "factors")):
     """A product of non-decreasing Lie basis factors of total degree p."""
 
-    factors: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def type(self) -> tuple[int, ...]:
@@ -273,25 +272,12 @@ def bp_space(p: int, dim: int, data: PBWBasis | None = None):
             [_dense(t, data.n_tensor) for t in tensors], words)
 
 
-@dataclass(frozen=True)
-class SummandReport:
-    p: int
-    dim: int
-    dim_tensor: int
-    class_sizes: tuple[int, ...]
-    dim_w: int
-    dim_ker_alpha: int
-    dim_im_beta: int
-    dim_bp: int
-    sigma_dims: tuple[int, ...]
-    sigma_injective: bool
-    sigma_in_filtration: bool
-    w_in_kernel: bool
-    kernel_is_w: bool
-    splits_tensor: bool
-    summands_independent: bool
-    beta_alpha_identity: bool
-    kp_zero_inside: bool
+class SummandReport(namedtuple("SummandReport", [
+        "p", "dim", "dim_tensor", "class_sizes", "dim_w", "dim_ker_alpha", "dim_im_beta",
+        "dim_bp", "sigma_dims", "sigma_injective", "sigma_in_filtration", "w_in_kernel",
+        "kernel_is_w", "splits_tensor", "summands_independent", "beta_alpha_identity",
+        "kp_zero_inside"])):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

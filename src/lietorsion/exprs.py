@@ -8,7 +8,7 @@ differences of terms are accepted so printed elements parse back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .elements import LieElement, ZZ, bracket, generator_element, lie_zero
@@ -20,29 +20,10 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class GenNode:
-    name: str
-    pos: int
-
-
-@dataclass(frozen=True)
-class BracketNode:
-    args: tuple
-    pos: int
-
-
-@dataclass(frozen=True)
-class ScaleNode:
-    scalar: object
-    arg: object
-    pos: int
-
-
-@dataclass(frozen=True)
-class SumNode:
-    parts: tuple   # (sign, node) pairs
-    pos: int
+GenNode = namedtuple("GenNode", "name pos")
+BracketNode = namedtuple("BracketNode", "args pos")
+ScaleNode = namedtuple("ScaleNode", "scalar arg pos")
+SumNode = namedtuple("SumNode", "parts pos")   # parts: (sign, node) pairs
 
 
 def _tokenize(text):

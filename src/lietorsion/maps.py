@@ -9,7 +9,7 @@ mixed key (a, m) satisfies a > min(m) while every trailing key does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from math import factorial, prod
 
@@ -421,16 +421,10 @@ def derive(x, var, spec: ActionSpec):
 # ---------------------------------------------------------------------------
 # exactness of the mu/kappa sequence
 
-@dataclass(frozen=True)
-class ExactnessReport:
-    c: int
-    degree_cut: int
-    rank_metabelian: int
-    rank_mixed: int
-    rank_sym: int
-    mu_injective: bool
-    kappa_surjective: bool
-    image_equals_kernel: bool
+class ExactnessReport(namedtuple("ExactnessReport", [
+        "c", "degree_cut", "rank_metabelian", "rank_mixed", "rank_sym",
+        "mu_injective", "kappa_surjective", "image_equals_kernel"])):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -33,7 +33,7 @@ blocks as sparse {column: coefficient} vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from math import factorial, prod
 
@@ -93,19 +93,11 @@ def a_action(alphabet: Alphabet) -> ActionSpec:
     return ActionSpec(alphabet, VARIABLES, images)
 
 
-@dataclass(frozen=True)
-class TorsionReport:
-    prime: int
-    degree: int
-    lie_power_rank: int
-    cokernel: CokernelStructure
-    theorem_count: int
-    all_order_p: bool
-    independent: bool
-    spanning: bool
-    torsion_all_p: bool
-    integrality_passed: bool
-    theorem_checked: bool
+class TorsionReport(namedtuple("TorsionReport", [
+        "prime", "degree", "lie_power_rank", "cokernel", "theorem_count", "all_order_p",
+        "independent", "spanning", "torsion_all_p", "integrality_passed",
+        "theorem_checked"])):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -115,45 +107,40 @@ class TorsionReport:
                 and self.torsion_all_p and self.integrality_passed)
 
 
-@dataclass(frozen=True)
-class MetabelianTorsionReport:
-    prime: int
-    degree: int
-    lie_torsion: tuple[int, ...]
-    metabelian_torsion: tuple[int, ...]
-    ranks_agree: bool
-    theta_matches: bool
-    units: tuple[int, ...]
+class MetabelianTorsionReport(namedtuple("MetabelianTorsionReport", [
+        "prime", "degree", "lie_torsion", "metabelian_torsion", "ranks_agree",
+        "theta_matches", "units"])):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.ranks_agree and self.theta_matches
 
 
-@dataclass(frozen=True)
-class FreenessReport:
-    prime: int
-    max_degree: int
-    dimensions: tuple[tuple[int, int], ...]   # (degree, rank of the kernel part)
-    torsion_found: tuple[tuple[int, ...], ...]
-    all_torsion_free: bool
-    nonvacuous: bool
+class FreenessReport(namedtuple("FreenessReport", [
+        "prime", "max_degree",
+        "dimensions",   # ((degree, rank of the kernel part), ...)
+        "torsion_found", "all_torsion_free", "nonvacuous"])):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.all_torsion_free
 
 
-@dataclass
 class _Degree:
     """One side's degree-d basis, split by bidegree in the same pass, and
     what is built over it on demand."""
-    words: list           # the basis words, as index tuples
-    index: dict           # {word: column}
-    blocks: dict          # {a: the columns of bidegree (a, d-a), ascending}
-    where: list           # each column's (a, position in its block)
-    parts: dict = field(default_factory=dict)           # {column: Lyndon part}
-    presentations: dict = field(default_factory=dict)   # {a: block Presentation}
+
+    __slots__ = ("words", "index", "blocks", "where", "parts", "presentations")
+
+    def __init__(self, words, index, blocks, where):
+        self.words = words            # the basis words, as index tuples
+        self.index = index            # {word: column}
+        self.blocks = blocks          # {a: the columns of bidegree (a, d-a), ascending}
+        self.where = where            # each column's (a, position in its block)
+        self.parts = {}               # {column: Lyndon part}
+        self.presentations = {}       # {a: block Presentation}
 
 
 class TorsionEngine:

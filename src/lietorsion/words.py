@@ -8,21 +8,45 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class Generator:
-    """A free generator carrying a multidegree over the ambient variables."""
+    """A free generator carrying a multidegree over the ambient variables.
 
-    name: str
-    multidegree: tuple[int, ...] = (1,)
+    Immutable: generators compare and hash by name and multidegree, which is
+    stored as a tuple of nonnegative ints, not all zero.
+    """
 
-    def __post_init__(self):
-        if not self.multidegree or all(d == 0 for d in self.multidegree):
-            raise ValueError(f"generator {self.name!r} needs a nonzero multidegree")
-        if any(d < 0 for d in self.multidegree):
-            raise ValueError(f"generator {self.name!r} has a negative degree entry")
+    __slots__ = ("name", "multidegree")
+
+    def __init__(self, name: str, multidegree=(1,)):
+        try:
+            multidegree = tuple(multidegree)
+        except TypeError:
+            raise ValueError(f"generator {name!r} needs a sequence of degrees, "
+                             f"got {multidegree!r}") from None
+        if not all(type(d) is int and d >= 0 for d in multidegree):
+            raise ValueError(f"generator {name!r} needs nonnegative integer degrees")
+        if not any(multidegree):
+            raise ValueError(f"generator {name!r} needs a nonzero multidegree")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "multidegree", multidegree)
+
+    def __setattr__(self, attr, *value):
+        raise AttributeError(f"cannot assign to {attr!r}: Generator is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Generator, (self.name, self.multidegree)
+
+    def __eq__(self, other):
+        if other.__class__ is not Generator:
+            return NotImplemented
+        return self.name == other.name and self.multidegree == other.multidegree
+
+    def __hash__(self):
+        return hash((self.name, self.multidegree))
 
     @property
     def weight(self) -> int:

@@ -24,25 +24,22 @@ basis of the relations among them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, prod
 
 
-@dataclass(frozen=True)
-class SNFResult:
-    divisors: tuple[int, ...]
+class SNFResult(namedtuple("SNFResult", "divisors")):
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
         return len(self.divisors)
 
 
-@dataclass(frozen=True)
-class CokernelStructure:
-    free_rank: int
-    torsion: tuple[int, ...]
+class CokernelStructure(namedtuple("CokernelStructure", "free_rank torsion")):
+    __slots__ = ()
 
     @property
     def torsion_rank(self) -> int:

@@ -542,7 +542,7 @@ def test_derived_coords_match_tensor_round_trip(p, top):
     assert checked
 
 
-def test_derived_coords_at_the_degree_cut_raise_key_error():
+def test_derived_coords_at_the_degree_cut_raise_value_error():
     engine = TorsionEngine(3, 9)
     top = max(range(len(engine.alphabet)), key=engine.alphabet.weight_of)
     word = next(w for w in engine.lie_basis(9) if top in w)

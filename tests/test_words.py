@@ -236,6 +236,20 @@ def test_alphabet_uniqueness_and_order():
     assert ab.word_multidegree((0, 1, 1)) == (1, 2, 0)
 
 
+def test_generator_stores_a_list_multidegree_as_a_tuple():
+    g = Generator("x", [1, 0])
+    assert g.multidegree == (1, 0) and g == Generator("x", (1, 0))
+    ab = Alphabet([g, Generator("y", [0, 1])])
+    assert ab.index(Generator("x", (1, 0))) == 0
+    assert ab.word_multidegree((0, 1, 1)) == (1, 2)
+
+
+@pytest.mark.parametrize("degree", [5, None, 2.0, ("1",), (1.0,), (), (0, 0), (1, -1)])
+def test_generator_rejects_a_bad_multidegree(degree):
+    with pytest.raises(ValueError, match="'x'"):
+        Generator("x", degree)
+
+
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(weights=st.lists(st.integers(1, 3), min_size=1, max_size=4),
        length=st.integers(1, 7), data=st.data())
