@@ -9,7 +9,8 @@ therefore a direct summand.
 Vectors are sparse dicts ``{index: coeff mod p}`` holding no zero, and all
 linear algebra runs on the package's one row echelon form,
 ``zlinalg.IntLattice`` given the modulus p: ranks, memberships and the
-relations among the eta rows that span the second derived part.  The
+relations among the eta rows (``maps._eta_word``, reduced mod p by the
+lattice) that span the second derived part.  The
 list-based functions (``rref_mod``, ``alpha_vector`` and so on) convert to
 and from sparse vectors.
 """
@@ -20,8 +21,8 @@ from collections import namedtuple
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
 
-from .elements import GF, _expand_lyndon, lyndon_monomial
-from .maps import _distinct_permutations, eta, mixed_basis
+from .elements import _expand_lyndon
+from .maps import _distinct_permutations, _eta_word, mixed_basis
 from .words import lyndon_words_of_length, unit_alphabet
 from .zlinalg import (IntLattice, _dense, _sparse, add_into, hermite_normal_form,
                       integer_kernel)
@@ -99,7 +100,6 @@ class PBWBasis:
             raise ValueError("degree must be at least 2")
         self.p = p
         self.dim = dim
-        self.field = GF(p)
         self.alphabet = unit_alphabet(dim)
         # Lie basis grouped by degree, ordered degree-first then lexicographically
         self.lie_basis = {r: [w.idx for w in lyndon_words_of_length(self.alphabet, r)]
@@ -247,8 +247,7 @@ def _bp_space(data: PBWBasis):
     degree-p part of the second derived ideal: the left kernel of eta."""
     p = data.p
     words = data.lie_basis[p]
-    rows = ({data.mixed[key]: c for key, c in
-             eta(lyndon_monomial(data.alphabet, w, data.field)).mixed.terms.items()}
+    rows = ({data.mixed[key]: c for key, c in _eta_word(data.alphabet, w).items()}
             for w in words)
     kernel = IntLattice(len(data.mixed), rows, p).relations
     tensors = []

@@ -191,9 +191,6 @@ class _Element:
     def coeff(self, key):
         return self.terms.get(key, self.domain.coerce(0))
 
-    def support(self):
-        return sorted(self.terms)
-
     def __repr__(self):
         if not self.terms:
             return f"{type(self).__name__}(0)"
@@ -220,12 +217,6 @@ class LieElement(_Element):
         if len(lengths) > 1:
             raise ValueError("inhomogeneous element has no degree")
         return lengths.pop()
-
-    def is_homogeneous(self):
-        return len({len(w) for w in self.terms}) <= 1
-
-    def monomials(self):
-        return [(LyndonWord(self.alphabet, w), c) for w, c in sorted(self.terms.items())]
 
     def bracket(self, other):
         return bracket(self, other)

@@ -58,6 +58,10 @@ def _tokenize(text):
     return tokens
 
 
+def _found(tok):
+    return "end of input" if tok[0] == "end" else repr(tok[1])
+
+
 class _Parser:
     def __init__(self, text, alphabet=None):
         self.tokens = _tokenize(text)
@@ -70,7 +74,7 @@ class _Parser:
     def take(self, kind=None):
         tok = self.tokens[self.k]
         if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise ParseError(f"expected {kind!r}, found {_found(tok)}", tok[2])
         self.k += 1
         return tok
 
@@ -102,6 +106,8 @@ class _Parser:
             if self.peek()[0] == "/":
                 self.take()
                 den = self.take("int")
+                if den[1] == 0:
+                    raise ParseError("zero denominator", den[2])
                 scalar = Fraction(scalar, den[1])
             self.take("*")
             return ScaleNode(scalar, self.factor(), tok[2])
@@ -139,7 +145,7 @@ class _Parser:
                 except KeyError:
                     raise ParseError(f"unknown generator {name!r}", tok[2]) from None
             return GenNode(name, tok[2])
-        raise ParseError(f"expected an expression, found {tok[1]!r}", tok[2])
+        raise ParseError(f"expected an expression, found {_found(tok)}", tok[2])
 
 
 def parse_expression(text, alphabet=None):

@@ -14,8 +14,8 @@ from functools import partial
 from math import factorial, prod
 
 from .elements import (DomainError, LieElement, MixedElement, SymElement,
-                       TensorElement, ZZ, left_normalize, leftnormed_expansion,
-                       lie_from_tensor, lie_zero, lyndon_monomial, to_tensor)
+                       TensorElement, ZZ, _expand_lyndon, leftnormed_expansion,
+                       lie_from_tensor, lie_zero, to_tensor)
 from .words import (Alphabet, lyndon_words_of_length, multisets, suffix_bounds,
                     weight_range)
 from .zlinalg import IntLattice, add_into
@@ -121,9 +121,6 @@ class MetabelianElement:
     def __repr__(self):
         return f"M{self.degree}<{self.mixed!r}>"
 
-    def normal_coordinates(self):
-        return metabelian_normal_coords(self)
-
 
 def mu_of_leftnormed(alphabet, letters, domain=ZZ, coeff=1) -> MixedElement:
     """Mu-image of a left-normed monomial [a1,...,ac]."""
@@ -195,12 +192,10 @@ def eta(e: LieElement, c=None) -> MetabelianElement:
     """Projection of a homogeneous Lie element onto the metabelian power."""
     d = e.degree()
     if d is None:
-        if c is None or c < 2:
-            raise ValueError("eta needs degree >= 2")
         d = c
-    if c is not None and d != c:
+    elif c is not None and d != c:
         raise ValueError(f"element has degree {d}, expected {c}")
-    if d < 2:
+    if d is None or d < 2:
         raise ValueError("eta needs degree >= 2")
     acc = {}
     for w, coeff in e.terms.items():
@@ -210,14 +205,18 @@ def eta(e: LieElement, c=None) -> MetabelianElement:
 
 def _eta_word(alphabet, w) -> dict:
     """eta of the Lyndon word w as integer mixed terms, memoised in the
-    alphabet: the dict returned is the table's, read-only."""
+    alphabet (the dict returned is the table's, read-only).  It is alpha(nu(w)),
+    for alpha(a1...ac) = (a1, a2 o ... o ac) has mu(eta(P)) = alpha(nu(P)) on
+    Lie P of degree >= 2: on left-normed P, alpha(a1a2 - a2a1) = mu([a1,a2]),
+    and nu([P,b]) = nu(P)b - b nu(P), where nu(P)'s words share one content and
+    their coefficients sum to 0, so alpha kills b nu(P) and adds b to each
+    multiset of alpha(nu(P)) = mu(P), giving mu([P,b]); both maps are linear."""
     table = alphabet.table("eta")
     terms = table.get(w)
     if terms is None:
-        terms = {}
-        for coeff, letters in left_normalize(lyndon_monomial(alphabet, w)):
-            add_into(terms, _mu_terms(letters).items(), coeff)
-        table[w] = terms
+        terms = table[w] = {}
+        add_into(terms, (((u[0], tuple(sorted(u[1:]))), c)
+                         for u, c in _expand_lyndon(alphabet, w).items()))
     return terms
 
 

@@ -37,10 +37,10 @@ from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from math import factorial, prod
 
-from .elements import (IntegralityError, LieElement, _expand_lyndon, is_prime,
-                       lyndon_monomial)
-from .maps import (ActionSpec, _mu_terms, eta, leibniz_mixed, metabelian_of_word,
-                   mixed_basis, normal_words, peel_strict_keys, theta, theta_presum)
+from .elements import IntegralityError, LieElement, _expand_lyndon, is_prime
+from .maps import (ActionSpec, _eta_word, _mu_terms, leibniz_mixed,
+                   metabelian_of_word, mixed_basis, normal_words, peel_strict_keys,
+                   theta, theta_presum)
 from .words import Alphabet, Generator, LyndonWord, _lyndon_walk
 from .zlinalg import (CokernelStructure, IntLattice, Presentation, _dense, _divisor_chain,
                       add_into, cokernel_structure)
@@ -475,12 +475,12 @@ class TorsionEngine:
     # -- the second-derived kernel -------------------------------------------
 
     def eta_matrix(self, d: int):
-        """The eta images of lie_basis(d) as sparse {column of the degree-d
-        mixed basis: coefficient} rows, and the mixed basis's size."""
+        """The eta images of lie_basis(d), read off ``maps._eta_word``, as sparse
+        {column of the degree-d mixed basis: coefficient} rows, and the mixed
+        basis's size."""
         keys = mixed_basis(self.alphabet, self.p, weight=d)
         key_index = {k: i for i, k in enumerate(keys)}
-        rows = [{key_index[key]: c for key, c in
-                 eta(lyndon_monomial(self.alphabet, word)).mixed.terms.items()}
+        rows = [{key_index[key]: c for key, c in _eta_word(self.alphabet, word).items()}
                 for word in self.lie_basis(d)]
         return rows, len(keys)
 
@@ -491,12 +491,12 @@ class TorsionEngine:
         return [_dense(x, len(rows)) for x in IntLattice(width, rows).relations]
 
     def bp_freeness_check(self, max_degree=None) -> FreenessReport:
-        """The degree-d kernel K_d is the relations among the eta rows, built
-        once and then the source of degree d+1.  The x- and y-images of
-        K_{d-1} span A, and eta is checked to kill each of them, so A lies in
-        K_d, which is exactly eta's kernel.  L_d/K_d embeds in the free mixed
-        power, so L_d/A is K_d/A plus a free part, and K_d/A's torsion is
-        read off L_d/A on the Lie columns."""
+        """The degree-d kernel K_d is the relations among the eta rows of
+        eta_matrix(d), built once and then the source of degree d+1.  The x-
+        and y-images of K_{d-1} span A, and eta is checked to kill each of
+        them, so A lies in K_d, which is exactly eta's kernel.  L_d/K_d embeds
+        in the free mixed power, so L_d/A is K_d/A plus a free part, and
+        K_d/A's torsion is read off L_d/A on the Lie columns."""
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         top = self._top(max_degree)

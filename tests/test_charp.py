@@ -11,8 +11,8 @@ from lietorsion.charp import (alpha_vector, beta_vector, bp_space,
                               check_summand, in_span_mod, mixed_index,
                               pbw_basis, rank_mod, right_kernel_mod, rref_mod,
                               sigma_vector, type_list)
-from lietorsion.elements import GF, lyndon_monomial
-from lietorsion.maps import ActionSpec, eta, mixed_basis, normal_words
+from lietorsion.elements import GF, left_normalize, lyndon_monomial
+from lietorsion.maps import ActionSpec, _mu_terms, mixed_basis, normal_words
 from lietorsion.words import lyndon_words_of_length, unit_alphabet
 from lietorsion.zlinalg import IntLattice
 
@@ -214,16 +214,18 @@ def test_bp_space_dimensions():
 
 @pytest.mark.parametrize("p,dim", [(5, 2), (7, 2), (5, 3)])
 def test_bp_space_is_the_left_kernel_of_eta(p, dim):
-    # dense eta rows of the degree-p Lyndon words over GF(p), built here
+    # dense eta rows of the degree-p Lyndon words over GF(p), built here by
+    # the left-normalization route, which shares no code with bp_space's rows
     kernel, _, words = bp_space(p, dim)
     ab = unit_alphabet(dim)
     col = {key: j for j, key in enumerate(mixed_basis(ab, p))}
     eta_rows = []
     for w in words:
         row = [0] * len(col)
-        for key, c in eta(lyndon_monomial(ab, w, GF(p))).mixed.terms.items():
-            row[col[key]] = c
-        eta_rows.append(row)
+        for coeff, letters in left_normalize(lyndon_monomial(ab, w)):
+            for key, k in _mu_terms(letters).items():
+                row[col[key]] += coeff * k
+        eta_rows.append([x % p for x in row])
     assert kernel
     for k in kernel:
         assert all(sum(a * r[j] for a, r in zip(k, eta_rows)) % p == 0

@@ -43,6 +43,22 @@ def test_parse_error_positions():
         parse_expression("[x,y]]", AB2)
 
 
+def test_parse_zero_denominator_is_a_parse_error():
+    with pytest.raises(ParseError, match="zero denominator") as err:
+        parse_expression("2/0*x")
+    assert err.value.position == 2
+    assert parse_expression("2/1*x").scalar == 2
+
+
+@pytest.mark.parametrize("text, position", [("[x,y]+", 6), ("2*", 2), ("[x,", 3),
+                                            ("2/", 2), ("u(1,", 4)])
+def test_parse_error_at_end_says_end_of_input(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert err.value.position == position
+    assert "end of input" in str(err.value) and "None" not in str(err.value)
+
+
 def test_parse_scalars_and_sums():
     x, y = AB2.generators
     e = parse_lie("2*[x,y] - [y,x]", AB2)

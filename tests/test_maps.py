@@ -15,15 +15,16 @@ from hypothesis import given, settings, strategies as st
 from lietorsion.charp import PBWBasis
 from lietorsion.elements import (GF, QQ, IntegralityError, LieElement, MixedElement,
                                  SymElement, TensorElement, ZZ, generator_element, left_normalize,
-                                 leftnormed_tensor, lie_from_tensor, normal_form,
-                                 to_tensor)
-from lietorsion.maps import (ActionSpec, MetabelianElement, check_exactness, derive, eta,
-                             kappa, lam, metabelian_normal_coords, metabelian_of_word,
-                             mixed_basis, mu, mu_of_leftnormed, normal_words, nu,
-                             random_action, random_homogeneous, random_metabelian, rho,
-                             sym_basis, theta, theta_presum, theta_word)
+                                 leftnormed_tensor, lie_from_tensor, lyndon_monomial,
+                                 normal_form, to_tensor)
+from lietorsion.maps import (ActionSpec, MetabelianElement, _eta_word, _mu_terms,
+                             check_exactness, derive, eta, kappa, lam,
+                             metabelian_normal_coords, metabelian_of_word, mixed_basis,
+                             mu, mu_of_leftnormed, normal_words, nu, random_action,
+                             random_homogeneous, random_metabelian, rho, sym_basis,
+                             theta, theta_presum, theta_word)
 from lietorsion.torsion import TorsionEngine, a_action, a_alphabet
-from lietorsion.words import Alphabet, Generator, unit_alphabet
+from lietorsion.words import Alphabet, Generator, lyndon_words_of_length, unit_alphabet
 
 AB2 = unit_alphabet(2)
 AB3 = unit_alphabet(3)
@@ -360,6 +361,45 @@ def test_memoised_maps_match_pre_memo_bodies(domain):
                     else:
                         assert theta_word(ab, w, domain) == expected
                 assert ab.memo
+
+
+# -- eta as alpha of the tensor expansion: the left-normalization route is the oracle
+
+def eta_word_oracle(ab, w):
+    # one mu image per left-normed term of the standard bracketing
+    acc = {}
+    for coeff, letters in left_normalize(lyndon_monomial(ab, w)):
+        for key, k in _mu_terms(letters).items():
+            acc[key] = acc.get(key, 0) + coeff * k
+    return {key: c for key, c in acc.items() if c}
+
+
+def test_eta_word_matches_left_normalization_on_unit_alphabets():
+    checked = 0
+    for rank in (2, 3, 4):
+        ab = unit_alphabet(rank)
+        for c in range(2, 8):
+            for w in lyndon_words_of_length(ab, c):
+                assert _eta_word(ab, w.idx) == eta_word_oracle(ab, w.idx)
+                checked += 1
+    assert checked == 39 + 505 + 3300
+
+
+@pytest.mark.parametrize("p, d", [(3, 14), (5, 16), (7, 16)])
+def test_eta_word_matches_left_normalization_on_the_engine_basis(p, d):
+    engine = TorsionEngine(p, d)
+    words = engine.lie_basis(d)
+    assert words
+    for w in words:
+        assert _eta_word(engine.alphabet, w) == eta_word_oracle(engine.alphabet, w)
+
+
+@pytest.mark.parametrize("p, rank", [(2, 4), (3, 3), (5, 2), (7, 2)])
+def test_eta_over_gf_p_matches_left_normalization(p, rank):
+    ab = unit_alphabet(rank)
+    for w in lyndon_words_of_length(ab, p):
+        expected = {key: c % p for key, c in eta_word_oracle(ab, w.idx).items() if c % p}
+        assert eta(lyndon_monomial(ab, w, GF(p))).mixed.terms == expected
 
 
 def test_returned_elements_do_not_share_memo_tables():
