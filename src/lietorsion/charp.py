@@ -131,10 +131,6 @@ class PBWBasis:
             out.append(PBWElement(factors))
         return out
 
-    def elements(self):
-        for cls in self.classes:
-            yield from cls
-
     def _expansion(self, f):
         """(index as a numeral, coefficient mod p) pairs of a Lie basis word's
         tensor expansion."""
@@ -163,16 +159,10 @@ class PBWBasis:
                      for i, c in terms.items() for j, k in expansion}
         return terms
 
-    def factor_vector(self, factors) -> list[int]:
-        """Tensor coordinates mod p of a product of Lie basis factors."""
-        return _dense(self.factor_terms(factors), self.n_tensor)
-
-    def pbw_vector(self, elem: PBWElement) -> list[int]:
-        return self.factor_vector(elem.factors)
-
     def class_vectors(self, i) -> list[list[int]]:
         """Tensor vectors of the class with 1-based index i."""
-        return [self.pbw_vector(e) for e in self.classes[i - 1]]
+        return [_dense(self.factor_terms(e.factors), self.n_tensor)
+                for e in self.classes[i - 1]]
 
     def filtration_vectors(self, i) -> list[list[int]]:
         """Spanning vectors of X_i (classes i..m)."""
@@ -226,10 +216,6 @@ def pbw_basis(p: int, dim: int) -> PBWBasis:
 def sigma_vector(data: PBWBasis, i: int, elem: PBWElement) -> list[int]:
     """Image of the class-i basis element under the block symmetrizer sigma_i."""
     return _dense(data.sigma(i, elem), data.n_tensor)
-
-
-def mixed_index(data: PBWBasis) -> dict:
-    return dict(data.mixed)
 
 
 def alpha_vector(data: PBWBasis, vec) -> list[int]:

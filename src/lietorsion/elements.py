@@ -273,11 +273,11 @@ def generator_element(alphabet, g, domain=ZZ) -> LieElement:
     return LieElement(alphabet, domain, {(i,): domain.coerce(1)}, _clean=True)
 
 
-def lyndon_monomial(alphabet, w, domain=ZZ, coeff=1) -> LieElement:
+def lyndon_monomial(alphabet, w, domain=ZZ) -> LieElement:
     idx = w.idx if isinstance(w, LyndonWord) else tuple(w)
     if not is_lyndon(idx):
         raise ValueError(f"{alphabet.word_name(idx)!r} is not a Lyndon word")
-    return LieElement(alphabet, domain, [(idx, coeff)])
+    return LieElement(alphabet, domain, [(idx, 1)])
 
 
 # ---------------------------------------------------------------------------

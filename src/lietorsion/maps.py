@@ -122,12 +122,11 @@ class MetabelianElement:
         return f"M{self.degree}<{self.mixed!r}>"
 
 
-def mu_of_leftnormed(alphabet, letters, domain=ZZ, coeff=1) -> MixedElement:
+def mu_of_leftnormed(alphabet, letters, domain=ZZ) -> MixedElement:
     """Mu-image of a left-normed monomial [a1,...,ac]."""
     if len(letters) < 2:
         raise ValueError("mu needs degree >= 2")
-    terms = {}
-    add_into(terms, _mu_terms(letters).items(), domain.coerce(coeff), domain.p)
+    terms = {key: domain.coerce(k) for key, k in _mu_terms(letters).items()}
     return MixedElement(alphabet, domain, terms, _clean=True)
 
 
@@ -271,29 +270,20 @@ def peel_strict_keys(rem: dict, dom=ZZ) -> dict:
 
 
 def theta_presum(alphabet, letters, domain=ZZ) -> LieElement:
-    """The bracketed double permutation sum before division by the degree.
-
-    Each side sums the left-normed products [head, tail permuted] over all
-    (c-1)! permutations of its tail; equal arrangements of a tail with
-    repeated letters are summed once, times their number.
+    """The bracketed double permutation sum before division by the degree:
+    rho of the tensor sum of the words (head, tail permuted), over all
+    (c-1)! permutations of each side's tail.  Equal arrangements of a tail
+    with repeated letters are summed once, times their number.
     """
     letters = tuple(letters)
-    c = len(letters)
-    if c < 2:
+    if len(letters) < 2:
         raise ValueError("theta needs degree >= 2")
-    dom = domain
-    a1, a2, rest = letters[0], letters[1], letters[2:]
-    acc = {}
-
-    def accumulate(head, tail, sign):
-        times = dom.coerce(sign * prod(factorial(tail.count(b)) for b in set(tail)))
-        for arrangement in _distinct_permutations(tail):
-            add_into(acc, leftnormed_expansion(alphabet, (head,) + arrangement).items(),
-                     times, dom.p)
-
-    accumulate(a1, (a2,) + rest, 1)
-    accumulate(a2, (a1,) + rest, -1)
-    return lie_from_tensor(TensorElement(alphabet, dom, acc, _clean=True))
+    terms = []
+    for head, tail, sign in ((letters[0], letters[1:], 1),
+                             (letters[1], letters[:1] + letters[2:], -1)):
+        times = sign * prod(factorial(tail.count(b)) for b in set(tail))
+        terms += [((head,) + arr, times) for arr in _distinct_permutations(tail)]
+    return rho(TensorElement(alphabet, domain, terms))
 
 
 def _distinct_permutations(items):
@@ -466,9 +456,7 @@ def check_exactness(c, alphabet, degree_cut) -> ExactnessReport:
     kappa_surjective = len(set().union(*kappa_rows)) == len(syms)
     # Ker kappa is spanned by the relations among kappa's rows
     kernel = IntLattice(len(mixed), IntLattice(len(syms), kappa_rows).relations)
-    image_equals_kernel = (image.rank == kernel.rank
-                           and kernel.contains_lattice(image)
-                           and image.contains_lattice(kernel))
+    image_equals_kernel = image == kernel
     return ExactnessReport(c, degree_cut, len(nwords), len(mixed), len(syms),
                            mu_injective, kappa_surjective, image_equals_kernel)
 

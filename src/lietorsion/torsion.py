@@ -394,9 +394,17 @@ class TorsionEngine:
     def verify_theorem_degree(self, d: int) -> TorsionReport:
         """Each theorem vector is read in its own block, which is built
         directly even past the mirror, since the vector is written in that
-        block's Lyndon basis.  One quotient per block gives the vector's
-        order; the vectors span when no block quotient keeps torsion and the
-        theorem blocks hold all of the degree's torsion."""
+        block's Lyndon basis; every verdict is a count of the orders q_i.
+
+        The vectors span exactly when prod(q_i) = |T|, the order of the
+        degree's torsion T.  Their blocks a = p(s+1)+1 are distinct blocks of
+        the degree, so the vectors generate a direct sum of order prod(q_i)
+        inside T, and each q_i divides the torsion order of its block:
+        prod(q_i) <= prod(|T_b|) over the theorem blocks <= |T|.  Equality
+        says that each vector generates its block's torsion, that a block
+        skipped on IntegralityError carries none, and that the theorem blocks
+        hold all of T.
+        """
         p = self.p
         n = len(self.lie_basis(d))
         coker = self.graded_cokernel(d)
@@ -407,25 +415,16 @@ class TorsionEngine:
                                  torsion_all_p, True, False)
         pairs = self.theorem_indices(d)
         orders = []
-        held = 1            # the torsion order of the theorem blocks
-        left = False        # torsion left in a theorem block after its quotient
         for s, t in pairs:
             a = self.theorem_block(s, t)
-            pres = self.block(d, a)
-            base = pres.cokernel
-            held *= prod(base.torsion)
             try:
                 vec = self._in_block(d, a, self.theorem_vector(s, t, d))
             except IntegralityError:
-                left = left or bool(base.torsion)
                 continue
-            aug = pres.quotient([vec])
-            orders.append(prod(base.torsion) // prod(aug.torsion)
-                          if aug.free_rank == base.free_rank else None)
-            left = left or bool(aug.torsion)
+            orders.append(self.block(d, a).order(vec))
         all_order_p = all(q == p for q in orders)
         independent = None not in orders and prod(orders) == p ** len(orders)
-        spanning = independent and not left and held == prod(coker.torsion)
+        spanning = independent and prod(orders) == prod(coker.torsion)
         return TorsionReport(p, d, n, coker, len(pairs), all_order_p,
                              independent, spanning, torsion_all_p,
                              len(orders) == len(pairs), True)
@@ -446,7 +445,10 @@ class TorsionEngine:
     def metabelian_torsion_check(self, d: int) -> MetabelianTorsionReport:
         """theta's image of each theorem word is compared with the theorem
         vector inside their common block: both are reduced through its
-        pivots once, and each candidate unit is tested on its core alone."""
+        pivots once, and each candidate unit u is tested by whether image
+        minus u times vector lies in the block's relations.  A combination
+        of reduced vectors is reduced, so each test costs one scan of the
+        pivots and one Smith form of the core."""
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         p = self.p
@@ -462,9 +464,9 @@ class TorsionEngine:
             m_elt = metabelian_of_word(self.alphabet, self.theorem_word(s, t))
             vec = pres.reduce(self._in_block(d, a, self._lie_coords(theta(m_elt), d)))
             target = pres.reduce(self._in_block(d, a, self.theorem_vector(s, t, d)))
-            unit = next((u for u in range(1, p) if pres._order(
-                {j: x for j in vec | target
-                 if (x := vec.get(j, 0) - u * target.get(j, 0))}) == 1), None)
+            unit = next((u for u in range(1, p) if {
+                j: x for j in vec | target
+                if (x := vec.get(j, 0) - u * target.get(j, 0))} in pres), None)
             if unit is None:
                 matches = False
             else:

@@ -269,14 +269,9 @@ def standard_factorization(w: LyndonWord) -> tuple[LyndonWord, LyndonWord]:
     return w.standard_factorization()
 
 
-def lyndon_words(alphabet: Alphabet, max_weight: int, weight_of=None) -> list[LyndonWord]:
+def lyndon_words(alphabet: Alphabet, max_weight: int) -> list[LyndonWord]:
     """All Lyndon words of total weight <= max_weight, sorted by (weight, lex)."""
-    if weight_of is None:
-        wt = [g.weight for g in alphabet]
-    else:
-        wt = [weight_of(g) for g in alphabet]
-    if any(w <= 0 for w in wt):
-        raise ValueError("letter weights must be positive")
+    wt = [g.weight for g in alphabet]
     found = _lyndon_walk(wt, hi=max_weight)
     found.sort(key=lambda idx: sum(wt[i] for i in idx))   # stable: lex within a weight
     return [LyndonWord(alphabet, idx) for idx in found]

@@ -11,7 +11,7 @@ pivot row, leaves untouched columns as free summands and hands only the small
 remaining core to the dense kernel.  The dense kernel's pivot rule (smallest
 nonzero absolute value, ties by position) keeps intermediate entries small.
 Vectors are reduced onto the core through the recorded pivots, so one
-presentation answers many order and quotient questions.
+presentation answers many order and membership questions.
 
 Hermite forms, kernels, left solves and membership all go through one
 ``IntLattice``: a sparse row echelon form grown one input at a time by
@@ -93,7 +93,9 @@ class Presentation:
     touching that column is reduced by it.  A heap hands out the shortest row
     with a unit entry first, ties going to the row whose unit column meets the
     fewest rows; that column is the one eliminated.  What is left, the core,
-    touches few columns; every other column is a free summand.
+    touches few columns; every other column is a free summand.  Its queries
+    are ``snf``, ``cokernel``, ``reduce`` and the additive ``order`` of a
+    vector, which ``in`` compares with 1.
     """
 
     def __init__(self, rows, ncols=None):
@@ -162,14 +164,16 @@ class Presentation:
 
     @cached_property
     def cokernel(self) -> CokernelStructure:
-        return self._cokernel(self.snf.divisors)
-
-    def _cokernel(self, divisors):
+        divisors = self.snf.divisors
         return CokernelStructure(self.ncols - len(divisors),
                                  tuple(d for d in divisors if d > 1))
 
     def reduce(self, vec) -> dict:
-        """vec modulo the pivot rows: a dict on the non-pivot columns."""
+        """vec modulo the pivot rows: a dict on the non-pivot columns.
+
+        A pivot's column is cleared from every later pivot row, so a vector
+        already reduced comes back unchanged after one scan of the pivots.
+        """
         v = _sparse(vec, self.ncols)
         for c, s, row in self.pivots:
             a = v.get(c)
@@ -177,28 +181,18 @@ class Presentation:
                 add_into(v, row.items(), -a * s)
         return v
 
-    def quotient(self, vecs) -> CokernelStructure:
-        """Cokernel after adding the vectors to the relations."""
-        return self._quotient(list(map(self.reduce, vecs)))
-
-    def _quotient(self, reduced) -> CokernelStructure:
-        """quotient() of vectors already reduced through the pivots; since
-        reduction is linear, a combination of reduced vectors is reduced."""
-        extra = [r for r in reduced if r]
-        if not extra:
-            return self.cokernel
-        return self._cokernel((1,) * len(self.pivots) + self._core_divisors(extra))
-
     def order(self, vec):
-        """Additive order of vec in the cokernel; None when infinite."""
-        return self._order(self.reduce(vec))
+        """Additive order of vec in the cokernel; None when infinite.
 
-    def _order(self, reduced):
-        """order() of a vector already reduced through the pivots."""
-        base, aug = self.cokernel, self._quotient([reduced])
-        if aug.free_rank != base.free_rank:
-            return None
-        return prod(base.torsion) // prod(aug.torsion)
+        The reduced vector joins the core: the order is the factor by which
+        the torsion shrinks, unless the rank grows.
+        """
+        v = self.reduce(vec)
+        if not v:
+            return 1
+        core = self.snf.divisors[len(self.pivots):]
+        aug = self._core_divisors([v])
+        return prod(core) // prod(aug) if len(aug) == len(core) else None
 
     def __contains__(self, vec) -> bool:
         return self.order(vec) == 1

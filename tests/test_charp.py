@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lietorsion.charp import (alpha_vector, beta_vector, bp_space,
-                              check_summand, in_span_mod, mixed_index,
+                              check_summand, in_span_mod,
                               pbw_basis, rank_mod, right_kernel_mod, rref_mod,
                               sigma_vector, type_list)
 from lietorsion.elements import GF, left_normalize, lyndon_monomial
 from lietorsion.maps import ActionSpec, _mu_terms, mixed_basis, normal_words
 from lietorsion.words import lyndon_words_of_length, unit_alphabet
-from lietorsion.zlinalg import IntLattice
+from lietorsion.zlinalg import IntLattice, _dense
 
 
 def dense_rref_mod(rows, n, p):
@@ -119,7 +119,7 @@ def test_pbw_basis_examples():
 def test_pbw_vectors_are_a_basis():
     for p, dim in ((2, 2), (3, 2), (2, 3), (5, 2)):
         d = pbw_basis(p, dim)
-        vectors = [d.pbw_vector(e) for e in d.elements()]
+        vectors = d.filtration_vectors(1)
         assert len(vectors) == dim ** p
         assert rank_mod(vectors, d.n_tensor, p) == dim ** p
 
@@ -128,7 +128,7 @@ def test_sigma_identity_inclusion_case():
     # p=3, class (1,1,0): factorials are 1, so sigma is the plain product
     d = pbw_basis(3, 2)
     for e in d.classes[1]:
-        assert sigma_vector(d, 2, e) == d.pbw_vector(e)
+        assert sigma_vector(d, 2, e) == _dense(d.factor_terms(e.factors), d.n_tensor)
 
 
 def test_sigma_lands_in_filtration_and_fixes_class():
@@ -142,7 +142,8 @@ def test_sigma_lands_in_filtration_and_fixes_class():
             for e in d.classes[i - 1]:
                 v = sigma_vector(d, i, e)
                 assert in_span_mod(filt, piv, v, p)
-                diff = [(a - b) % p for a, b in zip(v, d.pbw_vector(e))]
+                base = _dense(d.factor_terms(e.factors), d.n_tensor)
+                diff = [(a - b) % p for a, b in zip(v, base)]
                 assert in_span_mod(below, piv_b, diff, p)
 
 
@@ -155,7 +156,7 @@ def test_sigma_scaling_mod5():
     blocks = [list(e.factors[:3]), [e.factors[3]]]
     acc = [0] * d.n_tensor
     for p1 in permutations(blocks[0]):
-        vec = d.factor_vector(tuple(p1) + tuple(blocks[1]))
+        vec = _dense(d.factor_terms(tuple(p1) + tuple(blocks[1])), d.n_tensor)
         acc = [(a + b) % 5 for a, b in zip(acc, vec)]
     scaled = [(x * pow(6, -1, 5)) % 5 for x in acc]
     assert v == scaled
@@ -163,7 +164,7 @@ def test_sigma_scaling_mod5():
 
 def test_alpha_beta_examples():
     d = pbw_basis(3, 3)
-    idx = mixed_index(d)
+    idx = dict(d.mixed)
     # alpha: a(x)b(x)c -> a(x)(b o c)
     vec = [0] * d.n_tensor
     vec[d.word_index[(0, 1, 2)]] = 1
@@ -185,7 +186,7 @@ def test_alpha_beta_examples():
 def test_beta_alpha_identity():
     for p, dim in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2)):
         d = pbw_basis(p, dim)
-        idx = mixed_index(d)
+        idx = dict(d.mixed)
         for key, pos in idx.items():
             image = alpha_vector(d, beta_vector(d, key))
             expected = [0] * len(idx)
@@ -196,7 +197,7 @@ def test_beta_alpha_identity():
 def test_alpha_bijective_at_p2():
     d = pbw_basis(2, 2)
     rows = [alpha_vector(d, [1 if k == i else 0 for k in range(4)]) for i in range(4)]
-    assert rank_mod(rows, len(mixed_index(d)), 2) == 4
+    assert rank_mod(rows, len(d.mixed), 2) == 4
 
 
 def test_bp_space_dimensions():
@@ -270,9 +271,9 @@ def test_factor_permutation_stability_mod_filtration():
         below, piv = rref_mod(d.filtration_vectors(i + 1) if i < d.m else [],
                               d.n_tensor, p)
         for e in d.classes[i - 1]:
-            base = d.pbw_vector(e)
+            base = _dense(d.factor_terms(e.factors), d.n_tensor)
             for perm in permutations(e.factors):
-                v = d.factor_vector(perm)
+                v = _dense(d.factor_terms(perm), d.n_tensor)
                 diff = [(a - b) % p for a, b in zip(v, base)]
                 assert in_span_mod(below, piv, diff, p)
 
@@ -302,7 +303,7 @@ def test_maps_commute_with_derivation():
         return out
 
     def derive_mixed(vec):
-        idx = mixed_index(d)
+        idx = dict(d.mixed)
         rev = {i: key for key, i in idx.items()}
         out = [0] * len(idx)
 
@@ -330,7 +331,7 @@ def test_maps_commute_with_derivation():
     for i in range(d.n_tensor):
         unit = [1 if k == i else 0 for k in range(d.n_tensor)]
         assert alpha_vector(d, derive_vector(unit)) == derive_mixed(alpha_vector(d, unit))
-    idx = mixed_index(d)
+    idx = dict(d.mixed)
     for key in idx:
         unit = [0] * len(idx)
         unit[idx[key]] = 1

@@ -313,7 +313,7 @@ def eta_oracle(e, c):
     dom = e.domain
     acc = MixedElement(e.alphabet, dom, {}, _clean=True)
     for coeff, letters in left_normalize(e):
-        acc = acc + mu_of_leftnormed(e.alphabet, letters, dom, coeff)
+        acc = acc + mu_of_leftnormed(e.alphabet, letters, dom) * coeff
     return MetabelianElement(c, acc)
 
 

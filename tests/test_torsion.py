@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lietorsion import torsion
-from lietorsion.elements import (ZZ, DomainError, LieElement, TensorElement,
-                                 leftnormed_tensor, lie_from_tensor, lyndon_monomial,
-                                 normal_form, to_tensor)
+from lietorsion.elements import (ZZ, DomainError, IntegralityError, LieElement,
+                                 TensorElement, leftnormed_tensor, lie_from_tensor,
+                                 lyndon_monomial, normal_form, to_tensor)
 from lietorsion.maps import (MetabelianElement, MixedElement, derive, eta,
                              metabelian_normal_coords, metabelian_of_word,
                              mixed_basis, mu_of_leftnormed, peel_strict_keys, theta)
@@ -352,6 +352,43 @@ def test_verify_theorem_degree_examples():
 
     r38 = verify_theorem_degree(3, 8)
     assert r38.theorem_count == 1 and r38.passed
+
+
+def _theorem_report_3_14(monkeypatch, **patches):
+    # d=14 at p=3 has three theorem vectors, one per block, and torsion 3^3
+    engine = TorsionEngine(3, 14)
+    assert len(engine.theorem_indices(14)) == 3
+    for name, patch in patches.items():
+        monkeypatch.setattr(engine, name, patch(getattr(engine, name)))
+    return engine.verify_theorem_degree(14)
+
+
+def test_verify_theorem_degree_refuses_vectors_of_order_one(monkeypatch):
+    # 3 times a vector of order 3 is zero in the cokernel
+    r = _theorem_report_3_14(monkeypatch, theorem_vector=lambda real: lambda s, t, d: {
+        j: 3 * c for j, c in real(s, t, d).items()})
+    assert not (r.all_order_p or r.independent or r.spanning or r.passed)
+
+
+def test_verify_theorem_degree_refuses_torsion_outside_the_span(monkeypatch):
+    # one more Z/3 than the three vectors generate
+    r = _theorem_report_3_14(monkeypatch, graded_cokernel=lambda real: lambda d: (
+        CokernelStructure(real(d).free_rank, real(d).torsion + (3,))))
+    assert r.all_order_p and r.independent
+    assert not r.spanning and not r.passed
+
+
+def test_verify_theorem_degree_refuses_a_vector_it_could_not_build(monkeypatch):
+    def theorem_vector(real):
+        def vector(s, t, d):
+            if s == 0:
+                raise IntegralityError("no integral theorem vector")
+            return real(s, t, d)
+        return vector
+
+    r = _theorem_report_3_14(monkeypatch, theorem_vector=theorem_vector)
+    assert r.all_order_p and r.independent
+    assert not (r.integrality_passed or r.spanning or r.passed)
 
 
 def test_theorem_count_index_arithmetic():

@@ -66,12 +66,6 @@ def test_empty_alphabet():
     assert lyndon_words(Alphabet([]), 4) == []
 
 
-def test_nonpositive_weight_rejected():
-    ab = unit_alphabet(2)
-    with pytest.raises(ValueError):
-        lyndon_words(ab, 3, weight_of=lambda g: 0)
-
-
 @pytest.mark.parametrize("rank,cut", [(2, 6), (3, 5)])
 def test_generation_matches_rotation_oracle(rank, cut):
     ab = unit_alphabet(rank)
