@@ -10,7 +10,7 @@ import argparse
 import json
 import random
 import sys
-from datetime import datetime, timezone
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -345,12 +345,19 @@ RUNNERS = {
 }
 
 
+def utc_timestamp() -> str:
+    """The current UTC time as ISO 8601 text, YYYY-MM-DDTHH:MM:SS.ffffff+00:00,
+    from ``time``: ``datetime`` costs the start-up of every call."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + f".{micros:06d}+00:00"
+
+
 def run(args) -> int:
     results, ok = RUNNERS[args.command](args)
     doc = {
         "toolVersion": __version__,
         "command": args.command,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": utc_timestamp(),
         "results": results,
         "overallPass": bool(ok),
     }

@@ -8,12 +8,14 @@ u(s,t)y = u(s,t+1).  Killing that action degree by degree presents the
 quotient as an integer cokernel, so torsion is read off Smith normal form.
 A generator u(s,t) has bidegree (s+1, t+1), x raises the first component and
 y the second, so each degree splits into blocks, one per bidegree (a, d-a),
-each presented once.  Swapping x and y sends u(s,t) to -u(t,s) modulo the
-second derived ideal; that is a graded automorphism commuting with the
-action, so block (a, b) and block (b, a) have isomorphic cokernels, and a
-degree's cokernel is built from the blocks with a <= b alone.  A theorem
-vector of bidegree (a, b) is read off its own block by reducing it through
-the block's recorded pivots.
+each presented once, by as many rows as its rank: ``TorsionEngine.block``
+drops the x-images that the Koszul relation x y = y x makes redundant.
+Swapping x and y sends u(s,t) to -u(t,s) modulo the second derived ideal;
+that is a graded automorphism commuting with the action, so block (a, b)
+and block (b, a) have isomorphic cokernels, and a degree's cokernel is
+built from the blocks with a <= b alone.  A theorem vector of bidegree
+(a, b) is read off its own block by reducing it through the block's
+recorded pivots.
 
 A relation row is the x- or y-image of a degree d-1 basis word in the
 degree-d Lyndon coordinates.  It is built from the word's cached tensor
@@ -41,7 +43,7 @@ from .elements import IntegralityError, LieElement, _expand_lyndon, is_prime
 from .maps import (ActionSpec, _eta_word, _mu_terms, leibniz_mixed,
                    metabelian_of_word, mixed_basis, normal_words, peel_strict_keys,
                    theta, theta_presum)
-from .words import Alphabet, Generator, LyndonWord, _lyndon_walk
+from .words import Alphabet, Generator, LyndonWord, _lyndon_walk, is_lyndon
 from .zlinalg import (CokernelStructure, IntLattice, Presentation, _dense, _divisor_chain,
                       add_into, cokernel_structure)
 
@@ -160,6 +162,10 @@ class TorsionEngine:
         self.max_degree = max_degree
         self.alphabet = a_alphabet(max(2, max_degree - 2 * (p - 1)))
         self.action = a_action(self.alphabet)
+        # the letter whose y-image each letter is, or None where t = 0
+        lower = {j: i for (i, var), img in self.action.table.items() if var == "y"
+                 for j in img}
+        self._y_lower = [lower.get(j) for j in range(len(self.alphabet))]
         self._degrees = {}
 
     # -- bases ------------------------------------------------------------
@@ -323,18 +329,56 @@ class TorsionEngine:
             out[i] = c
         return out
 
+    def _leads_y_image(self, word: tuple, side: str) -> bool:
+        """Whether a basis word is the leading word of the y-image of a basis
+        word one degree down (see ``block``): on the Lie side lowering its
+        last letter by y leaves a Lyndon word, on the metabelian side
+        lowering its head b1 leaves it above b2."""
+        if side == "lie":
+            low = self._y_lower[word[-1]]
+            return low is not None and is_lyndon(word[:-1] + (low,))
+        low = self._y_lower[word[0]]
+        return low is not None and low > word[1]
+
     def block(self, d: int, a: int, side: str = "lie") -> Presentation:
-        """The side's bidegree (a, d-a) piece as a cokernel, eliminated once
-        and cached: the x-images of the block (a-1, d-a) words and the
-        y-images of the block (a, d-a-1) words."""
+        """The side's bidegree (a, b) = (a, d-a) piece as a cokernel,
+        eliminated once and cached: the y-images of the block (a, b-1) words
+        and the x-images of the block (a-1, b) words that do not lead a
+        y-image.
+
+        The y-image of a basis word w of block (a-1, b-1) has a leading word
+        w' with coefficient 1, and w -> w' is one to one.  On the Lie side w'
+        is w with its last letter raised and is the least Lyndon word of the
+        image: the bracketing of a Lyndon word expands to the word once plus
+        larger words (Reutenauer 1993, Thm 5.1), raising a letter makes a
+        word larger, and raising the last letter of w gives the least of
+        them.  On the metabelian side w' is w with its head b1 raised:
+        (b1 y, tail) is the largest strict key of the image, and the peel
+        only feeds keys that are not strict.  So the columns D of block
+        (a-1, b) that are leading words and the rest C satisfy, with
+        x y = y x:
+
+        1. each leading column w' is a Z-combination of C modulo the
+           y-images of block (a-1, b-1), by induction from the far end of
+           the column order (the last column on the Lie side, the first on
+           the metabelian side): y w is w' plus columns beyond w', each in
+           C or a leading column already written so;
+        2. hence x of block (a-1, b) lies in x<C> + x y (a-1, b-1), and
+           x y (a-1, b-1) = y x (a-1, b-1) lies in y (a, b-1);
+        3. so the rows kept span the same lattice, and exactly as many rows
+           as block (a-1, b-1) has words are dropped.
+        """
         rec = self._degree(d, side)
         pres = rec.presentations.get(a)
         if pres is None:
             below = self._degree(d - 1, side)
             row = self.derived_row if side == "lie" else self.metabelian_row
-            rows = [self._in_block(d, a, row(below.words[col], var), side)
-                    for var, a0 in (("x", a - 1), ("y", a))
-                    for col in below.blocks.get(a0, ())]
+            words = below.words
+            xs = [words[col] for col in below.blocks.get(a - 1, ())
+                  if not self._leads_y_image(words[col], side)]
+            ys = [words[col] for col in below.blocks.get(a, ())]
+            rows = [self._in_block(d, a, row(w, var), side)
+                    for var, ws in (("x", xs), ("y", ys)) for w in ws]
             pres = rec.presentations[a] = Presentation(rows, len(rec.blocks.get(a, ())))
         return pres
 
@@ -396,14 +440,16 @@ class TorsionEngine:
         directly even past the mirror, since the vector is written in that
         block's Lyndon basis; every verdict is a count of the orders q_i.
 
-        The vectors span exactly when prod(q_i) = |T|, the order of the
-        degree's torsion T.  Their blocks a = p(s+1)+1 are distinct blocks of
-        the degree, so the vectors generate a direct sum of order prod(q_i)
-        inside T, and each q_i divides the torsion order of its block:
-        prod(q_i) <= prod(|T_b|) over the theorem blocks <= |T|.  Equality
-        says that each vector generates its block's torsion, that a block
-        skipped on IntegralityError carries none, and that the theorem blocks
-        hold all of T.
+        Their blocks a = p(s+1)+1 are distinct blocks of the degree, so the
+        vectors generate the direct sum of the cyclic groups Z/q_i.  They are
+        independent torsion elements exactly when each q_i is finite and
+        above 1: a vector of order 1 is zero, whatever the product of the
+        orders.  They span exactly when prod(q_i) = |T|, the order of the
+        degree's torsion T, since each q_i divides the torsion order of its
+        block: prod(q_i) <= prod(|T_b|) over the theorem blocks <= |T|.
+        Equality says that each vector generates its block's torsion, that a
+        block skipped on IntegralityError carries none, and that the theorem
+        blocks hold all of T.
         """
         p = self.p
         n = len(self.lie_basis(d))
@@ -423,7 +469,7 @@ class TorsionEngine:
                 continue
             orders.append(self.block(d, a).order(vec))
         all_order_p = all(q == p for q in orders)
-        independent = None not in orders and prod(orders) == p ** len(orders)
+        independent = all(q is not None and q > 1 for q in orders)
         spanning = independent and prod(orders) == prod(coker.torsion)
         return TorsionReport(p, d, n, coker, len(pairs), all_order_p,
                              independent, spanning, torsion_all_p,

@@ -205,6 +205,9 @@ def test_criterion3_theorem_element_integrality():
     (7, 16, {16: 1}),
     (11, 24, {24: 1}),
     (13, 28, {28: 1}),
+    # about 3 s: deselected by default (pyproject.toml); run with -m slow
+    pytest.param(3, 26, {8: 1, 11: 2, 14: 3, 17: 4, 20: 5, 23: 6, 26: 7},
+                 marks=pytest.mark.slow),
 ])
 def test_criterion4_torsion_tables(p, top, expected):
     for report in torsion_report(p, top):
@@ -224,7 +227,7 @@ def test_criterion4_torsion_tables(p, top, expected):
 # -- criterion 5: the two torsion subgroups coincide through the section ------
 
 @pytest.mark.parametrize("p,d", [(2, 6), (2, 8), (3, 8), (7, 16), (11, 24),
-                                 (2, 18), (3, 17), (5, 17), (3, 20)])
+                                 (2, 18), (3, 17), (5, 17), (3, 20), (3, 23)])
 def test_criterion5_metabelian_comparison(p, d):
     r = metabelian_torsion_check(p, d)
     assert r.ranks_agree, (r.lie_torsion, r.metabelian_torsion)

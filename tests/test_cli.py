@@ -2,9 +2,12 @@
 
 import json
 import random
+import re
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from lietorsion import cli
 from lietorsion.cli import emit_report, main
 from lietorsion.exprs import (ParseError, format_lie, parse_expression,
                               parse_lie)
@@ -239,6 +242,19 @@ def test_determinism_minus_timestamp(capsys):
         doc.pop("timestamp")
         docs.append(json.dumps(doc, sort_keys=False))
     assert docs[0] == docs[1]
+
+
+def test_timestamp_is_iso_utc_with_microseconds(capsys, monkeypatch):
+    before = datetime.now(timezone.utc)
+    stamp = cli.utc_timestamp()
+    after = datetime.now(timezone.utc)
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00", stamp), stamp
+    assert before - timedelta(seconds=1) <= datetime.fromisoformat(stamp) <= after
+    # a whole second still carries its six zero digits
+    monkeypatch.setattr(cli.time, "time_ns", lambda: 86_400 * 10**9)
+    assert cli.utc_timestamp() == "1970-01-02T00:00:00.000000+00:00"
+    code, out, _ = run_cli(capsys, "lyndon", "--rank", "2", "--max-degree", "2")
+    assert code == 0 and json.loads(out)["timestamp"] == "1970-01-02T00:00:00.000000+00:00"
 
 
 def test_lyndon_cli(capsys):

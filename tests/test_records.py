@@ -125,7 +125,8 @@ def test_bracket_tree_with_generator_leaves():
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import lietorsion, lietorsion.cli; "
-            "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))")
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'typing', 'datetime') "
+            "if m in sys.modules))")
     done = subprocess.run([sys.executable, "-S", "-s", "-c", code, str(SRC)],
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"

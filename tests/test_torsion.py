@@ -254,6 +254,59 @@ def test_block_ranks_match_witt_series(c, top):
             n for key, n in free.items() if sum(key) == d), (c, d)
 
 
+def _key(row):
+    return tuple(sorted(row.items()))
+
+
+@pytest.mark.parametrize("p,d", [(2, 16), (3, 17), (5, 16), (7, 16), (4, 14), (6, 16),
+                                 (11, 24)])
+def test_pruned_blocks_match_the_unpruned_rows(monkeypatch, p, d):
+    # each block of degree d against every x- and y-image of the degree
+    # below, built here (test_graded_cokernel_matches_whole_degree_presentation
+    # compares the lower degrees' cokernels)
+    given = []
+    real = torsion.Presentation
+    monkeypatch.setattr(torsion, "Presentation",
+                        lambda rows, ncols: given.append(rows) or real(rows, ncols))
+    lie = witt_block_ranks(p, d)[0]
+    engine = TorsionEngine(p, d)
+    checked = 0
+    for side, row, lead in (("lie", engine.derived_row, min),
+                            ("metabelian", engine.metabelian_row, max)):
+        basis = engine.lie_basis if side == "lie" else engine.normal_basis
+
+        def images(e, var, a0, a):
+            # the var-images of block (a0, e-a0) in the block (a, e+1-a)
+            return [engine._in_block(e + 1, a, row(basis(e)[col], var), side)
+                    for col in engine.bigrading(e, side)[0].get(a0, ())]
+
+        for a, cols in engine.bigrading(d, side)[0].items():
+            b, n = d - a, len(cols)
+            xs, ys = images(d - 1, "x", a - 1, a), images(d - 1, "y", a, a)
+            pres = engine.block(d, a, side)
+            rows = given.pop()
+            assert pres.cokernel == real(xs + ys, n).cokernel, (side, p, d, a)
+            kept = {_key(r) for r in rows}
+            assert {_key(r) for r in ys} <= kept
+            dropped = [i for i, r in enumerate(xs) if _key(r) not in kept]
+            assert all(xs[i] in pres for i in dropped), (side, p, d, a)
+            # the dropped x-rows are the leading columns, each with
+            # coefficient 1, of the y-images of block (a-1, b-1)
+            leads = [(lead(r), r[lead(r)]) for r in images(d - 2, "y", a - 1, a - 1)]
+            assert sorted(leads) == [(i, 1) for i in dropped], (side, p, d, a)
+            count = len(xs) - len(dropped) + len(ys)
+            assert len(rows) == count
+            if side == "lie":
+                assert count == (lie.get((a - 1, b), 0) + lie.get((a, b - 1), 0)
+                                 - lie.get((a - 1, b - 1), 0)), (p, d, a)
+            # no row reduces to zero and the core rows are independent,
+            # so the row count is the block's rank
+            assert len(pres.pivots) + len(pres.core) == count, (side, p, d, a)
+            assert len(pres.snf.divisors) == count == n - pres.cokernel.free_rank
+            checked += 1
+    assert checked and not given
+
+
 def test_graded_cokernel_examples():
     assert graded_cokernel(2, 6).free_rank == 0
     assert graded_cokernel(2, 6).torsion == (2,)
@@ -367,6 +420,29 @@ def test_verify_theorem_degree_refuses_vectors_of_order_one(monkeypatch):
     # 3 times a vector of order 3 is zero in the cokernel
     r = _theorem_report_3_14(monkeypatch, theorem_vector=lambda real: lambda s, t, d: {
         j: 3 * c for j, c in real(s, t, d).items()})
+    assert not (r.all_order_p or r.independent or r.spanning or r.passed)
+
+
+def test_verify_theorem_degree_refuses_a_zero_vector_beside_one_of_order_p_squared(monkeypatch):
+    # orders (9, 1, 3): the s=0 block made Z/9 with its vector of order 9, and
+    # the s=1 vector scaled by 3; the product is 3^3, but one vector is zero
+    engine = TorsionEngine(3, 14)
+    a0 = engine.theorem_block(0, 2)
+    vec = engine._in_block(14, a0, engine.theorem_vector(0, 2, 14))
+    j0 = next(j for j, c in vec.items() if c % 3)
+    width = len(engine.bigrading(14)[0][a0])
+    z9 = Presentation([{j: 9 if j == j0 else 1} for j in range(width)], width)
+    assert z9.cokernel == CokernelStructure(0, (9,)) and z9.order(vec) == 9
+    block, vector = engine.block, engine.theorem_vector
+    monkeypatch.setattr(engine, "block", lambda d, a, side="lie": (
+        z9 if a == a0 else block(d, a, side)))
+    monkeypatch.setattr(engine, "theorem_vector", lambda s, t, d: (
+        {j: 3 * c for j, c in vector(s, t, d).items()} if s == 1 else vector(s, t, d)))
+    orders = [engine.block(14, engine.theorem_block(s, t)).order(
+        engine._in_block(14, engine.theorem_block(s, t), engine.theorem_vector(s, t, 14)))
+        for s, t in engine.theorem_indices(14)]
+    assert orders == [9, 1, 3]
+    r = engine.verify_theorem_degree(14)
     assert not (r.all_order_p or r.independent or r.spanning or r.passed)
 
 
