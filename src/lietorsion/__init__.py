@@ -4,8 +4,7 @@ metabelian Lie powers, Smith normal form, and torsion of graded quotients."""
 __version__ = "0.1.0"
 
 from .words import (Alphabet, Generator, LyndonWord, is_lyndon, lyndon_words,
-                    lyndon_words_of_length, lyndon_words_with_content,
-                    standard_factorization, unit_alphabet)
+                    lyndon_words_of_length, lyndon_words_with_content, unit_alphabet)
 from .elements import (Domain, DomainError, GF, IntegralityError, LieElement,
                        MixedElement, NotLieElementError, QQ, SymElement,
                        TensorElement, ZZ, bracket, bracketing, generator_element,

@@ -17,7 +17,7 @@ from math import factorial
 from . import __version__
 from .charp import check_summand
 from .elements import IntegralityError, is_prime, normal_form
-from .exprs import ParseError, format_leftnormed, format_lie
+from .exprs import format_leftnormed, format_lie
 from .maps import (check_exactness, derive, eta, lam, mu, nu, random_action,
                    random_homogeneous, random_metabelian, rho, theta,
                    metabelian_of_word, normal_words)
@@ -374,7 +374,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return run(args)
-    except (SystemExit2, ParseError) as exc:
+    except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

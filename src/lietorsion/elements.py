@@ -122,7 +122,6 @@ class _Element:
     """Shared behavior of finitely supported coefficient maps on a basis."""
 
     __slots__ = ("alphabet", "domain", "terms")
-    space = "?"
     _canonical = None       # key -> its normal form, where keys have one
 
     def __init__(self, alphabet, domain, terms=(), _clean=False):
@@ -207,8 +206,6 @@ class LieElement(_Element):
     Keys are Lyndon words as letter-index tuples.
     """
 
-    space = "lie"
-
     def degree(self):
         """Common word length, or None for the zero element."""
         lengths = {len(w) for w in self.terms}
@@ -228,7 +225,6 @@ class LieElement(_Element):
 class TensorElement(_Element):
     """Element of the tensor ring; keys are arbitrary words (index tuples)."""
 
-    space = "tensor"
     degree = LieElement.degree
 
     def _key_name(self, key):
@@ -237,8 +233,6 @@ class TensorElement(_Element):
 
 class SymElement(_Element):
     """Element of a symmetric power; keys are sorted index tuples (multisets)."""
-
-    space = "sym"
 
     @staticmethod
     def _canonical(key):
@@ -250,8 +244,6 @@ class SymElement(_Element):
 
 class MixedElement(_Element):
     """Element of A (x) A^(c-1); keys are (index, sorted index tuple) pairs."""
-
-    space = "mixed"
 
     @staticmethod
     def _canonical(key):
@@ -311,13 +303,8 @@ def tree_degree(tree) -> int:
     return 1
 
 
-def tensor_of_tree(alphabet, tree) -> dict:
-    """Multilinear commutator expansion of a bracket tree, over Z."""
-    tree = _tree_to_idx(alphabet, tree)
-    return _expand_tree(tree)
-
-
 def _expand_tree(tree):
+    """Multilinear commutator expansion of an index bracket tree, over Z."""
     if isinstance(tree, int):
         return {(tree,): 1}
     return _expand_bracket(_expand_tree(tree[0]), _expand_tree(tree[1]))
@@ -411,7 +398,8 @@ def normal_form(alphabet, expr, domain=ZZ) -> LieElement:
     pairs = expr if isinstance(expr, list) else [(1, expr)]
     acc = {}
     for coeff, tree in pairs:
-        add_into(acc, tensor_of_tree(alphabet, tree).items(), domain.coerce(coeff), domain.p)
+        add_into(acc, _expand_tree(_tree_to_idx(alphabet, tree)).items(),
+                 domain.coerce(coeff), domain.p)
     return lie_from_tensor(TensorElement(alphabet, domain, acc, _clean=True))
 
 

@@ -48,10 +48,6 @@ class ActionSpec:
             g = self.alphabet.generators[i]
             raise KeyError(f"action of {var!r} on {g.name!r} is not defined") from None
 
-    def is_total(self):
-        return all((i, v) in self.table
-                   for i in range(len(self.alphabet)) for v in self.variables)
-
 
 def nu(e: LieElement, c=None) -> TensorElement:
     """Embedding of a homogeneous Lie element into the tensor power."""
@@ -122,14 +118,6 @@ class MetabelianElement:
         return f"M{self.degree}<{self.mixed!r}>"
 
 
-def mu_of_leftnormed(alphabet, letters, domain=ZZ) -> MixedElement:
-    """Mu-image of a left-normed monomial [a1,...,ac]."""
-    if len(letters) < 2:
-        raise ValueError("mu needs degree >= 2")
-    terms = {key: domain.coerce(k) for key, k in _mu_terms(letters).items()}
-    return MixedElement(alphabet, domain, terms, _clean=True)
-
-
 def _mu_terms(letters) -> dict:
     """Mu-image of a left-normed monomial of degree >= 2 as integer mixed terms."""
     a1, a2, rest = letters[0], letters[1], letters[2:]
@@ -147,7 +135,10 @@ def mu(m, c=None, alphabet=None, domain=ZZ) -> MixedElement:
         raise ValueError(f"monomial has degree {len(letters)}, expected {c}")
     if alphabet is None:
         raise ValueError("an alphabet is required for monomial input")
-    return mu_of_leftnormed(alphabet, letters, domain)
+    if len(letters) < 2:
+        raise ValueError("mu needs degree >= 2")
+    terms = {key: domain.coerce(k) for key, k in _mu_terms(letters).items()}
+    return MixedElement(alphabet, domain, terms, _clean=True)
 
 
 def kappa(t: MixedElement) -> SymElement:
@@ -222,7 +213,7 @@ def _eta_word(alphabet, w) -> dict:
 def metabelian_of_word(alphabet, letters, domain=ZZ) -> MetabelianElement:
     """The metabelian class of a left-normed monomial."""
     letters = tuple(letters)
-    return MetabelianElement(len(letters), mu_of_leftnormed(alphabet, letters, domain))
+    return MetabelianElement(len(letters), mu(letters, alphabet=alphabet, domain=domain))
 
 
 def normal_words(alphabet, c, max_weight=None, weight=None) -> list[tuple]:
@@ -327,11 +318,7 @@ def theta(m, c=None, alphabet=None, domain=ZZ) -> LieElement:
         raise ValueError(f"monomial has degree {len(letters)}, expected {c}")
     if alphabet is None:
         raise ValueError("an alphabet is required for monomial input")
-    return theta_word(alphabet, letters, domain)
-
-
-def theta_word(alphabet, letters, domain=ZZ) -> LieElement:
-    terms = _theta_terms(alphabet, tuple(letters), domain)
+    terms = _theta_terms(alphabet, letters, domain)
     return LieElement(alphabet, domain, dict(terms), _clean=True)
 
 
@@ -448,7 +435,7 @@ def check_exactness(c, alphabet, degree_cut) -> ExactnessReport:
     sym_index = {key: i for i, key in enumerate(syms)}
 
     mu_rows = [{mixed_index[key]: k for key, k in
-                mu_of_leftnormed(alphabet, word).terms.items()} for word in nwords]
+                _mu_terms(word).items()} for word in nwords]
     image = IntLattice(len(mixed), mu_rows)
     mu_injective = image.rank == len(nwords)
 
@@ -464,8 +451,7 @@ def check_exactness(c, alphabet, degree_cut) -> ExactnessReport:
 # ---------------------------------------------------------------------------
 # seeded sampling helpers used by the verify command and the test suite
 
-def random_homogeneous(alphabet, c, rng, domain=ZZ, max_weight=None,
-                       max_terms=4, coeff_bound=4) -> LieElement:
+def random_homogeneous(alphabet, c, rng, domain=ZZ, max_weight=None) -> LieElement:
     table = alphabet.table("lyndon_of_length")
     words = table.get((c, max_weight))
     if words is None:
@@ -473,30 +459,29 @@ def random_homogeneous(alphabet, c, rng, domain=ZZ, max_weight=None,
             w.idx for w in lyndon_words_of_length(alphabet, c, max_weight=max_weight))
     if not words:
         return lie_zero(alphabet, domain)
-    picks = rng.sample(words, k=min(len(words), rng.randint(1, max_terms)))
+    picks = rng.sample(words, k=min(len(words), rng.randint(1, 4)))
     terms = []
     for w in picks:
-        coeff = rng.randint(1, coeff_bound) * rng.choice((1, -1))
+        coeff = rng.randint(1, 4) * rng.choice((1, -1))
         terms.append((w, coeff))
     return LieElement(alphabet, domain, terms)
 
 
-def random_metabelian(alphabet, c, rng, domain=ZZ, max_weight=None,
-                      max_terms=4, coeff_bound=4) -> MetabelianElement:
+def random_metabelian(alphabet, c, rng, domain=ZZ, max_weight=None) -> MetabelianElement:
     table = alphabet.table("normal_words")
     words = table.get((c, max_weight))
     if words is None:
         words = table[(c, max_weight)] = tuple(normal_words(alphabet, c, max_weight=max_weight))
     acc = {}
     if words:
-        picks = rng.sample(words, k=min(len(words), rng.randint(1, max_terms)))
+        picks = rng.sample(words, k=min(len(words), rng.randint(1, 4)))
         for w in picks:
-            coeff = rng.randint(1, coeff_bound) * rng.choice((1, -1))
+            coeff = rng.randint(1, 4) * rng.choice((1, -1))
             add_into(acc, _mu_terms(w).items(), domain.coerce(coeff), domain.p)
     return MetabelianElement(c, MixedElement(alphabet, domain, acc, _clean=True))
 
 
-def random_action(alphabet, variables, rng, coeff_bound=2) -> ActionSpec:
+def random_action(alphabet, variables, rng) -> ActionSpec:
     images = {}
     n = len(alphabet)
     for i in range(n):
@@ -504,7 +489,7 @@ def random_action(alphabet, variables, rng, coeff_bound=2) -> ActionSpec:
             img = {}
             for j in range(n):
                 if rng.random() < 0.5:
-                    coeff = rng.randint(-coeff_bound, coeff_bound)
+                    coeff = rng.randint(-2, 2)
                     if coeff:
                         img[j] = coeff
             images[(i, var)] = img

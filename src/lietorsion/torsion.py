@@ -204,17 +204,13 @@ class TorsionEngine:
     def normal_basis(self, d: int) -> list[tuple]:
         return self._degree(d, "metabelian").words
 
-    def column_index(self, d: int, side: str = "lie") -> dict:
-        """{word: column} of the side's degree-d basis, cached, read-only."""
-        return self._degree(d, side).index
-
     # -- relation rows ------------------------------------------------------
 
     def derived_row(self, word: tuple, var: str) -> dict:
         """The var-image of a degree d-1 basis word as {column of lie_basis(d):
         coefficient}, in column order."""
-        d = self.alphabet.word_weight(word) + 1
-        index = self.column_index(d)
+        rec = self._degree(self.alphabet.word_weight(word) + 1)
+        index = rec.index
         # every expansion word rearranges the letters of ``word``
         image = {a: self.action.image(a, var).items() for a in set(word)}
         # A Lyndon word starts with its least letter, and the action raises
@@ -236,16 +232,20 @@ class TorsionEngine:
                     col = index.get(w[:pos] + (j,) + w[pos + 1:])
                     if col is not None:
                         acc[col] = acc.get(col, 0) + c * k
-        return self._lyndon_solve(d, acc)
+        return self._lyndon_solve(rec, acc)
 
-    def _lyndon_solve(self, d: int, acc: dict) -> dict:
-        """Lyndon coordinates of an element of degree d from its coefficients
-        {column: c} on the degree-d Lyndon words; ``acc`` is used up.
+    def _lyndon_solve(self, rec: _Degree, acc: dict) -> dict:
+        """Lyndon coordinates of an element of the Lie degree ``rec`` from its
+        coefficients {column: c} on the degree's Lyndon words; ``acc`` is
+        used up.
 
         The smallest column left carries its coordinate: only the expansions
         of smaller basis words meet it, and those are already subtracted.  A
-        column is on the heap exactly while it is a key of ``acc``.
+        column is on the heap exactly while it is a key of ``acc``.  Each
+        column's Lyndon part, the other Lyndon words in the expansion of its
+        standard bracketing, is built once into ``rec.parts``.
         """
+        words, index, parts = rec.words, rec.index, rec.parts
         heap = list(acc)
         heapify(heap)
         row = {}
@@ -255,25 +255,19 @@ class TorsionEngine:
             if not c:
                 continue
             row[col] = c
-            for col2, k in self._lyndon_part(d, col).items():
+            part = parts.get(col)
+            if part is None:
+                word = words[col]
+                part = parts[col] = {index[w]: k for w, k in
+                                     _expand_lyndon(self.alphabet, word).items()
+                                     if w != word and w in index}
+            for col2, k in part.items():
                 if col2 in acc:
                     acc[col2] -= c * k
                 else:
                     acc[col2] = -c * k
                     heappush(heap, col2)
         return row
-
-    def _lyndon_part(self, d: int, col: int) -> dict:
-        """{column: coefficient} of the degree-d Lyndon words other than
-        lie_basis(d)[col] in the expansion of its standard bracketing."""
-        rec = self._degree(d)
-        part = rec.parts.get(col)
-        if part is None:
-            word = rec.words[col]
-            part = rec.parts[col] = {rec.index[w]: k for w, k in
-                                     _expand_lyndon(self.alphabet, word).items()
-                                     if w != word and w in rec.index}
-        return part
 
     def derived_coords(self, word: tuple, var: str) -> dict:
         """The var-image of a basis word as {Lyndon word: coefficient}."""
@@ -285,7 +279,7 @@ class TorsionEngine:
         normal_basis(d): coefficient}, in column order, by Leibniz on its mu
         terms (``maps.leibniz_mixed``) and the strict-key peel.  Not cached:
         each row is read by one block alone."""
-        index = self.column_index(self.alphabet.word_weight(word) + 1, "metabelian")
+        index = self._degree(self.alphabet.word_weight(word) + 1, "metabelian").index
         image = {a: self.action.image(a, var) for a in set(word)}.__getitem__
         acc = {}
         for key, c in _mu_terms(word).items():
@@ -420,7 +414,7 @@ class TorsionEngine:
         return self._lie_coords(self.theorem_element(s, t), d)
 
     def _lie_coords(self, e: LieElement, d: int) -> dict:
-        index = self.column_index(d)
+        index = self._degree(d).index
         return {index[w]: c for w, c in e.terms.items()}
 
     def theorem_indices(self, d: int) -> list[tuple[int, int]]:
@@ -579,16 +573,16 @@ class TorsionEngine:
 # -- module-level wrappers matching the operation names ----------------------
 
 def lie_power_basis(p: int, d: int) -> list[LyndonWord]:
-    engine = TorsionEngine(p, max(d, 2 * p))
+    engine = TorsionEngine(p, d)
     return [LyndonWord(engine.alphabet, w) for w in engine.lie_basis(d)]
 
 
 def action_matrix(p: int, d: int) -> list[list[int]]:
-    return TorsionEngine(p, max(d, 2 * p)).action_matrix(d)
+    return TorsionEngine(p, d).action_matrix(d)
 
 
 def graded_cokernel(p: int, d: int) -> CokernelStructure:
-    return TorsionEngine(p, max(d, 2 * p)).graded_cokernel(d)
+    return TorsionEngine(p, d).graded_cokernel(d)
 
 
 def theorem_element(p: int, s: int, t: int) -> LieElement:
@@ -596,7 +590,7 @@ def theorem_element(p: int, s: int, t: int) -> LieElement:
 
 
 def verify_theorem_degree(p: int, d: int) -> TorsionReport:
-    return TorsionEngine(p, max(d, 2 * p)).verify_theorem_degree(d)
+    return TorsionEngine(p, d).verify_theorem_degree(d)
 
 
 def torsion_report(p: int, max_degree: int) -> list[TorsionReport]:
@@ -604,11 +598,11 @@ def torsion_report(p: int, max_degree: int) -> list[TorsionReport]:
 
 
 def metabelian_torsion_check(p: int, d: int) -> MetabelianTorsionReport:
-    return TorsionEngine(p, max(d, 2 * p)).metabelian_torsion_check(d)
+    return TorsionEngine(p, d).metabelian_torsion_check(d)
 
 
 def bp_kernel_basis(p: int, d: int) -> list[list[int]]:
-    return TorsionEngine(p, max(d, 2 * p)).bp_kernel_basis(d)
+    return TorsionEngine(p, d).bp_kernel_basis(d)
 
 
 def bp_freeness_check(p: int, max_degree: int) -> FreenessReport:

@@ -125,9 +125,6 @@ class Alphabet:
             raise KeyError(f"generator {name!r} belongs to a different alphabet")
         return i
 
-    def weight_of(self, idx: int) -> int:
-        return self.generators[idx].weight
-
     def word_weight(self, word) -> int:
         return sum(self.generators[i].weight for i in word)
 
@@ -263,10 +260,6 @@ def _split_point(idx):
     if len(idx) == 1:
         return None
     return 1 + _lyndon_factor_starts(idx[1:])[-1]
-
-
-def standard_factorization(w: LyndonWord) -> tuple[LyndonWord, LyndonWord]:
-    return w.standard_factorization()
 
 
 def lyndon_words(alphabet: Alphabet, max_weight: int) -> list[LyndonWord]:

@@ -41,10 +41,6 @@ class SNFResult(namedtuple("SNFResult", "divisors")):
 class CokernelStructure(namedtuple("CokernelStructure", "free_rank torsion")):
     __slots__ = ()
 
-    @property
-    def torsion_rank(self) -> int:
-        return len(self.torsion)
-
 
 def add_into(acc: dict, pairs, scale=1, p=None) -> None:
     """acc[key] += scale * k in place for each (key, k) in pairs; drops zeros.
@@ -469,30 +465,20 @@ def integer_kernel(rows, ncols=None, p=None) -> list[list[int]]:
     return [_dense(x, n) for x in lattice.relations]
 
 
-def left_solver(rows):
-    """The solver target -> integer x with x @ rows == target, or None.
+def solve_left(rows, target):
+    """Integer x with x @ rows == target, or None.
 
-    The lattice of ``rows`` is built once, here, and each call reduces the
-    target along it, accumulating the coefficients.
+    The target is reduced along the lattice of ``rows``, accumulating the
+    coefficients.
     """
     rows = list(rows)
     if not rows:
-        return lambda target: None if any(
-            target.values() if isinstance(target, dict) else target) else []
+        return None if any(target.values() if isinstance(target, dict) else target) else []
     lattice = IntLattice(len(rows[0]), rows)
-
-    def solve(target):
-        combo = {}
-        if lattice._reduce(_sparse(target, lattice.ncols), combo):
-            return None
-        return [-x for x in _dense(combo, len(rows))]
-
-    return solve
-
-
-def solve_left(rows, target):
-    """Integer x with x @ rows == target, or None."""
-    return left_solver(rows)(target)
+    combo = {}
+    if lattice._reduce(_sparse(target, lattice.ncols), combo):
+        return None
+    return [-x for x in _dense(combo, len(rows))]
 
 
 def saturation(rows, ncols) -> list[list[int]]:

@@ -20,9 +20,9 @@ from lietorsion.elements import (GF, QQ, IntegralityError, LieElement, MixedElem
 from lietorsion.maps import (ActionSpec, MetabelianElement, _eta_word, _mu_terms,
                              check_exactness, derive, eta, kappa, lam,
                              metabelian_normal_coords, metabelian_of_word, mixed_basis,
-                             mu, mu_of_leftnormed, normal_words, nu, random_action,
+                             mu, normal_words, nu, random_action,
                              random_homogeneous, random_metabelian, rho, sym_basis,
-                             theta, theta_presum, theta_word)
+                             theta, theta_presum)
 from lietorsion.torsion import TorsionEngine, a_action, a_alphabet
 from lietorsion.words import Alphabet, Generator, lyndon_words_of_length, unit_alphabet
 
@@ -301,7 +301,6 @@ def test_action_spec_validation():
     with pytest.raises(ValueError):
         ActionSpec(AB2, ("x",), {(0, "q"): {0: 1}})
     spec = ActionSpec(AB2, ("x",), {(0, "x"): {1: 1}})
-    assert not spec.is_total()
     with pytest.raises(KeyError):
         spec.image(1, "x")
 
@@ -313,7 +312,7 @@ def eta_oracle(e, c):
     dom = e.domain
     acc = MixedElement(e.alphabet, dom, {}, _clean=True)
     for coeff, letters in left_normalize(e):
-        acc = acc + mu_of_leftnormed(e.alphabet, letters, dom) * coeff
+        acc = acc + mu(letters, alphabet=e.alphabet, domain=dom) * coeff
     return MetabelianElement(c, acc)
 
 
@@ -357,9 +356,9 @@ def test_memoised_maps_match_pre_memo_bodies(domain):
                         expected = theta_word_oracle(ab, w, domain)
                     except IntegralityError:
                         with pytest.raises(IntegralityError):
-                            theta_word(ab, w, domain)
+                            theta(w, alphabet=ab, domain=domain)
                     else:
-                        assert theta_word(ab, w, domain) == expected
+                        assert theta(w, alphabet=ab, domain=domain) == expected
                 assert ab.memo
 
 
@@ -408,7 +407,7 @@ def test_returned_elements_do_not_share_memo_tables():
     t = TensorElement(ab, ZZ, {(1, 0, 2): 2, (2, 2, 0): -1})
     m = metabelian_of_word(ab, (1, 0, 2)) + 2 * metabelian_of_word(ab, (2, 0, 1))
     calls = [lambda: nu(e), lambda: eta(e).mixed, lambda: rho(t),
-             lambda: theta_word(ab, (2, 0, 1)), lambda: theta(m),
+             lambda: theta((2, 0, 1), alphabet=ab), lambda: theta(m),
              lambda: random_homogeneous(ab, 3, random.Random(1)),
              lambda: random_metabelian(ab, 3, random.Random(1)).mixed]
     for call in calls:
@@ -426,8 +425,8 @@ def test_failed_theta_division_raises_on_every_call():
         with pytest.raises(IntegralityError):
             theta(4 * metabelian_of_word(ab, w))
         with pytest.raises(IntegralityError):
-            theta_word(ab, w)
-    assert theta_word(ab, w, QQ) == theta_word_oracle(ab, w, QQ)
+            theta(w, alphabet=ab)
+    assert theta(w, alphabet=ab, domain=QQ) == theta_word_oracle(ab, w, QQ)
 
 
 def test_memo_dies_with_its_alphabet():

@@ -83,7 +83,6 @@ def test_equal_records_hash_equal(cls, fields):
 
 def test_record_properties():
     assert SNFResult((1, 2, 6)).rank == 3
-    assert CokernelStructure(2, (3, 9)).torsion_rank == 2
     assert PBWElement(((0,), (0,), (0, 1))).type == (2, 1, 0, 0)
     flags = dict(mu_injective=True, kappa_surjective=True, image_equals_kernel=True)
     exact = ExactnessReport(3, 6, 1, 2, 3, **flags)

@@ -10,13 +10,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lietorsion import torsion
+from lietorsion import torsion, zlinalg
 from lietorsion.elements import (ZZ, DomainError, IntegralityError, LieElement,
                                  TensorElement, leftnormed_tensor, lie_from_tensor,
                                  lyndon_monomial, normal_form, to_tensor)
 from lietorsion.maps import (MetabelianElement, MixedElement, derive, eta,
                              metabelian_normal_coords, metabelian_of_word,
-                             mixed_basis, mu_of_leftnormed, peel_strict_keys, theta)
+                             mixed_basis, mu, peel_strict_keys, theta)
 from lietorsion.torsion import (TorsionEngine, a_generator, a_generators,
                                 action_matrix, bp_freeness_check, bp_kernel_basis,
                                 graded_cokernel, lie_power_basis,
@@ -24,7 +24,7 @@ from lietorsion.torsion import (TorsionEngine, a_generator, a_generators,
                                 torsion_report, verify_theorem_degree)
 from lietorsion.zlinalg import (CokernelStructure, IntLattice, Presentation,
                                 _dense_snf, cokernel_structure, integer_kernel,
-                                left_solver, solve_left, transpose)
+                                solve_left, transpose)
 
 
 def test_a_generators_examples():
@@ -143,20 +143,26 @@ def test_graded_cokernel_matches_whole_degree_presentation(p, top):
                         == engine.block(d, d - a, side).cokernel), (side, p, d, a)
 
 
-def test_no_presentation_spans_a_whole_degree(monkeypatch):
-    # both sides go block by block: no Presentation is as wide as a degree
+def test_only_the_freeness_check_presents_a_whole_degree(monkeypatch):
+    # both sides of the metabelian check go block by block, so no
+    # Presentation is as wide as a degree; the freeness check presents each
+    # degree's Lie columns whole, through cokernel_structure
     widths = []
-    real = torsion.Presentation
+    real = zlinalg.Presentation
 
     def spy(rows, ncols):
         widths.append(ncols)
         return real(rows, ncols)
 
     monkeypatch.setattr(torsion, "Presentation", spy)
+    monkeypatch.setattr(zlinalg, "Presentation", spy)
     engine = TorsionEngine(3, 14)
     assert engine.metabelian_torsion_check(14).passed
     whole = min(len(engine.lie_basis(14)), len(engine.normal_basis(14)))
     assert widths and max(widths) < whole, (widths, whole)
+    widths.clear()
+    assert engine.bp_freeness_check(14).passed
+    assert widths == [len(engine.lie_basis(d)) for d in range(6, 15)]
 
 
 def test_graded_cokernel_combines_blocks_into_invariant_factors(monkeypatch):
@@ -176,7 +182,6 @@ def test_bigrading_partitions_the_basis_in_order():
     for side, bases in (("lie", engine.lie_basis), ("metabelian", engine.normal_basis)):
         for d in range(6, 15):
             basis = bases(d)
-            assert engine.column_index(d, side) == {w: i for i, w in enumerate(basis)}
             blocks, where = engine.bigrading(d, side)
             assert sorted(j for cols in blocks.values() for j in cols) == list(range(len(basis)))
             for a, cols in blocks.items():
@@ -645,7 +650,7 @@ def test_derived_coords_match_tensor_round_trip(p, top):
     oracle = TorsionEngine(p, top)      # its own alphabet, so its own memo
     checked = 0
     for d in range(2 * p + 1, top + 1):
-        index = engine.column_index(d)
+        index = {w: i for i, w in enumerate(engine.lie_basis(d))}
         for word in engine.lie_basis(d - 1):
             for var in ("x", "y"):
                 want = tensor_round_trip_coords(oracle, word, var)
@@ -657,7 +662,7 @@ def test_derived_coords_match_tensor_round_trip(p, top):
 
 def test_derived_coords_at_the_degree_cut_raise_value_error():
     engine = TorsionEngine(3, 9)
-    top = max(range(len(engine.alphabet)), key=engine.alphabet.weight_of)
+    top = max(range(len(engine.alphabet)), key=lambda i: engine.alphabet[i].weight)
     word = next(w for w in engine.lie_basis(9) if top in w)
     for var in ("x", "y"):
         with pytest.raises(KeyError, match="is not defined"):
@@ -669,15 +674,14 @@ def test_derived_coords_at_the_degree_cut_raise_value_error():
 
 def freeness_by_tensor_round_trip(p, top):
     # the former body of bp_freeness_check: each kernel vector as a Lie
-    # element, derived through the tensor ring; it solves with left_solver
-    # (checked against solve_left below) so that (5, 15) stays quick
+    # element, derived through the tensor ring, then solved in the kernel's
+    # basis by solve_left
     engine = TorsionEngine(p, top)
     kernels = {d: engine.bp_kernel_basis(d) for d in range(2 * p, top + 1)}
     torsion_found = []
     for d in range(2 * p, top + 1):
         k_d = kernels[d]
-        solve = left_solver(k_d)
-        index = engine.column_index(d)
+        index = {w: i for i, w in enumerate(engine.lie_basis(d))}
         rows = []
         for v in kernels.get(d - 1, []):
             e = LieElement(engine.alphabet, ZZ,
@@ -687,7 +691,7 @@ def freeness_by_tensor_round_trip(p, top):
                 for w, c in derive(e, var, engine.action).terms.items():
                     vec[index[w]] = c
                 if k_d:
-                    rows.append(solve(vec))
+                    rows.append(solve_left(k_d, vec))
                 else:
                     assert not any(vec)
         torsion_found.append(cokernel_structure(rows, len(k_d)).torsion)
@@ -721,14 +725,12 @@ def solver_cases(draw):
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(case=solver_cases())
-def test_shared_hermite_solve_matches_solve_left(case):
+def test_solve_left_matches_lattice_and_presentation_membership(case):
     rows, n, targets = case
-    solve = left_solver(rows)
     lattice = IntLattice(n, rows)
     pres = Presentation(rows, n)      # membership by an independent elimination
     for target in targets:
-        x = solve(target)
-        assert x == solve_left(rows, target)
+        x = solve_left(rows, target)
         assert (x is not None) == (target in lattice)
         assert (x is not None) == (target in pres)
         if x is not None:
@@ -739,7 +741,6 @@ def test_solve_with_no_rows_reads_the_target_values():
     # a dict target's keys are columns, not entries: {0: 5} is not zero
     for target in ({0: 5}, [0, 5]):
         assert solve_left([], target) is None
-        assert left_solver([])(target) is None
     for target in ({}, {0: 0}, [], [0, 0]):
         assert solve_left([], target) == []
 
@@ -760,7 +761,7 @@ def metabelian_matrix_oracle(engine, d):
             back = {}
             for w, c in metabelian_normal_coords(dm).items():
                 row[index[w]] = c
-                for key, k in mu_of_leftnormed(engine.alphabet, w).terms.items():
+                for key, k in mu(w, alphabet=engine.alphabet).terms.items():
                     back[key] = back.get(key, 0) + c * k
             assert {k: c for k, c in back.items() if c} == dm.mixed.terms
             rows.append(row)
@@ -798,7 +799,7 @@ def metabelian_check_by_dense_path(p, d):
     l_coker = cokernel_structure(lie, n)
     m_coker = cokernel_structure(metabelian_matrix_oracle(engine, d),
                                  len(engine.normal_basis(d)))
-    index = engine.column_index(d)
+    index = {w: i for i, w in enumerate(engine.lie_basis(d))}
     units = []
     for s, t in engine.theorem_indices(d):
         vec, target = [0] * n, [0] * n
@@ -843,7 +844,7 @@ def test_strict_key_peel_refuses_terms_outside_the_image_of_mu():
     engine = TorsionEngine(3, 12)
     ab = engine.alphabet
     word = engine.normal_basis(11)[0]
-    terms = mu_of_leftnormed(ab, word).terms
+    terms = mu(word, alphabet=ab).terms
     assert peel_strict_keys(dict(terms)) == {word: 1}
     strict = next(k for k in terms if k[0] > k[1][0])
     for bad in ({strict: 1}, {k: 1 for k in terms if k != strict},

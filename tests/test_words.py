@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lietorsion.words import (MAX_UNIT_RANK, Alphabet, Generator, LyndonWord, is_lyndon,
                               lyndon_words, lyndon_words_of_length, lyndon_words_with_content,
-                              multisets, standard_factorization, unit_alphabet)
+                              multisets, unit_alphabet)
 
 
 def brute_is_lyndon(word):
@@ -112,18 +112,18 @@ def test_count_weight5_is_six():
 
 def test_factorization_examples():
     ab = unit_alphabet(2)
-    u, v = standard_factorization(LyndonWord(ab, (0, 1)))
+    u, v = LyndonWord(ab, (0, 1)).standard_factorization()
     assert (u.idx, v.idx) == ((0,), (1,))
-    u, v = standard_factorization(LyndonWord(ab, (0, 0, 1)))
+    u, v = LyndonWord(ab, (0, 0, 1)).standard_factorization()
     assert (u.idx, v.idx) == ((0,), (0, 1))
-    u, v = standard_factorization(LyndonWord(ab, (0, 0, 1, 0, 1)))
+    u, v = LyndonWord(ab, (0, 0, 1, 0, 1)).standard_factorization()
     assert (u.idx, v.idx) == ((0, 0, 1), (0, 1))
 
 
 def test_factorization_of_letter_fails():
     ab = unit_alphabet(2)
     with pytest.raises(ValueError):
-        standard_factorization(LyndonWord(ab, (0,)))
+        LyndonWord(ab, (0,)).standard_factorization()
 
 
 def test_factorization_against_suffix_oracle():

@@ -14,7 +14,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from lietorsion.zlinalg import (CokernelStructure, IntLattice, Presentation,
                                 _dense, _dense_snf, add_into, cokernel_structure,
-                                hermite_normal_form, integer_kernel, left_solver,
+                                hermite_normal_form, integer_kernel,
                                 order_in_cokernel, saturation, smith_normal_form,
                                 solve_left, transpose)
 
@@ -403,7 +403,7 @@ def test_torsion_of_kernel_images_reads_on_the_ambient_columns(case):
     # Z^n / K embeds in Z^w, so Z^n / A is K / A plus a free part: the
     # torsion of A on all n columns is that of A solved in K's basis
     n, kernel, images = case
-    coords = list(map(left_solver(kernel), images))
+    coords = [solve_left(kernel, v) for v in images]
     assert None not in coords
     assert (cokernel_structure(images, n).torsion
             == cokernel_structure(coords, len(kernel)).torsion)
