@@ -187,9 +187,6 @@ class _Element:
         dom = self.domain
         return self._new({key: dom.divide_exact(c, n) for key, c in self.terms.items()})
 
-    def coeff(self, key):
-        return self.terms.get(key, self.domain.coerce(0))
-
     def __repr__(self):
         if not self.terms:
             return f"{type(self).__name__}(0)"

@@ -145,6 +145,23 @@ class _Degree:
         self.presentations = {}       # {a: block Presentation}
 
 
+def _in_block(where: list, d: int, a: int, vec: dict) -> dict:
+    """A sparse vector on a degree-d basis in the columns of block (a, d-a),
+    given the degree's ``where`` (each column's block and position there).
+
+    A block's columns keep the order of the basis.  A column of another
+    block raises ValueError: every map here preserves bidegree.
+    """
+    out = {}
+    for col, c in vec.items():
+        b, i = where[col]
+        if b != a:
+            raise ValueError(f"column {col} of degree {d} lies outside "
+                             f"the block ({a},{d - a})")
+        out[i] = c
+    return out
+
+
 class TorsionEngine:
     """One modulus up to one ambient degree.  Everything cached is one record
     per side and degree (``_Degree``): the side "lie" is the Lie power in
@@ -307,22 +324,6 @@ class TorsionEngine:
         rec = self._degree(d, side)
         return rec.blocks, rec.where
 
-    def _in_block(self, d: int, a: int, vec: dict, side: str = "lie") -> dict:
-        """A sparse vector on the side's degree-d basis in the columns of block (a, d-a).
-
-        A block's columns keep the order of the basis.  A column of another
-        block raises ValueError: every map here preserves bidegree.
-        """
-        where = self._degree(d, side).where
-        out = {}
-        for col, c in vec.items():
-            b, i = where[col]
-            if b != a:
-                raise ValueError(f"column {col} of degree {d} lies outside "
-                                 f"the block ({a},{d - a})")
-            out[i] = c
-        return out
-
     def _leads_y_image(self, word: tuple, side: str) -> bool:
         """Whether a basis word is the leading word of the y-image of a basis
         word one degree down (see ``block``): on the Lie side lowering its
@@ -371,7 +372,7 @@ class TorsionEngine:
             xs = [words[col] for col in below.blocks.get(a - 1, ())
                   if not self._leads_y_image(words[col], side)]
             ys = [words[col] for col in below.blocks.get(a, ())]
-            rows = [self._in_block(d, a, row(w, var), side)
+            rows = [_in_block(rec.where, d, a, row(w, var))
                     for var, ws in (("x", xs), ("y", ys)) for w in ws]
             pres = rec.presentations[a] = Presentation(rows, len(rec.blocks.get(a, ())))
         return pres
@@ -454,11 +455,12 @@ class TorsionEngine:
             return TorsionReport(p, d, n, coker, 0, True, True, True,
                                  torsion_all_p, True, False)
         pairs = self.theorem_indices(d)
+        where = self._degree(d).where
         orders = []
         for s, t in pairs:
             a = self.theorem_block(s, t)
             try:
-                vec = self._in_block(d, a, self.theorem_vector(s, t, d))
+                vec = _in_block(where, d, a, self.theorem_vector(s, t, d))
             except IntegralityError:
                 continue
             orders.append(self.block(d, a).order(vec))
@@ -488,7 +490,7 @@ class TorsionEngine:
         pivots once, and each candidate unit u is tested by whether image
         minus u times vector lies in the block's relations.  A combination
         of reduced vectors is reduced, so each test costs one scan of the
-        pivots and one Smith form of the core."""
+        pivots and one membership test in the core's echelon."""
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         p = self.p
@@ -496,14 +498,15 @@ class TorsionEngine:
         m_coker = self.graded_cokernel(d, "metabelian")
         ranks_agree = (len(l_coker.torsion) == len(m_coker.torsion)
                        and all(q == p for q in l_coker.torsion + m_coker.torsion))
+        where = self._degree(d).where
         matches = True
         units = []
         for s, t in self.theorem_indices(d):
             a = self.theorem_block(s, t)
             pres = self.block(d, a)
             m_elt = metabelian_of_word(self.alphabet, self.theorem_word(s, t))
-            vec = pres.reduce(self._in_block(d, a, self._lie_coords(theta(m_elt), d)))
-            target = pres.reduce(self._in_block(d, a, self.theorem_vector(s, t, d)))
+            vec = pres.reduce(_in_block(where, d, a, self._lie_coords(theta(m_elt), d)))
+            target = pres.reduce(_in_block(where, d, a, self.theorem_vector(s, t, d)))
             unit = next((u for u in range(1, p) if {
                 j: x for j in vec | target
                 if (x := vec.get(j, 0) - u * target.get(j, 0))} in pres), None)

@@ -1,17 +1,19 @@
 """Exact integer linear algebra: Smith and Hermite forms, kernels, cokernels.
 
-Matrices are plain lists of rows of Python ints, so there is no coefficient
-growth ceiling.  Two eliminations serve everything: one for cokernels, and
-one row echelon form over Z or GF(p) for lattices, spans and kernels.
+Matrices are plain lists of rows, or sparse dicts, of Python ints, so there
+is no coefficient growth ceiling.  One row echelon form over Z or GF(p)
+serves lattices, spans, kernels and the cores of cokernels; in front of it,
+cokernels first use up their +-1 pivots sparsely.
 
 Smith forms, cokernels and element orders all go through one
 ``Presentation``: a sparse elimination of +-1 pivots (short rows first, and in
 a row the unit entry whose column meets the fewest rows) that records each
-pivot row, leaves untouched columns as free summands and hands only the small
-remaining core to the dense kernel.  The dense kernel's pivot rule (smallest
-nonzero absolute value, ties by position) keeps intermediate entries small.
-Vectors are reduced onto the core through the recorded pivots, so one
-presentation answers many order and membership questions.
+pivot row and leaves untouched columns as free summands.  The small core
+that remains is finished on ``IntLattice``: its elementary divisors by
+alternating echelons of its rows and of its columns, and the order of a
+vector by the pivot-product rule (see ``Presentation.order``).  Vectors are
+reduced onto the core through the recorded pivots, so one presentation
+answers many order and membership questions.
 
 Hermite forms, kernels, left solves and membership all go through one
 ``IntLattice``: a sparse row echelon form grown one input at a time by
@@ -147,16 +149,28 @@ class Presentation:
                     heappush(heap, e)
             self.pivots.append((c, s, row))
         self.core = [r for r in live if r]
-        self.core_cols = sorted({j for r in self.core for j in r})
 
-    def _core_divisors(self, extra=()):
-        cols = sorted(set(self.core_cols).union(*extra)) if extra else self.core_cols
-        matrix = [[r.get(j, 0) for j in cols] for r in self.core + list(extra)]
-        return _dense_snf(matrix, len(cols)).divisors
+    @cached_property
+    def _core_lattice(self) -> IntLattice:
+        return IntLattice(self.ncols, self.core)
 
     @cached_property
     def snf(self) -> SNFResult:
-        return SNFResult((1,) * len(self.pivots) + self._core_divisors())
+        """The pivots' unit divisors, then the core's by alternating echelons
+        of the rows and of the columns until each row holds one entry
+        (Kannan & Bachem 1979).  Each echelon's first pivot divides the one
+        before and is split off once it divides its row, so the loop ends."""
+        lattice = self._core_lattice
+        rows = [lattice.rows[j] for j in sorted(lattice.rows)]
+        while any(len(r) > 1 for r in rows):
+            cols = {}
+            for i, r in enumerate(rows):
+                for j, v in r.items():
+                    cols.setdefault(j, {})[i] = v
+            lattice = IntLattice(len(rows), [cols[j] for j in sorted(cols)])
+            rows = [lattice.rows[j] for j in sorted(lattice.rows)]
+        diag = [v for r in rows for v in r.values()]
+        return SNFResult((1,) * len(self.pivots) + tuple(_divisor_chain(diag)))
 
     @cached_property
     def cokernel(self) -> CokernelStructure:
@@ -180,95 +194,30 @@ class Presentation:
     def order(self, vec):
         """Additive order of vec in the cokernel; None when infinite.
 
-        The reduced vector joins the core: the order is the factor by which
-        the torsion shrinks, unless the rank grows.
+        The reduced vector v joins the core lattice L.  If the rank grows the
+        order is infinite.  Otherwise L and L + Zv span the same space, so
+        their echelons share pivot columns, on which the projection is
+        injective: the order [L + Zv : L] is the product of L's pivots over
+        the product of L + Zv's.
         """
         v = self.reduce(vec)
         if not v:
             return 1
-        core = self.snf.divisors[len(self.pivots):]
-        aug = self._core_divisors([v])
-        return prod(core) // prod(aug) if len(aug) == len(core) else None
+        base = self._core_lattice
+        grown = IntLattice(self.ncols, [*base.rows.values(), v])
+        if grown.rank > base.rank:
+            return None
+        base_det, grown_det = (prod(r[j] for j, r in lat.rows.items())
+                               for lat in (base, grown))
+        return base_det // grown_det
 
     def __contains__(self, vec) -> bool:
-        return self.order(vec) == 1
+        return self.reduce(vec) in self._core_lattice
 
 
 def smith_normal_form(rows, ncols=None) -> SNFResult:
     """Elementary divisor chain of an integer matrix."""
     return Presentation(rows, ncols).snf
-
-
-def _dense_snf(a, n) -> SNFResult:
-    """Dense Smith form of the m x n list of lists a, which it overwrites."""
-    m = len(a)
-    diag = []
-    t = 0
-    while t < min(m, n):
-        pivot = _find_pivot(a, t, m, n)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        _clear_position(a, t, m, n)
-        diag.append(abs(a[t][t]))
-        t += 1
-    return SNFResult(tuple(_divisor_chain(diag)))
-
-
-def _find_pivot(a, t, m, n):
-    best = None
-    for i in range(t, m):
-        row = a[i]
-        for j in range(t, n):
-            v = row[j]
-            if v and (best is None or abs(v) < best[0]):
-                best = (abs(v), i, j)
-                if best[0] == 1:
-                    return (i, j)
-    return None if best is None else (best[1], best[2])
-
-
-def _clear_position(a, t, m, n):
-    # alternate row and column reduction until the cross through (t,t) is clear
-    while True:
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        pivot = a[t][t]
-        swapped = False
-        for i in range(t + 1, m):
-            v = a[i][t]
-            if not v:
-                continue
-            q = v // pivot
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            if a[i][t]:
-                # remainder is smaller than the pivot; promote it
-                a[t], a[i] = a[i], a[t]
-                swapped = True
-                break
-        if swapped:
-            continue
-        for j in range(t + 1, n):
-            v = a[t][j]
-            if not v:
-                continue
-            q = v // pivot
-            if q:
-                for row in a:
-                    row[j] -= q * row[t]
-            if a[t][j]:
-                for row in a:
-                    row[t], row[j] = row[j], row[t]
-                swapped = True
-                break
-        if swapped:
-            continue
-        return
 
 
 def _divisor_chain(diag):

@@ -23,8 +23,9 @@ from lietorsion.torsion import (TorsionEngine, a_generator, a_generators,
                                 metabelian_torsion_check, st_of, theorem_element,
                                 torsion_report, verify_theorem_degree)
 from lietorsion.zlinalg import (CokernelStructure, IntLattice, Presentation,
-                                _dense_snf, cokernel_structure, integer_kernel,
+                                cokernel_structure, integer_kernel,
                                 solve_left, transpose)
+from snf_oracle import dense_snf
 
 
 def test_a_generators_examples():
@@ -114,7 +115,7 @@ def test_graded_cokernel_matches_dense_kernel(p, top):
     engine = TorsionEngine(p, top)
     for d in range(2 * p, top + 1):
         n = len(engine.lie_basis(d))
-        ds = _dense_snf(engine.action_matrix(d), n).divisors
+        ds = dense_snf(engine.action_matrix(d), n)
         want = CokernelStructure(n - len(ds), tuple(q for q in ds if q > 1))
         assert engine.graded_cokernel(d) == want, (p, d)
 
@@ -196,7 +197,7 @@ def test_bigrading_partitions_the_basis_in_order():
     a = engine.theorem_block(s, t)
     assert engine.alphabet.word_multidegree(engine.theorem_word(s, t)) == (a, 14 - a)
     with pytest.raises(ValueError, match="outside the block"):
-        engine._in_block(14, a + 1, vec)
+        torsion._in_block(engine.bigrading(14)[1], 14, a + 1, vec)
 
 
 def mobius(n):
@@ -282,7 +283,8 @@ def test_pruned_blocks_match_the_unpruned_rows(monkeypatch, p, d):
 
         def images(e, var, a0, a):
             # the var-images of block (a0, e-a0) in the block (a, e+1-a)
-            return [engine._in_block(e + 1, a, row(basis(e)[col], var), side)
+            where = engine.bigrading(e + 1, side)[1]
+            return [torsion._in_block(where, e + 1, a, row(basis(e)[col], var))
                     for col in engine.bigrading(e, side)[0].get(a0, ())]
 
         for a, cols in engine.bigrading(d, side)[0].items():
@@ -433,7 +435,8 @@ def test_verify_theorem_degree_refuses_a_zero_vector_beside_one_of_order_p_squar
     # the s=1 vector scaled by 3; the product is 3^3, but one vector is zero
     engine = TorsionEngine(3, 14)
     a0 = engine.theorem_block(0, 2)
-    vec = engine._in_block(14, a0, engine.theorem_vector(0, 2, 14))
+    where = engine.bigrading(14)[1]
+    vec = torsion._in_block(where, 14, a0, engine.theorem_vector(0, 2, 14))
     j0 = next(j for j, c in vec.items() if c % 3)
     width = len(engine.bigrading(14)[0][a0])
     z9 = Presentation([{j: 9 if j == j0 else 1} for j in range(width)], width)
@@ -444,7 +447,7 @@ def test_verify_theorem_degree_refuses_a_zero_vector_beside_one_of_order_p_squar
     monkeypatch.setattr(engine, "theorem_vector", lambda s, t, d: (
         {j: 3 * c for j, c in vector(s, t, d).items()} if s == 1 else vector(s, t, d)))
     orders = [engine.block(14, engine.theorem_block(s, t)).order(
-        engine._in_block(14, engine.theorem_block(s, t), engine.theorem_vector(s, t, 14)))
+        torsion._in_block(where, 14, engine.theorem_block(s, t), engine.theorem_vector(s, t, 14)))
         for s, t in engine.theorem_indices(14)]
     assert orders == [9, 1, 3]
     r = engine.verify_theorem_degree(14)
@@ -780,7 +783,7 @@ def test_metabelian_rows_match_dense_oracle(p, top):
         assert [[row.get(j, 0) for j in range(n)] for row in rows] == want, (p, d)
         assert all(list(row) == sorted(row) and all(row.values()) for row in rows)
         assert engine.metabelian_matrix(d) == want
-        ds = _dense_snf(want, n).divisors
+        ds = dense_snf(want, n)
         coker = CokernelStructure(n - len(ds), tuple(q for q in ds if q > 1))
         for a in engine.bigrading(d, "metabelian")[0]:
             pres = engine.block(d, a, "metabelian")

@@ -13,10 +13,11 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
 from lietorsion.zlinalg import (CokernelStructure, IntLattice, Presentation,
-                                _dense, _dense_snf, add_into, cokernel_structure,
+                                _dense, add_into, cokernel_structure,
                                 hermite_normal_form, integer_kernel,
                                 order_in_cokernel, saturation, smith_normal_form,
                                 solve_left, transpose)
+from snf_oracle import dense_snf
 
 
 @st.composite
@@ -86,6 +87,11 @@ def test_snf_examples():
     assert smith_normal_form([[1, 0], [0, 3]]).divisors == (1, 3)
     r = smith_normal_form([[2, 4], [4, 8]])
     assert r.divisors == (2,) and r.rank == 1
+    # no unit entry, and a row echelon that is not diagonal: the column
+    # echelon has work to do (each value as sympy's invariant_factors gives)
+    assert smith_normal_form([[2, 3]]).divisors == (1,)
+    assert smith_normal_form([[4, 6], [6, 4]]).divisors == (2, 10)
+    assert smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]).divisors == (2, 6, 12)
 
 
 def test_snf_empty():
@@ -215,6 +221,9 @@ def test_order_in_cokernel():
     assert order_in_cokernel(relations, 2, [0, 1]) == 1
     assert order_in_cokernel([[2, 0]], 2, [0, 1]) is None  # infinite order
     assert order_in_cokernel([[6, 0], [0, 1]], 2, [2, 0]) == 3
+    # Z^2 / <(4,6),(6,4)> is Z/2 + Z/10 with no unit entry to pivot on
+    assert order_in_cokernel([[4, 6], [6, 4]], 2, [1, 0]) == 10
+    assert order_in_cokernel([[4, 6], [6, 4]], 2, [2, 0]) == 5
 
 
 # -- the sparse front end against the dense kernel and an external oracle -----
@@ -242,7 +251,7 @@ def sparse_matrices(draw, max_rows=8, max_cols=8):
 
 
 def dense_divisors(rows, n):
-    return _dense_snf([list(r) for r in rows], n).divisors
+    return dense_snf([list(r) for r in rows], n)
 
 
 def dense_cokernel(rows, n):
@@ -288,7 +297,7 @@ def test_presentation_records_unit_pivots():
     # the unit row goes first and is kept; the untouched column is free
     pres = Presentation([{0: 1, 1: 2}, {1: 4}], 3)
     assert pres.pivots == [(0, 1, {0: 1, 1: 2})]
-    assert pres.core == [{1: 4}] and pres.core_cols == [1]
+    assert pres.core == [{1: 4}] and sorted({j for r in pres.core for j in r}) == [1]
     assert pres.cokernel == CokernelStructure(1, (4,))
     assert pres.reduce([3, 0, 5]) == {1: -6, 2: 5}
     assert pres.order([0, 1, 0]) == 4 and pres.order([0, 0, 1]) is None
