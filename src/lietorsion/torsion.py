@@ -13,9 +13,9 @@ drops the x-images that the Koszul relation x y = y x makes redundant.
 Swapping x and y sends u(s,t) to -u(t,s) modulo the second derived ideal;
 that is a graded automorphism commuting with the action, so block (a, b)
 and block (b, a) have isomorphic cokernels, and a degree's cokernel is
-built from the blocks with a <= b alone.  A theorem vector of bidegree
-(a, b) is read off its own block by reducing it through the block's
-recorded pivots.
+built from the blocks with a <= b alone.  Each block is one row echelon
+(``zlinalg.Presentation``) read prime by prime, and a theorem vector of
+bidegree (a, b) is read off its own block's echelon.
 
 A relation row is the x- or y-image of a degree d-1 basis word in the
 degree-d Lyndon coordinates.  It is built from the word's cached tensor
@@ -362,6 +362,10 @@ class TorsionEngine:
            x y (a-1, b-1) = y x (a-1, b-1) lies in y (a, b-1);
         3. so the rows kept span the same lattice, and exactly as many rows
            as block (a-1, b-1) has words are dropped.
+
+        The echelon pivots on a row's smallest column, the Lie leading word.
+        The metabelian leading word is the largest, so there column j is
+        presented as n-1-j, which leaves the cokernel as it is.
         """
         rec = self._degree(d, side)
         pres = rec.presentations.get(a)
@@ -374,7 +378,10 @@ class TorsionEngine:
             ys = [words[col] for col in below.blocks.get(a, ())]
             rows = [_in_block(rec.where, d, a, row(w, var))
                     for var, ws in (("x", xs), ("y", ys)) for w in ws]
-            pres = rec.presentations[a] = Presentation(rows, len(rec.blocks.get(a, ())))
+            n = len(rec.blocks.get(a, ()))
+            if side == "metabelian":
+                rows = [{n - 1 - j: c for j, c in r.items()} for r in rows]
+            pres = rec.presentations[a] = Presentation(rows, n)
         return pres
 
     def graded_cokernel(self, d: int, side: str = "lie") -> CokernelStructure:
@@ -486,11 +493,9 @@ class TorsionEngine:
 
     def metabelian_torsion_check(self, d: int) -> MetabelianTorsionReport:
         """theta's image of each theorem word is compared with the theorem
-        vector inside their common block: both are reduced through its
-        pivots once, and each candidate unit u is tested by whether image
-        minus u times vector lies in the block's relations.  A combination
-        of reduced vectors is reduced, so each test costs one scan of the
-        pivots and one membership test in the core's echelon."""
+        vector inside their common block: each candidate unit u is tested by
+        whether image minus u times vector lies in the block's relations,
+        one membership test in the block's echelon."""
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         p = self.p
@@ -505,8 +510,8 @@ class TorsionEngine:
             a = self.theorem_block(s, t)
             pres = self.block(d, a)
             m_elt = metabelian_of_word(self.alphabet, self.theorem_word(s, t))
-            vec = pres.reduce(_in_block(where, d, a, self._lie_coords(theta(m_elt), d)))
-            target = pres.reduce(_in_block(where, d, a, self.theorem_vector(s, t, d)))
+            vec = _in_block(where, d, a, self._lie_coords(theta(m_elt), d))
+            target = _in_block(where, d, a, self.theorem_vector(s, t, d))
             unit = next((u for u in range(1, p) if {
                 j: x for j in vec | target
                 if (x := vec.get(j, 0) - u * target.get(j, 0))} in pres), None)

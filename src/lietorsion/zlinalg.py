@@ -1,25 +1,19 @@
 """Exact integer linear algebra: Smith and Hermite forms, kernels, cokernels.
 
 Matrices are plain lists of rows, or sparse dicts, of Python ints, so there
-is no coefficient growth ceiling.  One row echelon form over Z or GF(p)
-serves lattices, spans, kernels and the cores of cokernels; in front of it,
-cokernels first use up their +-1 pivots sparsely.
+is no coefficient growth ceiling.  One elimination kernel serves them all:
+``IntLattice``, a sparse row echelon form over Z or, given a prime p, over
+GF(p), grown one input at a time by invertible steps.  Each row carries its
+combination of the inputs, so the inputs that reduce to zero leave a basis
+of the relations among them.  Hermite forms, kernels, left solves and
+membership read it directly.
 
 Smith forms, cokernels and element orders all go through one
-``Presentation``: a sparse elimination of +-1 pivots (short rows first, and in
-a row the unit entry whose column meets the fewest rows) that records each
-pivot row and leaves untouched columns as free summands.  The small core
-that remains is finished on ``IntLattice``: its elementary divisors by
-alternating echelons of its rows and of its columns, and the order of a
-vector by the pivot-product rule (see ``Presentation.order``).  Vectors are
-reduced onto the core through the recorded pivots, so one presentation
-answers many order and membership questions.
-
-Hermite forms, kernels, left solves and membership all go through one
-``IntLattice``: a sparse row echelon form grown one input at a time by
-invertible steps, over Z or, given a prime p, over GF(p).  Each row carries
-its combination of the inputs, so the inputs that reduce to zero leave a
-basis of the relations among them.
+``Presentation``: the Z echelon B of the relations.  Only primes l dividing
+a pivot of B divide an elementary divisor, and the ranks over GF(l) along
+the l-saturation chain count the divisors by their power of l.  A pivot
+that trial division cannot factor sends B to alternating echelons of its
+rows and of its columns instead.  Orders follow the pivot-product rule.
 
 ``add_into`` is the package's sparse accumulator, over Z, Q or GF(p).
 """
@@ -28,7 +22,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from heapq import heapify, heappop, heappush
 from math import gcd, prod
 
 
@@ -84,17 +77,9 @@ def _sparse(vec, ncols, p=None):
 
 
 class Presentation:
-    """Z^ncols modulo the lattice spanned by ``rows`` (dense lists or dicts).
-
-    Relations with a +-1 entry are used up one at a time: the row becomes a
-    recorded pivot, its column leaves the presentation, and every other row
-    touching that column is reduced by it.  A heap hands out the shortest row
-    with a unit entry first, ties going to the row whose unit column meets the
-    fewest rows; that column is the one eliminated.  What is left, the core,
-    touches few columns; every other column is a free summand.  Its queries
-    are ``snf``, ``cokernel``, ``reduce`` and the additive ``order`` of a
-    vector, which ``in`` compares with 1.
-    """
+    """Z^ncols modulo the lattice L of ``rows`` (dense lists or dicts), read
+    off one ``IntLattice`` echelon B of the rows: ``snf``, ``cokernel``, the
+    additive ``order`` of a vector, and ``in``, membership in B."""
 
     def __init__(self, rows, ncols=None):
         rows = list(rows)
@@ -103,74 +88,26 @@ class Presentation:
                 raise ValueError("sparse rows need ncols")
             ncols = len(rows[0]) if rows else 0
         self.ncols = ncols
-        live = [_sparse(r, ncols) for r in rows]
-        cols = {}                       # column -> ids of the live rows touching it
-        for i, row in enumerate(live):
-            for j in row:
-                cols.setdefault(j, set()).add(i)
-
-        def entry(i):
-            row = live[i]
-            units = [len(cols[j]) for j, v in row.items() if v in (1, -1)]
-            return (len(row), min(units), i) if units else None
-
-        heap = [e for e in map(entry, range(len(live))) if e]
-        heapify(heap)
-        self.pivots = []                # (column, +-1, row) in elimination order
-        while heap:
-            length, _, i = heappop(heap)
-            row = live[i]
-            if row is None or len(row) != length:
-                continue                # stale: pivoted, or changed and pushed again
-            units = [j for j, v in row.items() if v in (1, -1)]
-            if not units:
-                continue                # a change since the push cost its units
-            c = min(units, key=lambda j: (len(cols[j]), j))
-            s = row[c]
-            live[i] = None
-            for j in row:
-                cols[j].discard(i)
-            for k in cols.pop(c):
-                other = live[k]
-                f = other.pop(c) * s
-                for j, v in row.items():
-                    if j == c:
-                        continue
-                    x = other.get(j, 0) - f * v
-                    if x:
-                        if j not in other:
-                            cols[j].add(k)
-                        other[j] = x
-                    elif j in other:
-                        del other[j]
-                        cols[j].discard(k)
-                e = entry(k) if other else None
-                if e:
-                    heappush(heap, e)
-            self.pivots.append((c, s, row))
-        self.core = [r for r in live if r]
-
-    @cached_property
-    def _core_lattice(self) -> IntLattice:
-        return IntLattice(self.ncols, self.core)
+        self._lattice = IntLattice(ncols, sorted(rows, key=len))   # short rows fill least
 
     @cached_property
     def snf(self) -> SNFResult:
-        """The pivots' unit divisors, then the core's by alternating echelons
-        of the rows and of the columns until each row holds one entry
-        (Kannan & Bachem 1979).  Each echelon's first pivot divides the one
-        before and is split off once it divides its row, so the loop ends."""
-        lattice = self._core_lattice
-        rows = [lattice.rows[j] for j in sorted(lattice.rows)]
-        while any(len(r) > 1 for r in rows):
-            cols = {}
-            for i, r in enumerate(rows):
-                for j, v in r.items():
-                    cols.setdefault(j, {})[i] = v
-            lattice = IntLattice(len(rows), [cols[j] for j in sorted(cols)])
-            rows = [lattice.rows[j] for j in sorted(lattice.rows)]
-        diag = [v for r in rows for v in r.values()]
-        return SNFResult((1,) * len(self.pivots) + tuple(_divisor_chain(diag)))
+        """The elementary divisors.  Their product divides the product of B's
+        pivots, a maximal minor, so only primes l dividing a pivot occur;
+        ``_prime_powers`` gives each one's powers.  A pivot with a prime
+        factor at or above ``_TRIAL_BOUND`` sends B to the fallback."""
+        lattice = self._lattice
+        primes = set()
+        for pivot in {row[j] for j, row in lattice.rows.items()}:
+            found = _small_primes(pivot)
+            if found is None:
+                diag = _alternating_divisors(lattice)
+                break
+            primes |= found
+        else:
+            diag = [q for ell in primes for q in _prime_powers(lattice, ell)]
+        chain = [q for q in _divisor_chain(diag) if q > 1]
+        return SNFResult((1,) * (lattice.rank - len(chain)) + tuple(chain))
 
     @cached_property
     def cokernel(self) -> CokernelStructure:
@@ -178,41 +115,95 @@ class Presentation:
         return CokernelStructure(self.ncols - len(divisors),
                                  tuple(d for d in divisors if d > 1))
 
-    def reduce(self, vec) -> dict:
-        """vec modulo the pivot rows: a dict on the non-pivot columns.
-
-        A pivot's column is cleared from every later pivot row, so a vector
-        already reduced comes back unchanged after one scan of the pivots.
-        """
-        v = _sparse(vec, self.ncols)
-        for c, s, row in self.pivots:
-            a = v.get(c)
-            if a:
-                add_into(v, row.items(), -a * s)
-        return v
-
     def order(self, vec):
         """Additive order of vec in the cokernel; None when infinite.
 
-        The reduced vector v joins the core lattice L.  If the rank grows the
-        order is infinite.  Otherwise L and L + Zv span the same space, so
-        their echelons share pivot columns, on which the projection is
-        injective: the order [L + Zv : L] is the product of L's pivots over
-        the product of L + Zv's.
+        If v raises the rank of L the order is infinite.  Otherwise L and
+        L + Zv share pivot columns, on which the projection is injective:
+        the order [L + Zv : L] is the product of L's pivots over L + Zv's.
         """
-        v = self.reduce(vec)
-        if not v:
-            return 1
-        base = self._core_lattice
-        grown = IntLattice(self.ncols, [*base.rows.values(), v])
+        base = self._lattice
+        grown = _grown(base, [vec])
         if grown.rank > base.rank:
             return None
-        base_det, grown_det = (prod(r[j] for j, r in lat.rows.items())
-                               for lat in (base, grown))
-        return base_det // grown_det
+        return _pivot_product(base) // _pivot_product(grown)
 
     def __contains__(self, vec) -> bool:
-        return self.reduce(vec) in self._core_lattice
+        return vec in self._lattice
+
+
+# pivots are factored by trial division below this bound
+_TRIAL_BOUND = 1 << 16
+
+
+def _small_primes(n):
+    """The prime factors of n > 0, or None if one is at least _TRIAL_BOUND."""
+    out, d = set(), 2
+    while d * d <= n and d < _TRIAL_BOUND:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    return None if n >= _TRIAL_BOUND else out | {n} - {1}
+
+
+def _pivot_product(lattice) -> int:
+    return prod(row[j] for j, row in lattice.rows.items())
+
+
+def _grown(lattice, vecs) -> IntLattice:
+    """A copy of the lattice with vecs added.  The copy shares the stored
+    rows, since ``_reduce`` replaces a stored row and never changes one."""
+    out = IntLattice(lattice.ncols, (), lattice.p)
+    out.rows, out.combos = dict(lattice.rows), dict(lattice.combos)
+    out.relations = list(lattice.relations)
+    for v in vecs:
+        out.add(v)
+    return out
+
+
+def _prime_powers(lattice, ell) -> list:
+    """The powers of the prime ell among the elementary divisors of Z^n / L.
+
+    The divisors that ell divides are counted by the relations x among the
+    echelon rows B over GF(ell), and {v : ell v in L} is L plus the rows
+    (x B) / ell.  So the j-th count along that saturation chain is the number
+    of divisors with v_ell >= j.  It stops at a count k = 0, or at k = v_ell
+    of the pivot product, which bounds v_ell of the divisors' product: then
+    each of the k divisors takes one factor of ell.
+    """
+    counts = []
+    while True:
+        basis = list(lattice.rows.values())
+        relations = IntLattice(lattice.ncols, basis, ell).relations
+        if not relations:
+            break
+        counts.append(len(relations))
+        if _pivot_product(lattice) % ell ** (len(relations) + 1):
+            break
+        lifts = []
+        for x in relations:
+            w = {}
+            add_into(w, ((j, c * v) for i, c in x.items() for j, v in basis[i].items()))
+            lifts.append({j: v // ell for j, v in w.items()})
+        lattice = _grown(lattice, lifts)
+    return [ell ** sum(k > i for k in counts) for i in range(max(counts, default=0))]
+
+
+def _alternating_divisors(lattice) -> list:
+    """The diagonal left by alternating echelons of the rows and of the
+    columns until each row holds one entry (Kannan & Bachem 1979).  Each
+    echelon's first pivot divides the one before and is split off once it
+    divides its row, so the loop ends."""
+    rows = [lattice.rows[j] for j in sorted(lattice.rows)]
+    while any(len(r) > 1 for r in rows):
+        cols = {}
+        for i, r in enumerate(rows):
+            for j, v in r.items():
+                cols.setdefault(j, {})[i] = v
+        lattice = IntLattice(len(rows), [cols[j] for j in sorted(cols)])
+        rows = [lattice.rows[j] for j in sorted(lattice.rows)]
+    return [v for r in rows for v in r.values() if v > 1]
 
 
 def smith_normal_form(rows, ncols=None) -> SNFResult:

@@ -25,6 +25,7 @@ from lietorsion.torsion import (TorsionEngine, a_generator, a_generators,
 from lietorsion.zlinalg import (CokernelStructure, IntLattice, Presentation,
                                 cokernel_structure, integer_kernel,
                                 solve_left, transpose)
+from heap_oracle import HeapPresentation
 from snf_oracle import dense_snf
 
 
@@ -126,7 +127,7 @@ def whole_degree_cokernel(engine, d, side):
     basis, row = {"lie": (engine.lie_basis, engine.derived_row),
                   "metabelian": (engine.normal_basis, engine.metabelian_row)}[side]
     rows = [row(word, var) for word in basis(d - 1) for var in ("x", "y")]
-    return Presentation(rows, len(basis(d))).cokernel
+    return CokernelStructure(*HeapPresentation(rows, len(basis(d))).cokernel)
 
 
 @pytest.mark.parametrize("p,top", [(2, 16), (3, 17), (5, 15), (7, 16), (4, 12), (6, 14)])
@@ -290,9 +291,12 @@ def test_pruned_blocks_match_the_unpruned_rows(monkeypatch, p, d):
         for a, cols in engine.bigrading(d, side)[0].items():
             b, n = d - a, len(cols)
             xs, ys = images(d - 1, "x", a - 1, a), images(d - 1, "y", a, a)
+            if side == "metabelian":
+                # the block presents column j as n-1-j, its leading words first
+                xs, ys = ([{n - 1 - j: c for j, c in r.items()} for r in m] for m in (xs, ys))
             pres = engine.block(d, a, side)
             rows = given.pop()
-            assert pres.cokernel == real(xs + ys, n).cokernel, (side, p, d, a)
+            assert pres.cokernel == HeapPresentation(xs + ys, n).cokernel, (side, p, d, a)
             kept = {_key(r) for r in rows}
             assert {_key(r) for r in ys} <= kept
             dropped = [i for i, r in enumerate(xs) if _key(r) not in kept]
@@ -306,12 +310,25 @@ def test_pruned_blocks_match_the_unpruned_rows(monkeypatch, p, d):
             if side == "lie":
                 assert count == (lie.get((a - 1, b), 0) + lie.get((a, b - 1), 0)
                                  - lie.get((a - 1, b - 1), 0)), (p, d, a)
-            # no row reduces to zero and the core rows are independent,
-            # so the row count is the block's rank
-            assert len(pres.pivots) + len(pres.core) == count, (side, p, d, a)
+            # no row reduces to zero, so the row count is the block's rank
+            assert pres._lattice.rank == count and not pres._lattice.relations, (side, p, d, a)
             assert len(pres.snf.divisors) == count == n - pres.cokernel.free_rank
             checked += 1
     assert checked and not given
+
+
+@pytest.mark.parametrize("p,top", [(3, 17), (5, 16)])
+def test_no_engine_block_takes_the_alternating_echelons(monkeypatch, p, top):
+    # every pivot of every block, on both sides, factors below the trial bound
+    def refuse(lattice):
+        raise AssertionError("a block reached the alternating echelons")
+
+    monkeypatch.setattr(zlinalg, "_alternating_divisors", refuse)
+    engine = TorsionEngine(p, top)
+    for side in ("lie", "metabelian"):
+        for d in range(2 * p, top + 1):
+            for a in engine.bigrading(d, side)[0]:
+                engine.block(d, a, side).snf      # refuse raises on the fallback
 
 
 def test_graded_cokernel_examples():
@@ -731,11 +748,11 @@ def solver_cases(draw):
 def test_solve_left_matches_lattice_and_presentation_membership(case):
     rows, n, targets = case
     lattice = IntLattice(n, rows)
-    pres = Presentation(rows, n)      # membership by an independent elimination
+    oracle = HeapPresentation(rows, n)      # membership by an independent elimination
     for target in targets:
         x = solve_left(rows, target)
         assert (x is not None) == (target in lattice)
-        assert (x is not None) == (target in pres)
+        assert (x is not None) == (target in oracle)
         if x is not None:
             assert [sum(a * r[j] for a, r in zip(x, rows)) for j in range(n)] == target
 

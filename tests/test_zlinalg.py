@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
+from lietorsion import zlinalg
 from lietorsion.zlinalg import (CokernelStructure, IntLattice, Presentation,
                                 _dense, add_into, cokernel_structure,
                                 hermite_normal_form, integer_kernel,
@@ -87,8 +88,8 @@ def test_snf_examples():
     assert smith_normal_form([[1, 0], [0, 3]]).divisors == (1, 3)
     r = smith_normal_form([[2, 4], [4, 8]])
     assert r.divisors == (2,) and r.rank == 1
-    # no unit entry, and a row echelon that is not diagonal: the column
-    # echelon has work to do (each value as sympy's invariant_factors gives)
+    # no unit entry, and a row echelon that is not diagonal, so its pivots
+    # are not the divisors (each value as sympy's invariant_factors gives)
     assert smith_normal_form([[2, 3]]).divisors == (1,)
     assert smith_normal_form([[4, 6], [6, 4]]).divisors == (2, 10)
     assert smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]).divisors == (2, 6, 12)
@@ -294,17 +295,79 @@ def test_presentation_order_and_quotient_match_augmented_dense(case, data):
 
 
 def test_presentation_records_unit_pivots():
-    # the unit row goes first and is kept; the untouched column is free
+    # the unit row is the echelon's first pivot row; the untouched column is free
     pres = Presentation([{0: 1, 1: 2}, {1: 4}], 3)
-    assert pres.pivots == [(0, 1, {0: 1, 1: 2})]
-    assert pres.core == [{1: 4}] and sorted({j for r in pres.core for j in r}) == [1]
+    assert pres._lattice.rows == {0: {0: 1, 1: 2}, 1: {1: 4}}
     assert pres.cokernel == CokernelStructure(1, (4,))
-    assert pres.reduce([3, 0, 5]) == {1: -6, 2: 5}
+    assert [3, 0, 5] not in pres and [3, 6, 0] in pres and [0, 4, 0] in pres
     assert pres.order([0, 1, 0]) == 4 and pres.order([0, 0, 1]) is None
+    assert pres.order([3, 0, 5]) is None and pres.order([1, 0, 0]) == 2
     with pytest.raises(ValueError):
         Presentation([{3: 1}], 3)
     with pytest.raises(ValueError):
         Presentation([{0: 1}])
+
+
+def _scrambled(divisors, n, seed):
+    """An n x n matrix with the given elementary divisors (padded by 0),
+    hidden by random unimodular row and column operations."""
+    rng = random.Random(seed)
+    a = [[(list(divisors) + [0] * n)[i] if i == j else 0 for j in range(n)]
+         for i in range(n)]
+    for _ in range(3 * n):
+        i, k = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        a[i] = [x + c * y for x, y in zip(a[i], a[k])]
+        i, k = rng.sample(range(n), 2)
+        for row in a:
+            row[i] += c * row[k]
+    return a
+
+
+def _chain_steps(monkeypatch):
+    """A list that records each step of a saturation chain past the first."""
+    steps = []
+    real = zlinalg._grown
+    monkeypatch.setattr(zlinalg, "_grown", lambda lat, vecs: steps.append(1) or real(lat, vecs))
+    return steps
+
+
+@pytest.mark.parametrize("rows,want,steps", [
+    ([[4]], (4,), 1),                                   # Z/4
+    ([[2, 1], [0, 2]], (1, 4), 1),                      # pivots 2, 2 but Z/4
+    ([[8, 0], [0, 2]], (2, 8), 2),                      # Z/8 + Z/2: a third step
+    ([[9, 0], [0, 3]], (3, 9), 1),                      # Z/9 + Z/3
+    ([[4, 0], [0, 6]], (2, 12), 1),                     # Z/4 + Z/6, two primes
+    (_scrambled([1, 1, 2, 8], 5, 1), (1, 1, 2, 8), 2),  # behind unit pivots
+    (_scrambled([1, 3, 9, 27], 5, 2), (1, 3, 9, 27), 2),
+    (_scrambled([1, 1, 4, 12], 4, 3), (1, 1, 4, 12), 1),
+])
+def test_snf_saturation_chain_steps(monkeypatch, rows, want, steps):
+    # the chain needs at least ``steps`` steps past the first, and never the
+    # alternating echelons
+    recorded = _chain_steps(monkeypatch)
+    monkeypatch.setattr(zlinalg, "_alternating_divisors", None)
+    n = len(rows[0])
+    assert smith_normal_form(rows).divisors == want
+    assert len(recorded) >= steps
+    assert dense_divisors(rows, n) == want == sympy_divisors(rows, n)
+
+
+@pytest.mark.parametrize("rows", [
+    [[2 * 65537]],
+    [[2 ** 61 - 1, 0], [0, 4]],
+    _scrambled([1, 2, 2 * 65537], 4, 4),
+    _scrambled([1, 3, 3 * (2 ** 61 - 1)], 3, 5),
+])
+def test_snf_pivot_above_the_trial_bound_takes_the_alternating_echelons(monkeypatch, rows):
+    calls = []
+    real = zlinalg._alternating_divisors
+    monkeypatch.setattr(zlinalg, "_alternating_divisors",
+                        lambda lat: calls.append(1) or real(lat))
+    n = len(rows[0])
+    got = smith_normal_form(rows).divisors
+    assert calls
+    assert got == dense_divisors(rows, n) == sympy_divisors(rows, n)
 
 
 # -- the lattice kernel against the dense Hermite form ------------------------
