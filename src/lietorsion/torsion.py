@@ -17,35 +17,35 @@ built from the blocks with a <= b alone.  Each block is one row echelon
 (``zlinalg.Presentation``) read prime by prime, and a theorem vector of
 bidegree (a, b) is read off its own block's echelon.
 
-A relation row is the x- or y-image of a degree d-1 basis word in the
-degree-d Lyndon coordinates.  It is built from the word's cached tensor
-expansion: Leibniz moves one letter at a time, and only the words that are
-degree-d Lyndon words are kept.  The standard bracketing of a Lyndon word
-expands to the word itself once plus lexicographically larger words (Chen,
-Fox & Lyndon 1958), so its coefficients on the Lyndon words form a
-unitriangular matrix, and the coordinates follow by subtracting, smallest
-word first, the Lyndon part of each basis word's expansion.
+Every Lie-side vector is read in tensor coordinates: its coordinate on a
+degree-d Lyndon word w is the coefficient of w in its tensor expansion.  The
+standard bracketing of a Lyndon word expands to the word once plus larger
+words (Chen, Fox & Lyndon 1958), so these are the Lyndon coordinates times a
+unitriangular matrix, and cokernels, orders and memberships are the same in
+either.  A relation row, the x- or y-image of a degree d-1 basis word, is
+Leibniz on the word's cached tensor expansion, kept on the degree-d Lyndon
+words; theorem vectors, theta's images and the freeness check's kernels are
+read the same way.  Only ``derived_coords`` and ``action_matrix`` give
+Lyndon coordinates, through ``maps.derive``.
 
 The metabelian side goes through the same blocks in normal words, whose
 relation rows are taken by Leibniz on each word's integer mu terms and read
 back by the strict-key peel; the x<->y swap is a graded automorphism there
-too.  The section theta's images and the theorem vectors meet the Lie-side
-blocks as sparse {column: coefficient} vectors.
+too.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from heapq import heapify, heappop, heappush
 from math import factorial, prod
 
-from .elements import IntegralityError, LieElement, _expand_lyndon, is_prime
-from .maps import (ActionSpec, _eta_word, _mu_terms, leibniz_mixed,
+from .elements import IntegralityError, LieElement, _expand_lyndon, is_prime, lyndon_monomial
+from .maps import (ActionSpec, _eta_word, _mu_terms, derive, leibniz_mixed,
                    metabelian_of_word, mixed_basis, normal_words, peel_strict_keys,
                    theta, theta_presum)
 from .words import Alphabet, Generator, LyndonWord, _lyndon_walk, is_lyndon
 from .zlinalg import (CokernelStructure, IntLattice, Presentation, _dense, _divisor_chain,
-                      add_into, cokernel_structure)
+                      add_into)
 
 VARIABLES = ("x", "y")
 
@@ -134,14 +134,13 @@ class _Degree:
     """One side's degree-d basis, split by bidegree in the same pass, and
     what is built over it on demand."""
 
-    __slots__ = ("words", "index", "blocks", "where", "parts", "presentations")
+    __slots__ = ("words", "index", "blocks", "where", "presentations")
 
     def __init__(self, words, index, blocks, where):
         self.words = words            # the basis words, as index tuples
         self.index = index            # {word: column}
         self.blocks = blocks          # {a: the columns of bidegree (a, d-a), ascending}
         self.where = where            # each column's (a, position in its block)
-        self.parts = {}               # {column: Lyndon part}
         self.presentations = {}       # {a: block Presentation}
 
 
@@ -164,7 +163,7 @@ def _in_block(where: list, d: int, a: int, vec: dict) -> dict:
 
 class TorsionEngine:
     """One modulus up to one ambient degree.  Everything cached is one record
-    per side and degree (``_Degree``): the side "lie" is the Lie power in
+    per side and degree (``_Degree``): the side "lie" is the Lie power on
     Lyndon words, "metabelian" the metabelian power in normal words.  The
     relation rows are rebuilt on each call; every block reads its own rows
     once.  Past ``max_degree`` the alphabet is cut, so a degree above it
@@ -224,10 +223,10 @@ class TorsionEngine:
     # -- relation rows ------------------------------------------------------
 
     def derived_row(self, word: tuple, var: str) -> dict:
-        """The var-image of a degree d-1 basis word as {column of lie_basis(d):
-        coefficient}, in column order."""
-        rec = self._degree(self.alphabet.word_weight(word) + 1)
-        index = rec.index
+        """The var-image of a degree d-1 basis word in tensor coordinates:
+        {column of lie_basis(d): coefficient of that Lyndon word in the
+        image's tensor expansion}, without zeros."""
+        index = self._degree(self.alphabet.word_weight(word) + 1).index
         # every expansion word rearranges the letters of ``word``
         image = {a: self.action.image(a, var).items() for a in set(word)}
         # A Lyndon word starts with its least letter, and the action raises
@@ -249,47 +248,13 @@ class TorsionEngine:
                     col = index.get(w[:pos] + (j,) + w[pos + 1:])
                     if col is not None:
                         acc[col] = acc.get(col, 0) + c * k
-        return self._lyndon_solve(rec, acc)
-
-    def _lyndon_solve(self, rec: _Degree, acc: dict) -> dict:
-        """Lyndon coordinates of an element of the Lie degree ``rec`` from its
-        coefficients {column: c} on the degree's Lyndon words; ``acc`` is
-        used up.
-
-        The smallest column left carries its coordinate: only the expansions
-        of smaller basis words meet it, and those are already subtracted.  A
-        column is on the heap exactly while it is a key of ``acc``.  Each
-        column's Lyndon part, the other Lyndon words in the expansion of its
-        standard bracketing, is built once into ``rec.parts``.
-        """
-        words, index, parts = rec.words, rec.index, rec.parts
-        heap = list(acc)
-        heapify(heap)
-        row = {}
-        while heap:
-            col = heappop(heap)
-            c = acc.pop(col)
-            if not c:
-                continue
-            row[col] = c
-            part = parts.get(col)
-            if part is None:
-                word = words[col]
-                part = parts[col] = {index[w]: k for w, k in
-                                     _expand_lyndon(self.alphabet, word).items()
-                                     if w != word and w in index}
-            for col2, k in part.items():
-                if col2 in acc:
-                    acc[col2] -= c * k
-                else:
-                    acc[col2] = -c * k
-                    heappush(heap, col2)
-        return row
+        return {col: c for col, c in acc.items() if c}
 
     def derived_coords(self, word: tuple, var: str) -> dict:
-        """The var-image of a basis word as {Lyndon word: coefficient}."""
-        basis = self.lie_basis(self.alphabet.word_weight(word) + 1)
-        return {basis[col]: c for col, c in self.derived_row(word, var).items()}
+        """The var-image of a basis word in Lyndon coordinates, {Lyndon word:
+        coefficient}, by the reference path ``maps.derive``."""
+        self._degree(self.alphabet.word_weight(word) + 1)    # refuses a cut degree
+        return derive(lyndon_monomial(self.alphabet, word), var, self.action).terms
 
     def metabelian_row(self, word: tuple, var: str) -> dict:
         """The var-image of a degree d-1 normal word as {column of
@@ -306,10 +271,10 @@ class TorsionEngine:
     # -- the block presentation, on either side -----------------------------
 
     def action_matrix(self, d: int) -> list[list[int]]:
-        """The relations of degree d as a dense matrix."""
-        n = len(self.lie_basis(d))
-        return [_dense(self.derived_row(w, v), n) for w in self.lie_basis(d - 1)
-                for v in VARIABLES]
+        """The relations of degree d as a dense matrix in Lyndon coordinates."""
+        index = self._degree(d).index
+        return [_dense({index[u]: c for u, c in self.derived_coords(w, v).items()}, len(index))
+                for w in self.lie_basis(d - 1) for v in VARIABLES]
 
     def metabelian_matrix(self, d: int) -> list[list[int]]:
         """The metabelian relations of degree d as a dense matrix."""
@@ -339,19 +304,18 @@ class TorsionEngine:
         """The side's bidegree (a, b) = (a, d-a) piece as a cokernel,
         eliminated once and cached: the y-images of the block (a, b-1) words
         and the x-images of the block (a-1, b) words that do not lead a
-        y-image.
+        y-image, in tensor coordinates on the Lie side.
 
         The y-image of a basis word w of block (a-1, b-1) has a leading word
         w' with coefficient 1, and w -> w' is one to one.  On the Lie side w'
-        is w with its last letter raised and is the least Lyndon word of the
-        image: the bracketing of a Lyndon word expands to the word once plus
-        larger words (Reutenauer 1993, Thm 5.1), raising a letter makes a
-        word larger, and raising the last letter of w gives the least of
-        them.  On the metabelian side w' is w with its head b1 raised:
-        (b1 y, tail) is the largest strict key of the image, and the peel
-        only feeds keys that are not strict.  So the columns D of block
-        (a-1, b) that are leading words and the rest C satisfy, with
-        x y = y x:
+        is w with its last letter raised, the least word of the image's
+        expansion and so its least column: a Lyndon word's bracketing expands
+        to the word once plus larger words (Reutenauer 1993, Thm 5.1), raising
+        a letter makes a word larger, and raising the last letter of w gives
+        the least.  On the metabelian side w' is w with its head b1 raised:
+        (b1 y, tail) is the largest strict key of the image, and the peel only
+        feeds keys that are not strict.  So the columns D of block (a-1, b)
+        that are leading words and the rest C satisfy, with x y = y x:
 
         1. each leading column w' is a Z-combination of C modulo the
            y-images of block (a-1, b-1), by induction from the far end of
@@ -418,12 +382,19 @@ class TorsionEngine:
         return presum.divided_by(factorial(self.p - 2) * self.p)
 
     def theorem_vector(self, s: int, t: int, d: int) -> dict:
-        """The theorem element as {column of lie_basis(d): coefficient}."""
-        return self._lie_coords(self.theorem_element(s, t), d)
+        """The theorem element in tensor coordinates, {column of lie_basis(d):
+        coefficient}."""
+        return self._lie_coords(self.theorem_element(s, t).terms, d)
 
-    def _lie_coords(self, e: LieElement, d: int) -> dict:
+    def _lie_coords(self, terms: dict, d: int) -> dict:
+        """Lyndon coordinates {word: c} of degree d in tensor coordinates: the
+        sum of c times each word's expansion on the degree's Lyndon words."""
         index = self._degree(d).index
-        return {index[w]: c for w, c in e.terms.items()}
+        acc = {}
+        for w, c in terms.items():
+            add_into(acc, ((index[u], k) for u, k in _expand_lyndon(self.alphabet, w).items()
+                           if u in index), c)
+        return acc
 
     def theorem_indices(self, d: int) -> list[tuple[int, int]]:
         p = self.p
@@ -440,7 +411,7 @@ class TorsionEngine:
     def verify_theorem_degree(self, d: int) -> TorsionReport:
         """Each theorem vector is read in its own block, which is built
         directly even past the mirror, since the vector is written in that
-        block's Lyndon basis; every verdict is a count of the orders q_i.
+        block's tensor coordinates; every verdict is a count of the orders q_i.
 
         Their blocks a = p(s+1)+1 are distinct blocks of the degree, so the
         vectors generate the direct sum of the cyclic groups Z/q_i.  They are
@@ -493,9 +464,9 @@ class TorsionEngine:
 
     def metabelian_torsion_check(self, d: int) -> MetabelianTorsionReport:
         """theta's image of each theorem word is compared with the theorem
-        vector inside their common block: each candidate unit u is tested by
-        whether image minus u times vector lies in the block's relations,
-        one membership test in the block's echelon."""
+        vector in their common block, both in tensor coordinates: a unit u
+        matches when image minus u times vector lies in the block's
+        relations, one membership test in the block's echelon."""
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         p = self.p
@@ -510,7 +481,7 @@ class TorsionEngine:
             a = self.theorem_block(s, t)
             pres = self.block(d, a)
             m_elt = metabelian_of_word(self.alphabet, self.theorem_word(s, t))
-            vec = _in_block(where, d, a, self._lie_coords(theta(m_elt), d))
+            vec = _in_block(where, d, a, self._lie_coords(theta(m_elt).terms, d))
             target = _in_block(where, d, a, self.theorem_vector(s, t, d))
             unit = next((u for u in range(1, p) if {
                 j: x for j in vec | target
@@ -541,41 +512,49 @@ class TorsionEngine:
         return [_dense(x, len(rows)) for x in IntLattice(width, rows).relations]
 
     def bp_freeness_check(self, max_degree=None) -> FreenessReport:
-        """The degree-d kernel K_d is the relations among the eta rows of
-        eta_matrix(d), built once and then the source of degree d+1.  The x-
-        and y-images of K_{d-1} span A, and eta is checked to kill each of
-        them, so A lies in K_d, which is exactly eta's kernel.  L_d/K_d embeds
-        in the free mixed power, so L_d/A is K_d/A plus a free part, and
-        K_d/A's torsion is read off L_d/A on the Lie columns."""
+        """Block by block: eta preserves bidegree, so the kernel K_{d,a} of
+        block (a, d-a) is the relations among its eta rows, and A_{d,a}, the
+        images of K_{d-1,a-1} under x and of K_{d-1,a} under y, lies in the
+        block.  Each image is checked to lie in K_{d,a}, in tensor
+        coordinates: its relations generate all of eta's kernel there.  L/K
+        embeds in the free mixed power, so L/A is K/A plus a free part, and
+        K/A's torsion is read off L/A.  The x<->y swap fixes eta's kernel and
+        swaps xK and yK, so only the blocks with a <= d-a are presented, each
+        with a < d-a counted twice; every image is still checked."""
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         top = self._top(max_degree)
         if top < 2 * self.p:
             raise ValueError(f"max_degree {top} is below the first degree {2 * self.p}")
-        dims = []
-        torsion_found = []
-        below = []          # K_{d-1}, as sparse rows on lie_basis(d-1)
+        dims, torsion_found = [], []
+        below = {}          # {a: K_{d-1,a}, as relations among its block's eta rows}
         for d in range(2 * self.p, top + 1):
             etas, width = self.eta_matrix(d)
-            words = self.lie_basis(d - 1)
-            images = []
-            for v in below:
-                for var in VARIABLES:
-                    vec = {}
-                    for col, a in v.items():
-                        add_into(vec, self.derived_row(words[col], var).items(), a)
-                    killed = {}
-                    for col, c in vec.items():
-                        add_into(killed, etas[col].items(), c)
-                    if killed:
-                        raise AssertionError("kernel is not action stable")
-                    images.append(vec)
-            torsion_found.append(cokernel_structure(images, len(etas)).torsion)
-            below = IntLattice(width, etas).relations
-            dims.append((d, len(below)))
-        nonvacuous = any(r for _, r in dims)
+            rec, lower = self._degree(d), self._degree(d - 1)
+            kernels, torsion = {}, []
+            for a, cols in rec.blocks.items():
+                kernels[a] = IntLattice(width, [etas[col] for col in cols]).relations
+                kernel = Presentation([_in_block(rec.where, d, a, self._lie_coords(
+                    {rec.words[cols[i]]: c for i, c in r.items()}, d)) for r in kernels[a]],
+                    len(cols))
+                images = []
+                for b, var in ((a - 1, "x"), (a, "y")):
+                    words = [lower.words[col] for col in lower.blocks.get(b, ())]
+                    for v in below.get(b, ()):
+                        vec = {}
+                        for i, c in v.items():
+                            add_into(vec, self.derived_row(words[i], var).items(), c)
+                        images.append(_in_block(rec.where, d, a, vec))
+                        if images[-1] not in kernel:
+                            raise AssertionError("kernel is not action stable")
+                if 2 * a <= d:
+                    ck = Presentation(images, len(cols)).cokernel
+                    torsion += ck.torsion * (1 if 2 * a == d else 2)
+            torsion_found.append(tuple(q for q in _divisor_chain(torsion) if q > 1))
+            below = kernels
+            dims.append((d, sum(map(len, kernels.values()))))
         return FreenessReport(self.p, top, tuple(dims), tuple(torsion_found),
-                              not any(torsion_found), nonvacuous)
+                              not any(torsion_found), any(r for _, r in dims))
 
 
 # -- module-level wrappers matching the operation names ----------------------

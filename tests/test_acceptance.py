@@ -209,6 +209,8 @@ def test_criterion3_theorem_element_integrality():
     pytest.param(3, 26, {8: 1, 11: 2, 14: 3, 17: 4, 20: 5, 23: 6, 26: 7},
                  marks=pytest.mark.slow),
     pytest.param(5, 22, {12: 1, 17: 2, 22: 3}, marks=pytest.mark.slow),
+    # the first theorem degree of p=53, as `lietorsion torsion --prime 53 --max-degree 108`
+    pytest.param(53, 108, {108: 1}, marks=pytest.mark.slow),
 ])
 def test_criterion4_torsion_tables(p, top, expected):
     for report in torsion_report(p, top):

@@ -5,6 +5,7 @@ The degree-2 action matrix is cross-checked against a standalone pair-level
 Leibniz oracle that never touches the package's normal-form machinery.
 """
 
+from math import prod
 from types import SimpleNamespace
 
 import pytest
@@ -145,10 +146,9 @@ def test_graded_cokernel_matches_whole_degree_presentation(p, top):
                         == engine.block(d, d - a, side).cokernel), (side, p, d, a)
 
 
-def test_only_the_freeness_check_presents_a_whole_degree(monkeypatch):
-    # both sides of the metabelian check go block by block, so no
-    # Presentation is as wide as a degree; the freeness check presents each
-    # degree's Lie columns whole, through cokernel_structure
+def test_no_presentation_spans_a_whole_degree(monkeypatch):
+    # both sides of the metabelian check and the freeness check's kernels
+    # and images go block by block, so every Presentation is one block wide
     widths = []
     real = zlinalg.Presentation
 
@@ -160,11 +160,11 @@ def test_only_the_freeness_check_presents_a_whole_degree(monkeypatch):
     monkeypatch.setattr(zlinalg, "Presentation", spy)
     engine = TorsionEngine(3, 14)
     assert engine.metabelian_torsion_check(14).passed
-    whole = min(len(engine.lie_basis(14)), len(engine.normal_basis(14)))
-    assert widths and max(widths) < whole, (widths, whole)
-    widths.clear()
     assert engine.bp_freeness_check(14).passed
-    assert widths == [len(engine.lie_basis(d)) for d in range(6, 15)]
+    blocks = {len(cols) for side in ("lie", "metabelian") for d in range(6, 15)
+              for cols in engine.bigrading(d, side)[0].values()}
+    whole = min(len(engine.lie_basis(14)), len(engine.normal_basis(14)))
+    assert widths and set(widths) <= blocks and max(widths) < whole, (widths, whole)
 
 
 def test_graded_cokernel_combines_blocks_into_invariant_factors(monkeypatch):
@@ -630,6 +630,36 @@ def test_bp_freeness_check_refuses_an_image_eta_does_not_kill(monkeypatch):
         engine.bp_freeness_check(13)
 
 
+def test_bp_freeness_check_refuses_a_wrong_kernel_below(monkeypatch):
+    # eta zeroed at degree 12: the kernel there is all of L_12, whose x- and
+    # y-images at 13 leave the true kernel
+    engine = TorsionEngine(5, 13)
+    real = engine.eta_matrix
+
+    def zero_at_12(d):
+        if d != 12:
+            return real(d)
+        rows, width = real(d)
+        return [{} for _ in rows], width
+
+    monkeypatch.setattr(engine, "eta_matrix", zero_at_12)
+    with pytest.raises(AssertionError, match="kernel is not action stable"):
+        engine.bp_freeness_check(13)
+
+
+def test_bp_freeness_check_counts_each_presented_block_for_its_mirror(monkeypatch):
+    # every presented block made to read Z/2: a block with a < d-a stands
+    # for its mirror (d-a, a) too, so each degree reads one Z/2 per block
+    class Z2(torsion.Presentation):
+        cokernel = CokernelStructure(0, (2,))
+
+    monkeypatch.setattr(torsion, "Presentation", Z2)
+    engine = TorsionEngine(3, 11)
+    r = engine.bp_freeness_check(11)
+    assert r.torsion_found == tuple((2,) * len(engine.bigrading(d)[0]) for d in range(6, 12))
+    assert any(r.torsion_found) and not r.passed
+
+
 def test_report_wrapper_functions():
     assert len(bp_kernel_basis(5, 11)) == 0
     r = verify_theorem_degree(5, 12)
@@ -657,15 +687,21 @@ def test_action_variables_commute():
         assert xy == yx
 
 
-def tensor_round_trip_coords(engine, word, var):
-    # the former path of derived_coords: expand, Leibniz on every tensor
-    # word, peel the result back to Lyndon coordinates
+def tensor_round_trip(engine, word, var):
+    # expand, then Leibniz on every tensor word
     e = lyndon_monomial(engine.alphabet, word)
-    return lie_from_tensor(derive(to_tensor(e), var, engine.action)).terms
+    return derive(to_tensor(e), var, engine.action)
+
+
+def tensor_round_trip_coords(engine, word, var):
+    # the round trip peeled back to Lyndon coordinates
+    return lie_from_tensor(tensor_round_trip(engine, word, var)).terms
 
 
 @pytest.mark.parametrize("p,top", [(2, 16), (3, 15), (5, 15), (7, 16)])
 def test_derived_coords_match_tensor_round_trip(p, top):
+    # derived_row is the round trip's tensor image on the degree's Lyndon
+    # words; derived_coords its Lyndon coordinates
     engine = TorsionEngine(p, top)
     oracle = TorsionEngine(p, top)      # its own alphabet, so its own memo
     checked = 0
@@ -673,10 +709,56 @@ def test_derived_coords_match_tensor_round_trip(p, top):
         index = {w: i for i, w in enumerate(engine.lie_basis(d))}
         for word in engine.lie_basis(d - 1):
             for var in ("x", "y"):
-                want = tensor_round_trip_coords(oracle, word, var)
-                assert engine.derived_coords(word, var) == want
-                assert engine.derived_row(word, var) == {index[w]: c for w, c in want.items()}
+                image = tensor_round_trip(oracle, word, var)
+                assert engine.derived_coords(word, var) == lie_from_tensor(image).terms
+                assert engine.derived_row(word, var) == {
+                    index[w]: c for w, c in image.terms.items() if w in index}
                 checked += 1
+    assert checked
+
+
+def oracle_order(pres, vec, bound):
+    # the least q <= bound with q*vec in the lattice; None if there is none
+    return next((q for q in range(1, bound + 1)
+                 if {j: q * c for j, c in vec.items()} in pres), None)
+
+
+@pytest.mark.parametrize("p,degrees", [(2, range(6, 13)), (3, range(8, 15)), (5, [12])])
+def test_tensor_coordinates_read_as_lyndon_coordinates(p, degrees):
+    # each theorem block presented by its unpruned Lyndon-coordinate rows
+    # (derived_coords) in the heap oracle, with the theorem element and
+    # theta's image in Lyndon coordinates: the orders and the metabelian
+    # units the engine reads in tensor coordinates are the oracle's
+    engine = TorsionEngine(p, max(degrees))
+    checked = 0
+    for d in degrees:
+        where = engine.bigrading(d)[1]
+        index = {w: i for i, w in enumerate(engine.lie_basis(d))}
+        report = engine.metabelian_torsion_check(d)
+        units = []
+        for s, t in engine.theorem_indices(d):
+            a = engine.theorem_block(s, t)
+
+            def lyndon(terms):
+                return torsion._in_block(where, d, a, {index[w]: c for w, c in terms.items()})
+
+            blocks = engine.bigrading(d - 1)[0]
+            rows = [lyndon(engine.derived_coords(engine.lie_basis(d - 1)[col], var))
+                    for b, var in ((a - 1, "x"), (a, "y")) for col in blocks.get(b, ())]
+            n = len(engine.bigrading(d)[0][a])
+            oracle = HeapPresentation(rows, n)
+            assert engine.block(d, a).cokernel == CokernelStructure(*oracle.cokernel)
+            bound = prod(oracle.cokernel[1])
+            target = lyndon(engine.theorem_element(s, t).terms)
+            image = lyndon(theta(metabelian_of_word(engine.alphabet,
+                                                    engine.theorem_word(s, t))).terms)
+            vec = torsion._in_block(where, d, a, engine.theorem_vector(s, t, d))
+            assert engine.block(d, a).order(vec) == oracle_order(oracle, target, bound) == p
+            units.append(next(u for u in range(1, p) if {
+                j: x for j in image | target
+                if (x := image.get(j, 0) - u * target.get(j, 0))} in oracle))
+            checked += 1
+        assert report.units == tuple(units), (p, d)
     assert checked
 
 
