@@ -15,7 +15,10 @@ that is a graded automorphism commuting with the action, so block (a, b)
 and block (b, a) have isomorphic cokernels, and a degree's cokernel is
 built from the blocks with a <= b alone.  Each block is one row echelon
 (``zlinalg.Presentation``) read prime by prime, and a theorem vector of
-bidegree (a, b) is read off its own block's echelon.
+bidegree (a, b) is read off its own block's echelon.  Each block owns its
+columns, numbered in basis order (``bigrading(d)`` gives each block's
+{word: column}), and every vector the engine builds is written in the
+columns of its own block.
 
 Every Lie-side vector is read in tensor coordinates: its coordinate on a
 degree-d Lyndon word w is the coefficient of w in its tensor expansion.  The
@@ -23,10 +26,11 @@ standard bracketing of a Lyndon word expands to the word once plus larger
 words (Chen, Fox & Lyndon 1958), so these are the Lyndon coordinates times a
 unitriangular matrix, and cokernels, orders and memberships are the same in
 either.  A relation row, the x- or y-image of a degree d-1 basis word, is
-Leibniz on the word's cached tensor expansion, kept on the degree-d Lyndon
-words; theorem vectors, theta's images and the freeness check's kernels are
-read the same way.  Only ``derived_coords`` and ``action_matrix`` give
-Lyndon coordinates, through ``maps.derive``.
+Leibniz on the word's cached tensor expansion, kept on the Lyndon words of
+the image's block; theorem vectors, theta's images and the freeness check's
+kernels are read the same way.  Only the reference paths ``derived_coords``,
+``action_matrix`` and ``metabelian_matrix`` read a whole degree, in Lyndon
+or normal-word coordinates, through ``maps.derive``.
 
 The metabelian side goes through the same blocks in normal words, whose
 relation rows are taken by Leibniz on each word's integer mu terms and read
@@ -41,8 +45,8 @@ from math import factorial, prod
 
 from .elements import IntegralityError, LieElement, _expand_lyndon, is_prime, lyndon_monomial
 from .maps import (ActionSpec, _eta_word, _mu_terms, derive, leibniz_mixed,
-                   metabelian_of_word, mixed_basis, normal_words, peel_strict_keys,
-                   theta, theta_presum)
+                   metabelian_normal_coords, metabelian_of_word, mixed_basis, normal_words,
+                   peel_strict_keys, theta, theta_presum)
 from .words import Alphabet, Generator, LyndonWord, _lyndon_walk, is_lyndon
 from .zlinalg import (CokernelStructure, IntLattice, Presentation, _dense, _divisor_chain,
                       add_into)
@@ -134,31 +138,12 @@ class _Degree:
     """One side's degree-d basis, split by bidegree in the same pass, and
     what is built over it on demand."""
 
-    __slots__ = ("words", "index", "blocks", "where", "presentations")
+    __slots__ = ("words", "blocks", "presentations")
 
-    def __init__(self, words, index, blocks, where):
+    def __init__(self, words, blocks):
         self.words = words            # the basis words, as index tuples
-        self.index = index            # {word: column}
-        self.blocks = blocks          # {a: the columns of bidegree (a, d-a), ascending}
-        self.where = where            # each column's (a, position in its block)
+        self.blocks = blocks          # {a: {word of bidegree (a, d-a): its column in the block}}
         self.presentations = {}       # {a: block Presentation}
-
-
-def _in_block(where: list, d: int, a: int, vec: dict) -> dict:
-    """A sparse vector on a degree-d basis in the columns of block (a, d-a),
-    given the degree's ``where`` (each column's block and position there).
-
-    A block's columns keep the order of the basis.  A column of another
-    block raises ValueError: every map here preserves bidegree.
-    """
-    out = {}
-    for col, c in vec.items():
-        b, i = where[col]
-        if b != a:
-            raise ValueError(f"column {col} of degree {d} lies outside "
-                             f"the block ({a},{d - a})")
-        out[i] = c
-    return out
 
 
 class TorsionEngine:
@@ -203,14 +188,11 @@ class TorsionEngine:
                 words = _lyndon_walk(wt, length=self.p, lo=d, hi=d)
             else:
                 words = normal_words(self.alphabet, self.p, weight=d)
-            index, blocks, where = {}, {}, []
-            for col, w in enumerate(words):
-                index[w] = col
-                a = self.alphabet.word_multidegree(w)[0]
-                cols = blocks.setdefault(a, [])
-                where.append((a, len(cols)))
-                cols.append(col)
-            rec = self._degrees[side, d] = _Degree(words, index, blocks, where)
+            blocks = {}
+            for w in words:
+                cols = blocks.setdefault(self.alphabet.word_multidegree(w)[0], {})
+                cols[w] = len(cols)
+            rec = self._degrees[side, d] = _Degree(words, blocks)
         return rec
 
     def lie_basis(self, d: int) -> list[tuple]:
@@ -222,11 +204,18 @@ class TorsionEngine:
 
     # -- relation rows ------------------------------------------------------
 
+    def _target(self, word: tuple, var: str, side: str) -> dict:
+        """The block that holds the var-image of a basis word: x raises the
+        first bidegree component, y the second.  Its {word: column}, empty
+        where the block has no words."""
+        a, b = self.alphabet.word_multidegree(word)
+        return self._degree(a + b + 1, side).blocks.get(a + (var == "x"), {})
+
     def derived_row(self, word: tuple, var: str) -> dict:
         """The var-image of a degree d-1 basis word in tensor coordinates:
-        {column of lie_basis(d): coefficient of that Lyndon word in the
+        {column of the image's block: coefficient of that Lyndon word in the
         image's tensor expansion}, without zeros."""
-        index = self._degree(self.alphabet.word_weight(word) + 1).index
+        index = self._target(word, var, "lie")
         # every expansion word rearranges the letters of ``word``
         image = {a: self.action.image(a, var).items() for a in set(word)}
         # A Lyndon word starts with its least letter, and the action raises
@@ -257,11 +246,11 @@ class TorsionEngine:
         return derive(lyndon_monomial(self.alphabet, word), var, self.action).terms
 
     def metabelian_row(self, word: tuple, var: str) -> dict:
-        """The var-image of a degree d-1 normal word as {column of
-        normal_basis(d): coefficient}, in column order, by Leibniz on its mu
+        """The var-image of a degree d-1 normal word as {column of the
+        image's block: coefficient}, in column order, by Leibniz on its mu
         terms (``maps.leibniz_mixed``) and the strict-key peel.  Not cached:
         each row is read by one block alone."""
-        index = self._degree(self.alphabet.word_weight(word) + 1, "metabelian").index
+        index = self._target(word, var, "metabelian")
         image = {a: self.action.image(a, var) for a in set(word)}.__getitem__
         acc = {}
         for key, c in _mu_terms(word).items():
@@ -271,23 +260,26 @@ class TorsionEngine:
     # -- the block presentation, on either side -----------------------------
 
     def action_matrix(self, d: int) -> list[list[int]]:
-        """The relations of degree d as a dense matrix in Lyndon coordinates."""
-        index = self._degree(d).index
+        """The relations of degree d as a dense matrix in Lyndon coordinates
+        on lie_basis(d), by the reference path ``maps.derive``."""
+        index = {w: i for i, w in enumerate(self.lie_basis(d))}
         return [_dense({index[u]: c for u, c in self.derived_coords(w, v).items()}, len(index))
                 for w in self.lie_basis(d - 1) for v in VARIABLES]
 
     def metabelian_matrix(self, d: int) -> list[list[int]]:
-        """The metabelian relations of degree d as a dense matrix."""
-        n = len(self.normal_basis(d))
-        return [_dense(self.metabelian_row(w, v), n) for w in self.normal_basis(d - 1)
-                for v in VARIABLES]
+        """The metabelian relations of degree d as a dense matrix on
+        normal_basis(d), by the reference path ``maps.derive`` and
+        ``metabelian_normal_coords``."""
+        index = {w: i for i, w in enumerate(self.normal_basis(d))}
+        return [_dense({index[u]: c for u, c in metabelian_normal_coords(derive(
+                    metabelian_of_word(self.alphabet, w), v, self.action)).items()}, len(index))
+                for w in self.normal_basis(d - 1) for v in VARIABLES]
 
-    def bigrading(self, d: int, side: str = "lie"):
-        """The side's degree-d basis split by bidegree: {a: the columns of
-        bidegree (a, d-a), ascending}, and for each column its pair (a,
-        position in that block).  Both are the cache's, read-only."""
-        rec = self._degree(d, side)
-        return rec.blocks, rec.where
+    def bigrading(self, d: int, side: str = "lie") -> dict:
+        """The side's degree-d basis split by bidegree: {a: {word of
+        bidegree (a, d-a): its column in the block}}, in basis order.  The
+        cache's, read-only."""
+        return self._degree(d, side).blocks
 
     def _leads_y_image(self, word: tuple, side: str) -> bool:
         """Whether a basis word is the leading word of the y-image of a basis
@@ -336,12 +328,9 @@ class TorsionEngine:
         if pres is None:
             below = self._degree(d - 1, side)
             row = self.derived_row if side == "lie" else self.metabelian_row
-            words = below.words
-            xs = [words[col] for col in below.blocks.get(a - 1, ())
-                  if not self._leads_y_image(words[col], side)]
-            ys = [words[col] for col in below.blocks.get(a, ())]
-            rows = [_in_block(rec.where, d, a, row(w, var))
-                    for var, ws in (("x", xs), ("y", ys)) for w in ws]
+            xs = [w for w in below.blocks.get(a - 1, ()) if not self._leads_y_image(w, side)]
+            ys = below.blocks.get(a, ())
+            rows = [row(w, var) for var, ws in (("x", xs), ("y", ys)) for w in ws]
             n = len(rec.blocks.get(a, ()))
             if side == "metabelian":
                 rows = [{n - 1 - j: c for j, c in r.items()} for r in rows]
@@ -382,16 +371,20 @@ class TorsionEngine:
         return presum.divided_by(factorial(self.p - 2) * self.p)
 
     def theorem_vector(self, s: int, t: int, d: int) -> dict:
-        """The theorem element in tensor coordinates, {column of lie_basis(d):
-        coefficient}."""
-        return self._lie_coords(self.theorem_element(s, t).terms, d)
+        """The theorem element in tensor coordinates, {column of its block
+        ``theorem_block(s, t)``: coefficient}."""
+        return self._lie_coords(self.theorem_element(s, t).terms, d, self.theorem_block(s, t))
 
-    def _lie_coords(self, terms: dict, d: int) -> dict:
-        """Lyndon coordinates {word: c} of degree d in tensor coordinates: the
-        sum of c times each word's expansion on the degree's Lyndon words."""
-        index = self._degree(d).index
+    def _lie_coords(self, terms: dict, d: int, a: int) -> dict:
+        """Lyndon coordinates {word: c} of bidegree (a, d-a) in the block's
+        tensor coordinates: the sum of c times each word's expansion on the
+        block's Lyndon words.  A word of another bidegree raises ValueError:
+        every map here preserves bidegree."""
+        index = self._degree(d).blocks.get(a, {})
         acc = {}
         for w, c in terms.items():
+            if w not in index:
+                raise ValueError(f"{w} of degree {d} lies outside the block ({a},{d - a})")
             add_into(acc, ((index[u], k) for u, k in _expand_lyndon(self.alphabet, w).items()
                            if u in index), c)
         return acc
@@ -433,15 +426,13 @@ class TorsionEngine:
             return TorsionReport(p, d, n, coker, 0, True, True, True,
                                  torsion_all_p, True, False)
         pairs = self.theorem_indices(d)
-        where = self._degree(d).where
         orders = []
         for s, t in pairs:
-            a = self.theorem_block(s, t)
             try:
-                vec = _in_block(where, d, a, self.theorem_vector(s, t, d))
+                vec = self.theorem_vector(s, t, d)
             except IntegralityError:
                 continue
-            orders.append(self.block(d, a).order(vec))
+            orders.append(self.block(d, self.theorem_block(s, t)).order(vec))
         all_order_p = all(q == p for q in orders)
         independent = all(q is not None and q > 1 for q in orders)
         spanning = independent and prod(orders) == prod(coker.torsion)
@@ -474,15 +465,14 @@ class TorsionEngine:
         m_coker = self.graded_cokernel(d, "metabelian")
         ranks_agree = (len(l_coker.torsion) == len(m_coker.torsion)
                        and all(q == p for q in l_coker.torsion + m_coker.torsion))
-        where = self._degree(d).where
         matches = True
         units = []
         for s, t in self.theorem_indices(d):
             a = self.theorem_block(s, t)
             pres = self.block(d, a)
             m_elt = metabelian_of_word(self.alphabet, self.theorem_word(s, t))
-            vec = _in_block(where, d, a, self._lie_coords(theta(m_elt).terms, d))
-            target = _in_block(where, d, a, self.theorem_vector(s, t, d))
+            vec = self._lie_coords(theta(m_elt).terms, d, a)
+            target = self.theorem_vector(s, t, d)
             unit = next((u for u in range(1, p) if {
                 j: x for j in vec | target
                 if (x := vec.get(j, 0) - u * target.get(j, 0))} in pres), None)
@@ -513,7 +503,8 @@ class TorsionEngine:
 
     def bp_freeness_check(self, max_degree=None) -> FreenessReport:
         """Block by block: eta preserves bidegree, so the kernel K_{d,a} of
-        block (a, d-a) is the relations among its eta rows, and A_{d,a}, the
+        block (a, d-a) is the relations among its eta rows, read off
+        ``maps._eta_word`` on the block's own mixed keys, and A_{d,a}, the
         images of K_{d-1,a-1} under x and of K_{d-1,a} under y, lies in the
         block.  Each image is checked to lie in K_{d,a}, in tensor
         coordinates: its relations generate all of eta's kernel there.  L/K
@@ -527,25 +518,25 @@ class TorsionEngine:
         if top < 2 * self.p:
             raise ValueError(f"max_degree {top} is below the first degree {2 * self.p}")
         dims, torsion_found = [], []
-        below = {}          # {a: K_{d-1,a}, as relations among its block's eta rows}
+        below = {}          # {a: K_{d-1,a}, as {Lyndon word: coefficient} vectors}
         for d in range(2 * self.p, top + 1):
-            etas, width = self.eta_matrix(d)
-            rec, lower = self._degree(d), self._degree(d - 1)
             kernels, torsion = {}, []
-            for a, cols in rec.blocks.items():
-                kernels[a] = IntLattice(width, [etas[col] for col in cols]).relations
-                kernel = Presentation([_in_block(rec.where, d, a, self._lie_coords(
-                    {rec.words[cols[i]]: c for i, c in r.items()}, d)) for r in kernels[a]],
-                    len(cols))
+            for a, cols in self._degree(d).blocks.items():
+                # eta on the block's own mixed keys, numbered as they first appear
+                keys, words = {}, list(cols)
+                etas = [{keys.setdefault(key, len(keys)): c
+                         for key, c in _eta_word(self.alphabet, w).items()} for w in words]
+                kernels[a] = [{words[i]: c for i, c in r.items()}
+                              for r in IntLattice(len(keys), etas).relations]
+                kernel = Presentation([self._lie_coords(v, d, a) for v in kernels[a]], len(cols))
                 images = []
                 for b, var in ((a - 1, "x"), (a, "y")):
-                    words = [lower.words[col] for col in lower.blocks.get(b, ())]
                     for v in below.get(b, ()):
                         vec = {}
-                        for i, c in v.items():
-                            add_into(vec, self.derived_row(words[i], var).items(), c)
-                        images.append(_in_block(rec.where, d, a, vec))
-                        if images[-1] not in kernel:
+                        for w, c in v.items():
+                            add_into(vec, self.derived_row(w, var).items(), c)
+                        images.append(vec)
+                        if vec not in kernel:
                             raise AssertionError("kernel is not action stable")
                 if 2 * a <= d:
                     ck = Presentation(images, len(cols)).cokernel

@@ -251,7 +251,7 @@ def test_bigraded_torsion_table(p, top):
     engine = TorsionEngine(p, top)
     table = {}
     for d in range(2 * p, top + 1):
-        blocks = engine.bigrading(d)[0]
+        blocks = engine.bigrading(d)
         theorem = [engine.theorem_block(s, t) for s, t in engine.theorem_indices(d)]
         assert set(theorem) <= set(blocks), (p, d, theorem)
         for a in blocks:
@@ -270,8 +270,8 @@ def test_bigraded_lie_and_metabelian_torsion_agree(p, top):
     engine = TorsionEngine(p, top)
     checked = 0
     for d in range(2 * p, top + 1):
-        lie = engine.bigrading(d)[0]
-        metabelian = engine.bigrading(d, "metabelian")[0]
+        lie = engine.bigrading(d)
+        metabelian = engine.bigrading(d, "metabelian")
         for a in sorted(set(lie) | set(metabelian)):
             if 2 * a <= d:
                 want = engine.block(d, a).cokernel.torsion

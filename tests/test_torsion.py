@@ -123,12 +123,15 @@ def test_graded_cokernel_matches_dense_kernel(p, top):
 
 
 def whole_degree_cokernel(engine, d, side):
-    # the former TorsionEngine.presentation and metabelian_presentation:
-    # every relation row of the degree eliminated at once
-    basis, row = {"lie": (engine.lie_basis, engine.derived_row),
-                  "metabelian": (engine.normal_basis, engine.metabelian_row)}[side]
-    rows = [row(word, var) for word in basis(d - 1) for var in ("x", "y")]
-    return CokernelStructure(*HeapPresentation(rows, len(basis(d))).cokernel)
+    # every relation row of the degree eliminated at once, on the reference
+    # path (maps.derive) in whole-degree Lyndon or normal-word columns, so no
+    # block's columns or row builder enter
+    basis, matrix = {"lie": (engine.lie_basis, engine.action_matrix),
+                     "metabelian": (engine.normal_basis, engine.metabelian_matrix)}[side]
+    n = len(basis(d))
+    rows = matrix(d)
+    assert all(len(r) == n for r in rows)
+    return CokernelStructure(*HeapPresentation(rows, n).cokernel)
 
 
 @pytest.mark.parametrize("p,top", [(2, 16), (3, 17), (5, 15), (7, 16), (4, 12), (6, 14)])
@@ -138,7 +141,7 @@ def test_graded_cokernel_matches_whole_degree_presentation(p, top):
         for d in range(2 * p, top + 1):
             want = whole_degree_cokernel(engine, d, side)
             assert engine.graded_cokernel(d, side) == want, (side, p, d)
-            blocks = engine.bigrading(d, side)[0]
+            blocks = engine.bigrading(d, side)
             for a, cols in blocks.items():
                 # both halves built directly: swapping x and y is an isomorphism
                 assert len(blocks[d - a]) == len(cols), (side, p, d, a)
@@ -148,7 +151,8 @@ def test_graded_cokernel_matches_whole_degree_presentation(p, top):
 
 def test_no_presentation_spans_a_whole_degree(monkeypatch):
     # both sides of the metabelian check and the freeness check's kernels
-    # and images go block by block, so every Presentation is one block wide
+    # and images go block by block, so every Presentation is one block wide,
+    # and the freeness check builds no whole degree's mixed basis or eta rows
     widths = []
     real = zlinalg.Presentation
 
@@ -156,13 +160,18 @@ def test_no_presentation_spans_a_whole_degree(monkeypatch):
         widths.append(ncols)
         return real(rows, ncols)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("a whole degree's mixed basis was built")
+
     monkeypatch.setattr(torsion, "Presentation", spy)
     monkeypatch.setattr(zlinalg, "Presentation", spy)
+    monkeypatch.setattr(torsion, "mixed_basis", refuse)
     engine = TorsionEngine(3, 14)
+    monkeypatch.setattr(engine, "eta_matrix", refuse)
     assert engine.metabelian_torsion_check(14).passed
     assert engine.bp_freeness_check(14).passed
     blocks = {len(cols) for side in ("lie", "metabelian") for d in range(6, 15)
-              for cols in engine.bigrading(d, side)[0].values()}
+              for cols in engine.bigrading(d, side).values()}
     whole = min(len(engine.lie_basis(14)), len(engine.normal_basis(14)))
     assert widths and set(widths) <= blocks and max(widths) < whole, (widths, whole)
 
@@ -171,7 +180,7 @@ def test_graded_cokernel_combines_blocks_into_invariant_factors(monkeypatch):
     # Z/2 in block (7,9), so in its mirror (9,7) too, and Z/3 in the middle
     # block (8,8): the degree is Z/2 + Z/6, whose invariant factors are (2, 6)
     engine = TorsionEngine(6, 16)
-    assert sorted(engine.bigrading(16)[0]) == [6, 7, 8, 9, 10]
+    assert sorted(engine.bigrading(16)) == [6, 7, 8, 9, 10]
     fake = {6: CokernelStructure(1, ()), 7: CokernelStructure(2, (2,)),
             8: CokernelStructure(3, (3,))}
     monkeypatch.setattr(engine, "block",
@@ -184,21 +193,24 @@ def test_bigrading_partitions_the_basis_in_order():
     for side, bases in (("lie", engine.lie_basis), ("metabelian", engine.normal_basis)):
         for d in range(6, 15):
             basis = bases(d)
-            blocks, where = engine.bigrading(d, side)
-            assert sorted(j for cols in blocks.values() for j in cols) == list(range(len(basis)))
+            blocks = engine.bigrading(d, side)
+            assert sorted(w for cols in blocks.values() for w in cols) == sorted(basis)
+            assert sum(map(len, blocks.values())) == len(basis)
             for a, cols in blocks.items():
-                assert cols == sorted(cols)
-                for i, j in enumerate(cols):
-                    assert engine.alphabet.word_multidegree(basis[j]) == (a, d - a)
-                    assert where[j] == (a, i)
+                # each block numbers its words 0, 1, ... in basis order
+                assert list(cols) == [w for w in basis if w in cols]
+                assert list(cols.values()) == list(range(len(cols)))
+                for w in cols:
+                    assert engine.alphabet.word_multidegree(w) == (a, d - a)
     with pytest.raises(KeyError):
         engine.graded_cokernel(14, "tensor")
     s, t = 1, 1
-    vec = engine.theorem_vector(s, t, 14)
     a = engine.theorem_block(s, t)
     assert engine.alphabet.word_multidegree(engine.theorem_word(s, t)) == (a, 14 - a)
+    terms = engine.theorem_element(s, t).terms
+    assert engine._lie_coords(terms, 14, a) == engine.theorem_vector(s, t, 14)
     with pytest.raises(ValueError, match="outside the block"):
-        torsion._in_block(engine.bigrading(14)[1], 14, a + 1, vec)
+        engine._lie_coords(terms, 14, a + 1)
 
 
 def mobius(n):
@@ -252,7 +264,7 @@ def test_block_ranks_match_witt_series(c, top):
     lie, free = witt_block_ranks(c, top)
     engine = TorsionEngine(c, top)
     for d in range(2 * c, top + 1):
-        blocks = engine.bigrading(d)[0]
+        blocks = engine.bigrading(d)
         assert ({(a, d - a): len(cols) for a, cols in blocks.items()}
                 == {key: n for key, n in lie.items() if sum(key) == d}), (c, d)
         for a in blocks:
@@ -280,17 +292,13 @@ def test_pruned_blocks_match_the_unpruned_rows(monkeypatch, p, d):
     checked = 0
     for side, row, lead in (("lie", engine.derived_row, min),
                             ("metabelian", engine.metabelian_row, max)):
-        basis = engine.lie_basis if side == "lie" else engine.normal_basis
+        def images(e, var, a0):
+            # the var-images of block (a0, e-a0), in their block's columns
+            return [row(w, var) for w in engine.bigrading(e, side).get(a0, ())]
 
-        def images(e, var, a0, a):
-            # the var-images of block (a0, e-a0) in the block (a, e+1-a)
-            where = engine.bigrading(e + 1, side)[1]
-            return [torsion._in_block(where, e + 1, a, row(basis(e)[col], var))
-                    for col in engine.bigrading(e, side)[0].get(a0, ())]
-
-        for a, cols in engine.bigrading(d, side)[0].items():
+        for a, cols in engine.bigrading(d, side).items():
             b, n = d - a, len(cols)
-            xs, ys = images(d - 1, "x", a - 1, a), images(d - 1, "y", a, a)
+            xs, ys = images(d - 1, "x", a - 1), images(d - 1, "y", a)
             if side == "metabelian":
                 # the block presents column j as n-1-j, its leading words first
                 xs, ys = ([{n - 1 - j: c for j, c in r.items()} for r in m] for m in (xs, ys))
@@ -303,7 +311,7 @@ def test_pruned_blocks_match_the_unpruned_rows(monkeypatch, p, d):
             assert all(xs[i] in pres for i in dropped), (side, p, d, a)
             # the dropped x-rows are the leading columns, each with
             # coefficient 1, of the y-images of block (a-1, b-1)
-            leads = [(lead(r), r[lead(r)]) for r in images(d - 2, "y", a - 1, a - 1)]
+            leads = [(lead(r), r[lead(r)]) for r in images(d - 2, "y", a - 1)]
             assert sorted(leads) == [(i, 1) for i in dropped], (side, p, d, a)
             count = len(xs) - len(dropped) + len(ys)
             assert len(rows) == count
@@ -327,7 +335,7 @@ def test_no_engine_block_takes_the_alternating_echelons(monkeypatch, p, top):
     engine = TorsionEngine(p, top)
     for side in ("lie", "metabelian"):
         for d in range(2 * p, top + 1):
-            for a in engine.bigrading(d, side)[0]:
+            for a in engine.bigrading(d, side):
                 engine.block(d, a, side).snf      # refuse raises on the fallback
 
 
@@ -452,10 +460,9 @@ def test_verify_theorem_degree_refuses_a_zero_vector_beside_one_of_order_p_squar
     # the s=1 vector scaled by 3; the product is 3^3, but one vector is zero
     engine = TorsionEngine(3, 14)
     a0 = engine.theorem_block(0, 2)
-    where = engine.bigrading(14)[1]
-    vec = torsion._in_block(where, 14, a0, engine.theorem_vector(0, 2, 14))
+    vec = engine.theorem_vector(0, 2, 14)
     j0 = next(j for j, c in vec.items() if c % 3)
-    width = len(engine.bigrading(14)[0][a0])
+    width = len(engine.bigrading(14)[a0])
     z9 = Presentation([{j: 9 if j == j0 else 1} for j in range(width)], width)
     assert z9.cokernel == CokernelStructure(0, (9,)) and z9.order(vec) == 9
     block, vector = engine.block, engine.theorem_vector
@@ -463,9 +470,8 @@ def test_verify_theorem_degree_refuses_a_zero_vector_beside_one_of_order_p_squar
         z9 if a == a0 else block(d, a, side)))
     monkeypatch.setattr(engine, "theorem_vector", lambda s, t, d: (
         {j: 3 * c for j, c in vector(s, t, d).items()} if s == 1 else vector(s, t, d)))
-    orders = [engine.block(14, engine.theorem_block(s, t)).order(
-        torsion._in_block(where, 14, engine.theorem_block(s, t), engine.theorem_vector(s, t, 14)))
-        for s, t in engine.theorem_indices(14)]
+    orders = [engine.block(14, engine.theorem_block(s, t)).order(engine.theorem_vector(s, t, 14))
+              for s, t in engine.theorem_indices(14)]
     assert orders == [9, 1, 3]
     r = engine.verify_theorem_degree(14)
     assert not (r.all_order_p or r.independent or r.spanning or r.passed)
@@ -617,15 +623,14 @@ def test_bp_freeness_check_refuses_an_image_eta_does_not_kill(monkeypatch):
     # eta made injective at degree 13: the kernel there is 0, but the
     # degree-12 kernel's images under x and y are not
     engine = TorsionEngine(5, 13)
-    real = engine.eta_matrix
+    real = torsion._eta_word
 
-    def injective_at_13(d):
-        if d < 13:
-            return real(d)
-        n = len(engine.lie_basis(d))
-        return [{i: 1} for i in range(n)], n
+    def injective_at_13(alphabet, word):
+        if alphabet.word_weight(word) < 13:
+            return real(alphabet, word)
+        return {word: 1}
 
-    monkeypatch.setattr(engine, "eta_matrix", injective_at_13)
+    monkeypatch.setattr(torsion, "_eta_word", injective_at_13)
     with pytest.raises(AssertionError, match="kernel is not action stable"):
         engine.bp_freeness_check(13)
 
@@ -634,15 +639,12 @@ def test_bp_freeness_check_refuses_a_wrong_kernel_below(monkeypatch):
     # eta zeroed at degree 12: the kernel there is all of L_12, whose x- and
     # y-images at 13 leave the true kernel
     engine = TorsionEngine(5, 13)
-    real = engine.eta_matrix
+    real = torsion._eta_word
 
-    def zero_at_12(d):
-        if d != 12:
-            return real(d)
-        rows, width = real(d)
-        return [{} for _ in rows], width
+    def zero_at_12(alphabet, word):
+        return {} if alphabet.word_weight(word) == 12 else real(alphabet, word)
 
-    monkeypatch.setattr(engine, "eta_matrix", zero_at_12)
+    monkeypatch.setattr(torsion, "_eta_word", zero_at_12)
     with pytest.raises(AssertionError, match="kernel is not action stable"):
         engine.bp_freeness_check(13)
 
@@ -656,7 +658,7 @@ def test_bp_freeness_check_counts_each_presented_block_for_its_mirror(monkeypatc
     monkeypatch.setattr(torsion, "Presentation", Z2)
     engine = TorsionEngine(3, 11)
     r = engine.bp_freeness_check(11)
-    assert r.torsion_found == tuple((2,) * len(engine.bigrading(d)[0]) for d in range(6, 12))
+    assert r.torsion_found == tuple((2,) * len(engine.bigrading(d)) for d in range(6, 12))
     assert any(r.torsion_found) and not r.passed
 
 
@@ -700,16 +702,21 @@ def tensor_round_trip_coords(engine, word, var):
 
 @pytest.mark.parametrize("p,top", [(2, 16), (3, 15), (5, 15), (7, 16)])
 def test_derived_coords_match_tensor_round_trip(p, top):
-    # derived_row is the round trip's tensor image on the degree's Lyndon
-    # words; derived_coords its Lyndon coordinates
+    # derived_row is the round trip's tensor image on the Lyndon words of
+    # its target block; derived_coords its Lyndon coordinates.  Every word of
+    # the image lies in that block: x raises the first bidegree component,
+    # y the second
     engine = TorsionEngine(p, top)
     oracle = TorsionEngine(p, top)      # its own alphabet, so its own memo
+    bidegree = engine.alphabet.word_multidegree
     checked = 0
     for d in range(2 * p + 1, top + 1):
-        index = {w: i for i, w in enumerate(engine.lie_basis(d))}
         for word in engine.lie_basis(d - 1):
             for var in ("x", "y"):
+                a = bidegree(word)[0] + (var == "x")
+                index = engine.bigrading(d).get(a, {})
                 image = tensor_round_trip(oracle, word, var)
+                assert all(bidegree(w) == (a, d - a) for w in image.terms)
                 assert engine.derived_coords(word, var) == lie_from_tensor(image).terms
                 assert engine.derived_row(word, var) == {
                     index[w]: c for w, c in image.terms.items() if w in index}
@@ -732,27 +739,27 @@ def test_tensor_coordinates_read_as_lyndon_coordinates(p, degrees):
     engine = TorsionEngine(p, max(degrees))
     checked = 0
     for d in degrees:
-        where = engine.bigrading(d)[1]
-        index = {w: i for i, w in enumerate(engine.lie_basis(d))}
         report = engine.metabelian_torsion_check(d)
         units = []
         for s, t in engine.theorem_indices(d):
             a = engine.theorem_block(s, t)
+            index = engine.bigrading(d)[a]
 
             def lyndon(terms):
-                return torsion._in_block(where, d, a, {index[w]: c for w, c in terms.items()})
+                # a word outside the block raises KeyError
+                return {index[w]: c for w, c in terms.items()}
 
-            blocks = engine.bigrading(d - 1)[0]
-            rows = [lyndon(engine.derived_coords(engine.lie_basis(d - 1)[col], var))
-                    for b, var in ((a - 1, "x"), (a, "y")) for col in blocks.get(b, ())]
-            n = len(engine.bigrading(d)[0][a])
+            blocks = engine.bigrading(d - 1)
+            rows = [lyndon(engine.derived_coords(w, var))
+                    for b, var in ((a - 1, "x"), (a, "y")) for w in blocks.get(b, ())]
+            n = len(index)
             oracle = HeapPresentation(rows, n)
             assert engine.block(d, a).cokernel == CokernelStructure(*oracle.cokernel)
             bound = prod(oracle.cokernel[1])
             target = lyndon(engine.theorem_element(s, t).terms)
             image = lyndon(theta(metabelian_of_word(engine.alphabet,
                                                     engine.theorem_word(s, t))).terms)
-            vec = torsion._in_block(where, d, a, engine.theorem_vector(s, t, d))
+            vec = engine.theorem_vector(s, t, d)
             assert engine.block(d, a).order(vec) == oracle_order(oracle, target, bound) == p
             units.append(next(u for u in range(1, p) if {
                 j: x for j in image | target
@@ -872,23 +879,34 @@ def metabelian_matrix_oracle(engine, d):
 
 @pytest.mark.parametrize("p,top", [(2, 16), (3, 14), (5, 15), (7, 16), (4, 12)])
 def test_metabelian_rows_match_dense_oracle(p, top):
+    # metabelian_row against the oracle's whole-degree rows, each block
+    # column mapped back through its block's words; every word of the
+    # oracle's image lies in the row's target block
     engine = TorsionEngine(p, top)
+    bidegree = engine.alphabet.word_multidegree
     checked = 0
     for d in range(2 * p, top + 1):
-        n = len(engine.normal_basis(d))
+        basis = engine.normal_basis(d)
+        n = len(basis)
+        index = {w: i for i, w in enumerate(basis)}
         want = metabelian_matrix_oracle(engine, d)
-        rows = [engine.metabelian_row(word, var)
-                for word in engine.normal_basis(d - 1) for var in ("x", "y")]
-        assert [[row.get(j, 0) for j in range(n)] for row in rows] == want, (p, d)
-        assert all(list(row) == sorted(row) and all(row.values()) for row in rows)
+        pairs = [(word, var) for word in engine.normal_basis(d - 1) for var in ("x", "y")]
+        assert len(pairs) == len(want)
+        for (word, var), ref in zip(pairs, want):
+            a = bidegree(word)[0] + (var == "x")
+            assert all(bidegree(basis[j]) == (a, d - a) for j, c in enumerate(ref) if c)
+            row = engine.metabelian_row(word, var)
+            assert list(row) == sorted(row) and all(row.values())
+            words = list(engine.bigrading(d, "metabelian").get(a, ()))
+            assert zlinalg._dense({index[words[j]]: c for j, c in row.items()}, n) == ref, (p, d)
         assert engine.metabelian_matrix(d) == want
         ds = dense_snf(want, n)
         coker = CokernelStructure(n - len(ds), tuple(q for q in ds if q > 1))
-        for a in engine.bigrading(d, "metabelian")[0]:
+        for a in engine.bigrading(d, "metabelian"):
             pres = engine.block(d, a, "metabelian")
             assert pres is engine.block(d, a, "metabelian")
         assert engine.graded_cokernel(d, "metabelian") == coker, (p, d)
-        checked += len(rows)
+        checked += len(pairs)
     assert checked
 
 
