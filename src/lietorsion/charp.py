@@ -6,13 +6,12 @@ symmetrization onto V (x) S^(p-1)(V) is the span of the block symmetrizer
 images together with the degree-p part of the second derived ideal, which is
 therefore a direct summand.
 
-Vectors are sparse dicts ``{index: coeff mod p}`` holding no zero, and all
-linear algebra runs on the package's one row echelon form,
-``zlinalg.IntLattice`` given the modulus p: ranks, memberships and the
-relations among the eta rows (``maps._eta_word``, reduced mod p by the
-lattice) that span the second derived part.  The
-list-based functions (``rref_mod``, ``alpha_vector`` and so on) convert to
-and from sparse vectors.
+Vectors are sparse dicts ``{index: coeff mod p}`` holding no zero.  All
+linear algebra runs on ``zlinalg.IntLattice`` given the modulus p: ranks,
+memberships, and the relations among the eta rows (``maps._eta_word``) that
+span the second derived part, read off their tagged echelon.  The list-based
+functions (``rref_mod``, ``alpha_vector`` and so on) convert to and from
+sparse vectors.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from math import factorial, prod
 from .elements import _expand_lyndon
 from .maps import _distinct_permutations, _eta_word, mixed_basis
 from .words import lyndon_words_of_length, unit_alphabet
-from .zlinalg import (IntLattice, _dense, _sparse, add_into, hermite_normal_form,
-                      integer_kernel)
+from .zlinalg import (IntLattice, _dense, _sparse, _tagged, add_into,
+                      hermite_normal_form, integer_kernel)
 
 
 # -- linear algebra over Z/p, on zlinalg.IntLattice ---------------------------
@@ -233,9 +232,9 @@ def _bp_space(data: PBWBasis):
     degree-p part of the second derived ideal: the left kernel of eta."""
     p = data.p
     words = data.lie_basis[p]
-    rows = ({data.mixed[key]: c for key, c in _eta_word(data.alphabet, w).items()}
-            for w in words)
-    kernel = IntLattice(len(data.mixed), rows, p).relations
+    rows = [{data.mixed[key]: c for key, c in _eta_word(data.alphabet, w).items()}
+            for w in words]
+    kernel = _tagged(len(data.mixed), rows, p)[1]
     tensors = []
     for v in kernel:
         acc = {}

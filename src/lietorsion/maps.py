@@ -18,7 +18,7 @@ from .elements import (DomainError, LieElement, MixedElement, SymElement,
                        lie_from_tensor, lie_zero, to_tensor)
 from .words import (Alphabet, lyndon_words_of_length, multisets, suffix_bounds,
                     weight_range)
-from .zlinalg import IntLattice, add_into
+from .zlinalg import IntLattice, _tagged, add_into
 
 
 class ActionSpec:
@@ -442,7 +442,7 @@ def check_exactness(c, alphabet, degree_cut) -> ExactnessReport:
     kappa_rows = [{sym_index[tuple(sorted((a,) + mult))]: 1} for a, mult in mixed]
     kappa_surjective = len(set().union(*kappa_rows)) == len(syms)
     # Ker kappa is spanned by the relations among kappa's rows
-    kernel = IntLattice(len(mixed), IntLattice(len(syms), kappa_rows).relations)
+    kernel = IntLattice(len(mixed), _tagged(len(syms), kappa_rows)[1])
     image_equals_kernel = image == kernel
     return ExactnessReport(c, degree_cut, len(nwords), len(mixed), len(syms),
                            mu_injective, kappa_surjective, image_equals_kernel)

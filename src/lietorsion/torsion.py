@@ -48,7 +48,7 @@ from .maps import (ActionSpec, _eta_word, _mu_terms, derive, leibniz_mixed,
                    metabelian_normal_coords, metabelian_of_word, mixed_basis, normal_words,
                    peel_strict_keys, theta, theta_presum)
 from .words import Alphabet, Generator, LyndonWord, _lyndon_walk, is_lyndon
-from .zlinalg import (CokernelStructure, IntLattice, Presentation, _dense, _divisor_chain,
+from .zlinalg import (CokernelStructure, Presentation, _dense, _divisor_chain, _tagged,
                       add_into)
 
 VARIABLES = ("x", "y")
@@ -499,7 +499,7 @@ class TorsionEngine:
         """Basis of the degree-d kernel of the metabelian projection: the
         integer relations among the eta rows."""
         rows, width = self.eta_matrix(d)
-        return [_dense(x, len(rows)) for x in IntLattice(width, rows).relations]
+        return [_dense(x, len(rows)) for x in _tagged(width, rows)[1]]
 
     def bp_freeness_check(self, max_degree=None) -> FreenessReport:
         """Block by block: eta preserves bidegree, so the kernel K_{d,a} of
@@ -527,7 +527,7 @@ class TorsionEngine:
                 etas = [{keys.setdefault(key, len(keys)): c
                          for key, c in _eta_word(self.alphabet, w).items()} for w in words]
                 kernels[a] = [{words[i]: c for i, c in r.items()}
-                              for r in IntLattice(len(keys), etas).relations]
+                              for r in _tagged(len(keys), etas)[1]]
                 kernel = Presentation([self._lie_coords(v, d, a) for v in kernels[a]], len(cols))
                 images = []
                 for b, var in ((a - 1, "x"), (a, "y")):

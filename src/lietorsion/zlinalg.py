@@ -3,10 +3,10 @@
 Matrices are plain lists of rows, or sparse dicts, of Python ints, so there
 is no coefficient growth ceiling.  One elimination kernel serves them all:
 ``IntLattice``, a sparse row echelon form over Z or, given a prime p, over
-GF(p), grown one input at a time by invertible steps.  Each row carries its
-combination of the inputs, so the inputs that reduce to zero leave a basis
-of the relations among them.  Hermite forms, kernels, left solves and
-membership read it directly.
+GF(p), grown one input at a time by invertible steps.  Where a caller needs
+the inputs' combinations, each input carries a unit tag column, and the
+echelon rows that pivot on a tag are a basis of the relations among them:
+Hermite transforms, kernels and left solves read them there.
 
 Smith forms, cokernels and element orders all go through one
 ``Presentation``: the Z echelon B of the relations.  Only primes l dividing
@@ -155,8 +155,7 @@ def _grown(lattice, vecs) -> IntLattice:
     """A copy of the lattice with vecs added.  The copy shares the stored
     rows, since ``_reduce`` replaces a stored row and never changes one."""
     out = IntLattice(lattice.ncols, (), lattice.p)
-    out.rows, out.combos = dict(lattice.rows), dict(lattice.combos)
-    out.relations = list(lattice.relations)
+    out.rows = dict(lattice.rows)
     for v in vecs:
         out.add(v)
     return out
@@ -175,7 +174,7 @@ def _prime_powers(lattice, ell) -> list:
     counts = []
     while True:
         basis = list(lattice.rows.values())
-        relations = IntLattice(lattice.ncols, basis, ell).relations
+        relations = _tagged(lattice.ncols, basis, ell)[1]
         if not relations:
             break
         counts.append(len(relations))
@@ -274,23 +273,19 @@ def _xgcd(a, b):
 
 class IntLattice:
     """A row lattice over Z, or a row space over GF(p) when p is given, in
-    echelon form; exact membership and relations.
+    echelon form, with exact membership.
 
     Rows are sparse {column: value} dicts keyed by their pivot, the smallest
     column, whose entry is positive, and 1 over GF(p), where every value lies
-    in [0, p).  Each row carries its combination of the inputs, {input number:
-    coefficient}; an input that reduces to zero leaves its combination in
-    ``relations``.  Every step is invertible (subtracting a multiple of a row,
+    in [0, p).  Every step is invertible: subtracting a multiple of a row,
     scaling a new row by a unit, or the 2x2 xgcd step, which over GF(p) never
-    runs), so the relations generate all relations among the inputs.
+    runs.  ``_tagged`` reads the relations among the inputs off the echelon.
     """
 
     def __init__(self, ncols, rows=(), p=None):
         self.ncols = ncols
         self.p = p
         self.rows = {}          # pivot column -> row
-        self.combos = {}        # pivot column -> the row as a combination of the inputs
-        self.relations = []     # combinations of the inputs that vanish
         for r in rows:
             self.add(r)
 
@@ -298,57 +293,41 @@ class IntLattice:
     def rank(self):
         return len(self.rows)
 
-    def basis(self):
-        return [_dense(self.rows[j], self.ncols) for j in sorted(self.rows)]
+    def _reduce(self, v, grow=False):
+        """Reduce the sparse v along the rows, in place.
 
-    def _reduce(self, v, combo=None, grow=False) -> bool:
-        """Reduce the sparse v along the rows, in place; True if v is outside.
-
-        ``combo`` follows v, so v minus combo's combination of the inputs
-        stays fixed.  Without grow the loop stops at the first leading entry
-        no row divides.  With grow that entry joins the lattice: v becomes a
-        new row, or the xgcd step gives the row the gcd and v the rest.
+        Without grow the loop stops at the first leading entry no row
+        divides, so v ends empty exactly when it lay in the lattice.  With
+        grow that entry joins the lattice: v becomes a new row, or the xgcd
+        step gives the row the gcd and v the rest.
         """
         p = self.p
-        outside = False
         while v:
             j = min(v)
             row = self.rows.get(j)
             if row is not None and v[j] % row[j] == 0:
-                q = v[j] // row[j]
-                add_into(v, row.items(), -q, p)
-                if combo is not None:
-                    add_into(combo, self.combos[j].items(), -q, p)
+                add_into(v, row.items(), -(v[j] // row[j]), p)
             elif not grow:
-                return True
+                return
             elif row is None:
                 s = (-1 if v[j] < 0 else 1) if p is None else pow(v[j], -1, p)
                 if s != 1:
-                    for w in (v, combo):
-                        for k, x in w.items():
-                            w[k] = x * s if p is None else x * s % p
-                self.rows[j], self.combos[j] = v, combo
-                return True
+                    for k, x in v.items():
+                        v[k] = x * s if p is None else x * s % p
+                self.rows[j] = v
+                return
             else:
                 g, s, t = _xgcd(row[j], v[j])
-                a, b = row[j] // g, v[j] // g
-                self.rows[j] = _gcd_step(row, v, s, t, a, b)
-                self.combos[j] = _gcd_step(self.combos[j], combo, s, t, a, b)
-                outside = True
-        return outside
+                self.rows[j] = _gcd_step(row, v, s, t, row[j] // g, v[j] // g)
 
     def add(self, vec):
-        """Insert a vector (a dense list or a dict); True if the lattice grew."""
-        # each input ends as a row or a relation, so their count numbers it
-        v = _sparse(vec, self.ncols, self.p)
-        combo = {len(self.rows) + len(self.relations): 1}
-        grew = self._reduce(v, combo, grow=True)
-        if not v:
-            self.relations.append(combo)
-        return grew
+        """Insert a vector (a dense list or a dict)."""
+        self._reduce(_sparse(vec, self.ncols, self.p), grow=True)
 
     def __contains__(self, vec):
-        return not self._reduce(_sparse(vec, self.ncols, self.p))
+        v = _sparse(vec, self.ncols, self.p)
+        self._reduce(v)
+        return not v
 
     def contains_lattice(self, other: "IntLattice") -> bool:
         return all(r in self for r in other.rows.values())
@@ -361,30 +340,50 @@ class IntLattice:
     __hash__ = None
 
 
+def _tagged(ncols, rows, p=None):
+    """The echelon of the list of rows, input i of m tagged by a 1 at column
+    ncols + m-1-i, and the relations among the rows, {input: coefficient} in
+    input order: the tags of the rows that pivot on a tag.  Input i's own tag
+    is the least of its tags, and each step only multiplies its coefficient
+    there by some a > 0, so each relation is the combination with which its
+    input vanished, and no relation reduces another.
+    """
+    top = ncols + len(rows) - 1
+    lattice = IntLattice(top + 1, (), p)
+    for i, r in enumerate(rows):
+        v = _sparse(r, ncols, p)
+        v[top - i] = 1
+        lattice._reduce(v, grow=True)
+    relations = [{top - j: c for j, c in lattice.rows[t].items()}
+                 for t in sorted(lattice.rows, reverse=True) if t >= ncols]
+    return lattice, relations
+
+
 def hermite_normal_form(rows, ncols=None, transform=False, p=None):
     """Row Hermite form; with p, the reduced row echelon form mod p.
 
     Returns (H, U, rank) when transform is requested, with U invertible,
     U @ rows == H padded by zero rows, and the rows of U beyond ``rank``
-    spanning the left kernel.  Otherwise returns (H, rank).
+    spanning the left kernel.  Otherwise returns (H, rank).  U is read off
+    the tags of ``_tagged``: the pivot rows' first, then the relations.
     """
     rows = list(rows)
-    lattice = IntLattice(_width(rows, ncols), rows, p)
-    pivots = sorted(lattice.rows)
+    n = _width(rows, ncols)
+    lattice, relations = _tagged(n, rows, p)
+    pivots = sorted(j for j in lattice.rows if j < n)
     # reduce the entries above each pivot into [0, pivot), to 0 over GF(p)
     for r, c in enumerate(pivots):
-        row, combo = lattice.rows[c], lattice.combos[c]
+        row = lattice.rows[c]
         for above in pivots[:r]:
             q = lattice.rows[above].get(c, 0) // row[c]
             if q:
                 add_into(lattice.rows[above], row.items(), -q, p)
-                add_into(lattice.combos[above], combo.items(), -q, p)
-    h = lattice.basis()
+    h = [[lattice.rows[c].get(j, 0) for j in range(n)] for c in pivots]
     if not transform:
         return h, len(h)
-    u = [_dense(x, len(rows)) for x in [lattice.combos[c] for c in pivots]
-         + lattice.relations]
-    return h, u, len(h)
+    tags = range(lattice.ncols - 1, n - 1, -1)      # input i's tag is the i-th
+    u = [[lattice.rows[c].get(j, 0) for j in tags] for c in pivots]
+    return h, u + [_dense(x, len(rows)) for x in relations], len(h)
 
 
 def transpose(rows, ncols=None):
@@ -401,24 +400,26 @@ def integer_kernel(rows, ncols=None, p=None) -> list[list[int]]:
     """
     rows = list(rows)
     n = _width(rows, ncols)
-    lattice = IntLattice(len(rows), transpose(rows, ncols=n), p)
-    return [_dense(x, n) for x in lattice.relations]
+    return [_dense(x, n) for x in _tagged(len(rows), transpose(rows, ncols=n), p)[1]]
 
 
 def solve_left(rows, target):
     """Integer x with x @ rows == target, or None.
 
-    The target is reduced along the lattice of ``rows``, accumulating the
-    coefficients.
+    The target is reduced along the tagged echelon of ``rows``: it is in
+    their lattice when no column below the tags is left, and its tags then
+    hold -x.
     """
     rows = list(rows)
     if not rows:
         return None if any(target.values() if isinstance(target, dict) else target) else []
-    lattice = IntLattice(len(rows[0]), rows)
-    combo = {}
-    if lattice._reduce(_sparse(target, lattice.ncols), combo):
+    n = len(rows[0])
+    lattice, _ = _tagged(n, rows)
+    v = _sparse(target, n)
+    lattice._reduce(v)
+    if v and min(v) < n:
         return None
-    return [-x for x in _dense(combo, len(rows))]
+    return [-v.get(j, 0) for j in range(lattice.ncols - 1, n - 1, -1)]
 
 
 def saturation(rows, ncols) -> list[list[int]]:

@@ -14,7 +14,7 @@ from lietorsion.charp import (alpha_vector, beta_vector, bp_space,
 from lietorsion.elements import GF, left_normalize, lyndon_monomial
 from lietorsion.maps import ActionSpec, _mu_terms, mixed_basis, normal_words
 from lietorsion.words import lyndon_words_of_length, unit_alphabet
-from lietorsion.zlinalg import IntLattice, _dense
+from lietorsion.zlinalg import IntLattice, _dense, _tagged
 
 
 def dense_rref_mod(rows, n, p):
@@ -73,6 +73,9 @@ def test_sparse_echelon_matches_dense_oracle(case):
     assert len(kernel) == n - len(want_pivots)
     for k in kernel:
         assert all(sum(a * b for a, b in zip(r, k)) % p == 0 for r in rows)
+    # one vector per free column, ascending: 1 there, 0 at the other free columns
+    free = [j for j in range(n) if j not in want_pivots]
+    assert [[k[f] for f in free] for k in kernel] == [[int(f == j) for f in free] for j in free]
     assert len(dense_rref_mod(kernel, n, p)[1]) == len(kernel)
 
 
@@ -89,11 +92,16 @@ def test_int_lattice_mod_p_matches_dense_oracle(case):
     in_span = len(dense_rref_mod(rows + [vec], n, p)[1]) == len(pivots)
     assert (vec in lattice) == in_span
     # the relations are the left kernel mod p, at full dimension
-    relations = [[r.get(i, 0) for i in range(len(rows))] for r in lattice.relations]
+    relations = [_dense(r, len(rows)) for r in _tagged(n, rows, p)[1]]
     assert len(relations) == len(rows) - len(pivots)
     for r in relations:
         assert all(0 <= c < p for c in r)
         assert all(sum(c * row[j] for c, row in zip(r, rows)) % p == 0 for j in range(n))
+    # relation k is positive at the k-th row that reduces to zero, 0 at every later row
+    ranks = [len(dense_rref_mod(rows[:i], n, p)[1]) for i in range(len(rows) + 1)]
+    vanished = [i for i in range(len(rows)) if ranks[i + 1] == ranks[i]]
+    assert [max(i for i, c in enumerate(r) if c) for r in relations] == vanished
+    assert all(r[i] > 0 for r, i in zip(relations, vanished))
     assert len(dense_rref_mod(relations, len(rows), p)[1]) == len(relations)
 
 

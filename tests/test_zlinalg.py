@@ -13,8 +13,9 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
 from lietorsion import zlinalg
+from lietorsion.charp import right_kernel_mod
 from lietorsion.zlinalg import (CokernelStructure, IntLattice, Presentation,
-                                _dense, add_into, cokernel_structure,
+                                _dense, _tagged, add_into, cokernel_structure,
                                 hermite_normal_form, integer_kernel,
                                 order_in_cokernel, saturation, smith_normal_form,
                                 solve_left, transpose)
@@ -153,6 +154,10 @@ def test_integer_kernel_examples():
     assert integer_kernel([[2]]) == []
     k = integer_kernel([[1, 2], [2, 4]])
     assert len(k) == 1 and k[0] in ([2, -1], [-2, 1])
+    # each relation is the combination with which its input vanished
+    assert integer_kernel([[1, 2, 3], [2, 4, 7]]) == [[-2, 1, 0]]
+    assert right_kernel_mod([[1, 1, 1]], 3, 2) == [[1, 1, 0], [1, 0, 1]]
+    assert _tagged(2, [[2, 4], [3, 6], [1, 2]])[1] == [{0: -3, 1: 2}, {0: 1, 1: -1, 2: 1}]
 
 
 def test_integer_kernel_properties():
@@ -444,6 +449,10 @@ def test_lattice_hermite_and_kernel_match_dense_oracle(case):
         assert abs(det(u)) == 1
     kernel, oracle = integer_kernel(rows, ncols=n), dense_kernel(rows, n)
     assert len(kernel) == n - rank
+    # kernel vector k is positive at the k-th free column of H, 0 beyond it
+    free = sorted(set(range(n)) - {next(j for j, x in enumerate(r) if x) for r in h})
+    assert [max(j for j, x in enumerate(v) if x) for v in kernel] == free
+    assert all(v[j] > 0 for v, j in zip(kernel, free))
     assert (dense_hermite_normal_form(kernel, ncols=n)
             == dense_hermite_normal_form(oracle, ncols=n))
     # saturated: no torsion in Z^n / kernel, and it holds the oracle's kernel
@@ -458,7 +467,7 @@ def kernel_images(draw):
     combinations of K's vectors, some scaled by 2 or 3."""
     n, w = draw(st.integers(1, 6)), draw(st.integers(0, 4))
     rows = [draw(st.lists(st.integers(-3, 3), min_size=w, max_size=w)) for _ in range(n)]
-    kernel = [_dense(x, n) for x in IntLattice(w, rows).relations]
+    kernel = [_dense(x, n) for x in _tagged(w, rows)[1]]
     images = []
     for _ in range(draw(st.integers(0, 5))):
         coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(kernel),
