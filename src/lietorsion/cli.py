@@ -11,7 +11,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 from math import factorial
 
 from . import __version__
@@ -95,16 +94,32 @@ def check_args(parser, args) -> None:
 
 # -- identity suite -----------------------------------------------------------
 
+def _counted_all(checks) -> tuple[bool, int]:
+    """all(checks), stopping at the first false one as all() does, and the
+    number of checks it evaluated."""
+    n = 0
+    for ok in checks:
+        n += 1
+        if not ok:
+            return False, n
+    return True, n
+
+
 def identity_suite(c, rank, trials, seed) -> list[dict]:
+    """The identity rows at degree c over the rank-``rank`` unit alphabet.
+
+    Each row's ``checked`` is the number of comparisons it made, and a row
+    that made none does not pass.
+    """
     alphabet = unit_alphabet(rank)
     rng = random.Random(seed)
     echo = {"c": c, "rank": rank, "trials": trials, "seed": seed}
 
-    wever = all(
+    wever, wever_n = _counted_all(
         rho(nu(e)) == c * e
         for e in (random_homogeneous(alphabet, c, rng) for _ in range(trials)))
 
-    mu_lambda = all(
+    mu_lambda, mu_lambda_n = _counted_all(
         lam(mu(m), c) == c * m
         for m in (random_metabelian(alphabet, c, rng) for _ in range(trials)))
 
@@ -112,24 +127,29 @@ def identity_suite(c, rank, trials, seed) -> list[dict]:
     # exact; a violation is reported, not raised, so the suite stays usable
     fact = factorial(c - 2)
     theta_eta = True
+    theta_eta_n = 0
     theta_note = None
     try:
         for w in normal_words(alphabet, c):
             m = metabelian_of_word(alphabet, w)
             if eta(theta(m)) != fact * m:
                 theta_eta = False
+            theta_eta_n += 1
         for _ in range(trials):
             m = random_metabelian(alphabet, c, rng)
             if eta(theta(m), c) != fact * m:
                 theta_eta = False
+            theta_eta_n += 1
     except IntegralityError as exc:
         theta_eta = False
         theta_note = str(exc)
 
     exact = check_exactness(c, alphabet, degree_cut=c)
+    exact_n = exact.rank_metabelian + exact.rank_mixed + exact.rank_sym
 
     spec = random_action(alphabet, ("x", "y"), rng)
     equiv = True
+    equiv_n = 0
     for _ in range(max(1, trials // 10)):
         e = random_homogeneous(alphabet, c, rng)
         m = random_metabelian(alphabet, c, rng)
@@ -138,19 +158,20 @@ def identity_suite(c, rank, trials, seed) -> list[dict]:
                 equiv = False
             if derive(eta(e, c), var, spec) != eta(derive(e, var, spec), c):
                 equiv = False
+            equiv_n += 2
             try:
                 if derive(theta(m), var, spec) != theta(derive(m, var, spec)):
                     equiv = False
             except IntegralityError:
-                pass  # theta undefined on this input; covered by theta-eta
+                continue  # theta undefined on this input; covered by theta-eta
+            equiv_n += 1
 
-    rows = [
-        dict(identity="wever", **echo, **{"pass": wever}),
-        dict(identity="mu-lambda", **echo, **{"pass": mu_lambda}),
-        dict(identity="theta-eta", **echo, **{"pass": theta_eta}),
-        dict(identity="exactness", **echo, **{"pass": exact.passed}),
-        dict(identity="equivariance", **echo, **{"pass": equiv}),
-    ]
+    rows = [dict(identity=name, **echo, checked=n, **{"pass": ok and n > 0})
+            for name, ok, n in (("wever", wever, wever_n),
+                                ("mu-lambda", mu_lambda, mu_lambda_n),
+                                ("theta-eta", theta_eta, theta_eta_n),
+                                ("exactness", exact.passed, exact_n),
+                                ("equivariance", equiv, equiv_n))]
     if theta_note:
         rows[2]["note"] = theta_note
     return rows
@@ -314,12 +335,13 @@ def _jsonable(x):
         return x
     if isinstance(x, int):
         return str(x) if abs(x) > 2**53 else x
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
+    from fractions import Fraction
+    if isinstance(x, Fraction):
+        return str(x)
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 

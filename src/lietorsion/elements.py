@@ -9,7 +9,6 @@ words of the same content.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 
 from .words import Generator, LyndonWord, _split_point, is_lyndon
@@ -54,6 +53,11 @@ class Domain:
 
     def coerce(self, c):
         # the exact-type test first: isinstance(c, Fraction) runs ABCMeta's slow check
+        if type(c) is int and self.kind != "Q":
+            return c % self.p if self.kind == "Fp" else c
+        # only QQ work builds or meets a rational, so fractions (and the
+        # decimal it loads) is imported here, not on the package's import path
+        from fractions import Fraction
         if type(c) is not int:
             if isinstance(c, Fraction):
                 if self.kind == "Q":

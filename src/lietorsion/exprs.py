@@ -9,7 +9,6 @@ differences of terms are accepted so printed elements parse back.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .elements import LieElement, ZZ, bracket, generator_element, lie_zero
 
@@ -108,6 +107,7 @@ class _Parser:
                 den = self.take("int")
                 if den[1] == 0:
                     raise ParseError("zero denominator", den[2])
+                from fractions import Fraction
                 scalar = Fraction(scalar, den[1])
             self.take("*")
             return ScaleNode(scalar, self.factor(), tok[2])

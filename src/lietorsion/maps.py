@@ -27,6 +27,10 @@ class ActionSpec:
     ``images`` maps (generator index, variable) to a dict {generator index:
     integer coefficient} describing the degree-1 image.  Pairs may be left
     undefined when the target leaves a degree cut; using one raises KeyError.
+
+    ``_memo`` holds ``derive``'s integer image of each basis key, one table
+    per (element type, variable), computed once and dropped with the spec;
+    so ``table`` must not change after the first ``derive``.
     """
 
     def __init__(self, alphabet: Alphabet, variables, images):
@@ -38,6 +42,7 @@ class ActionSpec:
                 raise ValueError(f"unknown variable {var!r}")
             table[(i, var)] = {j: int(c) for j, c in img.items() if c}
         self.table = table
+        self._memo = {}
 
     def image(self, i, var):
         if var not in self.variables:
@@ -375,23 +380,43 @@ _LEIBNIZ = {TensorElement: leibniz_word, SymElement: leibniz_multiset,
 def derive(x, var, spec: ActionSpec):
     """Leibniz extension of the generator-level action; same type out as in.
 
-    Lie elements are derived through the tensor ring and metabelian elements
-    through their mu-coordinates.
+    Each basis key's image is read from the spec's memo and added, times the
+    key's coefficient, into one dict.  Metabelian elements are derived through
+    their mu-coordinates.
     """
     if var not in spec.variables:
         raise KeyError(f"unknown variable {var!r}")
-    if isinstance(x, LieElement):
-        return lie_from_tensor(derive(to_tensor(x), var, spec))
     if isinstance(x, MetabelianElement):
         return MetabelianElement(x.degree, derive(x.mixed, var, spec))
-    step = _LEIBNIZ.get(type(x))
-    if step is None:
-        raise TypeError(f"cannot derive {type(x).__name__}")
-    image = partial(spec.image, var=var)
+    kind = type(x)
+    if kind is not LieElement and kind not in _LEIBNIZ:
+        raise TypeError(f"cannot derive {kind.__name__}")
+    table = spec._memo.get((kind, var))
+    if table is None:
+        table = spec._memo[(kind, var)] = {}
+    p = x.domain.p
     out = {}
     for key, c in x.terms.items():
-        add_into(out, step(key, image), c, x.domain.p)
+        img = table.get(key)
+        if img is None:
+            # computed in full before it is stored: an undefined action pair
+            # raises KeyError on every call
+            img = table[key] = _derived_key(kind, key, var, spec)
+        add_into(out, img.items(), c, p)
     return x._new(out)
+
+
+def _derived_key(kind, key, var, spec) -> dict:
+    """The integer image of one basis key of the given element type.  Over Z
+    it scales into every domain: a Lyndon word's image is a unitriangular
+    integer solve (``lie_from_tensor``) of the Leibniz image of its tensor
+    expansion, so its reduction mod p is the image over GF(p)."""
+    if kind is LieElement:
+        t = TensorElement(spec.alphabet, ZZ, _expand_lyndon(spec.alphabet, key), _clean=True)
+        return lie_from_tensor(derive(t, var, spec)).terms
+    out = {}
+    add_into(out, _LEIBNIZ[kind](key, partial(spec.image, var=var)))
+    return out
 
 
 # ---------------------------------------------------------------------------

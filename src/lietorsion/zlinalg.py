@@ -64,7 +64,7 @@ def _sparse(vec, ncols, p=None):
     """A dense list or a {column: value} dict as a dict without zeros, its
     values reduced mod p when p is given."""
     if isinstance(vec, dict):
-        if any(not 0 <= j < ncols for j in vec):
+        if vec and (min(vec) < 0 or max(vec) >= ncols):
             raise ValueError(f"column index out of range in ambient rank {ncols}")
         items = vec.items()
     elif len(vec) != ncols:

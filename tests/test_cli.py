@@ -232,6 +232,28 @@ def test_verify_cli_reports_integrality_failure(capsys):
     assert doc["overallPass"] is False
 
 
+def test_verify_rows_report_what_they_checked(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--c", "4", "--rank", "3")
+    assert code == 1
+    rows = {r["identity"]: r for r in json.loads(out)["results"]}
+    assert rows["wever"]["checked"] == rows["mu-lambda"]["checked"] == 100
+    # at c = 4 over three letters: 15 normal words, 3 x 10 mixed keys and
+    # 15 multisets
+    assert rows["exactness"]["checked"] == 60
+    # theta-eta stops at the first division by 4 that is not exact (seed 0)
+    assert rows["theta-eta"]["checked"] == 2 and rows["theta-eta"]["pass"] is False
+    # two comparisons per sample and variable, plus each theta pair that is
+    # defined: 10 samples x 2 variables x 2, and 5 theta pairs (seed 0)
+    assert rows["equivariance"]["checked"] == 45 and rows["equivariance"]["pass"]
+
+
+def test_a_row_that_checked_nothing_does_not_pass():
+    rows = {r["identity"]: r for r in cli.identity_suite(3, 2, 0, 0)}
+    for name in ("wever", "mu-lambda"):
+        assert rows[name]["checked"] == 0 and rows[name]["pass"] is False
+    assert rows["exactness"]["checked"] > 0 and rows["exactness"]["pass"]
+
+
 def test_determinism_minus_timestamp(capsys):
     docs = []
     for _ in range(2):

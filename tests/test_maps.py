@@ -406,8 +406,10 @@ def test_returned_elements_do_not_share_memo_tables():
     e = normal_form(ab, ((ab[0], ab[1]), ab[2]))
     t = TensorElement(ab, ZZ, {(1, 0, 2): 2, (2, 2, 0): -1})
     m = metabelian_of_word(ab, (1, 0, 2)) + 2 * metabelian_of_word(ab, (2, 0, 1))
+    spec = random_action(ab, ("x",), random.Random(2))
     calls = [lambda: nu(e), lambda: eta(e).mixed, lambda: rho(t),
              lambda: theta((2, 0, 1), alphabet=ab), lambda: theta(m),
+             lambda: derive(e, "x", spec), lambda: derive(t, "x", spec),
              lambda: random_homogeneous(ab, 3, random.Random(1)),
              lambda: random_metabelian(ab, 3, random.Random(1)).mixed]
     for call in calls:
@@ -584,11 +586,40 @@ def test_derive_matches_the_per_type_leibniz_loops(seed, domain, rank, c):
     sym = SymElement(ab, domain, [(tuple(sorted(w)), k) for w, k in zip(words, coeffs)])
     mixed = MixedElement(ab, domain, [((w[0], tuple(sorted(w[1:]))), k)
                                       for w, k in zip(words, coeffs)])
-    for var in ("x", "y"):
-        assert derive(t, var, spec) == derive_wordlike_oracle(t, var, spec)
-        assert derive(sym, var, spec) == derive_sym_oracle(sym, var, spec)
-        assert derive(mixed, var, spec) == derive_mixed_oracle(mixed, var, spec)
-        assert derive(m, var, spec) == MetabelianElement(
-            c, derive_mixed_oracle(m.mixed, var, spec))
-        assert derive(e, var, spec) == lie_from_tensor(
-            derive_wordlike_oracle(to_tensor(e), var, spec))
+    # the second pass reads every key's image from the spec's memo
+    for _ in ("cold", "warm"):
+        for var in ("x", "y"):
+            assert derive(t, var, spec) == derive_wordlike_oracle(t, var, spec)
+            assert derive(sym, var, spec) == derive_sym_oracle(sym, var, spec)
+            assert derive(mixed, var, spec) == derive_mixed_oracle(mixed, var, spec)
+            assert derive(m, var, spec) == MetabelianElement(
+                c, derive_mixed_oracle(m.mixed, var, spec))
+            assert derive(e, var, spec) == lie_from_tensor(
+                derive_wordlike_oracle(to_tensor(e), var, spec))
+    assert spec._memo
+
+
+def test_undefined_action_pair_raises_on_every_derive():
+    # y's image is undefined, as the engine's top letter is at its degree cut
+    ab = unit_alphabet(2)
+    spec = ActionSpec(ab, ("x",), {(0, "x"): {1: 1}})
+    for x in (lie(((X, Y), Y), ab), TensorElement(ab, ZZ, {(0, 1): 1})):
+        key, = x.terms
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                derive(x, "x", spec)
+        assert key not in spec._memo.get((type(x), "x"), {})
+    assert derive(TensorElement(ab, ZZ, {(0, 0): 1}), "x", spec).terms == {(1, 0): 1, (0, 1): 1}
+
+
+def test_two_specs_on_one_alphabet_keep_separate_images():
+    ab = unit_alphabet(2)
+    raise_x = ActionSpec(ab, ("x",), {(0, "x"): {1: 1}, (1, "x"): {}})
+    double = ActionSpec(ab, ("x",), {(0, "x"): {0: 2}, (1, "x"): {1: 2}})
+    e = lie((X, Y), ab)
+    t = nu(e)
+    for _ in range(2):
+        assert derive(e, "x", raise_x).is_zero()              # [y, y] = 0
+        assert derive(e, "x", double) == 4 * e
+        assert derive(t, "x", raise_x).is_zero()
+        assert derive(t, "x", double) == 4 * t

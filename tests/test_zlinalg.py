@@ -509,6 +509,20 @@ def test_widths_that_disagree_raise(call, error):
         call()
 
 
+@pytest.mark.parametrize("col", [-1, 3])
+@pytest.mark.parametrize("call", [
+    lambda v: IntLattice(3, [{0: 1}, v]),
+    lambda v: IntLattice(3).add(v),
+    lambda v: v in IntLattice(3, [[1, 0, 0]]),
+    lambda v: Presentation([{0: 1}, v], 3),
+    lambda v: v in Presentation([{0: 2}], 3),
+], ids=["lattice", "lattice-add", "lattice-contains", "presentation",
+        "presentation-contains"])
+def test_dict_columns_out_of_range_raise(call, col):
+    with pytest.raises(ValueError, match="column index out of range in ambient rank 3"):
+        call({1: 1, col: 2})
+
+
 def test_transpose_shapes():
     assert transpose([]) == []
     assert transpose([], ncols=3) == [[], [], []]
