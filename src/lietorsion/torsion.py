@@ -27,8 +27,11 @@ words (Chen, Fox & Lyndon 1958), so these are the Lyndon coordinates times a
 unitriangular matrix, and cokernels, orders and memberships are the same in
 either.  A relation row, the x- or y-image of a degree d-1 basis word, is
 Leibniz on the word's cached tensor expansion, kept on the Lyndon words of
-the image's block; theorem vectors, theta's images and the freeness check's
-kernels are read the same way.  Only the reference paths ``derived_coords``,
+the image's block: since x and y send each letter to one letter, the block
+lists each of its words under every word one lowering below it (its
+lowered-word index), and the row is one lookup per expansion word.  Theorem
+vectors, theta's images and the freeness check's kernels are read off the
+expansions the same way.  Only the reference paths ``derived_coords``,
 ``action_matrix`` and ``metabelian_matrix`` read a whole degree, in Lyndon
 or normal-word coordinates, through ``maps.derive``.
 
@@ -138,12 +141,13 @@ class _Degree:
     """One side's degree-d basis, split by bidegree in the same pass, and
     what is built over it on demand."""
 
-    __slots__ = ("words", "blocks", "presentations")
+    __slots__ = ("words", "blocks", "presentations", "lowered")
 
     def __init__(self, words, blocks):
         self.words = words            # the basis words, as index tuples
         self.blocks = blocks          # {a: {word of bidegree (a, d-a): its column in the block}}
         self.presentations = {}       # {a: block Presentation}
+        self.lowered = {}             # {(a, var): block a's lowered-word index}
 
 
 class TorsionEngine:
@@ -163,10 +167,20 @@ class TorsionEngine:
         self.max_degree = max_degree
         self.alphabet = a_alphabet(max(2, max_degree - 2 * (p - 1)))
         self.action = a_action(self.alphabet)
-        # the letter whose y-image each letter is, or None where t = 0
-        lower = {j: i for (i, var), img in self.action.table.items() if var == "y"
-                 for j in img}
-        self._y_lower = [lower.get(j) for j in range(len(self.alphabet))]
+        # derived_row's lowered-word index needs each letter's image to be
+        # one letter with coefficient 1, and no two letters to share one
+        images = self.action.table
+        if any(list(img.values()) != [1] for img in images.values()):
+            raise ValueError("each letter's image must be one letter with coefficient 1")
+        # per variable, the letter whose image each letter is, or None
+        self._lower = {}
+        for var in VARIABLES:
+            lower = {j: i for (i, v), img in images.items() if v == var for j in img}
+            if len(lower) != sum(v == var for _, v in images):
+                raise ValueError(f"two letters share an image under {var!r}")
+            self._lower[var] = [lower.get(j) for j in range(len(self.alphabet))]
+        self._first = [g.multidegree[0] for g in self.alphabet]
+        self._weight = [g.weight for g in self.alphabet]
         self._degrees = {}
 
     # -- bases ------------------------------------------------------------
@@ -184,13 +198,13 @@ class TorsionEngine:
             if d < 2 * self.p:
                 words = []
             elif side == "lie":
-                wt = [g.weight for g in self.alphabet]
-                words = _lyndon_walk(wt, length=self.p, lo=d, hi=d)
+                words = _lyndon_walk(self._weight, length=self.p, lo=d, hi=d)
             else:
                 words = normal_words(self.alphabet, self.p, weight=d)
             blocks = {}
+            first = self._first.__getitem__
             for w in words:
-                cols = blocks.setdefault(self.alphabet.word_multidegree(w)[0], {})
+                cols = blocks.setdefault(sum(map(first, w)), {})
                 cols[w] = len(cols)
             rec = self._degrees[side, d] = _Degree(words, blocks)
         return rec
@@ -204,40 +218,47 @@ class TorsionEngine:
 
     # -- relation rows ------------------------------------------------------
 
-    def _target(self, word: tuple, var: str, side: str) -> dict:
-        """The block that holds the var-image of a basis word: x raises the
-        first bidegree component, y the second.  Its {word: column}, empty
-        where the block has no words."""
-        a, b = self.alphabet.word_multidegree(word)
-        return self._degree(a + b + 1, side).blocks.get(a + (var == "x"), {})
+    def _target(self, word: tuple, var: str, side: str):
+        """The degree record and the first bidegree component of the block
+        that holds the var-image of a basis word: x raises the first
+        component, y the second."""
+        a = sum(map(self._first.__getitem__, word))
+        d = sum(map(self._weight.__getitem__, word)) + 1
+        return self._degree(d, side), a + (var == "x")
 
     def derived_row(self, word: tuple, var: str) -> dict:
         """The var-image of a degree d-1 basis word in tensor coordinates:
         {column of the image's block: coefficient of that Lyndon word in the
-        image's tensor expansion}, without zeros."""
-        index = self._target(word, var, "lie")
-        # every expansion word rearranges the letters of ``word``
-        image = {a: self.action.image(a, var).items() for a in set(word)}
-        # A Lyndon word starts with its least letter, and the action raises
-        # the letter it moves.  So when w does not start with the least
-        # letter of ``word``, only moving that letter, if it occurs once, can
-        # give a Lyndon word.
-        least = min(word)
-        lone = word.count(least) == 1
+        image's tensor expansion}, without zeros.
+
+        By Leibniz, the image's expansion is the word's expansion with one
+        letter raised at a time, and every letter's image is one letter with
+        coefficient 1 (checked in ``__init__``).  So a column v gains the
+        coefficient of each expansion word that lowers v at one position:
+        one lookup per expansion word in the block's lowered-word index."""
+        rec, a = self._target(word, var, "lie")
+        index = rec.lowered.get((a, var))
+        if index is None:
+            index = rec.lowered[a, var] = self._lowered_index(rec.blocks.get(a, {}), var)
         acc = {}
         for w, c in _expand_lyndon(self.alphabet, word).items():
-            if w[0] == least:
-                places = range(len(w))
-            elif lone:
-                places = (w.index(least),)
-            else:
-                continue
-            for pos in places:
-                for j, k in image[w[pos]]:
-                    col = index.get(w[:pos] + (j,) + w[pos + 1:])
-                    if col is not None:
-                        acc[col] = acc.get(col, 0) + c * k
+            for col in index.get(w, ()):
+                acc[col] = acc.get(col, 0) + c
         return {col: c for col, c in acc.items() if c}
+
+    def _lowered_index(self, cols: dict, var: str) -> dict:
+        """The lowered-word index of a block's {word: column}: {word one
+        var-lowering below a block word: [the columns of those block
+        words]}.  A block word is listed at most once under any word, since
+        lowering it at two positions gives two different words."""
+        lower = self._lower[var]
+        index = {}
+        for v, col in cols.items():
+            for pos, letter in enumerate(v):
+                low = lower[letter]
+                if low is not None:
+                    index.setdefault(v[:pos] + (low,) + v[pos + 1:], []).append(col)
+        return index
 
     def derived_coords(self, word: tuple, var: str) -> dict:
         """The var-image of a basis word in Lyndon coordinates, {Lyndon word:
@@ -250,8 +271,9 @@ class TorsionEngine:
         image's block: coefficient}, in column order, by Leibniz on its mu
         terms (``maps.leibniz_mixed``) and the strict-key peel.  Not cached:
         each row is read by one block alone."""
-        index = self._target(word, var, "metabelian")
-        image = {a: self.action.image(a, var) for a in set(word)}.__getitem__
+        rec, a = self._target(word, var, "metabelian")
+        index = rec.blocks.get(a, {})
+        image = {i: self.action.image(i, var) for i in set(word)}.__getitem__
         acc = {}
         for key, c in _mu_terms(word).items():
             add_into(acc, leibniz_mixed(key, image), c)
@@ -287,9 +309,9 @@ class TorsionEngine:
         last letter by y leaves a Lyndon word, on the metabelian side
         lowering its head b1 leaves it above b2."""
         if side == "lie":
-            low = self._y_lower[word[-1]]
+            low = self._lower["y"][word[-1]]
             return low is not None and is_lyndon(word[:-1] + (low,))
-        low = self._y_lower[word[0]]
+        low = self._lower["y"][word[0]]
         return low is not None and low > word[1]
 
     def block(self, d: int, a: int, side: str = "lie") -> Presentation:
@@ -334,6 +356,8 @@ class TorsionEngine:
             n = len(rec.blocks.get(a, ()))
             if side == "metabelian":
                 rows = [{n - 1 - j: c for j, c in r.items()} for r in rows]
+            for var in VARIABLES:
+                rec.lowered.pop((a, var), None)
             pres = rec.presentations[a] = Presentation(rows, n)
         return pres
 
@@ -520,8 +544,8 @@ class TorsionEngine:
         dims, torsion_found = [], []
         below = {}          # {a: K_{d-1,a}, as {Lyndon word: coefficient} vectors}
         for d in range(2 * self.p, top + 1):
-            kernels, torsion = {}, []
-            for a, cols in self._degree(d).blocks.items():
+            kernels, torsion, rec = {}, [], self._degree(d)
+            for a, cols in rec.blocks.items():
                 # eta on the block's own mixed keys, numbered as they first appear
                 keys, words = {}, list(cols)
                 etas = [{keys.setdefault(key, len(keys)): c
@@ -538,6 +562,8 @@ class TorsionEngine:
                         images.append(vec)
                         if vec not in kernel:
                             raise AssertionError("kernel is not action stable")
+                for var in VARIABLES:
+                    rec.lowered.pop((a, var), None)
                 if 2 * a <= d:
                     ck = Presentation(images, len(cols)).cokernel
                     torsion += ck.torsion * (1 if 2 * a == d else 2)

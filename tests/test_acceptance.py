@@ -231,7 +231,9 @@ def test_criterion4_torsion_tables(p, top, expected):
 
 @pytest.mark.parametrize("p,d", [(2, 6), (2, 8), (3, 8), (7, 16), (11, 24),
                                  (2, 18), (3, 17), (5, 17), (3, 20), (3, 23),
-                                 pytest.param(5, 22, marks=pytest.mark.slow)])
+                                 pytest.param(5, 22, marks=pytest.mark.slow),
+                                 # the second theorem degree of p=7, torsion (7, 7)
+                                 pytest.param(7, 23, marks=pytest.mark.slow)])
 def test_criterion5_metabelian_comparison(p, d):
     r = metabelian_torsion_check(p, d)
     assert r.ranks_agree, (r.lie_torsion, r.metabelian_torsion)

@@ -7,13 +7,14 @@ import gc
 import itertools
 import random
 import weakref
+from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lietorsion.charp import PBWBasis
-from lietorsion.elements import (GF, QQ, IntegralityError, LieElement, MixedElement,
+from lietorsion.elements import (GF, QQ, DomainError, IntegralityError, LieElement, MixedElement,
                                  SymElement, TensorElement, ZZ, generator_element, left_normalize,
                                  leftnormed_tensor, lie_from_tensor, lyndon_monomial,
                                  normal_form, to_tensor)
@@ -200,7 +201,6 @@ def test_metabelian_normal_coords_roundtrip():
             rebuilt = sum((coeff * metabelian_of_word(AB3, w) for w, coeff in coords.items()),
                           start=0 * metabelian_of_word(AB3, (1,) + (0,) * (c - 1)))
             assert rebuilt == m
-    from lietorsion.elements import DomainError
     stray = MixedElement(AB2, ZZ, {(0, (1,)): 1})
     with pytest.raises(DomainError):
         metabelian_normal_coords(
@@ -317,6 +317,7 @@ def eta_oracle(e, c):
 
 
 def rho_oracle(t):
+    # rho before its per-word images: sum the left-normed expansions, then peel
     dom = t.domain
     acc = {}
     for word, c in t.terms.items():
@@ -327,6 +328,25 @@ def rho_oracle(t):
             else:
                 acc[w] = s
     return lie_from_tensor(TensorElement(t.alphabet, dom, acc, _clean=True))
+
+
+def lam_oracle(t, c):
+    # lam before its per-key images: each key's mu terms rebuilt and scaled
+    dom = t.domain
+    acc = {}
+    for (a, rest), coeff in t.terms.items():
+        seen = set()
+        for k, b in enumerate(rest):
+            if b in seen:
+                continue
+            seen.add(b)
+            for key, m in _mu_terms((a, b) + rest[:k] + rest[k + 1:]).items():
+                s = dom.add(acc.get(key, 0), dom.mul(coeff, dom.coerce(m * rest.count(b))))
+                if dom.is_zero(s):
+                    acc.pop(key, None)
+                else:
+                    acc[key] = s
+    return MetabelianElement(c, MixedElement(t.alphabet, dom, acc, _clean=True))
 
 
 def theta_word_oracle(ab, letters, domain):
@@ -360,6 +380,27 @@ def test_memoised_maps_match_pre_memo_bodies(domain):
                     else:
                         assert theta(w, alphabet=ab, domain=domain) == expected
                 assert ab.memo
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), domain=st.sampled_from([ZZ, QQ, GF(3)]),
+       rank=st.integers(2, 3), c=st.integers(2, 5))
+def test_rho_and_lam_images_match_the_per_call_bodies(seed, domain, rank, c):
+    rng = random.Random(seed)
+    ab = unit_alphabet(rank)              # a new alphabet: the rho and lam tables are cold
+    words = [tuple(rng.randrange(rank) for _ in range(c)) for _ in range(rng.randint(1, 5))]
+    if domain == QQ:
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in words]
+    else:
+        coeffs = [rng.randint(-3, 3) for _ in words]
+    t = TensorElement(ab, domain, list(zip(words, coeffs)))
+    mixed = MixedElement(ab, domain, [((w[0], w[1:]), k) for w, k in zip(words, coeffs)])
+    assert "rho" not in ab.memo and "lam" not in ab.memo
+    for _ in ("cold", "warm"):
+        assert rho(t) == rho_oracle(t)
+        assert lam(mixed, c) == lam_oracle(mixed, c)
+    assert set(ab.memo.get("rho", {})) == set(t.terms)
+    assert set(ab.memo.get("lam", {})) == set(mixed.terms)
 
 
 # -- eta as alpha of the tensor expansion: the left-normalization route is the oracle
@@ -410,6 +451,7 @@ def test_returned_elements_do_not_share_memo_tables():
     calls = [lambda: nu(e), lambda: eta(e).mixed, lambda: rho(t),
              lambda: theta((2, 0, 1), alphabet=ab), lambda: theta(m),
              lambda: derive(e, "x", spec), lambda: derive(t, "x", spec),
+             lambda: lam(mu(m)).mixed,
              lambda: random_homogeneous(ab, 3, random.Random(1)),
              lambda: random_metabelian(ab, 3, random.Random(1)).mixed]
     for call in calls:
@@ -610,6 +652,24 @@ def test_undefined_action_pair_raises_on_every_derive():
                 derive(x, "x", spec)
         assert key not in spec._memo.get((type(x), "x"), {})
     assert derive(TensorElement(ab, ZZ, {(0, 0): 1}), "x", spec).terms == {(1, 0): 1, (0, 1): 1}
+
+
+def test_derive_refuses_an_element_over_another_alphabet():
+    # same letter names, but y has weight 2: a spec on unit_alphabet(2) must
+    # not act on it
+    spec = ActionSpec(AB2, ("x",), {(0, "x"): {1: 1}, (1, "x"): {0: 1}})
+    other = Alphabet([Generator("x", (1, 0)), Generator("y", (0, 2))])
+    assert other != AB2
+    elements = [TensorElement(other, ZZ, {(0, 1): 1}),
+                LieElement(other, ZZ, {(0, 1): 1}),
+                MixedElement(other, ZZ, {(0, (1,)): 1}),
+                metabelian_of_word(other, (1, 0))]
+    for x in elements:
+        with pytest.raises(DomainError):
+            derive(x, "x", spec)
+    assert not spec._memo
+    # the same elements over the spec's own alphabet derive
+    assert derive(TensorElement(AB2, ZZ, {(0, 1): 1}), "x", spec).terms == {(1, 1): 1, (0, 0): 1}
 
 
 def test_two_specs_on_one_alphabet_keep_separate_images():

@@ -15,7 +15,7 @@ from lietorsion import torsion, zlinalg
 from lietorsion.elements import (ZZ, DomainError, IntegralityError, LieElement,
                                  TensorElement, leftnormed_tensor, lie_from_tensor,
                                  lyndon_monomial, normal_form, to_tensor)
-from lietorsion.maps import (MetabelianElement, MixedElement, derive, eta,
+from lietorsion.maps import (ActionSpec, MetabelianElement, MixedElement, derive, eta,
                              metabelian_normal_coords, metabelian_of_word,
                              mixed_basis, mu, peel_strict_keys, theta)
 from lietorsion.torsion import (TorsionEngine, a_generator, a_generators,
@@ -674,6 +674,33 @@ def test_torsion_beyond_acceptance_schedule():
     assert r.theorem_count == 4
     assert r.cokernel.torsion == (2, 2, 2, 2)
     assert r.passed
+
+
+@pytest.mark.parametrize("spoil", [
+    # a letter image scaled by 2, and two letters sharing one x-image
+    lambda table: {k: {j: 2 * c for j, c in img.items()} for k, img in table.items()},
+    lambda table: {**table, (1, "x"): table[(0, "x")]},
+])
+def test_engine_refuses_an_action_its_lowered_word_index_cannot_read(monkeypatch, spoil):
+    real = torsion.a_action
+
+    def spoiled(alphabet):
+        spec = real(alphabet)
+        return ActionSpec(alphabet, spec.variables, spoil(spec.table))
+
+    monkeypatch.setattr(torsion, "a_action", spoiled)
+    with pytest.raises(ValueError):
+        TorsionEngine(3, 12)
+
+
+def test_blocks_drop_their_lowered_word_index():
+    engine = TorsionEngine(5, 16)
+    word = engine.lie_basis(15)[0]
+    assert engine.derived_row(word, "x")
+    assert engine._degree(16).lowered
+    engine.graded_cokernel(16)
+    assert engine.bp_freeness_check(16).passed
+    assert not any(rec.lowered for rec in engine._degrees.values())
 
 
 def test_action_variables_commute():
