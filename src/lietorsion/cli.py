@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from math import factorial
@@ -111,6 +110,7 @@ def identity_suite(c, rank, trials, seed) -> list[dict]:
     Each row's ``checked`` is the number of comparisons it made, and a row
     that made none does not pass.
     """
+    import random   # only the identity rows draw samples; other commands skip the import
     alphabet = unit_alphabet(rank)
     rng = random.Random(seed)
     echo = {"c": c, "rank": rank, "trials": trials, "seed": seed}

@@ -17,7 +17,7 @@ from .elements import (DomainError, LieElement, MixedElement, SymElement,
                        TensorElement, ZZ, _expand_lyndon, leftnormed_expansion,
                        lie_from_tensor, lie_zero, to_tensor)
 from .words import (Alphabet, lyndon_words_of_length, multisets, suffix_bounds,
-                    weight_range)
+                    weight_index, weight_range)
 from .zlinalg import IntLattice, _tagged, add_into
 
 
@@ -257,7 +257,7 @@ def normal_words(alphabet, c, max_weight=None, weight=None) -> list[tuple]:
         raise ValueError("normal words need degree >= 2")
     wt = [g.weight for g in alphabet]
     lo, hi = weight_range(weight, max_weight)
-    bounds = suffix_bounds(wt)
+    bounds = (*suffix_bounds(wt), weight_index(wt))
     return [(b1,) + tail for b1, w1 in enumerate(wt)
             for tail in multisets(wt, c - 1, lo - w1, hi - w1, below=b1, bounds=bounds)]
 
@@ -476,7 +476,7 @@ def mixed_basis(alphabet, c, max_weight=None, weight=None) -> list[tuple]:
     order, of total weight at most max_weight or exactly weight."""
     wt = [g.weight for g in alphabet]
     lo, hi = weight_range(weight, max_weight)
-    bounds = suffix_bounds(wt)
+    bounds = (*suffix_bounds(wt), weight_index(wt))
     return [(a, mult) for a, wa in enumerate(wt)
             for mult in multisets(wt, c - 1, lo - wa, hi - wa, bounds=bounds)]
 

@@ -472,8 +472,18 @@ class TorsionEngine:
         return top
 
     def torsion_report(self, max_degree=None) -> list[TorsionReport]:
+        """``verify_theorem_degree`` at each degree from 2p to the top.  Once
+        degree d is verified, the sweep reads no expansion of a degree d-1
+        basis word again, so those leave the alphabet's ``"lyndon"`` memo and
+        memory follows the top degrees rather than the whole sweep."""
         top = self._top(max_degree)
-        return [self.verify_theorem_degree(d) for d in range(2 * self.p, top + 1)]
+        expansions = self.alphabet.table("lyndon")
+        reports = []
+        for d in range(2 * self.p, top + 1):
+            reports.append(self.verify_theorem_degree(d))
+            for w in self.lie_basis(d - 1):
+                expansions.pop(w, None)
+        return reports
 
     # -- the metabelian side ------------------------------------------------
 

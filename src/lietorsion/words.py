@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 import string
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 
 class Generator:
@@ -309,68 +311,124 @@ def _lyndon_walk(wt, length=None, lo=0, hi=math.inf, budget=None) -> list[tuple]
     This is the FKM prenecklace walk (Ruskey, Savage & Wang 1992): a
     prenecklace of period q extends by any letter no smaller than the one q
     places back, and it is Lyndon exactly when q is its length.  Every letter
-    of a prenecklace is at least its first, so a branch is cut as soon as the
-    letters still to come, each weighing between the lightest and the
-    heaviest letter from the first on, cannot land the weight in range.
+    of a prenecklace is at least its first, and the last letter of a Lyndon
+    word of two letters or more is above its first, so a branch is cut as
+    soon as the letters still to come cannot land the weight in range.
     Nothing enumerates the arrangements of a content: eleven copies of one
     letter are a single chain of eleven prefixes.
+
+    A prefix's next letters are read off ``weight_index``: the letters from
+    the one q places back on whose weight keeps the prefix in range.  When
+    ``length`` is given the last letter is never walked.  A prefix one
+    letter short closes into a Lyndon word exactly by a letter strictly
+    above the one q places back: an equal letter keeps the period q, below
+    the length, and a larger one makes the period the length.  The prefix's
+    weight w puts that letter's weight in [lo - w, hi - w].  So the words of
+    the prefix are those letters, taken from the index in ascending order,
+    each appended to it; in lexicographic order they are exactly the words
+    between the prefix and its next sibling, so emitting them in place keeps
+    the list's order.
     """
+    if length is not None and length < 1:
+        return []
     k = len(wt)
-    if budget is None:
-        budget = [math.inf] * k
     lightest, heaviest = suffix_bounds(wt)
+    index = weight_index(wt)
     found = []
-    word = []
-
-    def window(first, t):
-        """The weights a prefix of length t can have and still complete in range."""
-        if length is None:
-            return -math.inf, hi
-        rest = length - t
-        return lo - rest * heaviest[first], hi - rest * lightest[first]
-
-    # one frame per letter of ``word``, so a long word costs no recursion:
-    # (the letters still to try after the prefix, its period, its weight,
-    # the least letter that may extend it, the weight window of the
-    # extended prefix)
-    frames = []
-    for a in range(k):
-        low, high = window(a, 1)
-        # the letters from the first on must fill the whole word
-        if not (budget[a] and sum(budget[a:]) >= (length or 1) and low <= wt[a] <= high):
+    if length is None:
+        # the weights a prefix may have: at most hi, on words of at most n letters
+        n = int(hi // min(wt, default=1)) + 1
+        lows, highs = [-math.inf] * (n + 1), [hi] * (n + 1)
+    left = math.inf if budget is None else sum(budget)    # the uses of the letters from a on
+    # lightest[] never falls, and a word starting at a weighs at least
+    # (length or 1) * lightest[a], so the first letters are a prefix of the alphabet
+    for a in range(bisect_right(lightest, hi / (length or 1))):
+        fits = (budget is None or budget[a]) and left >= (length or 1)
+        if budget is not None:
+            left -= budget[a]
+        if length is not None:
+            # the weights a prefix of t < length letters may have and still
+            # complete in range: the letters after it are no smaller than a,
+            # and the last of them is above a (so no word of two letters or
+            # more starts with the last letter of the alphabet)
+            light, heavy = (lightest[a + 1], heaviest[a + 1]) if a + 1 < k else (math.inf,) * 2
+            lows = [lo - (length - t - 1) * heaviest[a] - heavy for t in range(length)] + [lo]
+            highs = [hi - (length - t - 1) * lightest[a] - light for t in range(length)] + [hi]
+        if not (fits and lows[1] <= wt[a] <= highs[1]):
             continue
-        step = (a, 1, wt[a])
-        while step:
-            b, period, w = step
-            budget[b] -= 1
-            word.append(b)
-            t = len(word)
-            if period == t and length in (None, t):
-                found.append(tuple(word))
-            base = k if t == length else word[t - period]    # k: no extension
-            frames.append((iter(range(base, k)), period, w, base, *window(a, t + 1)))
-            step = None
-            while frames and not step:
-                letters, period, w, base, low, high = frames[-1]
-                t = len(word)
-                for b in letters:
-                    if low <= w + wt[b] <= high and budget[b]:
-                        step = (b, period if b == base else t + 1, w + wt[b])
-                        break
-                else:
-                    frames.pop()
-                    budget[word.pop()] += 1
+        # a frame for each prefix of ``word`` that two letters or more still
+        # follow, so a long word costs no recursion: (the letters still to
+        # try after the prefix, its period, its weight, the letter one
+        # period back); the empty prefix's frame holds the first letter
+        # alone.  A prefix one letter short gets no frame: its words are
+        # emitted in its parent's loop.
+        word, frames = [], [(iter((a,)), 0, 0, -1)]
+        while frames:
+            letters, period, w, base = frames[-1]
+            t = len(word) + 1                   # the length of the prefix ending in b
+            for b in letters:
+                q = period if b == base else t
+                wb = w + wt[b]
+                word.append(b)
+                if budget is not None:
+                    budget[b] -= 1
+                if q == t and length in (None, t):
+                    found.append(tuple(word))
+                if t + 1 == length:
+                    ends = _letters_in(index, lo - wb, hi - wb, word[t - q] + 1)
+                    if budget is not None:
+                        ends = [c for c in ends if budget[c]]
+                    prefix = tuple(word)
+                    found += [prefix + (c,) for c in ends]
+                elif t != length:
+                    nexts = _letters_in(index, lows[t + 1] - wb, highs[t + 1] - wb, word[t - q])
+                    if budget is not None:
+                        nexts = [c for c in nexts if budget[c]]
+                    frames.append((iter(nexts), q, wb, word[t - q]))
+                    break
+                word.pop()
+                if budget is not None:
+                    budget[b] += 1
+            else:
+                frames.pop()
+                if word:
+                    b = word.pop()
+                    if budget is not None:
+                        budget[b] += 1
     return found
 
 
 def suffix_bounds(wt) -> tuple[list, list]:
     """The lists lightest[a] = min(wt[a:]) and heaviest[a] = max(wt[a:]),
-    built in one pass from the last letter down."""
-    lightest, heaviest = list(wt), list(wt)
-    for a in range(len(wt) - 2, -1, -1):
-        lightest[a] = min(wt[a], lightest[a + 1])
-        heaviest[a] = max(wt[a], heaviest[a + 1])
-    return lightest, heaviest
+    each one running minimum or maximum from the last letter down."""
+    return (list(accumulate(reversed(wt), min))[::-1],
+            list(accumulate(reversed(wt), max))[::-1])
+
+
+def weight_index(wt) -> tuple[list, list]:
+    """The letters by weight: the distinct weights of ``wt`` in ascending
+    order, and for each of them its letters in ascending order."""
+    by_weight = {}
+    for a, x in enumerate(wt):
+        by_weight.setdefault(x, []).append(a)
+    weights = sorted(by_weight)
+    return weights, [by_weight[x] for x in weights]
+
+
+def _letters_in(index, low, high, first) -> list:
+    """The letters from ``first`` on whose weight lies in [low, high], in
+    ascending order, read off ``weight_index``: one bisection in each
+    weight's list, and the lists merged when the window spans several."""
+    weights, letters = index
+    i, j = bisect_left(weights, low), bisect_right(weights, high)
+    if j - i == 1:
+        run = letters[i]
+        return run[bisect_left(run, first):]
+    out = []
+    for run in letters[i:j]:
+        out += run[bisect_left(run, first):]
+    out.sort()
+    return out
 
 
 def multisets(wt, size, lo=0, hi=math.inf, below=None, bounds=None) -> list[tuple]:
@@ -379,26 +437,36 @@ def multisets(wt, size, lo=0, hi=math.inf, below=None, bounds=None) -> list[tupl
     [lo, hi]; when ``below`` is given the smallest letter is less than it.
 
     A branch is cut as soon as the letters still to come, none smaller than
-    the last one taken, cannot land the weight in range.  ``bounds`` is
-    ``suffix_bounds(wt)``, passed in by callers that enumerate many times
-    over one alphabet.
+    the last one taken, cannot land the weight in range.  The last letter
+    gets no frame: it is any letter from the one before it on whose weight
+    lands the total in [lo, hi], read off ``weight_index`` in ascending
+    order.  In lexicographic order the multisets that share all letters but
+    the last come one after another, in the order of their last letter, so
+    emitting them in place keeps the list's order.  ``bounds`` is
+    ``(*suffix_bounds(wt), weight_index(wt))``, passed in by callers that
+    enumerate many times over one alphabet.
     """
     k = len(wt)
     if not size:
         return [()] if lo <= 0 <= hi else []
-    lightest, heaviest = bounds or suffix_bounds(wt)
+    lightest, heaviest, index = bounds or (*suffix_bounds(wt), weight_index(wt))
+    stop = k if below is None else min(below, k)
+    if size == 1:
+        ends = _letters_in(index, lo, hi, 0)
+        return [(a,) for a in ends[:bisect_left(ends, stop)]]
     found = []
-    # one frame per position of ``word``, so a large size costs no
-    # recursion: (the letters still to try there, the weight so far)
-    word, frames = [], [(iter(range(k if below is None else min(below, k))), 0)]
+    # one frame per position of ``word`` but the last, so a large size
+    # costs no recursion: (the letters still to try there, the weight so far)
+    word, frames = [], [(iter(range(stop)), 0)]
     while frames:
         letters, w = frames[-1]
-        rest = size - len(word)
+        rest = size - len(word) - 1        # the letters to come after this one
         for a in letters:
             w2 = w + wt[a]
-            if w2 + (rest - 1) * lightest[a] <= hi and w2 + (rest - 1) * heaviest[a] >= lo:
+            if w2 + rest * lightest[a] <= hi and w2 + rest * heaviest[a] >= lo:
                 if rest == 1:
-                    found.append((*word, a))
+                    prefix = (*word, a)
+                    found += [prefix + (b,) for b in _letters_in(index, lo - w2, hi - w2, a)]
                 else:
                     word.append(a)
                     frames.append((iter(range(a, k)), w2))

@@ -273,6 +273,17 @@ def test_block_ranks_match_witt_series(c, top):
             n for key, n in free.items() if sum(key) == d), (c, d)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("c,top", [(5, 24), (7, 23)])
+def test_block_sizes_match_witt_series_at_reach(c, top):
+    # the word walk at the reach degrees: block sizes only, no cokernels
+    lie = witt_block_ranks(c, top)[0]
+    engine = TorsionEngine(c, top)
+    for d in (top - 1, top):
+        assert ({(a, d - a): len(cols) for a, cols in engine.bigrading(d).items()}
+                == {key: n for key, n in lie.items() if sum(key) == d}), (c, d)
+
+
 def _key(row):
     return tuple(sorted(row.items()))
 
@@ -701,6 +712,19 @@ def test_blocks_drop_their_lowered_word_index():
     engine.graded_cokernel(16)
     assert engine.bp_freeness_check(16).passed
     assert not any(rec.lowered for rec in engine._degrees.values())
+
+
+def test_torsion_report_drops_the_expansions_of_each_degree_below():
+    p, top = 3, 14
+    engine = TorsionEngine(p, top)
+    expansions = engine.alphabet.table("lyndon")
+    # verifying a degree expands the basis words one degree below it
+    engine.verify_theorem_degree(top - 1)
+    assert any(w in expansions for w in engine.lie_basis(top - 2))
+    reports = engine.torsion_report(top)
+    assert reports == [TorsionEngine(p, d).verify_theorem_degree(d)
+                       for d in range(2 * p, top + 1)]
+    assert not any(w in expansions for d in range(2 * p, top) for w in engine.lie_basis(d))
 
 
 def test_action_variables_commute():

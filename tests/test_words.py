@@ -5,9 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lietorsion.words import (MAX_UNIT_RANK, Alphabet, Generator, LyndonWord, is_lyndon,
-                              lyndon_words, lyndon_words_of_length, lyndon_words_with_content,
-                              multisets, unit_alphabet)
+from lietorsion.words import (MAX_UNIT_RANK, Alphabet, Generator, LyndonWord, _lyndon_walk,
+                              is_lyndon, lyndon_words, lyndon_words_of_length,
+                              lyndon_words_with_content, multisets, unit_alphabet)
 
 
 def brute_is_lyndon(word):
@@ -244,9 +244,16 @@ def test_generator_rejects_a_bad_multidegree(degree):
         Generator("x", degree)
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(weights=st.lists(st.integers(1, 3), min_size=1, max_size=4),
-       length=st.integers(1, 7), data=st.data())
+# letter weights in any order; half the draws hold each weight twice,
+# shuffled, so a window of weights spans letters out of index order
+WEIGHTS = st.one_of(
+    st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    st.lists(st.integers(1, 3), min_size=1, max_size=2).flatmap(
+        lambda ws: st.permutations(ws * 2)))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(weights=WEIGHTS, length=st.integers(1, 7), data=st.data())
 def test_walk_matches_product_oracle(weights, length, data):
     # every entry point against all words of the length, filtered; product
     # yields them in lexicographic order, which each list must keep
@@ -261,8 +268,11 @@ def test_walk_matches_product_oracle(weights, length, data):
 
     words = oracle(length)
     target = data.draw(st.integers(length, 3 * length), label="target")
-    content = data.draw(st.lists(st.integers(0, k - 1), min_size=length,
-                                 max_size=length), label="content")
+    span = data.draw(st.integers(0, 3), label="span")
+    # letters left out of the content have a budget cap of 0
+    left_out = data.draw(st.sets(st.integers(0, k - 1), max_size=k - 1), label="left_out")
+    content = data.draw(st.lists(st.sampled_from([a for a in range(k) if a not in left_out]),
+                                 min_size=length, max_size=length), label="content")
     cut = data.draw(st.integers(0, 7), label="cut")
 
     assert [w.idx for w in lyndon_words_of_length(ab, length)] == words
@@ -270,6 +280,9 @@ def test_walk_matches_product_oracle(weights, length, data):
             == [w for w in words if weight(w) == target])
     assert ([w.idx for w in lyndon_words_of_length(ab, length, max_weight=target)]
             == [w for w in words if weight(w) <= target])
+    # a window of weights above 0, as no public entry point passes it
+    assert (_lyndon_walk(weights, length=length, lo=target, hi=target + span)
+            == [w for w in words if target <= weight(w) <= target + span])
     assert ([w.idx for w in lyndon_words_with_content(ab, content)]
             == [w for w in words if sorted(w) == sorted(content)])
     graded = [w for n in range(1, cut + 1) for w in oracle(n) if weight(w) <= cut]
