@@ -293,29 +293,46 @@ def peel_strict_keys(rem: dict, dom=ZZ) -> dict:
 
 def theta_presum(alphabet, letters, domain=ZZ) -> LieElement:
     """The bracketed double permutation sum before division by the degree:
-    rho of the tensor sum of the words (head, tail permuted), over all
-    (c-1)! permutations of each side's tail.  Equal arrangements of a tail
-    with repeated letters are summed once, times their number.
+    the Lyndon coordinates of ``presum_tensor``, peeled once.
 
     The left-normed expansions are summed first and peeled once, not read
     through ``rho``'s per-word images: the expansions of the long theorem
     words cancel heavily in the sum, so one peel of the sum is far smaller
     than a peel of each word, and each word is met once, so an image table
-    would only hold memory.  Through per-word images,
-    ``verify_theorem_degree(53, 108)`` took 13.6 s and 502 MiB instead of
-    6.5 s and 284 MiB (one run each, 2-vCPU Xeon).
+    would only hold memory.  For the theorem element at p=53
+    (``TorsionEngine(53, 108).theorem_element(0, 0)``) the per-word images
+    took 10.4 s and 501 MiB, the one peel of the sum 5.1 s and 283 MiB
+    (one fresh process each, 2-vCPU Xeon).
     """
+    return lie_from_tensor(TensorElement(alphabet, domain, presum_tensor(alphabet, letters, domain),
+                                         _clean=True))
+
+
+def presum_tensor(alphabet, letters, domain=ZZ) -> dict:
+    """theta's double permutation sum as a tensor, {word: coefficient}: the
+    left-normed expansions of the words (head, tail permuted), over all
+    (c-1)! permutations of each side's tail, summed.  Equal arrangements of
+    a tail with repeated letters are summed once, times their number
+    (``presum_words``).  It is the tensor expansion of ``theta_presum``."""
     letters = tuple(letters)
     if len(letters) < 2:
         raise ValueError("theta needs degree >= 2")
     acc = {}
+    for word, times in presum_words(letters):
+        add_into(acc, leftnormed_expansion(alphabet, word).items(), domain.coerce(times),
+                 domain.p)
+    return acc
+
+
+def presum_words(letters):
+    """The distinct words of theta's double sum of a letter tuple, each with
+    its signed integer number of occurrences: (head, arrangement of the
+    tail), the first letter leading with sign +1 and the second with -1."""
     for head, tail, sign in ((letters[0], letters[1:], 1),
                              (letters[1], letters[:1] + letters[2:], -1)):
-        times = domain.coerce(sign * prod(factorial(tail.count(b)) for b in set(tail)))
+        times = sign * prod(factorial(tail.count(b)) for b in set(tail))
         for arr in _distinct_permutations(tail):
-            add_into(acc, leftnormed_expansion(alphabet, (head,) + arr).items(), times,
-                     domain.p)
-    return lie_from_tensor(TensorElement(alphabet, domain, acc, _clean=True))
+            yield (head,) + arr, times
 
 
 def _distinct_permutations(items):

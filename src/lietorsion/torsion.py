@@ -29,16 +29,21 @@ either.  A relation row, the x- or y-image of a degree d-1 basis word, is
 Leibniz on the word's cached tensor expansion, kept on the Lyndon words of
 the image's block: since x and y send each letter to one letter, the block
 lists each of its words under every word one lowering below it (its
-lowered-word index), and the row is one lookup per expansion word.  Theorem
-vectors, theta's images and the freeness check's kernels are read off the
-expansions the same way.  Only the reference paths ``derived_coords``,
-``action_matrix`` and ``metabelian_matrix`` read a whole degree, in Lyndon
-or normal-word coordinates, through ``maps.derive``.
+lowered-word index), and the row is one lookup per expansion word.  The
+freeness check's kernels are read off the expansions the same way.  A
+theorem vector, and theta's image of a theorem word, is read off theta's
+presum tensor (``maps.presum_tensor``), which is the expansion of the Lie
+element, with no peel to Lyndon coordinates.  Only the reference paths
+``derived_coords``, ``action_matrix`` and ``metabelian_matrix`` read a whole
+degree, in Lyndon or normal-word coordinates, through ``maps.derive``.
 
-The metabelian side goes through the same blocks in normal words, whose
-relation rows are taken by Leibniz on each word's integer mu terms and read
-back by the strict-key peel; the x<->y swap is a graded automorphism there
-too.
+The metabelian side goes through the same blocks in normal words, by the
+strict-key rule: mu of a normal word's class is its strict key minus a key
+that is not strict, and strict keys match normal words one to one, so an
+element's coordinate on a normal word is the coefficient of that word's
+strict key in its mu image.  A relation row is Leibniz on a word's two
+integer mu terms, read through the block's lowered-key index, one lookup
+per term; the x<->y swap is a graded automorphism there too.
 """
 
 from __future__ import annotations
@@ -47,9 +52,9 @@ from collections import namedtuple
 from math import factorial, prod
 
 from .elements import IntegralityError, LieElement, _expand_lyndon, is_prime, lyndon_monomial
-from .maps import (ActionSpec, _eta_word, _mu_terms, derive, leibniz_mixed,
-                   metabelian_normal_coords, metabelian_of_word, mixed_basis, normal_words,
-                   peel_strict_keys, theta, theta_presum)
+from .maps import (ActionSpec, _eta_word, _mu_terms, derive, metabelian_normal_coords,
+                   metabelian_of_word, mixed_basis, normal_words, presum_tensor, presum_words,
+                   theta_presum)
 from .words import Alphabet, Generator, LyndonWord, _lyndon_walk, is_lyndon
 from .zlinalg import (CokernelStructure, Presentation, _dense, _divisor_chain, _tagged,
                       add_into)
@@ -147,7 +152,7 @@ class _Degree:
         self.words = words            # the basis words, as index tuples
         self.blocks = blocks          # {a: {word of bidegree (a, d-a): its column in the block}}
         self.presentations = {}       # {a: block Presentation}
-        self.lowered = {}             # {(a, var): block a's lowered-word index}
+        self.lowered = {}             # {(a, var): block a's lowered index}
 
 
 class TorsionEngine:
@@ -167,8 +172,8 @@ class TorsionEngine:
         self.max_degree = max_degree
         self.alphabet = a_alphabet(max(2, max_degree - 2 * (p - 1)))
         self.action = a_action(self.alphabet)
-        # derived_row's lowered-word index needs each letter's image to be
-        # one letter with coefficient 1, and no two letters to share one
+        # the lowered indexes need each letter's image to be one letter with
+        # coefficient 1, and no two letters to share one
         images = self.action.table
         if any(list(img.values()) != [1] for img in images.values()):
             raise ValueError("each letter's image must be one letter with coefficient 1")
@@ -218,13 +223,77 @@ class TorsionEngine:
 
     # -- relation rows ------------------------------------------------------
 
-    def _target(self, word: tuple, var: str, side: str):
-        """The degree record and the first bidegree component of the block
-        that holds the var-image of a basis word: x raises the first
-        component, y the second."""
+    def _target(self, word: tuple, var: str) -> tuple[int, int]:
+        """The degree and the first bidegree component of the block that
+        holds the var-image of a basis word: x raises the first component, y
+        the second."""
         a = sum(map(self._first.__getitem__, word))
         d = sum(map(self._weight.__getitem__, word)) + 1
-        return self._degree(d, side), a + (var == "x")
+        return d, a + (var == "x")
+
+    def _row_builder(self, d: int, a: int, var: str, side: str):
+        """The one row builder of both sides: a function from a degree d-1
+        basis word whose var-image lies in block (a, d-a) to that image,
+        {column of the block: coefficient}, without zeros.  The degree
+        record, the block's lowered index (built here on first use) and the
+        table of the words' terms are fetched once, not once per row.
+
+        A row adds each of the word's terms, times its coefficient, to the
+        columns the lowered index lists under it: on the Lie side the terms
+        are the word's cached tensor expansion (``derived_row``), on the
+        metabelian side its two integer mu terms (``metabelian_row``)."""
+        rec = self._degree(d, side)
+        index = rec.lowered.get((a, var))
+        if index is None:
+            index = rec.lowered[a, var] = self._lowered_index(rec.blocks.get(a, {}), var, side)
+        if side == "lie":
+            table, alphabet = self.alphabet.table("lyndon"), self.alphabet
+
+            def terms(word):
+                # an expansion is never empty: it holds its own word once
+                return (table.get(word) or _expand_lyndon(alphabet, word)).items()
+        else:
+            def terms(word):
+                return _mu_terms(word).items()
+
+        def row(word):
+            acc = {}
+            for w, c in terms(word):
+                for col in index.get(w, ()):
+                    acc[col] = acc.get(col, 0) + c
+            return {col: c for col, c in acc.items() if c}
+        return row
+
+    def _lowered_index(self, cols: dict, var: str, side: str) -> dict:
+        """The lowered index of a block's {word: column}, for one variable:
+        {term one var-lowering below a block word: [its columns]}.
+
+        On the Lie side the terms are words, and a block word v is listed
+        under v lowered at each position once: lowering it at two positions
+        gives two different words.  On the metabelian side they are mixed
+        keys, and a normal word (h, T) is listed under the keys one lowering
+        below its strict key (h, T), as often as ``metabelian_row`` counts."""
+        lower = self._lower[var]
+        index = {}
+        if side == "lie":
+            for v, col in cols.items():
+                for pos, letter in enumerate(v):
+                    low = lower[letter]
+                    if low is not None:
+                        index.setdefault(v[:pos] + (low,) + v[pos + 1:], []).append(col)
+            return index
+        for v, col in cols.items():
+            head, tail = v[0], v[1:]
+            low = lower[head]
+            if low is not None:
+                index.setdefault((low, tail), []).append(col)
+            for pos, letter in enumerate(tail):
+                low = lower[letter]
+                if low is None or (pos and tail[pos - 1] == letter):
+                    continue
+                m = tuple(sorted(tail[:pos] + (low,) + tail[pos + 1:]))
+                index.setdefault((head, m), []).extend([col] * m.count(low))
+        return index
 
     def derived_row(self, word: tuple, var: str) -> dict:
         """The var-image of a degree d-1 basis word in tensor coordinates:
@@ -236,29 +305,7 @@ class TorsionEngine:
         coefficient 1 (checked in ``__init__``).  So a column v gains the
         coefficient of each expansion word that lowers v at one position:
         one lookup per expansion word in the block's lowered-word index."""
-        rec, a = self._target(word, var, "lie")
-        index = rec.lowered.get((a, var))
-        if index is None:
-            index = rec.lowered[a, var] = self._lowered_index(rec.blocks.get(a, {}), var)
-        acc = {}
-        for w, c in _expand_lyndon(self.alphabet, word).items():
-            for col in index.get(w, ()):
-                acc[col] = acc.get(col, 0) + c
-        return {col: c for col, c in acc.items() if c}
-
-    def _lowered_index(self, cols: dict, var: str) -> dict:
-        """The lowered-word index of a block's {word: column}: {word one
-        var-lowering below a block word: [the columns of those block
-        words]}.  A block word is listed at most once under any word, since
-        lowering it at two positions gives two different words."""
-        lower = self._lower[var]
-        index = {}
-        for v, col in cols.items():
-            for pos, letter in enumerate(v):
-                low = lower[letter]
-                if low is not None:
-                    index.setdefault(v[:pos] + (low,) + v[pos + 1:], []).append(col)
-        return index
+        return self._row_builder(*self._target(word, var), var, "lie")(word)
 
     def derived_coords(self, word: tuple, var: str) -> dict:
         """The var-image of a basis word in Lyndon coordinates, {Lyndon word:
@@ -268,16 +315,29 @@ class TorsionEngine:
 
     def metabelian_row(self, word: tuple, var: str) -> dict:
         """The var-image of a degree d-1 normal word as {column of the
-        image's block: coefficient}, in column order, by Leibniz on its mu
-        terms (``maps.leibniz_mixed``) and the strict-key peel.  Not cached:
-        each row is read by one block alone."""
-        rec, a = self._target(word, var, "metabelian")
-        index = rec.blocks.get(a, {})
-        image = {i: self.action.image(i, var) for i in set(word)}.__getitem__
-        acc = {}
-        for key, c in _mu_terms(word).items():
-            add_into(acc, leibniz_mixed(key, image), c)
-        return {index[w]: c for w, c in peel_strict_keys(acc).items()}
+        image's block: coefficient}, in column order, read off strict keys
+        with no peel.  Not cached: each row is read by one block alone.
+
+        Strict-key rule: mu of the class n_w of a normal word w = (b1, tail)
+        is its strict key (b1, tail), b1 > min(tail), minus the key
+        (b2, b1 o tail[1:]), which is not strict, since b2 is at most every
+        letter of tail and below b1.  So strict keys match normal words one
+        to one, and an element's coordinate on w is the coefficient of w's
+        strict key in its mu image.  The image of n_w is Leibniz on w's two
+        mu terms, and a block word v = (h, T) gains the coefficient of each
+        term that Leibniz takes to the key (h, T):
+        - a term (lower(h), T), whose head Leibniz raises once;
+        - a term (h, M), where M is T with one letter t lowered.  Leibniz
+          raises each distinct letter of a multiset once, times its
+          multiplicity (``maps.leibniz_multiset``), and M reaches T only by
+          raising a copy of lower(t), the one letter M has in place of t.  So
+          the term counts as many times as lower(t) occurs in M.
+        These are all: a head move keeps the multiset and a tail move the
+        head, and lowering different letters of T leaves different
+        multisets.  So the block lists v under each such term that often
+        (its lowered-key index), and the row is one lookup per mu term."""
+        row = self._row_builder(*self._target(word, var), var, "metabelian")(word)
+        return dict(sorted(row.items()))
 
     # -- the block presentation, on either side -----------------------------
 
@@ -327,8 +387,9 @@ class TorsionEngine:
         to the word once plus larger words (Reutenauer 1993, Thm 5.1), raising
         a letter makes a word larger, and raising the last letter of w gives
         the least.  On the metabelian side w' is w with its head b1 raised:
-        (b1 y, tail) is the largest strict key of the image, and the peel only
-        feeds keys that are not strict.  So the columns D of block (a-1, b)
+        (b1 y, tail) is the largest strict key of the image, with coefficient
+        1, and a normal word's coordinate is its strict key's coefficient
+        (``metabelian_row``).  So the columns D of block (a-1, b)
         that are leading words and the rest C satisfy, with x y = y x:
 
         1. each leading column w' is a Z-combination of C modulo the
@@ -343,21 +404,24 @@ class TorsionEngine:
 
         The echelon pivots on a row's smallest column, the Lie leading word.
         The metabelian leading word is the largest, so there column j is
-        presented as n-1-j, which leaves the cokernel as it is.
+        presented as n-1-j, which leaves the cokernel as it is.  The rows of
+        each variable come from one ``_row_builder``, and the block's lowered
+        index is dropped once they are built.
         """
         rec = self._degree(d, side)
         pres = rec.presentations.get(a)
         if pres is None:
             below = self._degree(d - 1, side)
-            row = self.derived_row if side == "lie" else self.metabelian_row
             xs = [w for w in below.blocks.get(a - 1, ()) if not self._leads_y_image(w, side)]
             ys = below.blocks.get(a, ())
-            rows = [row(w, var) for var, ws in (("x", xs), ("y", ys)) for w in ws]
+            rows = []
+            for var, ws in (("x", xs), ("y", ys)):
+                if ws:
+                    rows += map(self._row_builder(d, a, var, side), ws)
+                rec.lowered.pop((a, var), None)
             n = len(rec.blocks.get(a, ()))
             if side == "metabelian":
                 rows = [{n - 1 - j: c for j, c in r.items()} for r in rows]
-            for var in VARIABLES:
-                rec.lowered.pop((a, var), None)
             pres = rec.presentations[a] = Presentation(rows, n)
         return pres
 
@@ -396,8 +460,86 @@ class TorsionEngine:
 
     def theorem_vector(self, s: int, t: int, d: int) -> dict:
         """The theorem element in tensor coordinates, {column of its block
-        ``theorem_block(s, t)``: coefficient}."""
-        return self._lie_coords(self.theorem_element(s, t).terms, d, self.theorem_block(s, t))
+        ``theorem_block(s, t)``: coefficient}: the presum tensor's
+        coefficients on the block's Lyndon words, each divided by (p-2)! p,
+        with no peel to Lyndon coordinates.  A coefficient that does not
+        divide raises IntegralityError, exactly where ``theorem_element``
+        does.
+
+        Proof.  Let P be a Lie element of the block, with Lyndon coordinates
+        c and tensor expansion T; the presum is one, and T is its presum
+        tensor.  Every word of T has length p and bidegree (a, d-a), so T's
+        Lyndon words are words of the block.  On the block's words T's
+        coefficients are t = cU, where U[w][v] is the coefficient of v in
+        the expansion of w's bracketing.  That expansion is w once plus
+        larger words (Chen, Fox & Lyndon 1958; Reutenauer 1993, Thm 5.1), so
+        U is unitriangular over Z, and so is its inverse.  Hence n divides
+        every entry of c exactly when it divides every entry of t: t = cU
+        and c = tU^-1.  When it does, t/n = (c/n)U are the tensor
+        coordinates of P/n, here the theorem element."""
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+        return self._presum_vector(self.theorem_word(s, t), d, self.theorem_block(s, t),
+                                   factorial(self.p - 2) * self.p)
+
+    def theta_vector(self, s: int, t: int, d: int) -> dict:
+        """theta's image of the theorem word's metabelian class in the
+        tensor coordinates of its block, {column: coefficient}: the sum, over
+        the class's normal words, of each word's presum divided by p on its
+        own, as ``maps.theta`` divides (see ``theorem_vector`` for why the
+        division can be read in tensor coordinates).  A division that fails
+        raises IntegralityError, where ``maps.theta`` raises."""
+        a = self.theorem_block(s, t)
+        acc = {}
+        for word, c in self._normal_coords(self.theorem_word(s, t)).items():
+            add_into(acc, self._presum_vector(word, d, a, self.p).items(), c)
+        return acc
+
+    @staticmethod
+    def _normal_coords(letters: tuple) -> dict:
+        """The normal-word coordinates of a left-normed monomial's metabelian
+        class, {normal word: coefficient}: by the strict-key rule
+        (``metabelian_row``), the strict keys of its mu terms."""
+        return {(h,) + tail: c for (h, tail), c in _mu_terms(letters).items() if h > tail[0]}
+
+    def _presum_vector(self, letters: tuple, d: int, a: int, n: int) -> dict:
+        """theta's presum of a letter tuple of bidegree (a, d-a), divided by
+        n, in the block's tensor coordinates (``_tensor_vector`` of
+        ``maps.presum_tensor``); letters of another bidegree raise
+        ValueError."""
+        if self.alphabet.word_multidegree(letters) != (a, d - a):
+            raise ValueError(f"{letters} lies outside the block ({a},{d - a})")
+        return self._tensor_vector(presum_tensor(self.alphabet, letters), d, a, n)
+
+    def _tensor_vector(self, tensor: dict, d: int, a: int, n: int) -> dict:
+        """A Lie element of bidegree (a, d-a), given by its tensor expansion
+        {word: coefficient}, divided by n in the block's tensor coordinates:
+        its coefficients on the block's Lyndon words, each divided by n.  A
+        coefficient that n does not divide raises IntegralityError, exactly
+        when the element's Lyndon coordinates do not divide (see
+        ``theorem_vector``)."""
+        cols = self._degree(d).blocks.get(a, {})
+        out = {}
+        for w, c in tensor.items():
+            col = cols.get(w)
+            if col is not None:
+                q, r = divmod(c, n)
+                if r:
+                    raise IntegralityError(f"integrality violated: {c} is not divisible by {n}")
+                out[col] = q
+        return out
+
+    def _drop_presums(self, s: int, t: int) -> None:
+        """Pop from the alphabet's ``"leftnormed"`` memo the words of the
+        presums read for the theorem word (vy, vx, u^(p-2)): its own and
+        those of its class's normal words, which the metabelian check shares
+        while it reads both vectors.  Each is read once per check, so kept
+        they would only hold memory."""
+        table = self.alphabet.table("leftnormed")
+        letters = self.theorem_word(s, t)
+        for source in (letters, *self._normal_coords(letters)):
+            for word, _ in presum_words(source):
+                table.pop(word, None)
 
     def _lie_coords(self, terms: dict, d: int, a: int) -> dict:
         """Lyndon coordinates {word: c} of bidegree (a, d-a) in the block's
@@ -456,6 +598,8 @@ class TorsionEngine:
                 vec = self.theorem_vector(s, t, d)
             except IntegralityError:
                 continue
+            finally:
+                self._drop_presums(s, t)
             orders.append(self.block(d, self.theorem_block(s, t)).order(vec))
         all_order_p = all(q == p for q in orders)
         independent = all(q is not None and q > 1 for q in orders)
@@ -488,10 +632,10 @@ class TorsionEngine:
     # -- the metabelian side ------------------------------------------------
 
     def metabelian_torsion_check(self, d: int) -> MetabelianTorsionReport:
-        """theta's image of each theorem word is compared with the theorem
-        vector in their common block, both in tensor coordinates: a unit u
-        matches when image minus u times vector lies in the block's
-        relations, one membership test in the block's echelon."""
+        """theta's image of each theorem word (``theta_vector``) is compared
+        with the theorem vector in their common block, both in tensor
+        coordinates: a unit u matches when image minus u times vector lies in
+        the block's relations, one membership test in the block's echelon."""
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         p = self.p
@@ -504,9 +648,11 @@ class TorsionEngine:
         for s, t in self.theorem_indices(d):
             a = self.theorem_block(s, t)
             pres = self.block(d, a)
-            m_elt = metabelian_of_word(self.alphabet, self.theorem_word(s, t))
-            vec = self._lie_coords(theta(m_elt).terms, d, a)
-            target = self.theorem_vector(s, t, d)
+            try:
+                vec = self.theta_vector(s, t, d)
+                target = self.theorem_vector(s, t, d)
+            finally:
+                self._drop_presums(s, t)
             unit = next((u for u in range(1, p) if {
                 j: x for j in vec | target
                 if (x := vec.get(j, 0) - u * target.get(j, 0))} in pres), None)
@@ -565,10 +711,13 @@ class TorsionEngine:
                 kernel = Presentation([self._lie_coords(v, d, a) for v in kernels[a]], len(cols))
                 images = []
                 for b, var in ((a - 1, "x"), (a, "y")):
-                    for v in below.get(b, ()):
+                    if not below.get(b):
+                        continue
+                    row = self._row_builder(d, a, var, "lie")
+                    for v in below[b]:
                         vec = {}
                         for w, c in v.items():
-                            add_into(vec, self.derived_row(w, var).items(), c)
+                            add_into(vec, row(w).items(), c)
                         images.append(vec)
                         if vec not in kernel:
                             raise AssertionError("kernel is not action stable")

@@ -5,6 +5,7 @@ The degree-2 action matrix is cross-checked against a standalone pair-level
 Leibniz oracle that never touches the package's normal-form machinery.
 """
 
+import functools
 from math import prod
 from types import SimpleNamespace
 
@@ -706,12 +707,31 @@ def test_engine_refuses_an_action_its_lowered_word_index_cannot_read(monkeypatch
 
 def test_blocks_drop_their_lowered_word_index():
     engine = TorsionEngine(5, 16)
-    word = engine.lie_basis(15)[0]
-    assert engine.derived_row(word, "x")
-    assert engine._degree(16).lowered
+    for side, basis, row in (("lie", engine.lie_basis, engine.derived_row),
+                             ("metabelian", engine.normal_basis, engine.metabelian_row)):
+        word = basis(15)[0]
+        assert row(word, "x")
+        assert engine._degree(16, side).lowered
     engine.graded_cokernel(16)
+    for a in engine.bigrading(16, "metabelian"):
+        engine.block(16, a, "metabelian")
     assert engine.bp_freeness_check(16).passed
     assert not any(rec.lowered for rec in engine._degrees.values())
+
+
+def test_checks_leave_no_presum_or_expansion_of_their_degree_in_the_memos():
+    # the theorem and theta vectors are read off presum tensors, whose
+    # left-normed words leave the "leftnormed" memo once read, and no
+    # degree-d Lyndon word is expanded at all
+    p, d = 5, 17
+    engine = TorsionEngine(p, d)
+    assert len(engine.theorem_indices(d)) == 2
+    assert engine.verify_theorem_degree(d).passed
+    assert engine.metabelian_torsion_check(d).passed
+    weight = engine.alphabet.word_weight
+    assert any(weight(w) == d - 1 for w in engine.alphabet.table("lyndon"))
+    for name in ("leftnormed", "lyndon"):
+        assert not any(weight(w) == d for w in engine.alphabet.table(name)), name
 
 
 def test_torsion_report_drops_the_expansions_of_each_degree_below():
@@ -818,6 +838,67 @@ def test_tensor_coordinates_read_as_lyndon_coordinates(p, degrees):
             checked += 1
         assert report.units == tuple(units), (p, d)
     assert checked
+
+
+def lyndon_round_trip_vectors(engine, s, t, d):
+    # the former path: theorem_element and maps.theta peeled to Lyndon
+    # coordinates, then expanded again on their block by _lie_coords
+    a = engine.theorem_block(s, t)
+    m = metabelian_of_word(engine.alphabet, engine.theorem_word(s, t))
+    return (engine._lie_coords(engine.theorem_element(s, t).terms, d, a),
+            engine._lie_coords(theta(m).terms, d, a))
+
+
+@pytest.mark.parametrize("p,top", [(2, 18), (3, 23), (5, 17), (7, 16), (11, 24), (13, 28),
+                                   pytest.param(37, 76, marks=pytest.mark.slow),
+                                   pytest.param(53, 108, marks=pytest.mark.slow)])
+def test_theorem_and_theta_vectors_match_the_lyndon_round_trip(p, top):
+    engine = TorsionEngine(p, top)
+    oracle = TorsionEngine(p, top)      # its own alphabet, so its own memo
+    checked = 0
+    for d in range(2 * p + 2, top + 1):
+        for s, t in engine.theorem_indices(d):
+            vectors = (engine.theorem_vector(s, t, d), engine.theta_vector(s, t, d))
+            assert vectors == lyndon_round_trip_vectors(oracle, s, t, d), (p, d, s)
+            assert all(vectors)
+            checked += 1
+    assert checked
+
+
+@functools.cache
+def _engine(p, d):
+    return TorsionEngine(p, d)
+
+
+@st.composite
+def block_elements(draw):
+    # an integer combination of one block's Lyndon words and a divisor n;
+    # with exact, every coefficient is a multiple of n
+    p, d = draw(st.sampled_from([(2, 9), (3, 11), (4, 12), (5, 13)]))
+    engine = _engine(p, d)
+    blocks = engine.bigrading(d)
+    a = draw(st.sampled_from(sorted(blocks)))
+    n = draw(st.integers(1, 6))
+    exact = draw(st.booleans())
+    words = draw(st.lists(st.sampled_from(list(blocks[a])), min_size=1, max_size=4,
+                          unique=True))
+    terms = {w: n * draw(st.integers(-3, 3)) + (0 if exact else draw(st.integers(-2, 2)))
+             for w in words}
+    return engine, d, a, LieElement(engine.alphabet, ZZ, terms), n
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=block_elements())
+def test_reading_a_divisor_off_the_tensor_matches_the_lyndon_division(case):
+    engine, d, a, e, n = case
+    tensor = to_tensor(e).terms
+    try:
+        quotient = e.divided_by(n)
+    except IntegralityError:
+        with pytest.raises(IntegralityError):
+            engine._tensor_vector(tensor, d, a, n)
+    else:
+        assert engine._tensor_vector(tensor, d, a, n) == engine._lie_coords(quotient.terms, d, a)
 
 
 def test_derived_coords_at_the_degree_cut_raise_value_error():
@@ -993,11 +1074,18 @@ def test_metabelian_torsion_check_matches_dense_path(p, d):
     assert r.passed and None not in units
 
 
+def _scale_theta_vector(monkeypatch, k):
+    # the seam metabelian_torsion_check reads theta's image through
+    real = TorsionEngine.theta_vector
+    monkeypatch.setattr(TorsionEngine, "theta_vector", lambda self, s, t, d: {
+        j: k * c for j, c in real(self, s, t, d).items()})
+
+
 @pytest.mark.parametrize("p,d,units", [(7, 16, (2,)), (5, 17, (2, 2))])
 def test_metabelian_torsion_check_finds_a_unit_other_than_one(monkeypatch, p, d, units):
     # theta's image doubled is twice the theorem vector, so the unit is 2; a
     # difference of merely finite order must not be taken for zero
-    monkeypatch.setattr(torsion, "theta", lambda m: 2 * theta(m))
+    _scale_theta_vector(monkeypatch, 2)
     r = metabelian_torsion_check(p, d)
     assert r.theta_matches and r.units == units
 
@@ -1006,7 +1094,7 @@ def test_metabelian_torsion_check_finds_a_unit_other_than_one(monkeypatch, p, d,
 def test_metabelian_torsion_check_refuses_a_zero_image(monkeypatch, p, d):
     # p times theta's image is zero in the cokernel: no unit times the
     # theorem vector, which has order p, matches it
-    monkeypatch.setattr(torsion, "theta", lambda m: p * theta(m))
+    _scale_theta_vector(monkeypatch, p)
     r = metabelian_torsion_check(p, d)
     assert r.ranks_agree and not r.theta_matches and not r.passed
 
