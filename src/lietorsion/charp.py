@@ -17,12 +17,13 @@ sparse vectors.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations_with_replacement, permutations, product
+from functools import cached_property
+from itertools import combinations_with_replacement, product
 from math import factorial, prod
 
 from .elements import _expand_lyndon
 from .maps import _distinct_permutations, _eta_word, mixed_basis
-from .words import lyndon_words_of_length, unit_alphabet
+from .words import _lyndon_walk, unit_alphabet
 from .zlinalg import (IntLattice, _dense, _sparse, _tagged, add_into,
                       hermite_normal_form, integer_kernel)
 
@@ -86,12 +87,24 @@ def type_list(p: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _numeral(word, dim, head=0) -> int:
+    """The index of the tensor word head + word: its letters read as a
+    base-``dim`` numeral."""
+    for a in word:
+        head = head * dim + a
+    return head
+
+
 class PBWBasis:
     """The type-filtered PBW basis of the degree-p tensor power.
 
     Tensor words are indexed in lexicographic order, so a word's index is the
     word read as a base-``dim`` numeral.  ``mixed`` indexes the basis of
-    V (x) S^(p-1)(V) and ``alpha_col[i]`` is the mixed column of word i.
+    V (x) S^(p-1)(V) and ``alpha_col[i]`` is the mixed column of word i, the
+    one nonzero entry, a 1, of alpha's row i: ``check_summand`` counts the
+    distinct columns for alpha's rank.  ``factor_terms`` memoises each
+    product's tensor terms on the basis, so a product expands once however
+    often the filtration, ``sigma`` and ``_bp_space`` read it.
     """
 
     def __init__(self, p: int, dim: int):
@@ -101,19 +114,25 @@ class PBWBasis:
         self.dim = dim
         self.alphabet = unit_alphabet(dim)
         # Lie basis grouped by degree, ordered degree-first then lexicographically
-        self.lie_basis = {r: [w.idx for w in lyndon_words_of_length(self.alphabet, r)]
-                          for r in range(1, p + 1)}
+        units = [1] * dim
+        self.lie_basis = {r: _lyndon_walk(units, length=r) for r in range(1, p + 1)}
         self.types = type_list(p)
         self.m = len(self.types)
         assert self.types[0] == (p,) + (0,) * (p - 1)
         assert self.types[-1] == (0,) * (p - 1) + (1,)
         self.classes = [self._class_of(t) for t in self.types]
-        words = list(product(range(dim), repeat=p))
-        self.word_index = {w: i for i, w in enumerate(words)}
-        self.n_tensor = len(words)
+        self.n_tensor = dim ** p
         self.mixed = {key: i for i, key in enumerate(mixed_basis(self.alphabet, p))}
-        self.alpha_col = [self.mixed[(w[0], tuple(sorted(w[1:])))] for w in words]
+        # product() runs through the words in index order
+        self.alpha_col = [self.mixed[(w[0], tuple(sorted(w[1:])))]
+                          for w in product(range(dim), repeat=p)]
         self._expansions = {}
+        self._products = {}
+
+    @cached_property
+    def word_index(self) -> dict:
+        """The index of each tensor word, a tuple of letters."""
+        return {w: i for i, w in enumerate(product(range(self.dim), repeat=self.p))}
 
     def _class_of(self, typ):
         per_degree = []
@@ -124,11 +143,7 @@ class PBWBasis:
             if not basis:
                 return []
             per_degree.append(list(combinations_with_replacement(basis, k)))
-        out = []
-        for chunks in product(*per_degree):
-            factors = tuple(f for chunk in chunks for f in chunk)
-            out.append(PBWElement(factors))
-        return out
+        return [PBWElement(sum(chunks, ())) for chunks in product(*per_degree)]
 
     def _expansion(self, f):
         """(index as a numeral, coefficient mod p) pairs of a Lie basis word's
@@ -136,26 +151,29 @@ class PBWBasis:
         terms = self._expansions.get(f)
         if terms is None:
             p, dim = self.p, self.dim
-            terms = []
-            for w, c in _expand_lyndon(self.alphabet, f).items():
-                if c % p:
-                    i = 0
-                    for a in w:
-                        i = i * dim + a
-                    terms.append((i, c % p))
+            terms = [(_numeral(w, dim), c % p)
+                     for w, c in _expand_lyndon(self.alphabet, f).items() if c % p]
             self._expansions[f] = terms
         return terms
 
     def factor_terms(self, factors) -> dict:
-        """Sparse tensor coordinates mod p of a product of Lie basis factors."""
-        p, dim = self.p, self.dim
-        terms = {0: 1}
-        for f in factors:
-            shift = dim ** len(f)
-            expansion = self._expansion(f)
-            # the words of a product are the concatenations, all distinct
-            terms = {i * shift + j: c * k % p
-                     for i, c in terms.items() for j, k in expansion}
+        """Sparse tensor coordinates mod p of a product of Lie basis factors.
+
+        The dict is memoised on the basis and shared by every caller, who
+        must not change it.
+        """
+        factors = tuple(factors)
+        terms = self._products.get(factors)
+        if terms is None:
+            p, dim = self.p, self.dim
+            terms = {0: 1}
+            for f in factors:
+                shift = dim ** len(f)
+                expansion = self._expansion(f)
+                # the words of a product are the concatenations, all distinct
+                terms = {i * shift + j: c * k % p
+                         for i, c in terms.items() for j, k in expansion}
+            self._products[factors] = terms
         return terms
 
     def class_vectors(self, i) -> list[list[int]]:
@@ -184,11 +202,14 @@ class PBWBasis:
             if k:
                 blocks.append(elem.factors[pos:pos + k])
                 pos += k
+        # the average over each block's k! permutations: a block with
+        # repeated factors has fewer distinct arrangements, each taken once
+        # with the weight of the permutations that give it
         inv = pow(prod(factorial(len(b)) for b in blocks), -1, p)
+        scale = inv * prod(factorial(b.count(f)) for b in blocks for f in set(b)) % p
         acc = {}
-        for perms in product(*(permutations(b) for b in blocks)):
-            factors = tuple(f for block in perms for f in block)
-            add_into(acc, self.factor_terms(factors).items(), inv, p)
+        for arrangement in product(*(_distinct_permutations(b) for b in blocks)):
+            add_into(acc, self.factor_terms(sum(arrangement, ())).items(), scale, p)
         return acc
 
     def alpha(self, vec) -> dict:
@@ -200,12 +221,13 @@ class PBWBasis:
 
     def beta(self, key) -> dict:
         """Image of a mixed basis element under the averaged splitting beta."""
-        p = self.p
+        p, dim = self.p, self.dim
         a, mult = key
         # each distinct arrangement of mult is prod(m!) of its (p-1)! permutations
         c = (prod(factorial(mult.count(b)) for b in set(mult))
              * pow(factorial(p - 1), -1, p) % p)
-        return {self.word_index[(a,) + w]: c for w in _distinct_permutations(mult)}
+        return {_numeral(w, dim, a): c for w in _distinct_permutations(mult)}
+
 
 
 def pbw_basis(p: int, dim: int) -> PBWBasis:
@@ -272,19 +294,26 @@ class SummandReport(namedtuple("SummandReport", [
 
 
 def check_summand(p: int, dim: int) -> SummandReport:
-    """Verify Ker(alpha) = W and T^p = W (+) Im(beta) over GF(p)."""
+    """Verify Ker(alpha) = W and T^p = W (+) Im(beta) over GF(p).
+
+    alpha sends each tensor word to one mixed key with coefficient 1, so its
+    matrix has a single 1 in each row, and its rank is the number of distinct
+    columns: dim Ker(alpha) is counted, not eliminated.  Every other rank is
+    an echelon rank.  Each vector is built once (the products through the
+    memo of ``factor_terms``) and each echelon reduces its own copy, with
+    no ``_sparse`` check; a vector's last echelon takes it without a copy.
+    """
     data = PBWBasis(p, dim)
     n = data.n_tensor
     class_sizes = tuple(len(c) for c in data.classes)
     assert sum(class_sizes) == n
 
-    dim_ker_alpha = n - IntLattice(len(data.mixed),
-                                   (data.alpha({i: 1}) for i in range(n)), p).rank
+    dim_ker_alpha = n - len(set(data.alpha_col))
 
     beta_vectors = [data.beta(key) for key in data.mixed]
     beta_alpha_identity = all(data.alpha(bv) == {pos: 1}
                               for bv, pos in zip(beta_vectors, data.mixed.values()))
-    dim_im_beta = IntLattice(n, beta_vectors, p).rank
+    dim_im_beta = _copied_echelon(n, beta_vectors, p).rank
 
     # sigma_i for 2 <= i < m, each checked against X_i (classes i..m), which
     # grows from the last class up
@@ -293,13 +322,13 @@ def check_summand(p: int, dim: int) -> SummandReport:
     filtration = IntLattice(n, (), p)
     for i in range(data.m, 1, -1):
         for e in data.classes[i - 1]:
-            filtration.add(data.factor_terms(e.factors))
+            filtration._reduce(dict(data.factor_terms(e.factors)), grow=True)
         if i < data.m:
             sigma_of[i] = [data.sigma(i, e) for e in data.classes[i - 1]]
-            sigma_in_filtration &= all(v in filtration for v in sigma_of[i])
+            sigma_in_filtration &= all(filtration._reduce(dict(v)) for v in sigma_of[i])
     inner = range(2, data.m)
     sigma_vectors = [v for i in inner for v in sigma_of[i]]
-    sigma_dims = [IntLattice(n, sigma_of[i], p).rank for i in inner]
+    sigma_dims = [_copied_echelon(n, sigma_of[i], p).rank for i in inner]
     sigma_injective = all(r == len(sigma_of[i]) for r, i in zip(sigma_dims, inner))
     kp_zero_inside = all(data.types[i - 1][-1] == 0 for i in inner)
 
@@ -307,17 +336,27 @@ def check_summand(p: int, dim: int) -> SummandReport:
     dim_bp = len(bp_vectors)
 
     w_vectors = sigma_vectors + bp_vectors
-    w = IntLattice(n, w_vectors, p)
+    w_in_kernel = not any(data.alpha(v) for v in w_vectors)
+    # W is the last echelon the sigma, second-derived and beta vectors enter
+    w = IntLattice(n, (), p)
+    for v in w_vectors:
+        w._reduce(v, grow=True)
     dim_w = w.rank
     summands_independent = dim_w == sum(sigma_dims) + dim_bp
-
-    w_in_kernel = not any(data.alpha(v) for v in w_vectors)
     kernel_is_w = w_in_kernel and dim_w == dim_ker_alpha
     for v in beta_vectors:
-        w.add(v)
+        w._reduce(v, grow=True)
     splits_tensor = dim_w + dim_im_beta == n and w.rank == n
     return SummandReport(p, dim, n, class_sizes, dim_w, dim_ker_alpha,
                          dim_im_beta, dim_bp, tuple(sigma_dims),
                          sigma_injective, sigma_in_filtration, w_in_kernel,
                          kernel_is_w, splits_tensor, summands_independent,
                          beta_alpha_identity, kp_zero_inside)
+
+
+def _copied_echelon(n, vectors, p) -> IntLattice:
+    """The echelon mod p of copies of sparse vectors reduced mod p."""
+    lattice = IntLattice(n, (), p)
+    for v in vectors:
+        lattice._reduce(dict(v), grow=True)
+    return lattice

@@ -7,7 +7,6 @@ tuple comparison is the lexicographic word order everywhere in the package.
 from __future__ import annotations
 
 import math
-import string
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
@@ -147,7 +146,9 @@ class Alphabet:
         return sep.join(names)
 
 
-MAX_UNIT_RANK = len(string.ascii_lowercase)
+# the names of the letters of a unit alphabet above rank 3
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+MAX_UNIT_RANK = len(_LETTERS)
 
 
 def unit_alphabet(names) -> Alphabet:
@@ -163,7 +164,7 @@ def unit_alphabet(names) -> Alphabet:
         if names <= 3:
             names = ["x", "y", "z"][:names]
         else:
-            names = list(string.ascii_lowercase[:names])
+            names = list(_LETTERS[:names])
     names = list(names)
     n = len(names)
     gens = []

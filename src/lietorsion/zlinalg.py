@@ -293,13 +293,17 @@ class IntLattice:
     def rank(self):
         return len(self.rows)
 
-    def _reduce(self, v, grow=False):
-        """Reduce the sparse v along the rows, in place.
+    def _reduce(self, v, grow=False) -> bool:
+        """Reduce the sparse v along the rows, in place; returns whether v
+        ended empty.
 
         Without grow the loop stops at the first leading entry no row
         divides, so v ends empty exactly when it lay in the lattice.  With
         grow that entry joins the lattice: v becomes a new row, or the xgcd
-        step gives the row the gcd and v the rest.
+        step gives the row the gcd and v the rest.  ``add`` and ``in`` hand
+        it a checked copy; package code may hand it a vector of its own,
+        which must hold no zero and no column out of range, with its values
+        in [0, p) given p, and which it consumes.
         """
         p = self.p
         while v:
@@ -308,26 +312,25 @@ class IntLattice:
             if row is not None and v[j] % row[j] == 0:
                 add_into(v, row.items(), -(v[j] // row[j]), p)
             elif not grow:
-                return
+                return False
             elif row is None:
                 s = (-1 if v[j] < 0 else 1) if p is None else pow(v[j], -1, p)
                 if s != 1:
                     for k, x in v.items():
                         v[k] = x * s if p is None else x * s % p
                 self.rows[j] = v
-                return
+                return False
             else:
                 g, s, t = _xgcd(row[j], v[j])
                 self.rows[j] = _gcd_step(row, v, s, t, row[j] // g, v[j] // g)
+        return True
 
     def add(self, vec):
         """Insert a vector (a dense list or a dict)."""
         self._reduce(_sparse(vec, self.ncols, self.p), grow=True)
 
     def __contains__(self, vec):
-        v = _sparse(vec, self.ncols, self.p)
-        self._reduce(v)
-        return not v
+        return self._reduce(_sparse(vec, self.ncols, self.p))
 
     def contains_lattice(self, other: "IntLattice") -> bool:
         return all(r in self for r in other.rows.values())

@@ -315,7 +315,7 @@ def test_criterion6_exponent_cross_check():
 # -- criterion 7: the characteristic-p decomposition ---------------------------
 
 @pytest.mark.parametrize("p,dim", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2),
-                                   (3, 10), (5, 4)])
+                                   (3, 10), (3, 12), (5, 4), (7, 3)])
 def test_criterion7_summand(p, dim):
     r = check_summand(p, dim)
     assert r.kernel_is_w, "Ker(alpha) must equal W"

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lietorsion.charp import (alpha_vector, beta_vector, bp_space,
+from lietorsion.charp import (SummandReport, alpha_vector, beta_vector, bp_space,
                               check_summand, in_span_mod,
                               pbw_basis, rank_mod, right_kernel_mod, rref_mod,
                               sigma_vector, type_list)
@@ -268,6 +268,46 @@ def test_check_summand_p5():
 @pytest.mark.parametrize("p,dim", [(2, 3), (2, 4), (3, 3)])
 def test_check_summand_more_cases(p, dim):
     assert check_summand(p, dim).passed
+
+
+@pytest.mark.parametrize("p,dim", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4),
+                                   (5, 2), (5, 3), (7, 2)])
+def test_check_summand_matches_dense_oracle(p, dim):
+    # every field recomputed on dense vectors: alpha's rank by dense
+    # elimination of its matrix, the sigma memberships in the filtration and
+    # the ranks of beta, sigma and W one by one
+    r = check_summand(p, dim)
+    d = pbw_basis(p, dim)
+    n, nmixed = d.n_tensor, len(d.mixed)
+    units = [[int(k == i) for k in range(n)] for i in range(n)]
+    alpha_rank = len(dense_rref_mod([alpha_vector(d, u) for u in units], nmixed, p)[1])
+    beta = [beta_vector(d, key) for key in d.mixed]
+    inner = range(2, d.m)
+    sigma = {i: [sigma_vector(d, i, e) for e in d.classes[i - 1]] for i in inner}
+    in_filtration = True
+    for i in inner:
+        filtration, pivots = dense_rref_mod(d.filtration_vectors(i), n, p)
+        in_filtration &= all(in_span_mod(filtration, pivots, v, p) for v in sigma[i])
+    sigma_dims = tuple(rank_mod(sigma[i], n, p) for i in inner)
+    bp = bp_space(p, dim, d)[1]
+    w = [v for i in inner for v in sigma[i]] + bp
+    dim_w = rank_mod(w, n, p)
+    dim_im_beta = rank_mod(beta, n, p)
+    w_in_kernel = all(not any(alpha_vector(d, v)) for v in w)
+    dim_ker_alpha = n - alpha_rank
+    assert r == SummandReport(
+        p=p, dim=dim, dim_tensor=n, class_sizes=tuple(len(c) for c in d.classes),
+        dim_w=dim_w, dim_ker_alpha=dim_ker_alpha, dim_im_beta=dim_im_beta,
+        dim_bp=rank_mod(bp, n, p), sigma_dims=sigma_dims,
+        sigma_injective=sigma_dims == tuple(len(sigma[i]) for i in inner),
+        sigma_in_filtration=in_filtration, w_in_kernel=w_in_kernel,
+        kernel_is_w=w_in_kernel and dim_w == dim_ker_alpha,
+        splits_tensor=dim_w + dim_im_beta == n and rank_mod(w + beta, n, p) == n,
+        summands_independent=dim_w == sum(sigma_dims) + len(bp),
+        beta_alpha_identity=all(alpha_vector(d, v) == [int(j == pos) for j in range(nmixed)]
+                                for v, pos in zip(beta, d.mixed.values())),
+        kp_zero_inside=all(d.types[i - 1][-1] == 0 for i in inner))
+    assert r.passed
 
 
 def test_factor_permutation_stability_mod_filtration():

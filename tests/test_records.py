@@ -4,8 +4,8 @@ The records are named tuples: immutable, equal and hashed by value, and shown
 field by field as ``Name(field=value, ...)``.  A ``Generator`` is not a
 tuple, so a bracket tree, whose inner nodes are pairs, can hold generators as
 leaves.  Importing the package and its CLI loads neither ``dataclasses`` (and
-the ``inspect`` it pulls in) nor ``typing``, and ``random`` waits for the
-identity rows that draw samples: each CLI call pays the import.
+the ``inspect`` it pulls in) nor ``typing`` nor ``string``, and ``random``
+waits for the identity rows that draw samples: each CLI call pays the import.
 """
 
 import pickle
@@ -126,7 +126,7 @@ def test_bracket_tree_with_generator_leaves():
 def test_import_loads_neither_dataclasses_nor_inspect():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import lietorsion, lietorsion.cli; "
             "print(sorted(m for m in ('dataclasses', 'inspect', 'typing', 'datetime', "
-            "'fractions', 'decimal', 'random') "
+            "'fractions', 'decimal', 'random', 'string') "
             "if m in sys.modules))")
     done = subprocess.run([sys.executable, "-S", "-s", "-c", code, str(SRC)],
                           capture_output=True, text=True, check=True)
