@@ -351,16 +351,6 @@ def leftnormed_tensor(letters) -> dict:
                   {letters[:1]: 1})
 
 
-def leftnormed_expansion(alphabet, letters) -> dict:
-    """leftnormed_tensor of a letter tuple, memoised in the alphabet: the
-    dict returned is the table's, read-only."""
-    table = alphabet.table("leftnormed")
-    out = table.get(letters)
-    if out is None:
-        out = table[letters] = leftnormed_tensor(letters)
-    return out
-
-
 def to_tensor(e: LieElement) -> TensorElement:
     """The canonical embedding into the tensor ring."""
     out = {}

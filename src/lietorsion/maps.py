@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import partial
-from math import factorial, prod
 
 from .elements import (DomainError, LieElement, MixedElement, SymElement,
-                       TensorElement, ZZ, _expand_lyndon, leftnormed_expansion,
+                       TensorElement, ZZ, _expand_lyndon, leftnormed_tensor,
                        lie_from_tensor, lie_zero, to_tensor)
 from .words import (Alphabet, lyndon_words_of_length, multisets, suffix_bounds,
                     weight_index, weight_range)
@@ -83,7 +82,7 @@ def _rho_word(alphabet, word) -> dict:
     table = alphabet.table("rho")
     terms = table.get(word)
     if terms is None:
-        t = TensorElement(alphabet, ZZ, leftnormed_expansion(alphabet, word), _clean=True)
+        t = TensorElement(alphabet, ZZ, leftnormed_tensor(word), _clean=True)
         terms = table[word] = lie_from_tensor(t).terms
     return terms
 
@@ -301,7 +300,7 @@ def theta_presum(alphabet, letters, domain=ZZ) -> LieElement:
     than a peel of each word, and each word is met once, so an image table
     would only hold memory.  For the theorem element at p=53
     (``TorsionEngine(53, 108).theorem_element(0, 0)``) the per-word images
-    took 10.4 s and 501 MiB, the one peel of the sum 5.1 s and 283 MiB
+    took 13.0 s and 452 MiB, the one peel of the sum 1.6 s and 234 MiB
     (one fresh process each, 2-vCPU Xeon).
     """
     return lie_from_tensor(TensorElement(alphabet, domain, presum_tensor(alphabet, letters, domain),
@@ -311,28 +310,56 @@ def theta_presum(alphabet, letters, domain=ZZ) -> LieElement:
 def presum_tensor(alphabet, letters, domain=ZZ) -> dict:
     """theta's double permutation sum as a tensor, {word: coefficient}: the
     left-normed expansions of the words (head, tail permuted), over all
-    (c-1)! permutations of each side's tail, summed.  Equal arrangements of
-    a tail with repeated letters are summed once, times their number
-    (``presum_words``).  It is the tensor expansion of ``theta_presum``."""
+    (c-1)! permutations of each side's tail, summed; the first letter leads
+    with sign +1 and the second with -1.  Each side is one ``_side_sum``.
+    It is the tensor expansion of ``theta_presum``."""
     letters = tuple(letters)
     if len(letters) < 2:
         raise ValueError("theta needs degree >= 2")
     acc = {}
-    for word, times in presum_words(letters):
-        add_into(acc, leftnormed_expansion(alphabet, word).items(), domain.coerce(times),
-                 domain.p)
+    for head, tail, sign in ((letters[0], letters[1:], 1),
+                             (letters[1], letters[:1] + letters[2:], -1)):
+        add_into(acc, _side_sum(alphabet, head, tail).items(), domain.coerce(sign), domain.p)
     return acc
 
 
-def presum_words(letters):
-    """The distinct words of theta's double sum of a letter tuple, each with
-    its signed integer number of occurrences: (head, arrangement of the
-    tail), the first letter leading with sign +1 and the second with -1."""
-    for head, tail, sign in ((letters[0], letters[1:], 1),
-                             (letters[1], letters[:1] + letters[2:], -1)):
-        times = sign * prod(factorial(tail.count(b)) for b in set(tail))
-        for arr in _distinct_permutations(tail):
-            yield (head,) + arr, times
+def _side_sum(alphabet, head, tail) -> dict:
+    """The sum over Z of the left-normed expansions of (head, o), over all
+    permutations o of the tail, by one walk over the tail's sub-multisets.
+    Memoised in the alphabet's ``"presum"`` table under (head, sorted tail):
+    the dict returned is the table's, read-only.
+
+    Level k maps each multiset R of letters still to place to one tensor.
+    A step brackets each tensor on the right by each distinct letter b of
+    R, w -> wb - bw, times b's count in R, into the entry of R - b.  After
+    |tail| steps the one entry is the sum.  Proof: a path of the walk places
+    the letters b1, ..., bn in turn, so it is one distinct arrangement of
+    the tail, and it carries the left-normed expansion of (head, b1, ...,
+    bn), since the step brackets on the right, times the product of the
+    counts of each b_k in what remained.  A letter of multiplicity m meets
+    the counts m, m-1, ..., 1, so that product is the product of the m!,
+    the number of permutations that give the arrangement.  Bracketing on the
+    right by a letter is linear (Reutenauer 1993, ch. 1), so the tensors of
+    paths that reach the same R may be summed before the walk goes on: every
+    continuation from R brackets them alike."""
+    table = alphabet.table("presum")
+    key = (head, tuple(sorted(tail)))
+    out = table.get(key)
+    if out is None:
+        level = {key[1]: {(head,): 1}}
+        for _ in tail:
+            step = {}
+            for rest, tensor in level.items():
+                for k, b in enumerate(rest):
+                    if k and rest[k - 1] == b:
+                        continue
+                    acc = step.setdefault(rest[:k] + rest[k + 1:], {})
+                    n = rest.count(b)
+                    add_into(acc, ((w + (b,), c) for w, c in tensor.items()), n)
+                    add_into(acc, (((b,) + w, c) for w, c in tensor.items()), -n)
+            level = step
+        out = table[key] = level[()]
+    return out
 
 
 def _distinct_permutations(items):

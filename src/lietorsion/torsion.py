@@ -51,10 +51,10 @@ from __future__ import annotations
 from collections import namedtuple
 from math import factorial, prod
 
-from .elements import IntegralityError, LieElement, _expand_lyndon, is_prime, lyndon_monomial
+from .elements import (IntegralityError, LieElement, ZZ, _expand_lyndon, is_prime,
+                       lyndon_monomial)
 from .maps import (ActionSpec, _eta_word, _mu_terms, derive, metabelian_normal_coords,
-                   metabelian_of_word, mixed_basis, normal_words, presum_tensor, presum_words,
-                   theta_presum)
+                   metabelian_of_word, mixed_basis, normal_words, presum_tensor, theta_presum)
 from .words import Alphabet, Generator, LyndonWord, _lyndon_walk, is_lyndon
 from .zlinalg import (CokernelStructure, Presentation, _dense, _divisor_chain, _tagged,
                       add_into)
@@ -519,27 +519,7 @@ class TorsionEngine:
         when the element's Lyndon coordinates do not divide (see
         ``theorem_vector``)."""
         cols = self._degree(d).blocks.get(a, {})
-        out = {}
-        for w, c in tensor.items():
-            col = cols.get(w)
-            if col is not None:
-                q, r = divmod(c, n)
-                if r:
-                    raise IntegralityError(f"integrality violated: {c} is not divisible by {n}")
-                out[col] = q
-        return out
-
-    def _drop_presums(self, s: int, t: int) -> None:
-        """Pop from the alphabet's ``"leftnormed"`` memo the words of the
-        presums read for the theorem word (vy, vx, u^(p-2)): its own and
-        those of its class's normal words, which the metabelian check shares
-        while it reads both vectors.  Each is read once per check, so kept
-        they would only hold memory."""
-        table = self.alphabet.table("leftnormed")
-        letters = self.theorem_word(s, t)
-        for source in (letters, *self._normal_coords(letters)):
-            for word, _ in presum_words(source):
-                table.pop(word, None)
+        return {cols[w]: ZZ.divide_exact(c, n) for w, c in tensor.items() if w in cols}
 
     def _lie_coords(self, terms: dict, d: int, a: int) -> dict:
         """Lyndon coordinates {word: c} of bidegree (a, d-a) in the block's
@@ -598,8 +578,6 @@ class TorsionEngine:
                 vec = self.theorem_vector(s, t, d)
             except IntegralityError:
                 continue
-            finally:
-                self._drop_presums(s, t)
             orders.append(self.block(d, self.theorem_block(s, t)).order(vec))
         all_order_p = all(q == p for q in orders)
         independent = all(q is not None and q > 1 for q in orders)
@@ -648,11 +626,8 @@ class TorsionEngine:
         for s, t in self.theorem_indices(d):
             a = self.theorem_block(s, t)
             pres = self.block(d, a)
-            try:
-                vec = self.theta_vector(s, t, d)
-                target = self.theorem_vector(s, t, d)
-            finally:
-                self._drop_presums(s, t)
+            vec = self.theta_vector(s, t, d)
+            target = self.theorem_vector(s, t, d)
             unit = next((u for u in range(1, p) if {
                 j: x for j in vec | target
                 if (x := vec.get(j, 0) - u * target.get(j, 0))} in pres), None)

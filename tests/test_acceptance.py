@@ -211,9 +211,12 @@ def test_criterion3_theorem_element_integrality():
     pytest.param(5, 22, {12: 1, 17: 2, 22: 3}, marks=pytest.mark.slow),
     # the first theorem degree of p=53, as `lietorsion torsion --prime 53 --max-degree 108`
     pytest.param(53, 108, {108: 1}, marks=pytest.mark.slow),
+    # and of p=101, as `lietorsion torsion --prime 101 --max-degree 204`
+    pytest.param(101, 204, {204: 1}, marks=pytest.mark.slow),
 ])
 def test_criterion4_torsion_tables(p, top, expected):
     for report in torsion_report(p, top):
+        assert report.lie_power_rank == witt_rank(p, report.degree), (p, report.degree)
         want = expected.get(report.degree, 0)
         torsion = report.cokernel.torsion
         assert len(torsion) == want, (p, report.degree, torsion)
@@ -227,13 +230,26 @@ def test_criterion4_torsion_tables(p, top, expected):
           f"{expected} at degrees <= {top}, all other degrees torsion-free")
 
 
+def witt_rank(c, d):
+    # the rank of L^c(A) in degree d >= 2c by Witt's formula, with one
+    # generator u(s,t) of A in each degree s+t+2, so ch A = T^2/(1-T)^2 and
+    # psi^k(ch A)^(c/k) = T^(2c) (1-T^k)^(-2c/k), whose coefficient of T^d is
+    # C((d-2c)/k + 2c/k - 1, 2c/k - 1) when k divides d-2c, and 0 otherwise
+    total = sum(mobius(k) * comb((d - 2 * c) // k + 2 * c // k - 1, 2 * c // k - 1)
+                for k in range(1, c + 1) if c % k == 0 and (d - 2 * c) % k == 0)
+    assert total % c == 0
+    return total // c
+
+
 # -- criterion 5: the two torsion subgroups coincide through the section ------
 
 @pytest.mark.parametrize("p,d", [(2, 6), (2, 8), (3, 8), (7, 16), (11, 24),
                                  (2, 18), (3, 17), (5, 17), (3, 20), (3, 23),
                                  pytest.param(5, 22, marks=pytest.mark.slow),
                                  # the second theorem degree of p=7, torsion (7, 7)
-                                 pytest.param(7, 23, marks=pytest.mark.slow)])
+                                 pytest.param(7, 23, marks=pytest.mark.slow),
+                                 # the first theorem degree of p=53, torsion (53,)
+                                 pytest.param(53, 108, marks=pytest.mark.slow)])
 def test_criterion5_metabelian_comparison(p, d):
     r = metabelian_torsion_check(p, d)
     assert r.ranks_agree, (r.lie_torsion, r.metabelian_torsion)

@@ -8,7 +8,7 @@ import itertools
 import random
 import weakref
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +21,7 @@ from lietorsion.elements import (GF, QQ, DomainError, IntegralityError, LieEleme
 from lietorsion.maps import (ActionSpec, MetabelianElement, _eta_word, _mu_terms,
                              check_exactness, derive, eta, kappa, lam,
                              metabelian_normal_coords, metabelian_of_word, mixed_basis,
-                             mu, normal_words, nu, random_action,
+                             mu, normal_words, nu, presum_tensor, random_action,
                              random_homogeneous, random_metabelian, rho, sym_basis,
                              theta, theta_presum)
 from lietorsion.torsion import TorsionEngine, a_action, a_alphabet
@@ -169,11 +169,18 @@ def theta_presum_oracle(ab, letters):
     return lie_from_tensor(TensorElement(ab, ZZ, terms, _clean=True))
 
 
+def theorem_words(ab, p):
+    # the theorem word (vy, vx, u^(p-2)) at u = u(0,0), then the normal words
+    # of its metabelian class: (vy, u^(p-2), vx) and (vx, u^(p-2), vy) for p > 2
+    u, vx, vy = ab.index("u(0,0)"), ab.index("u(1,0)"), ab.index("u(0,1)")
+    word = (vy, vx) + (u,) * (p - 2)
+    return [word, *TorsionEngine._normal_coords(word)]
+
+
 def test_theta_presum_matches_permutation_sum():
     rng = random.Random(34)
     ab4 = a_alphabet(4)
-    u, vx, vy = ab4.index("u(0,0)"), ab4.index("u(1,0)"), ab4.index("u(0,1)")
-    cases = [(ab4, (vy, vx) + (u,) * 5)]          # the theorem word at p = 7
+    cases = [(ab4, w) for p in (2, 3, 5, 7) for w in theorem_words(ab4, p)]
     for c in range(2, 8):
         for ab in (AB2, AB3):
             for _ in range(3):
@@ -182,6 +189,47 @@ def test_theta_presum_matches_permutation_sum():
                 cases.append((ab, word[:2] + (word[-1],) * (c - 2)))
     for ab, word in cases:
         assert theta_presum(ab, word) == theta_presum_oracle(ab, word), word
+
+
+def distinct_arrangements(tail):
+    # each distinct ordering of a multiset once, by choosing its first letter
+    if not tail:
+        yield ()
+    for b in sorted(set(tail)):
+        k = tail.index(b)
+        for rest in distinct_arrangements(tail[:k] + tail[k + 1:]):
+            yield (b,) + rest
+
+
+def presum_tensor_oracle(letters, domain):
+    # the distinct arrangements of each side's tail, each expanded left-normed
+    # once and counted as often as the permutations that give it, then read
+    # in the domain
+    acc = {}
+    for head, tail, sign in ((letters[0], letters[1:], 1),
+                             (letters[1], letters[:1] + letters[2:], -1)):
+        times = sign * prod(factorial(tail.count(b)) for b in set(tail))
+        for arr in distinct_arrangements(tail):
+            for w, k in leftnormed_tensor((head,) + arr).items():
+                acc[w] = acc.get(w, 0) + times * k
+    return {w: x for w, k in acc.items() if not domain.is_zero(x := domain.coerce(k))}
+
+
+@pytest.mark.parametrize("domain", [ZZ, QQ, GF(3)], ids=repr)
+def test_presum_tensor_matches_the_distinct_arrangement_sum(domain):
+    ab4 = a_alphabet(4)
+    assert [len(theorem_words(ab4, p)) for p in (2, 3)] == [2, 3]
+    cases = [(ab4, w) for p in (2, 3, 5, 7, 11, 13) for w in theorem_words(ab4, p)]
+    rng = random.Random(36)
+    for c in range(2, 8):
+        for ab in (AB2, AB3):
+            for _ in range(4):
+                pool = [rng.randrange(len(ab)) for _ in range(rng.randint(1, 3))]
+                cases.append((ab, tuple(rng.choice(pool) for _ in range(c))))
+    for ab, word in cases:
+        expected = presum_tensor_oracle(word, domain)
+        for _ in ("cold", "warm"):
+            assert presum_tensor(ab, word, domain) == expected, word
 
 
 def test_theta_integrality_prime_degrees():

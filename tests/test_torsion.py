@@ -719,19 +719,23 @@ def test_blocks_drop_their_lowered_word_index():
     assert not any(rec.lowered for rec in engine._degrees.values())
 
 
-def test_checks_leave_no_presum_or_expansion_of_their_degree_in_the_memos():
-    # the theorem and theta vectors are read off presum tensors, whose
-    # left-normed words leave the "leftnormed" memo once read, and no
-    # degree-d Lyndon word is expanded at all
+def test_checks_keep_at_most_three_side_sums_per_theorem_index():
+    # the theorem and theta vectors are read off presum tensors built from
+    # memoised side sums: the theorem word (vy, vx, u^(p-2)) shares both its
+    # sides with its normal words, which share their u-led side, so each
+    # theorem index leaves at most 3; no left-normed word is memoised, and
+    # no degree-d Lyndon word is expanded at all
     p, d = 5, 17
     engine = TorsionEngine(p, d)
     assert len(engine.theorem_indices(d)) == 2
     assert engine.verify_theorem_degree(d).passed
     assert engine.metabelian_torsion_check(d).passed
+    memo = engine.alphabet.memo
+    assert "leftnormed" not in memo
+    assert 0 < len(memo["presum"]) <= 3 * len(engine.theorem_indices(d))
     weight = engine.alphabet.word_weight
-    assert any(weight(w) == d - 1 for w in engine.alphabet.table("lyndon"))
-    for name in ("leftnormed", "lyndon"):
-        assert not any(weight(w) == d for w in engine.alphabet.table(name)), name
+    assert any(weight(w) == d - 1 for w in memo["lyndon"])
+    assert not any(weight(w) == d for w in memo["lyndon"])
 
 
 def test_torsion_report_drops_the_expansions_of_each_degree_below():
