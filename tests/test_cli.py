@@ -157,6 +157,67 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "prime" in err
 
 
+COMMAND_FLAGS = {
+    "lyndon": ("--rank", "--max-degree", "--out"),
+    "verify": ("--c", "--rank", "--trials", "--seed", "--out"),
+    "torsion": ("--prime", "--max-degree", "--out"),
+    "theorem": ("--prime", "--s", "--t", "--out"),
+    "summand": ("--prime", "--dim", "--out"),
+    "report": ("--trials", "--seed", "--out"),
+}
+
+
+@pytest.mark.parametrize("form", [["--max-degree=5"], ["--max", "5"], ["--max=5"]],
+                         ids=["equals", "prefix", "prefix-equals"])
+def test_flag_forms(capsys, form):
+    code, out, _ = run_cli(capsys, "lyndon", "--rank", "2", *form)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["maxDegree"] == 5 and doc["results"]["count"] == 14
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([], "command"),
+    (["lyndon", "--bogus", "3"], "--bogus"),
+    (["lyndon", "--rank", "two"], "--rank"),
+    (["torsion", "--prime", "3", "--max-degree", "1.5"], "--max-degree"),
+    (["lyndon", "--rank"], "--rank"),
+    (["lyndon", "stray"], "stray"),
+], ids=["no-command", "unknown-flag", "non-integer", "non-integer-degree",
+        "missing-value", "stray-argument"])
+def test_malformed_arguments_exit_2(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error:" in err and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_top_level_help(capsys, flag):
+    code, out, err = run_cli(capsys, flag)
+    assert code == 0 and err == ""
+    assert all(command in out for command in COMMAND_FLAGS)
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_command_help(capsys, command, flag):
+    code, out, err = run_cli(capsys, command, flag)
+    assert code == 0 and err == ""
+    assert all(name in out for name in COMMAND_FLAGS[command])
+
+
+def test_repeated_flag_last_wins(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--c", "2", "--trials", "5",
+                           "--seed", "1", "--seed", "9")
+    assert code == 0
+    assert {r["seed"] for r in json.loads(out)["results"]} == {9}
+
+
+def test_negative_seed(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--c", "2", "--trials", "5", "--seed", "-3")
+    assert code == 0
+    assert {r["seed"] for r in json.loads(out)["results"]} == {-3}
+
 @pytest.mark.parametrize("argv", [
     ["--prime", "1", "--max-degree", "5"],
     ["--prime", "0", "--max-degree", "5"],
