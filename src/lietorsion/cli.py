@@ -1,16 +1,20 @@
 """Command line driver: verification subcommands with JSON report emission.
 
+``COMMANDS`` holds each command's help line and integer flags, with each
+flag's default (``REQUIRED`` if it has none) and least and greatest value (None
+for no bound; below the least a command fails or checks nothing). Parsing, the
+range checks and the usage text all read it; every command also takes --out FILE.
 Exit status: 0 when every verification flag in the report is true, 1 when any
 is false, 2 on usage or I/O errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from math import factorial
+from types import SimpleNamespace
 
 from . import __version__
 from .charp import check_summand
@@ -23,72 +27,88 @@ from .torsion import TorsionEngine
 from .words import MAX_UNIT_RANK, unit_alphabet
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lietorsion",
-        description="exact free-Lie-ring computations and torsion verification")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_lyndon = sub.add_parser("lyndon", help="list Lyndon words over a unit-weight alphabet")
-    p_lyndon.add_argument("--rank", type=int, default=2)
-    p_lyndon.add_argument("--max-degree", type=int, default=5)
-    p_lyndon.add_argument("--out")
-
-    p_verify = sub.add_parser("verify", help="run the map identity suite at one degree")
-    p_verify.add_argument("--c", type=int, default=3)
-    p_verify.add_argument("--rank", type=int, default=2)
-    p_verify.add_argument("--trials", type=int, default=100)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--out")
-
-    p_torsion = sub.add_parser("torsion", help="torsion of the central quotient, degree by degree")
-    p_torsion.add_argument("--prime", type=int, required=True)
-    p_torsion.add_argument("--max-degree", type=int, required=True)
-    p_torsion.add_argument("--out")
-
-    p_theorem = sub.add_parser("theorem", help="construct one torsion basis element")
-    p_theorem.add_argument("--prime", type=int, required=True)
-    p_theorem.add_argument("--s", type=int, default=0)
-    p_theorem.add_argument("--t", type=int, default=0)
-    p_theorem.add_argument("--out")
-
-    p_summand = sub.add_parser("summand", help="characteristic-p tensor power decomposition")
-    p_summand.add_argument("--prime", type=int, required=True)
-    p_summand.add_argument("--dim", type=int, default=2)
-    p_summand.add_argument("--out")
-
-    p_report = sub.add_parser("report", help="run the full desk-scale verification battery")
-    p_report.add_argument("--trials", type=int, default=100)
-    p_report.add_argument("--seed", type=int, default=0)
-    p_report.add_argument("--out")
-    return parser
-
-
-# command -> (flag, least value, greatest value or None) triples; below the
-# least a command fails or checks nothing, and a unit alphabet has at most
-# MAX_UNIT_RANK letter names
-BOUNDS = {
-    "lyndon": (("rank", 1, MAX_UNIT_RANK), ("max_degree", 1, None)),
-    "torsion": (("prime", 2, None),),
-    "theorem": (("s", 0, None), ("t", 0, None)),
-    "verify": (("c", 2, None), ("rank", 2, MAX_UNIT_RANK), ("trials", 1, None)),
-    "summand": (("dim", 1, MAX_UNIT_RANK),),
-    "report": (("trials", 1, None),),
+REQUIRED = None
+COMMANDS = {
+    "lyndon": ("list Lyndon words over a unit-weight alphabet",
+               {"rank": (2, 1, MAX_UNIT_RANK), "max-degree": (5, 1, None)}),
+    "verify": ("run the map identity suite at one degree",
+               {"c": (3, 2, None), "rank": (2, 2, MAX_UNIT_RANK),
+                "trials": (100, 1, None), "seed": (0, None, None)}),
+    "torsion": ("torsion of the central quotient by degree, to --max-degree >= 2*prime",
+                {"prime": (REQUIRED, 2, None), "max-degree": (REQUIRED, None, None)}),
+    "theorem": ("construct one torsion basis element",
+                {"prime": (REQUIRED, None, None), "s": (0, 0, None), "t": (0, 0, None)}),
+    "summand": ("characteristic-p tensor power decomposition",
+                {"prime": (REQUIRED, None, None), "dim": (2, 1, MAX_UNIT_RANK)}),
+    "report": ("run the full desk-scale verification battery",
+               {"trials": (100, 1, None), "seed": (0, None, None)}),
 }
 
 
-def check_args(parser, args) -> None:
-    """Reject argument values that argparse's types alone cannot; exits 2."""
-    for flag, least, most in BOUNDS.get(args.command, ()):
-        value = getattr(args, flag)
-        name = flag.replace("_", "-")
-        if value < least:
-            parser.error(f"--{name} must be at least {least}, got {value}")
+def usage(command=None) -> str:
+    """The --help text: every command, or every flag of ``command``."""
+    head = "usage: lietorsion %s [--FLAG VALUE ...] [--out FILE]"
+    if command is None:
+        return "\n".join([head % "COMMAND", "exact free-Lie-ring computations and torsion "
+                          "verification; COMMAND --help lists its flags"]
+                         + [f"  {name:<8} {text}" for name, (text, _) in COMMANDS.items()])
+    lines = [head % command, COMMANDS[command][0]]
+    for flag, (default, least, most) in COMMANDS[command][1].items():
+        facts = ["required" if default is REQUIRED else f"default {default}"]
+        facts += [f"{w} {b}" for w, b in (("at least", least), ("at most", most)) if b is not None]
+        lines.append(f"  --{flag} N".ljust(20) + ", ".join(facts))
+    return "\n".join(lines + ["  --out FILE".ljust(20) + "write the JSON report to FILE"])
+
+
+def parse_args(argv):
+    """The options ``argv`` gives its command (--flag value or --flag=value, by any
+    unique prefix, the last one winning), or None once -h/--help printed usage."""
+    command, *rest = argv or [None]
+    if command in ("-h", "--help"):
+        return print(usage())
+    if command not in COMMANDS:
+        raise SystemExit2(("missing command" if command is None else f"unknown command {command!r}")
+                          + f"; choose one of {', '.join(COMMANDS)}")
+    names = [f"--{flag}" for flag in (*COMMANDS[command][1], "out", "help")]
+    values = {}
+    tokens = iter(rest)
+    for token in tokens:
+        name, equals, value = ("--help" if token == "-h" else token).partition("=")
+        matches = [n for n in names if n == name] or [n for n in names if n.startswith(name)]
+        if not name.startswith("--") or len(matches) != 1:
+            raise SystemExit2(f"unrecognized argument {token!r} for {command}")
+        flag = matches[0][2:]
+        if flag == "help":
+            return print(usage(command))
+        if not equals:
+            value = next(tokens, "-")
+            if value.startswith("-") and not value[1:].isdigit():
+                raise SystemExit2(f"--{flag} expects a value")
+        if flag != "out":
+            try:
+                value = int(value)
+            except ValueError:
+                raise SystemExit2(f"--{flag} takes an integer, got {value!r}") from None
+        values[flag] = value
+    return options(command, values)
+
+
+def options(command, values):
+    """``values``, a {flag: value} dict for ``command``, completed with the
+    defaults in COMMANDS and range-checked; raises SystemExit2."""
+    for flag, (default, least, most) in COMMANDS[command][1].items():
+        value = values.setdefault(flag, default)
+        if value is REQUIRED:
+            raise SystemExit2(f"--{flag} is required")
+        if least is not None and value < least:
+            raise SystemExit2(f"--{flag} must be at least {least}, got {value}")
         if most is not None and value > most:
-            parser.error(f"--{name} must be at most {most}, got {value}")
-    if args.command == "torsion" and args.max_degree < 2 * args.prime:
-        parser.error(f"--max-degree must be at least 2*prime = {2 * args.prime}, "
-                     f"got {args.max_degree}")
+            raise SystemExit2(f"--{flag} must be at most {most}, got {value}")
+    if command == "torsion" and values["max-degree"] < 2 * values["prime"]:
+        raise SystemExit2(f"--max-degree must be at least 2*prime = {2 * values['prime']}, "
+                          f"got {values['max-degree']}")
+    values.setdefault("out", None)
+    return SimpleNamespace(command=command, **{f.replace("-", "_"): v for f, v in values.items()})
 
 
 # -- identity suite -----------------------------------------------------------
@@ -283,7 +303,7 @@ def run_report(args):
 
     torsion_sections = []
     for p, top in ((2, 10), (3, 11), (5, 12)):
-        section, section_ok = run_torsion(argparse.Namespace(prime=p, max_degree=top))
+        section, section_ok = run_torsion(options("torsion", {"prime": p, "max-degree": top}))
         torsion_sections.append(section)
         ok = ok and section_ok
     results["torsion"] = torsion_sections
@@ -317,7 +337,7 @@ def run_report(args):
 
     summand = []
     for p, dim in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):
-        section, section_ok = run_summand(argparse.Namespace(prime=p, dim=dim))
+        section, section_ok = run_summand(options("summand", {"prime": p, "dim": dim}))
         summand.append(section)
         ok = ok and section_ok
     results["summand"] = summand
@@ -383,21 +403,16 @@ def run(args) -> int:
         "results": results,
         "overallPass": bool(ok),
     }
-    emit_report(doc, getattr(args, "out", None))
+    emit_report(doc, args.out)
     return 0 if ok else 1
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        check_args(parser, args)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
-        return run(args)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        return 0 if args is None else run(args)
     except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"lietorsion: error: {exc}", file=sys.stderr)
         return 2
 
 

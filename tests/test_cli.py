@@ -183,12 +183,16 @@ def test_flag_forms(capsys, form):
     (["torsion", "--prime", "3", "--max-degree", "1.5"], "--max-degree"),
     (["lyndon", "--rank"], "--rank"),
     (["lyndon", "stray"], "stray"),
+    (["lyndon", "--out", "--rank", "3"], "--out"),
+    (["nonsense"], "nonsense"),
 ], ids=["no-command", "unknown-flag", "non-integer", "non-integer-degree",
-        "missing-value", "stray-argument"])
+        "missing-value", "stray-argument", "flag-as-value", "unknown-command"])
 def test_malformed_arguments_exit_2(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "error:" in err and named in err and "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("lietorsion: error: ")
 
 
 @pytest.mark.parametrize("flag", ["-h", "--help"])
@@ -206,6 +210,39 @@ def test_command_help(capsys, command, flag):
     assert all(name in out for name in COMMAND_FLAGS[command])
 
 
+def test_command_table_matches_runners_and_help():
+    assert set(cli.COMMANDS) == set(cli.RUNNERS)
+    for command, (_, flags) in cli.COMMANDS.items():
+        assert set(COMMAND_FLAGS[command]) == {f"--{flag}" for flag in flags} | {"--out"}
+
+
+# a valid value for each flag a command requires
+REQUIRED_VALUES = {"prime": "3", "max-degree": "6"}
+
+
+def table_bound_cases():
+    for command, (_, flags) in cli.COMMANDS.items():
+        for flag, (_, least, most) in flags.items():
+            given = {f: REQUIRED_VALUES[f] for f, spec in flags.items()
+                     if spec[0] is cli.REQUIRED and f != flag}
+            for value, words in ((least, "at least"), (most, "at most")):
+                if value is None:
+                    continue
+                bad = value - 1 if words == "at least" else value + 1
+                argv = [command, f"--{flag}", str(bad)]
+                for f, v in given.items():
+                    argv += [f"--{f}", v]
+                yield pytest.param(argv, f"--{flag} must be {words} {value}, got {bad}",
+                                   id=f"{command}-{flag}-{bad}")
+
+
+@pytest.mark.parametrize("argv, message", list(table_bound_cases()))
+def test_every_table_bound_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"lietorsion: error: {message}\n"
+
+
 def test_repeated_flag_last_wins(capsys):
     code, out, _ = run_cli(capsys, "verify", "--c", "2", "--trials", "5",
                            "--seed", "1", "--seed", "9")
@@ -217,6 +254,7 @@ def test_negative_seed(capsys):
     code, out, _ = run_cli(capsys, "verify", "--c", "2", "--trials", "5", "--seed", "-3")
     assert code == 0
     assert {r["seed"] for r in json.loads(out)["results"]} == {-3}
+
 
 @pytest.mark.parametrize("argv", [
     ["--prime", "1", "--max-degree", "5"],
