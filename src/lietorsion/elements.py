@@ -327,10 +327,13 @@ def _expand_bracket(left, right) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
-def _expand_lyndon(alphabet, idx) -> dict:
+def _expand_lyndon(alphabet, idx, keep=True) -> dict:
     """Tensor expansion of the standard bracketing of a Lyndon word, over Z.
 
     Memoised in the alphabet: the dict returned is the table's, read-only.
+    With ``keep`` false an expansion the table lacks is computed, with those
+    of its factors, and not stored, so only one bracketing's expansions are
+    held at a time.
     """
     table = alphabet.table("lyndon")
     out = table.get(idx)
@@ -339,9 +342,10 @@ def _expand_lyndon(alphabet, idx) -> dict:
             out = {idx: 1}
         else:
             split = _split_point(idx)
-            out = _expand_bracket(_expand_lyndon(alphabet, idx[:split]),
-                                  _expand_lyndon(alphabet, idx[split:]))
-        table[idx] = out
+            out = _expand_bracket(_expand_lyndon(alphabet, idx[:split], keep),
+                                  _expand_lyndon(alphabet, idx[split:], keep))
+        if keep:
+            table[idx] = out
     return out
 
 
@@ -359,12 +363,14 @@ def to_tensor(e: LieElement) -> TensorElement:
     return TensorElement(e.alphabet, e.domain, out, _clean=True)
 
 
-def lie_from_tensor(t: TensorElement) -> LieElement:
+def lie_from_tensor(t: TensorElement, keep=True) -> LieElement:
     """Lyndon coordinates of a tensor element that lies in the Lie subring.
 
     Peels the lexicographically smallest word of the remainder; if the input
     is a Lie element that word is Lyndon and carries the coordinate of its
-    standard bracketing, whose expansion holds the word itself once.
+    standard bracketing, whose expansion holds the word itself once.  With
+    ``keep`` false the peeled words' expansions are not memoised
+    (``_expand_lyndon``).
     """
     dom = t.domain
     alphabet = t.alphabet
@@ -380,7 +386,7 @@ def lie_from_tensor(t: TensorElement) -> LieElement:
             raise NotLieElementError(
                 f"not a Lie element: stray word {alphabet.word_name(w)!r}")
         coords[w] = c
-        add_into(rem, _expand_lyndon(alphabet, w).items(), dom.neg(c), dom.p)
+        add_into(rem, _expand_lyndon(alphabet, w, keep).items(), dom.neg(c), dom.p)
     return LieElement(alphabet, dom, coords, _clean=True)
 
 

@@ -246,19 +246,34 @@ def metabelian_of_word(alphabet, letters, domain=ZZ) -> MetabelianElement:
     return MetabelianElement(len(letters), mu(letters, alphabet=alphabet, domain=domain))
 
 
-def normal_words(alphabet, c, max_weight=None, weight=None) -> list[tuple]:
+def normal_words(alphabet, c, max_weight=None, weight=None, blocks=None) -> list[tuple]:
     """Normal words b1 > b2 <= ... <= bc as letter-index tuples, in
     lexicographic order, of total weight at most max_weight or exactly weight.
 
-    These index the basis of the degree-c metabelian power.
+    These index the basis of the degree-c metabelian power.  With ``blocks``,
+    a range, they come split by the first component of their multidegree, in
+    one walk per first letter: {f: the normal words whose first component is
+    f} for each f of the range that has any, each list in lexicographic
+    order.
     """
     if c < 2:
         raise ValueError("normal words need degree >= 2")
     wt = [g.weight for g in alphabet]
     lo, hi = weight_range(weight, max_weight)
     bounds = (*suffix_bounds(wt), weight_index(wt))
-    return [(b1,) + tail for b1, w1 in enumerate(wt)
-            for tail in multisets(wt, c - 1, lo - w1, hi - w1, below=b1, bounds=bounds)]
+    if blocks is None:
+        return [(b1,) + tail for b1, w1 in enumerate(wt)
+                for tail in multisets(wt, c - 1, lo - w1, hi - w1, below=b1, bounds=bounds)]
+    first = [g.multidegree[0] for g in alphabet]
+    found = {}
+    for b1, w1 in enumerate(wt):
+        f1 = first[b1]
+        if blocks and f1 <= blocks[-1]:
+            tails = multisets(wt, c - 1, lo - w1, hi - w1, below=b1, bounds=bounds,
+                              first=first, blocks=range(blocks.start - f1, blocks.stop - f1))
+            for f, tails_f in tails.items():
+                found.setdefault(f + f1, []).extend((b1,) + tail for tail in tails_f)
+    return found
 
 
 def metabelian_normal_coords(m: MetabelianElement) -> dict:
@@ -301,7 +316,8 @@ def theta_presum(alphabet, letters, domain=ZZ) -> LieElement:
     would only hold memory.  For the theorem element at p=53
     (``TorsionEngine(53, 108).theorem_element(0, 0)``) the per-word images
     took 13.0 s and 452 MiB, the one peel of the sum 1.6 s and 234 MiB
-    (one fresh process each, 2-vCPU Xeon).
+    (one fresh process each, 2-vCPU Xeon); ``theorem_element`` now runs that
+    peel without memoising the peeled expansions, in 1.55 s and 21 MiB.
     """
     return lie_from_tensor(TensorElement(alphabet, domain, presum_tensor(alphabet, letters, domain),
                                          _clean=True))

@@ -15,10 +15,17 @@ that is a graded automorphism commuting with the action, so block (a, b)
 and block (b, a) have isomorphic cokernels, and a degree's cokernel is
 built from the blocks with a <= b alone.  Each block is one row echelon
 (``zlinalg.Presentation``) read prime by prime, and a theorem vector of
-bidegree (a, b) is read off its own block's echelon.  Each block owns its
-columns, numbered in basis order (``bigrading(d)`` gives each block's
-{word: column}), and every vector the engine builds is written in the
-columns of its own block.
+bidegree (a, b) is read off its own block's echelon, for a <= b only: the
+swap sends the theorem element of (s, t) to +-1 times that of (t, s), and
+theta's image likewise, so an index past the mirror takes its mirror's
+order and unit (``_mirrored``).  The theorem checks build no block past the
+mirror, of degree d or of degree d-1.  Each block owns its columns,
+numbered in basis order (``bigrading(d)`` gives each block's {word:
+column}), and every vector the engine builds is written in the columns of
+its own block.  A degree's words are generated block by block, on demand:
+one walk carries each prefix's first bidegree component and emits only the
+blocks asked for, each in lexicographic order, so a block's columns are
+those of the whole basis bucketed by bidegree.
 
 Every Lie-side vector is read in tensor coordinates: its coordinate on a
 degree-d Lyndon word w is the coefficient of w in its tensor expansion.  The
@@ -51,10 +58,10 @@ from __future__ import annotations
 from collections import namedtuple
 from math import factorial, prod
 
-from .elements import (IntegralityError, LieElement, ZZ, _expand_lyndon, is_prime,
-                       lyndon_monomial)
+from .elements import (IntegralityError, LieElement, TensorElement, ZZ, _expand_lyndon,
+                       is_prime, lie_from_tensor, lyndon_monomial)
 from .maps import (ActionSpec, _eta_word, _mu_terms, derive, metabelian_normal_coords,
-                   metabelian_of_word, mixed_basis, normal_words, presum_tensor, theta_presum)
+                   metabelian_of_word, mixed_basis, normal_words, presum_tensor)
 from .words import Alphabet, Generator, LyndonWord, _lyndon_walk, is_lyndon
 from .zlinalg import (CokernelStructure, Presentation, _dense, _divisor_chain, _tagged,
                       add_into)
@@ -93,17 +100,15 @@ def a_action(alphabet: Alphabet) -> ActionSpec:
     """The derivation action u(s,t)x = u(s+1,t), u(s,t)y = u(s,t+1).
 
     Pairs whose target exceeds the alphabet's degree cut stay undefined.
+    Each target is looked up in one {(s, t): letter} map.
     """
+    letter = {st_of(g): i for i, g in enumerate(alphabet)}
     images = {}
-    for i, g in enumerate(alphabet):
-        s, t = st_of(g)
-        for var, (s2, t2) in (("x", (s + 1, t)), ("y", (s, t + 1))):
-            name = f"u({s2},{t2})"
-            try:
-                j = alphabet.index(name)
-            except KeyError:
-                continue
-            images[(i, var)] = {j: 1}
+    for (s, t), i in letter.items():
+        for var, target in (("x", (s + 1, t)), ("y", (s, t + 1))):
+            j = letter.get(target)
+            if j is not None:
+                images[i, var] = {j: 1}
     return ActionSpec(alphabet, VARIABLES, images)
 
 
@@ -143,14 +148,14 @@ class FreenessReport(namedtuple("FreenessReport", [
 
 
 class _Degree:
-    """One side's degree-d basis, split by bidegree in the same pass, and
-    what is built over it on demand."""
+    """One side's degree-d basis, block by block, and what is built over it,
+    all on demand."""
 
-    __slots__ = ("words", "blocks", "presentations", "lowered")
+    __slots__ = ("blocks", "presentations", "lowered")
 
-    def __init__(self, words, blocks):
-        self.words = words            # the basis words, as index tuples
-        self.blocks = blocks          # {a: {word of bidegree (a, d-a): its column in the block}}
+    def __init__(self):
+        self.blocks = {}              # {a: {word of bidegree (a, d-a): its column in the block}},
+                                      # for each a walked so far, empty blocks included
         self.presentations = {}       # {a: block Presentation}
         self.lowered = {}             # {(a, var): block a's lowered index}
 
@@ -191,8 +196,8 @@ class TorsionEngine:
     # -- bases ------------------------------------------------------------
 
     def _degree(self, d: int, side: str = "lie") -> _Degree:
-        """The side's degree-d record, built once; an unknown side raises
-        KeyError."""
+        """The side's degree-d record, made once with no block built; an
+        unknown side raises KeyError."""
         rec = self._degrees.get((side, d))
         if rec is None:
             if side not in ("lie", "metabelian"):
@@ -200,26 +205,40 @@ class TorsionEngine:
             if d > self.max_degree:
                 raise ValueError(f"degree {d} is above the engine's max_degree "
                                  f"{self.max_degree}, where the alphabet is cut")
-            if d < 2 * self.p:
-                words = []
-            elif side == "lie":
-                words = _lyndon_walk(self._weight, length=self.p, lo=d, hi=d)
-            else:
-                words = normal_words(self.alphabet, self.p, weight=d)
-            blocks = {}
-            first = self._first.__getitem__
-            for w in words:
-                cols = blocks.setdefault(sum(map(first, w)), {})
-                cols[w] = len(cols)
-            rec = self._degrees[side, d] = _Degree(words, blocks)
+            rec = self._degrees[side, d] = _Degree()
         return rec
 
+    def _blocks(self, d: int, side: str, lo: int, hi: int) -> dict:
+        """The side's degree-d blocks, {a: {word: column}}, with every block
+        a in [lo, hi] built: those not built yet come from one walk that
+        carries each prefix's first bidegree component and prunes to them
+        (``words._lyndon_walk``, ``maps.normal_words``).  Each block's words
+        are in lexicographic order, so its columns are those of the whole
+        basis bucketed by bidegree.  The cache's, read-only."""
+        blocks = self._degree(d, side).blocks
+        todo = [a for a in range(lo, hi + 1) if a not in blocks]
+        if todo:
+            want = range(todo[0], todo[-1] + 1)
+            if side == "lie":
+                found = _lyndon_walk(self._weight, length=self.p, lo=d, hi=d,
+                                     first=self._first, blocks=want)
+            else:
+                found = normal_words(self.alphabet, self.p, weight=d, blocks=want)
+            for a in todo:
+                blocks[a] = {w: col for col, w in enumerate(found.get(a, ()))}
+        return blocks
+
+    def _cols(self, d: int, a: int, side: str = "lie") -> dict:
+        """Block (a, d-a)'s {word: column}, built on first use."""
+        return self._blocks(d, side, a, a)[a]
+
     def lie_basis(self, d: int) -> list[tuple]:
-        """Lyndon words of length p and ambient degree d, as index tuples."""
-        return self._degree(d).words
+        """Lyndon words of length p and ambient degree d, as index tuples, in
+        lexicographic order: every block of the degree, merged."""
+        return sorted(w for cols in self.bigrading(d).values() for w in cols)
 
     def normal_basis(self, d: int) -> list[tuple]:
-        return self._degree(d, "metabelian").words
+        return sorted(w for cols in self.bigrading(d, "metabelian").values() for w in cols)
 
     # -- relation rows ------------------------------------------------------
 
@@ -245,7 +264,7 @@ class TorsionEngine:
         rec = self._degree(d, side)
         index = rec.lowered.get((a, var))
         if index is None:
-            index = rec.lowered[a, var] = self._lowered_index(rec.blocks.get(a, {}), var, side)
+            index = rec.lowered[a, var] = self._lowered_index(self._cols(d, a, side), var, side)
         if side == "lie":
             table, alphabet = self.alphabet.table("lyndon"), self.alphabet
 
@@ -359,9 +378,11 @@ class TorsionEngine:
 
     def bigrading(self, d: int, side: str = "lie") -> dict:
         """The side's degree-d basis split by bidegree: {a: {word of
-        bidegree (a, d-a): its column in the block}}, in basis order.  The
-        cache's, read-only."""
-        return self._degree(d, side).blocks
+        bidegree (a, d-a): its column in the block}} over the blocks that
+        hold words, in ascending a, each in basis order.  Builds every block
+        of the degree; the inner dicts are the cache's, read-only."""
+        blocks = self._blocks(d, side, 0, d)
+        return {a: blocks[a] for a in sorted(blocks) if blocks[a]}
 
     def _leads_y_image(self, word: tuple, side: str) -> bool:
         """Whether a basis word is the leading word of the y-image of a basis
@@ -411,15 +432,15 @@ class TorsionEngine:
         rec = self._degree(d, side)
         pres = rec.presentations.get(a)
         if pres is None:
-            below = self._degree(d - 1, side)
-            xs = [w for w in below.blocks.get(a - 1, ()) if not self._leads_y_image(w, side)]
-            ys = below.blocks.get(a, ())
+            below = self._blocks(d - 1, side, a - 1, a)
+            xs = [w for w in below[a - 1] if not self._leads_y_image(w, side)]
+            ys = below[a]
             rows = []
             for var, ws in (("x", xs), ("y", ys)):
                 if ws:
                     rows += map(self._row_builder(d, a, var, side), ws)
                 rec.lowered.pop((a, var), None)
-            n = len(rec.blocks.get(a, ()))
+            n = len(self._cols(d, a, side))
             if side == "metabelian":
                 rows = [{n - 1 - j: c for j, c in r.items()} for r in rows]
             pres = rec.presentations[a] = Presentation(rows, n)
@@ -427,10 +448,15 @@ class TorsionEngine:
 
     def graded_cokernel(self, d: int, side: str = "lie") -> CokernelStructure:
         """The side's degree-d cokernel, the direct sum of its blocks: each
-        block (a, b) with a < b is counted twice, once for its mirror (b, a)."""
+        block (a, b) with a < b is counted twice, once for its mirror (b, a).
+        Only the blocks a <= d/2 are built, of degree d and of degree d-1
+        (their rows' words), one walk each."""
         free, torsion = 0, []
-        for a in self._degree(d, side).blocks:
-            if 2 * a <= d:
+        half = d // 2
+        blocks = self._blocks(d, side, 0, half)
+        self._blocks(d - 1, side, 0, half)
+        for a in range(half + 1):
+            if blocks[a]:
                 ck = self.block(d, a, side).cokernel
                 times = 1 if 2 * a == d else 2
                 free += times * ck.free_rank
@@ -451,11 +477,15 @@ class TorsionEngine:
 
         It is theta's double sum of (vy, vx, u^(p-2)), in which each of the
         p-1 arrangements of (vx, u^(p-2)) occurs (p-2)! times, divided by
-        (p-2)! p; the division is asserted exact.
+        (p-2)! p; the division is asserted exact.  It is ``maps.theta_presum``
+        peeled without memoising the peeled words' expansions, so the
+        alphabet's ``"lyndon"`` memo is left as it was: at p=53 the peel held
+        755 expansions, 234 MiB.
         """
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        presum = theta_presum(self.alphabet, self.theorem_word(s, t))
+        tensor = presum_tensor(self.alphabet, self.theorem_word(s, t))
+        presum = lie_from_tensor(TensorElement(self.alphabet, ZZ, tensor, _clean=True), keep=False)
         return presum.divided_by(factorial(self.p - 2) * self.p)
 
     def theorem_vector(self, s: int, t: int, d: int) -> dict:
@@ -518,7 +548,7 @@ class TorsionEngine:
         coefficient that n does not divide raises IntegralityError, exactly
         when the element's Lyndon coordinates do not divide (see
         ``theorem_vector``)."""
-        cols = self._degree(d).blocks.get(a, {})
+        cols = self._cols(d, a)
         return {cols[w]: ZZ.divide_exact(c, n) for w, c in tensor.items() if w in cols}
 
     def _lie_coords(self, terms: dict, d: int, a: int) -> dict:
@@ -526,7 +556,7 @@ class TorsionEngine:
         tensor coordinates: the sum of c times each word's expansion on the
         block's Lyndon words.  A word of another bidegree raises ValueError:
         every map here preserves bidegree."""
-        index = self._degree(d).blocks.get(a, {})
+        index = self._cols(d, a)
         acc = {}
         for w, c in terms.items():
             if w not in index:
@@ -547,10 +577,56 @@ class TorsionEngine:
         u(s,t), whose bidegree is (p(s+1)+1, p(t+1)+1)."""
         return self.p * (s + 1) + 1
 
+    def _mirrored(self, d: int, read) -> list:
+        """read(s, t) at each theorem index of degree d, in ``theorem_indices``
+        order, called only where s <= t: an index (s, t) with s > t takes the
+        value of its mirror (t, s).  So no block past the mirror, a > d/2, is
+        built.  ``read`` here is a theorem vector's order or unit, and an
+        IntegralityError on one index is one on its mirror.
+
+        Proof.  Let sigma send u(s,t) to -u(t,s).  It swaps the two bidegree
+        components and turns the action of x into that of y: sigma(u x) =
+        sigma(u) y, both being -u(t,s+1).  It extends letter by letter to an
+        automorphism of the tensor ring, a signed permutation of the words,
+        which restricts to a graded automorphism of the free Lie ring on A.
+        That maps block (a, b) onto block (b, a), and the block's relations,
+        the x- and y-images of degree d-1, onto those of its mirror.  So it
+        gives an isomorphism of the two blocks' cokernels.
+        - Theorem elements.  With u = u(s,t), vx = u x and vy = u y, sigma
+          sends vy to -vx' and vx to -vy', where u' = u(t,s), vx' = u' x and
+          vy' = u' y.  theta's presum (``maps.presum_tensor``) is a signed
+          sum of left-normed words in its letters, so sigma sends the presum
+          of (vy, vx, u^(p-2)) to (-1)^p times that of (vx', vy', u'^(p-2)),
+          which is eps = (-1)^(p+1) times that of (vy', vx', u'^(p-2)):
+          swapping the first two letters negates it.  A signed permutation
+          of the words keeps every coefficient up to sign, so n divides the
+          one presum exactly when it divides the other, and by
+          ``theorem_vector``'s proof that is exactly when no IntegralityError
+          is raised.  Otherwise sigma maps the one theorem element to eps
+          times the other, and their orders are equal.
+        - Units.  For p >= 3 the theorem word's class has the two normal
+          words (vy, u^(p-2), vx) and (vx, u^(p-2), vy), with coefficients 1
+          and -1 (its strict mu terms, ``_normal_coords``; u is the least
+          letter), and sigma sends each, letter by letter, to (-1)^p times
+          the other normal word of (t, s).  At p = 2 the class is -(vx, vy),
+          which sigma sends to -(vy', vx'), whose presum is that of
+          (vx', vy').  So each division by p in ``theta_vector`` fails
+          exactly when its mirror's does, and sigma maps theta's image of
+          (s, t) to eps times the one of (t, s).  If image - u vector lies in
+          the relations of block (a, b), then sigma puts eps (image' - u
+          vector') in those of (b, a), and back, so the least matching unit
+          u in 1..p-1 is the same on both indices.
+        """
+        pairs = self.theorem_indices(d)
+        half = [read(s, t) for s, t in pairs[:(len(pairs) + 1) // 2]]
+        return half + half[:len(pairs) // 2][::-1]
+
     def verify_theorem_degree(self, d: int) -> TorsionReport:
-        """Each theorem vector is read in its own block, which is built
-        directly even past the mirror, since the vector is written in that
-        block's tensor coordinates; every verdict is a count of the orders q_i.
+        """Each theorem vector is read in its own block, since the vector is
+        written in that block's tensor coordinates, and only for the indices
+        s <= t, whose blocks are at most d/2: an index past the mirror takes
+        its mirror's order (``_mirrored``).  Every verdict is a count of the
+        orders q_i.
 
         Their blocks a = p(s+1)+1 are distinct blocks of the degree, so the
         vectors generate the direct sum of the cyclic groups Z/q_i.  They are
@@ -564,21 +640,26 @@ class TorsionEngine:
         blocks hold all of T.
         """
         p = self.p
-        n = len(self.lie_basis(d))
         coker = self.graded_cokernel(d)
+        # the Lie power's rank from the blocks built: sigma preserves rank
+        n = sum(len(cols) * (1 if 2 * a == d else 2)
+                for a, cols in self._blocks(d, "lie", 0, d // 2).items() if 2 * a <= d)
         theorem_checked = is_prime(p)
         torsion_all_p = all(q == p for q in coker.torsion)
         if not theorem_checked:
             return TorsionReport(p, d, n, coker, 0, True, True, True,
                                  torsion_all_p, True, False)
-        pairs = self.theorem_indices(d)
-        orders = []
-        for s, t in pairs:
+
+        def order(s, t):
             try:
                 vec = self.theorem_vector(s, t, d)
             except IntegralityError:
-                continue
-            orders.append(self.block(d, self.theorem_block(s, t)).order(vec))
+                return skipped
+            return self.block(d, self.theorem_block(s, t)).order(vec)
+
+        skipped = object()
+        pairs = self.theorem_indices(d)
+        orders = [q for q in self._mirrored(d, order) if q is not skipped]
         all_order_p = all(q == p for q in orders)
         independent = all(q is not None and q > 1 for q in orders)
         spanning = independent and prod(orders) == prod(coker.torsion)
@@ -596,15 +677,17 @@ class TorsionEngine:
     def torsion_report(self, max_degree=None) -> list[TorsionReport]:
         """``verify_theorem_degree`` at each degree from 2p to the top.  Once
         degree d is verified, the sweep reads no expansion of a degree d-1
-        basis word again, so those leave the alphabet's ``"lyndon"`` memo and
-        memory follows the top degrees rather than the whole sweep."""
+        basis word again, so the expansions of the blocks it built leave the
+        alphabet's ``"lyndon"`` memo and memory follows the top degrees
+        rather than the whole sweep."""
         top = self._top(max_degree)
         expansions = self.alphabet.table("lyndon")
         reports = []
         for d in range(2 * self.p, top + 1):
             reports.append(self.verify_theorem_degree(d))
-            for w in self.lie_basis(d - 1):
-                expansions.pop(w, None)
+            for cols in self._degree(d - 1).blocks.values():
+                for w in cols:
+                    expansions.pop(w, None)
         return reports
 
     # -- the metabelian side ------------------------------------------------
@@ -613,7 +696,9 @@ class TorsionEngine:
         """theta's image of each theorem word (``theta_vector``) is compared
         with the theorem vector in their common block, both in tensor
         coordinates: a unit u matches when image minus u times vector lies in
-        the block's relations, one membership test in the block's echelon."""
+        the block's relations, one membership test in the block's echelon.
+        Only the indices s <= t are read; one past the mirror takes its
+        mirror's unit (``_mirrored``)."""
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         p = self.p
@@ -621,22 +706,19 @@ class TorsionEngine:
         m_coker = self.graded_cokernel(d, "metabelian")
         ranks_agree = (len(l_coker.torsion) == len(m_coker.torsion)
                        and all(q == p for q in l_coker.torsion + m_coker.torsion))
-        matches = True
-        units = []
-        for s, t in self.theorem_indices(d):
-            a = self.theorem_block(s, t)
-            pres = self.block(d, a)
+
+        def unit(s, t):
+            pres = self.block(d, self.theorem_block(s, t))
             vec = self.theta_vector(s, t, d)
             target = self.theorem_vector(s, t, d)
-            unit = next((u for u in range(1, p) if {
+            return next((u for u in range(1, p) if {
                 j: x for j in vec | target
                 if (x := vec.get(j, 0) - u * target.get(j, 0))} in pres), None)
-            if unit is None:
-                matches = False
-            else:
-                units.append(unit)
-        return MetabelianTorsionReport(p, d, l_coker.torsion, m_coker.torsion,
-                                       ranks_agree, matches, tuple(units))
+
+        units = self._mirrored(d, unit)
+        return MetabelianTorsionReport(p, d, l_coker.torsion, m_coker.torsion, ranks_agree,
+                                       None not in units,
+                                       tuple(u for u in units if u is not None))
 
     # -- the second-derived kernel -------------------------------------------
 
@@ -676,7 +758,7 @@ class TorsionEngine:
         below = {}          # {a: K_{d-1,a}, as {Lyndon word: coefficient} vectors}
         for d in range(2 * self.p, top + 1):
             kernels, torsion, rec = {}, [], self._degree(d)
-            for a, cols in rec.blocks.items():
+            for a, cols in self.bigrading(d).items():
                 # eta on the block's own mixed keys, numbered as they first appear
                 keys, words = {}, list(cols)
                 etas = [{keys.setdefault(key, len(keys)): c

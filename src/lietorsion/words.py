@@ -303,7 +303,8 @@ def weight_range(weight=None, max_weight=None) -> tuple:
     return weight or 0, min(b for b in (weight, max_weight, math.inf) if b is not None)
 
 
-def _lyndon_walk(wt, length=None, lo=0, hi=math.inf, budget=None) -> list[tuple]:
+def _lyndon_walk(wt, length=None, lo=0, hi=math.inf, budget=None, first=None,
+                 blocks=None):
     """Index tuples of the Lyndon words over letters of positive weights ``wt``,
     in lexicographic order, of weight at most ``hi`` and, when ``length`` is
     given, of exactly that length and weight at least ``lo``; ``budget[a]``
@@ -329,9 +330,23 @@ def _lyndon_walk(wt, length=None, lo=0, hi=math.inf, budget=None) -> list[tuple]
     each appended to it; in lexicographic order they are exactly the words
     between the prefix and its next sibling, so emitting them in place keeps
     the list's order.
+
+    With ``first`` and ``blocks`` (``length`` given) the words are split by a
+    second grading in the same walk: ``first[c]``, from 0 to wt[c], is one
+    component of letter c's multidegree, and the walk returns {f: the words
+    whose letters' first components sum to f} for each f of the range
+    ``blocks`` that has any, each list in lexicographic order.  A prefix is
+    cut as soon as the letters still to come cannot land that sum in
+    ``blocks``: the sum never falls, and it grows by at most the weight
+    still allowed.
     """
+    if first is not None:
+        found_in = {}
+        if not blocks:
+            return found_in
+        bottom, top = blocks[0], blocks[-1]
     if length is not None and length < 1:
-        return []
+        return [] if first is None else found_in
     k = len(wt)
     lightest, heaviest = suffix_bounds(wt)
     index = weight_index(wt)
@@ -359,33 +374,47 @@ def _lyndon_walk(wt, length=None, lo=0, hi=math.inf, budget=None) -> list[tuple]
             continue
         # a frame for each prefix of ``word`` that two letters or more still
         # follow, so a long word costs no recursion: (the letters still to
-        # try after the prefix, its period, its weight, the letter one
-        # period back); the empty prefix's frame holds the first letter
-        # alone.  A prefix one letter short gets no frame: its words are
-        # emitted in its parent's loop.
-        word, frames = [], [(iter((a,)), 0, 0, -1)]
+        # try after the prefix, its period, its weight, its first-component
+        # sum, the letter one period back); the empty prefix's frame holds
+        # the first letter alone.  A prefix one letter short gets no frame:
+        # its words are emitted in its parent's loop.
+        word, frames = [], [(iter((a,)), 0, 0, 0, -1)]
         while frames:
-            letters, period, w, base = frames[-1]
+            letters, period, w, f, base = frames[-1]
             t = len(word) + 1                   # the length of the prefix ending in b
             for b in letters:
-                q = period if b == base else t
                 wb = w + wt[b]
+                if first is not None:
+                    fb = f + first[b]
+                    if fb > top or fb + hi - wb < bottom:
+                        continue
+                q = period if b == base else t
                 word.append(b)
                 if budget is not None:
                     budget[b] -= 1
                 if q == t and length in (None, t):
-                    found.append(tuple(word))
+                    if first is None:
+                        found.append(tuple(word))
+                    elif bottom <= fb <= top:
+                        found_in.setdefault(fb, []).append(tuple(word))
                 if t + 1 == length:
                     ends = _letters_in(index, lo - wb, hi - wb, word[t - q] + 1)
                     if budget is not None:
                         ends = [c for c in ends if budget[c]]
                     prefix = tuple(word)
-                    found += [prefix + (c,) for c in ends]
+                    if first is None:
+                        found += [prefix + (c,) for c in ends]
+                    else:
+                        for c in ends:
+                            g = fb + first[c]
+                            if bottom <= g <= top:
+                                found_in.setdefault(g, []).append(prefix + (c,))
                 elif t != length:
                     nexts = _letters_in(index, lows[t + 1] - wb, highs[t + 1] - wb, word[t - q])
                     if budget is not None:
                         nexts = [c for c in nexts if budget[c]]
-                    frames.append((iter(nexts), q, wb, word[t - q]))
+                    frames.append((iter(nexts), q, wb, fb if first is not None else 0,
+                                   word[t - q]))
                     break
                 word.pop()
                 if budget is not None:
@@ -396,7 +425,7 @@ def _lyndon_walk(wt, length=None, lo=0, hi=math.inf, budget=None) -> list[tuple]
                     b = word.pop()
                     if budget is not None:
                         budget[b] += 1
-    return found
+    return found if first is None else found_in
 
 
 def suffix_bounds(wt) -> tuple[list, list]:
@@ -432,7 +461,8 @@ def _letters_in(index, low, high, first) -> list:
     return out
 
 
-def multisets(wt, size, lo=0, hi=math.inf, below=None, bounds=None) -> list[tuple]:
+def multisets(wt, size, lo=0, hi=math.inf, below=None, bounds=None, first=None,
+              blocks=None) -> list[tuple]:
     """The multisets of ``size`` letters over positive weights ``wt``, as
     sorted index tuples in lexicographic order, whose weight lies in
     [lo, hi]; when ``below`` is given the smallest letter is less than it.
@@ -446,34 +476,71 @@ def multisets(wt, size, lo=0, hi=math.inf, below=None, bounds=None) -> list[tupl
     emitting them in place keeps the list's order.  ``bounds`` is
     ``(*suffix_bounds(wt), weight_index(wt))``, passed in by callers that
     enumerate many times over one alphabet.
+
+    With ``first`` and ``blocks`` the multisets are split by a second grading
+    in the same walk, as ``_lyndon_walk`` splits its words: the result is
+    {f: the multisets whose letters' first components sum to f} for each f
+    of the range ``blocks`` that has any, and a branch is also cut as soon
+    as its first sum is above the range, or below it by more than the weight
+    still allowed.
     """
     k = len(wt)
+    if first is not None:
+        found_in = {}
+        if not blocks:
+            return found_in
+        bottom, top = blocks[0], blocks[-1]
     if not size:
-        return [()] if lo <= 0 <= hi else []
+        if not lo <= 0 <= hi:
+            return [] if first is None else found_in
+        if first is None:
+            return [()]
+        if 0 in blocks:
+            found_in[0] = [()]
+        return found_in
     lightest, heaviest, index = bounds or (*suffix_bounds(wt), weight_index(wt))
     stop = k if below is None else min(below, k)
     if size == 1:
         ends = _letters_in(index, lo, hi, 0)
-        return [(a,) for a in ends[:bisect_left(ends, stop)]]
+        ends = ends[:bisect_left(ends, stop)]
+        if first is None:
+            return [(a,) for a in ends]
+        for a in ends:
+            if bottom <= first[a] <= top:
+                found_in.setdefault(first[a], []).append((a,))
+        return found_in
     found = []
     # one frame per position of ``word`` but the last, so a large size
-    # costs no recursion: (the letters still to try there, the weight so far)
-    word, frames = [], [(iter(range(stop)), 0)]
+    # costs no recursion: (the letters still to try there, the weight so
+    # far, the first-component sum so far)
+    word, frames = [], [(iter(range(stop)), 0, 0)]
     while frames:
-        letters, w = frames[-1]
+        letters, w, f = frames[-1]
         rest = size - len(word) - 1        # the letters to come after this one
         for a in letters:
             w2 = w + wt[a]
             if w2 + rest * lightest[a] <= hi and w2 + rest * heaviest[a] >= lo:
+                f2 = 0
+                if first is not None:
+                    f2 = f + first[a]
+                    if f2 > top or f2 + hi - w2 < bottom:
+                        continue
                 if rest == 1:
                     prefix = (*word, a)
-                    found += [prefix + (b,) for b in _letters_in(index, lo - w2, hi - w2, a)]
+                    ends = _letters_in(index, lo - w2, hi - w2, a)
+                    if first is None:
+                        found += [prefix + (b,) for b in ends]
+                    else:
+                        for b in ends:
+                            g = f2 + first[b]
+                            if bottom <= g <= top:
+                                found_in.setdefault(g, []).append(prefix + (b,))
                 else:
                     word.append(a)
-                    frames.append((iter(range(a, k)), w2))
+                    frames.append((iter(range(a, k)), w2, f2))
                     break
         else:
             frames.pop()
             if frames:
                 word.pop()
-    return found
+    return found if first is None else found_in

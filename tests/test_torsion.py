@@ -6,7 +6,7 @@ Leibniz oracle that never touches the package's normal-form machinery.
 """
 
 import functools
-from math import prod
+from math import factorial, prod
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +18,8 @@ from lietorsion.elements import (ZZ, DomainError, IntegralityError, LieElement,
                                  lyndon_monomial, normal_form, to_tensor)
 from lietorsion.maps import (ActionSpec, MetabelianElement, MixedElement, derive, eta,
                              metabelian_normal_coords, metabelian_of_word,
-                             mixed_basis, mu, peel_strict_keys, theta)
+                             mixed_basis, mu, normal_words, peel_strict_keys, theta,
+                             theta_presum)
 from lietorsion.torsion import (TorsionEngine, a_generator, a_generators,
                                 action_matrix, bp_freeness_check, bp_kernel_basis,
                                 graded_cokernel, lie_power_basis,
@@ -27,6 +28,7 @@ from lietorsion.torsion import (TorsionEngine, a_generator, a_generators,
 from lietorsion.zlinalg import (CokernelStructure, IntLattice, Presentation,
                                 cokernel_structure, integer_kernel,
                                 solve_left, transpose)
+from lietorsion.words import _lyndon_walk
 from heap_oracle import HeapPresentation
 from snf_oracle import dense_snf
 
@@ -187,6 +189,112 @@ def test_graded_cokernel_combines_blocks_into_invariant_factors(monkeypatch):
     monkeypatch.setattr(engine, "block",
                         lambda d, a, side: SimpleNamespace(cokernel=fake[a]))
     assert engine.graded_cokernel(16) == CokernelStructure(2 * 1 + 2 * 2 + 3, (2, 6))
+
+
+def bucketed_basis(engine, d, side):
+    # the whole degree's basis by one unsplit walk, in lexicographic order,
+    # and its words bucketed by bidegree in that order: {a: {word: column}}
+    if side == "lie":
+        words = _lyndon_walk(engine._weight, length=engine.p, lo=d, hi=d)
+    else:
+        words = normal_words(engine.alphabet, engine.p, weight=d)
+    blocks = {}
+    for w in words:
+        cols = blocks.setdefault(engine.alphabet.word_multidegree(w)[0], {})
+        cols[w] = len(cols)
+    return words, blocks
+
+
+def assert_bases_match_the_full_walk(engine, d):
+    for side, basis in (("lie", engine.lie_basis), ("metabelian", engine.normal_basis)):
+        words, blocks = bucketed_basis(engine, d, side)
+        got = engine.bigrading(d, side)
+        assert list(got) == sorted(blocks), (side, d)
+        assert {a: list(cols.items()) for a, cols in got.items()} == {
+            a: list(cols.items()) for a, cols in blocks.items()}, (side, d)
+        assert basis(d) == words, (side, d)
+
+
+@pytest.mark.parametrize("p,top", [(2, 16), (3, 17), (5, 17), (7, 16)])
+def test_per_bidegree_bases_match_the_full_walk(p, top):
+    # each block's words, columns and order, and each whole basis, as the
+    # unsplit walk and bucketing give them; the theorem checks build the
+    # halves first, so a basis is also compared after its halves were built
+    engine = TorsionEngine(p, top)
+    for d in range(2 * p, top + 1):
+        assert_bases_match_the_full_walk(engine, d)
+    engine = TorsionEngine(p, top)
+    for d in range(2 * p, top + 1):
+        engine.graded_cokernel(d)
+        engine.graded_cokernel(d, "metabelian")
+        assert_bases_match_the_full_walk(engine, d)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p,d", [(5, 24), (3, 38)])
+def test_per_bidegree_bases_match_the_full_walk_at_reach(p, d):
+    assert_bases_match_the_full_walk(TorsionEngine(p, d), d)
+
+
+def direct_theorem_reads(engine, d):
+    # {(s, t): (order or "integrality", unit)}, every index read in its own
+    # block, built directly even past the mirror, as the checks read them
+    # before the mirror read
+    reads = {}
+    for s, t in engine.theorem_indices(d):
+        pres = engine.block(d, engine.theorem_block(s, t))
+        try:
+            vec = engine.theorem_vector(s, t, d)
+        except IntegralityError:
+            reads[s, t] = ("integrality", None)
+            continue
+        image = engine.theta_vector(s, t, d)
+        unit = next((u for u in range(1, engine.p) if {
+            j: x for j in image | vec if (x := image.get(j, 0) - u * vec.get(j, 0))} in pres),
+            None)
+        reads[s, t] = (pres.order(vec), unit)
+    return reads
+
+
+@pytest.mark.parametrize("p,top", [(2, 16), (3, 17), (5, 17), (7, 16)])
+def test_mirror_read_matches_the_past_mirror_blocks(p, top):
+    for d in range(2 * p, top + 1):
+        engine = TorsionEngine(p, top)
+        pairs = engine.theorem_indices(d)
+        if not pairs:
+            continue
+        report = engine.verify_theorem_degree(d)
+        check = engine.metabelian_torsion_check(d)
+        direct = direct_theorem_reads(TorsionEngine(p, top), d)
+        # the swap u(s,t) -> -u(t,s): each index reads as its mirror
+        assert all(direct[s, t] == direct[t, s] for s, t in pairs), (p, d, direct)
+        orders = [q for q, _ in direct.values() if q != "integrality"]
+        units = [u for q, u in direct.values() if q != "integrality"]
+        independent = all(q is not None and q > 1 for q in orders)
+        assert report == torsion.TorsionReport(
+            p, d, report.lie_power_rank, report.cokernel, len(pairs),
+            all(q == p for q in orders), independent,
+            independent and prod(orders) == prod(report.cokernel.torsion),
+            all(q == p for q in report.cokernel.torsion), len(orders) == len(pairs), True)
+        assert report.lie_power_rank == len(engine.lie_basis(d))
+        assert check.units == tuple(u for u in units if u is not None)
+        assert check.theta_matches == (None not in units)
+        # the mirror read's own map, against the direct reads
+        assert engine._mirrored(d, lambda s, t: direct[s, t]) == [direct[k] for k in pairs]
+
+
+@pytest.mark.parametrize("p,top", [(2, 16), (3, 17), (5, 17), (7, 16)])
+def test_theorem_checks_build_no_block_past_the_mirror(p, top):
+    for d in range(2 * p, top + 1):
+        engine = TorsionEngine(p, top)
+        if not engine.theorem_indices(d):
+            continue
+        assert engine.verify_theorem_degree(d).passed
+        assert engine.metabelian_torsion_check(d).passed
+        for side in ("lie", "metabelian"):
+            assert max(engine._degree(d, side).presentations) <= d // 2, (p, d, side)
+            for e in (d, d - 1):
+                assert max(engine._degree(e, side).blocks) == d // 2, (p, d, e, side)
 
 
 def test_bigrading_partitions_the_basis_in_order():
@@ -432,6 +540,35 @@ def test_theorem_element_matches_hand_double_sum(p, s, t):
     e = engine.theorem_element(s, t)
     assert e == hand_theorem_element(engine, s, t)
     assert e.terms
+
+
+@pytest.mark.parametrize("p,s,t", [(3, 1, 0), (5, 0, 1), (7, 0, 0)])
+def test_theorem_element_keeps_no_peeled_expansion(p, s, t):
+    # the peel expands each peeled Lyndon word afresh and memoises none of
+    # them, and the element is the one a memoised peel gives
+    engine = TorsionEngine(p, p * (s + t + 2) + 2)
+    e = engine.theorem_element(s, t)
+    assert not engine.alphabet.table("lyndon")
+    kept = theta_presum(engine.alphabet, engine.theorem_word(s, t))
+    assert engine.alphabet.table("lyndon")
+    assert e == kept.divided_by(factorial(p - 2) * p)
+
+
+def test_a_action_targets_by_name():
+    # the action read off the generators' names, as u(s,t)x = u(s+1,t) and
+    # u(s,t)y = u(s,t+1), with the pairs past the degree cut undefined
+    alphabet = torsion.a_alphabet(9)
+    images = {}
+    for i, g in enumerate(alphabet):
+        s, t = st_of(g)
+        for var, name in (("x", f"u({s + 1},{t})"), ("y", f"u({s},{t + 1})")):
+            if any(h.name == name for h in alphabet):
+                images[i, var] = {alphabet.index(name): 1}
+    spec = torsion.a_action(alphabet)
+    assert spec.table == images
+    top = alphabet.index("u(3,4)")
+    with pytest.raises(KeyError, match="not defined"):
+        spec.image(top, "x")
 
 
 def test_theorem_element_requires_prime():

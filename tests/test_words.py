@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lietorsion.maps import normal_words
 from lietorsion.words import (MAX_UNIT_RANK, Alphabet, Generator, LyndonWord, _lyndon_walk,
                               is_lyndon, lyndon_words, lyndon_words_of_length,
                               lyndon_words_with_content, multisets, unit_alphabet)
@@ -288,6 +289,45 @@ def test_walk_matches_product_oracle(weights, length, data):
     graded = [w for n in range(1, cut + 1) for w in oracle(n) if weight(w) <= cut]
     assert ([w.idx for w in lyndon_words(ab, cut)]
             == sorted(graded, key=lambda w: (weight(w), w)))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(weights=WEIGHTS, length=st.integers(1, 6), data=st.data())
+def test_walks_split_by_a_second_grading(weights, length, data):
+    # the split walks against the unsplit ones, bucketed: each letter gets a
+    # first component from 0 to its weight, and the range of first sums asked
+    # for may miss some words, or all of them
+    k = len(weights)
+    first = [data.draw(st.integers(0, w), label=f"first{a}") for a, w in enumerate(weights)]
+    lo = data.draw(st.integers(length, 3 * length), label="lo")
+    hi = lo + data.draw(st.integers(0, 3), label="span")
+    start = data.draw(st.integers(-1, 3 * length), label="start")
+    blocks = range(start, start + data.draw(st.integers(0, 4), label="blocks"))
+
+    def split(found):
+        out = {f: [w for w in found if sum(first[a] for a in w) == f] for f in blocks}
+        return {f: words for f, words in out.items() if words}
+
+    assert (_lyndon_walk(weights, length=length, lo=lo, hi=hi, first=first, blocks=blocks)
+            == split(_lyndon_walk(weights, length=length, lo=lo, hi=hi)))
+    size = length - 1
+    below = data.draw(st.one_of(st.none(), st.integers(0, k)), label="below")
+    assert (multisets(weights, size, lo - 3, hi - 3, below=below, first=first, blocks=blocks)
+            == split(multisets(weights, size, lo - 3, hi - 3, below=below)))
+
+
+def test_normal_words_split_by_bidegree():
+    # a two-variable alphabet, as the torsion engine's: each list in order
+    gens = [Generator(f"g{i}", deg) for i, deg in
+            enumerate([(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)])]
+    ab = Alphabet(gens)
+    for c in (2, 3, 4):
+        for weight in range(2 * c, 4 * c + 1):
+            words = normal_words(ab, c, weight=weight)
+            split = {a: [w for w in words if ab.word_multidegree(w)[0] == a]
+                     for a in range(weight + 1)}
+            assert normal_words(ab, c, weight=weight, blocks=range(weight + 1)) == {
+                a: ws for a, ws in split.items() if ws}
 
 
 def test_words_with_content_out_of_range():
