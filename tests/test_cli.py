@@ -1,6 +1,7 @@
 """Expression grammar round-trips, subcommand runs, JSON schema, exit codes."""
 
 import json
+import pathlib
 import random
 import re
 from datetime import datetime, timedelta, timezone
@@ -13,7 +14,7 @@ from lietorsion.exprs import (ParseError, format_lie, parse_expression,
                               parse_lie)
 from lietorsion.elements import normal_form
 from lietorsion.maps import random_homogeneous
-from lietorsion.torsion import a_alphabet
+from lietorsion.torsion import TorsionEngine, a_alphabet
 from lietorsion.words import unit_alphabet
 
 AB2 = unit_alphabet(2)
@@ -425,3 +426,46 @@ def test_report_battery(tmp_path, capsys):
     assert code == 1 and doc["overallPass"] is False
     assert all(s["pass"] for s in doc["results"]["summand"])
     assert all(s["pass"] for s in doc["results"]["secondDerivedFreeness"])
+
+
+# -- golden reports: the JSON, minus its timestamp, is pinned byte for byte
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv, code", [
+    ("report-trials20-seed0", ["report", "--trials", "20", "--seed", "0"], 1),
+    ("report-trials20-seed3", ["report", "--trials", "20", "--seed", "3"], 1),
+    ("verify-c4-rank3-seed0", ["verify", "--c", "4", "--rank", "3", "--seed", "0"], 1),
+    ("verify-c4-rank3-seed1", ["verify", "--c", "4", "--rank", "3", "--seed", "1"], 1),
+    ("verify-c5-rank3-seed1", ["verify", "--c", "5", "--rank", "3", "--seed", "1"], 0),
+])
+def test_golden_reports(capsys, name, argv, code):
+    got, out, _ = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    doc.pop("timestamp")
+    assert got == code
+    assert json.dumps(doc, indent=2) + "\n" == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_report_sections_match_a_fresh_engine_each():
+    results, _ = cli.run_report(cli.options("report", {"trials": 1, "seed": 0}))
+    torsion = [cli.run_torsion(cli.options("torsion", {"prime": p, "max-degree": top}))[0]
+               for p, top in ((2, 10), (3, 11), (5, 12))]
+    metabelian = []
+    for p, d in ((2, 6), (2, 8), (3, 8)):
+        r = TorsionEngine(p, d).metabelian_torsion_check(d)
+        metabelian.append({"prime": p, "degree": d, "lieTorsion": list(r.lie_torsion),
+                           "metabelianTorsion": list(r.metabelian_torsion),
+                           "ranksAgree": r.ranks_agree, "thetaMatches": r.theta_matches,
+                           "pass": r.passed})
+    freeness = []
+    for p, top in ((2, 8), (3, 9), (5, 14)):
+        r = TorsionEngine(p, top).bp_freeness_check(top)
+        freeness.append({"prime": p, "maxDegree": top,
+                         "dimensions": [list(x) for x in r.dimensions],
+                         "allTorsionFree": r.all_torsion_free,
+                         "vacuous": not r.nonvacuous, "pass": r.passed})
+    assert results["torsion"] == torsion
+    assert results["metabelianComparison"] == metabelian
+    assert results["secondDerivedFreeness"] == freeness
