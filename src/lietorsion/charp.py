@@ -8,10 +8,11 @@ therefore a direct summand.
 
 Vectors are sparse dicts ``{index: coeff mod p}`` holding no zero.  All
 linear algebra runs on ``zlinalg.IntLattice`` given the modulus p: ranks,
-memberships, and the relations among the eta rows (``maps._eta_word``) that
-span the second derived part, read off their tagged echelon.  The list-based
-functions (``rref_mod``, ``alpha_vector`` and so on) convert to and from
-sparse vectors.
+memberships, and the relations among the eta rows (``maps._eta_word``, at
+most two terms each, read off the standard factorisation with no tensor
+expansion) that span the second derived part, read off their tagged
+echelon.  The list-based functions (``rref_mod``, ``alpha_vector`` and so
+on) convert to and from sparse vectors.
 """
 
 from __future__ import annotations

@@ -218,14 +218,17 @@ def run_verify(args):
 
 
 def run_torsion(args):
-    p = args.prime
-    composite = not is_prime(p)
-    if composite:
+    if not is_prime(args.prime):
         print("composite modulus: no theorem asserted", file=sys.stderr)
-    engine = TorsionEngine(p, args.max_degree)
+    return _torsion_section(TorsionEngine(args.prime, args.max_degree), args.max_degree)
+
+
+def _torsion_section(engine, top):
+    """``run_torsion``'s results and pass flag for the engine's modulus from
+    2p to degree ``top``."""
     degrees = []
     ok = True
-    for report in engine.torsion_report(args.max_degree):
+    for report in engine.torsion_report(top):
         entry = {
             "degree": report.degree,
             "liePowerRank": report.lie_power_rank,
@@ -243,7 +246,7 @@ def run_torsion(args):
         else:
             entry["theorem"] = None
         degrees.append(entry)
-    return {"prime": p, "degrees": degrees}, ok
+    return {"prime": engine.p, "degrees": degrees}, ok
 
 
 def run_theorem(args):
@@ -291,8 +294,14 @@ def run_summand(args):
 
 
 def run_report(args):
+    """The identity suite, then the torsion, metabelian and freeness sections,
+    one engine per prime at the top degree any of its sections reads: the
+    letters u(s,t) are ordered by (degree, s), so a longer alphabet keeps
+    every word's indices and each section's answer is that of its own
+    engine."""
     results = {}
     ok = True
+    engines = {p: TorsionEngine(p, top) for p, top in ((2, 10), (3, 11), (5, 14))}
 
     identities = []
     for c in (2, 3, 4, 5):
@@ -303,14 +312,14 @@ def run_report(args):
 
     torsion_sections = []
     for p, top in ((2, 10), (3, 11), (5, 12)):
-        section, section_ok = run_torsion(options("torsion", {"prime": p, "max-degree": top}))
+        section, section_ok = _torsion_section(engines[p], top)
         torsion_sections.append(section)
         ok = ok and section_ok
     results["torsion"] = torsion_sections
 
     prop33 = []
     for p, d in ((2, 6), (2, 8), (3, 8)):
-        r = TorsionEngine(p, d).metabelian_torsion_check(d)
+        r = engines[p].metabelian_torsion_check(d)
         prop33.append({
             "prime": p, "degree": d,
             "lieTorsion": list(r.lie_torsion),
@@ -324,7 +333,7 @@ def run_report(args):
 
     freeness = []
     for p, top in ((2, 8), (3, 9), (5, 14)):
-        r = TorsionEngine(p, top).bp_freeness_check(top)
+        r = engines[p].bp_freeness_check(top)
         freeness.append({
             "prime": p, "maxDegree": top,
             "dimensions": [list(x) for x in r.dimensions],

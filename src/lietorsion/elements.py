@@ -357,9 +357,13 @@ def leftnormed_tensor(letters) -> dict:
 
 def to_tensor(e: LieElement) -> TensorElement:
     """The canonical embedding into the tensor ring."""
+    table, p = e.alphabet.table("lyndon"), e.domain.p
     out = {}
     for w, c in e.terms.items():
-        add_into(out, _expand_lyndon(e.alphabet, w).items(), c, e.domain.p)
+        terms = table.get(w)
+        if terms is None:
+            terms = _expand_lyndon(e.alphabet, w)
+        add_into(out, terms.items(), c, p)
     return TensorElement(e.alphabet, e.domain, out, _clean=True)
 
 

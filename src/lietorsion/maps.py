@@ -15,8 +15,8 @@ from functools import partial
 from .elements import (DomainError, LieElement, MixedElement, SymElement,
                        TensorElement, ZZ, _expand_lyndon, leftnormed_tensor,
                        lie_from_tensor, lie_zero, to_tensor)
-from .words import (Alphabet, lyndon_words_of_length, multisets, suffix_bounds,
-                    weight_index, weight_range)
+from .words import (Alphabet, _split_point, lyndon_words_of_length, multisets,
+                    suffix_bounds, weight_index, weight_range)
 from .zlinalg import IntLattice, _tagged, add_into
 
 
@@ -70,20 +70,22 @@ def rho(t: TensorElement) -> LieElement:
     ``lie_from_tensor`` is a unitriangular integer solve.
     """
     t.degree()  # raises on inhomogeneous input
+    table, p = t.alphabet.table("rho"), t.domain.p
     acc = {}
     for word, c in t.terms.items():
-        add_into(acc, _rho_word(t.alphabet, word).items(), c, t.domain.p)
+        terms = table.get(word)
+        if terms is None:
+            terms = _rho_word(t.alphabet, word, table)
+        add_into(acc, terms.items(), c, p)
     return LieElement(t.alphabet, t.domain, acc, _clean=True)
 
 
-def _rho_word(alphabet, word) -> dict:
+def _rho_word(alphabet, word, table) -> dict:
     """Lyndon coordinates over Z of the left-normed bracketing of a word,
-    memoised in the alphabet: the dict returned is the table's, read-only."""
-    table = alphabet.table("rho")
-    terms = table.get(word)
-    if terms is None:
-        t = TensorElement(alphabet, ZZ, leftnormed_tensor(word), _clean=True)
-        terms = table[word] = lie_from_tensor(t).terms
+    stored in the alphabet's ``"rho"`` table, which lacks the word: the dict
+    returned is the table's, read-only."""
+    t = TensorElement(alphabet, ZZ, leftnormed_tensor(word), _clean=True)
+    terms = table[word] = lie_from_tensor(t).terms
     return terms
 
 
@@ -185,26 +187,28 @@ def lam(t: MixedElement, c=None) -> MetabelianElement:
         raise ValueError("mixed element has keys of the wrong degree")
     if c < 2:
         raise ValueError("lambda needs degree >= 2")
+    table, p = t.alphabet.table("lam"), t.domain.p
     acc = {}
     for key, coeff in t.terms.items():
-        add_into(acc, _lam_key(t.alphabet, key).items(), coeff, t.domain.p)
+        terms = table.get(key)
+        if terms is None:
+            terms = _lam_key(key, table)
+        add_into(acc, terms.items(), coeff, p)
     return MetabelianElement(c, MixedElement(t.alphabet, t.domain, acc, _clean=True))
 
 
-def _lam_key(alphabet, key) -> dict:
-    """lam of one mixed key as integer mixed terms, memoised in the alphabet:
-    the dict returned is the table's, read-only."""
-    table = alphabet.table("lam")
-    terms = table.get(key)
-    if terms is None:
-        a, rest = key
-        terms = table[key] = {}
-        seen = set()
-        for k, b in enumerate(rest):
-            if b not in seen:
-                seen.add(b)
-                add_into(terms, _mu_terms((a, b) + rest[:k] + rest[k + 1:]).items(),
-                         rest.count(b))
+def _lam_key(key, table) -> dict:
+    """lam of one mixed key as integer mixed terms, stored in the alphabet's
+    ``"lam"`` table, which lacks the key: the dict returned is the table's,
+    read-only."""
+    a, rest = key
+    terms = table[key] = {}
+    seen = set()
+    for k, b in enumerate(rest):
+        if b not in seen:
+            seen.add(b)
+            add_into(terms, _mu_terms((a, b) + rest[:k] + rest[k + 1:]).items(),
+                     rest.count(b))
     return terms
 
 
@@ -217,26 +221,47 @@ def eta(e: LieElement, c=None) -> MetabelianElement:
         raise ValueError(f"element has degree {d}, expected {c}")
     if d is None or d < 2:
         raise ValueError("eta needs degree >= 2")
+    table, p = e.alphabet.table("eta"), e.domain.p
     acc = {}
     for w, coeff in e.terms.items():
-        add_into(acc, _eta_word(e.alphabet, w).items(), coeff, e.domain.p)
+        terms = table.get(w)
+        if terms is None:
+            terms = _eta_word(e.alphabet, w)
+        add_into(acc, terms.items(), coeff, p)
     return MetabelianElement(d, MixedElement(e.alphabet, e.domain, acc, _clean=True))
 
 
 def _eta_word(alphabet, w) -> dict:
-    """eta of the Lyndon word w as integer mixed terms, memoised in the
-    alphabet (the dict returned is the table's, read-only).  It is alpha(nu(w)),
-    for alpha(a1...ac) = (a1, a2 o ... o ac) has mu(eta(P)) = alpha(nu(P)) on
-    Lie P of degree >= 2: on left-normed P, alpha(a1a2 - a2a1) = mu([a1,a2]),
-    and nu([P,b]) = nu(P)b - b nu(P), where nu(P)'s words share one content and
-    their coefficients sum to 0, so alpha kills b nu(P) and adds b to each
-    multiset of alpha(nu(P)) = mu(P), giving mu([P,b]); both maps are linear."""
+    """eta of the Lyndon word w as integer mixed terms, at most two of them,
+    memoised in the alphabet (the dict returned is the table's, read-only).
+
+    eta(P) has mu-image alpha(nu(P)), for alpha(a1...ac) = (a1, a2 o ... o ac)
+    (the README's proof, by [P, b] on left-normed P).  With (u, v) the
+    standard factorisation of w, nu(w) = nu(u)nu(v) - nu(v)nu(u).  For any
+    tensor X and Lie Q of degree >= 2, alpha(X nu(Q)) = 0: the words of
+    nu(Q) share one content, so a word of X fixes the key of each product
+    it makes, and nu(Q)'s coefficients sum to 0.  A right factor that is a
+    letter b adds b to each multiset.  Hence w = ab gives (a,(b)) - (b,(a));
+    |u|, |v| >= 2 give 0; v = b a letter gives eta(u) with b added to each
+    multiset; u = a a letter gives -(eta(v) with a added).  A letter a is
+    (a, ()), alpha of itself."""
     table = alphabet.table("eta")
     terms = table.get(w)
     if terms is None:
-        terms = table[w] = {}
-        add_into(terms, (((u[0], tuple(sorted(u[1:]))), c)
-                         for u, c in _expand_lyndon(alphabet, w).items()))
+        terms = {}
+        if len(w) == 1:
+            terms[w[0], ()] = 1
+        else:
+            split = _split_point(w)
+            if len(w) - split == 1:
+                b = w[-1]
+                for (a, m), c in _eta_word(alphabet, w[:split]).items():
+                    terms[a, tuple(sorted(m + (b,)))] = c
+            if split == 1:
+                a = w[0]
+                for (b, m), c in _eta_word(alphabet, w[1:]).items():
+                    terms[b, tuple(sorted(m + (a,)))] = -c
+        table[w] = terms
     return terms
 
 
@@ -410,7 +435,7 @@ def theta(m, c=None, alphabet=None, domain=ZZ) -> LieElement:
     """
     if isinstance(m, MetabelianElement):
         acc = {}
-        for word, coeff in sorted(metabelian_normal_coords(m).items()):
+        for word, coeff in metabelian_normal_coords(m).items():
             add_into(acc, _theta_terms(m.alphabet, word, m.domain).items(), coeff,
                      m.domain.p)
         return LieElement(m.alphabet, m.domain, acc, _clean=True)
@@ -576,6 +601,10 @@ def check_exactness(c, alphabet, degree_cut) -> ExactnessReport:
 # seeded sampling helpers used by the verify command and the test suite
 
 def random_homogeneous(alphabet, c, rng, domain=ZZ, max_weight=None) -> LieElement:
+    """Up to four distinct Lyndon words of length c, each times a coefficient
+    of 1 to 4 and a random sign; one that vanishes in the domain is dropped.
+    The draws are sample(words, k=min(n, randrange(1, 5))), then
+    randrange(1, 5) and choice((1, -1)) per pick."""
     table = alphabet.table("lyndon_of_length")
     words = table.get((c, max_weight))
     if words is None:
@@ -583,25 +612,29 @@ def random_homogeneous(alphabet, c, rng, domain=ZZ, max_weight=None) -> LieEleme
             w.idx for w in lyndon_words_of_length(alphabet, c, max_weight=max_weight))
     if not words:
         return lie_zero(alphabet, domain)
-    picks = rng.sample(words, k=min(len(words), rng.randint(1, 4)))
-    terms = []
-    for w in picks:
-        coeff = rng.randint(1, 4) * rng.choice((1, -1))
-        terms.append((w, coeff))
-    return LieElement(alphabet, domain, terms)
+    terms = {}
+    for w in rng.sample(words, k=min(len(words), rng.randrange(1, 5))):
+        coeff = domain.coerce(rng.randrange(1, 5) * rng.choice((1, -1)))
+        if coeff:
+            terms[w] = coeff
+    return LieElement(alphabet, domain, terms, _clean=True)
 
 
 def random_metabelian(alphabet, c, rng, domain=ZZ, max_weight=None) -> MetabelianElement:
-    table = alphabet.table("normal_words")
-    words = table.get((c, max_weight))
-    if words is None:
-        words = table[(c, max_weight)] = tuple(normal_words(alphabet, c, max_weight=max_weight))
+    """The metabelian classes of up to four distinct normal words of degree
+    c, drawn as in ``random_homogeneous``; each pick adds its word's integer
+    mu terms, memoised per (c, max_weight) in basis order, times its
+    coefficient."""
+    table = alphabet.table("mu_images")
+    images = table.get((c, max_weight))
+    if images is None:
+        images = table[(c, max_weight)] = tuple(
+            tuple(_mu_terms(w).items()) for w in normal_words(alphabet, c, max_weight=max_weight))
     acc = {}
-    if words:
-        picks = rng.sample(words, k=min(len(words), rng.randint(1, 4)))
-        for w in picks:
-            coeff = rng.randint(1, 4) * rng.choice((1, -1))
-            add_into(acc, _mu_terms(w).items(), domain.coerce(coeff), domain.p)
+    if images:
+        for terms in rng.sample(images, k=min(len(images), rng.randrange(1, 5))):
+            coeff = domain.coerce(rng.randrange(1, 5) * rng.choice((1, -1)))
+            add_into(acc, terms, coeff, domain.p)
     return MetabelianElement(c, MixedElement(alphabet, domain, acc, _clean=True))
 
 

@@ -15,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from lietorsion.charp import PBWBasis
 from lietorsion.elements import (GF, QQ, DomainError, IntegralityError, LieElement, MixedElement,
-                                 SymElement, TensorElement, ZZ, generator_element, left_normalize,
-                                 leftnormed_tensor, lie_from_tensor, lyndon_monomial,
-                                 normal_form, to_tensor)
+                                 SymElement, TensorElement, ZZ, _expand_lyndon,
+                                 generator_element, left_normalize, leftnormed_tensor,
+                                 lie_from_tensor, lie_zero, lyndon_monomial, normal_form,
+                                 to_tensor)
 from lietorsion.maps import (ActionSpec, MetabelianElement, _eta_word, _mu_terms,
                              check_exactness, derive, eta, kappa, lam,
                              metabelian_normal_coords, metabelian_of_word, mixed_basis,
@@ -482,12 +483,115 @@ def test_eta_word_matches_left_normalization_on_the_engine_basis(p, d):
         assert _eta_word(engine.alphabet, w) == eta_word_oracle(engine.alphabet, w)
 
 
+def eta_word_by_expansion(ab, w):
+    # alpha of the whole tensor expansion: a1...ac -> (a1, a2 o ... o ac)
+    acc = {}
+    for u, c in _expand_lyndon(ab, w, keep=False).items():
+        key = (u[0], tuple(sorted(u[1:])))
+        acc[key] = acc.get(key, 0) + c
+    return {key: c for key, c in acc.items() if c}
+
+
+def test_eta_word_matches_alpha_of_the_expansion_on_unit_alphabets():
+    checked = 0
+    for rank, top in ((2, 8), (3, 8), (4, 6)):
+        ab = unit_alphabet(rank)
+        for c in range(2, top + 1):
+            for w in lyndon_words_of_length(ab, c):
+                terms = _eta_word(ab, w.idx)
+                assert terms == eta_word_by_expansion(ab, w.idx)
+                assert len(terms) <= 2 and all(terms.values())
+                checked += 1
+    assert checked == 69 + 1315 + 960
+
+
+@pytest.mark.parametrize("p, d, count", [(3, 14, 429), (5, 16, 1001), (7, 18, 340)])
+def test_eta_word_matches_alpha_of_the_expansion_on_the_engine_basis(p, d, count):
+    engine = TorsionEngine(p, d)
+    words = engine.lie_basis(d)
+    assert len(words) == count
+    for w in words:
+        assert _eta_word(engine.alphabet, w) == eta_word_by_expansion(engine.alphabet, w)
+
+
+def test_eta_of_a_letter():
+    # a letter's memo entry is alpha of itself, and eta refuses degree 1
+    ab = unit_alphabet(3)
+    assert _eta_word(ab, (2,)) == {(2, ()): 1} == eta_word_by_expansion(ab, (2,))
+    with pytest.raises(ValueError, match="eta needs degree >= 2"):
+        eta(generator_element(ab, 2))
+    with pytest.raises(ValueError, match="eta needs degree >= 2"):
+        eta(lie_zero(ab), 1)
+
+
 @pytest.mark.parametrize("p, rank", [(2, 4), (3, 3), (5, 2), (7, 2)])
 def test_eta_over_gf_p_matches_left_normalization(p, rank):
     ab = unit_alphabet(rank)
     for w in lyndon_words_of_length(ab, p):
         expected = {key: c % p for key, c in eta_word_oracle(ab, w.idx).items() if c % p}
         assert eta(lyndon_monomial(ab, w, GF(p))).mixed.terms == expected
+
+
+# -- the samplers: the same Random calls, and the elements the pre-memo bodies built
+
+def random_homogeneous_oracle(ab, c, rng, domain):
+    words = tuple(w.idx for w in lyndon_words_of_length(ab, c))
+    picks = rng.sample(words, k=min(len(words), rng.randint(1, 4)))
+    return LieElement(ab, domain, [(w, rng.randint(1, 4) * rng.choice((1, -1))) for w in picks])
+
+
+def random_metabelian_oracle(ab, c, rng, domain):
+    words = tuple(normal_words(ab, c))
+    acc = {}
+    for w in rng.sample(words, k=min(len(words), rng.randint(1, 4))):
+        coeff = rng.randint(1, 4) * rng.choice((1, -1))
+        for key, k in _mu_terms(w).items():
+            acc[key] = domain.add(acc.get(key, 0), domain.mul(domain.coerce(coeff), k))
+    return MetabelianElement(c, MixedElement(ab, domain, {k: v for k, v in acc.items() if v},
+                                             _clean=True))
+
+
+def explicit_draws(rng, n):
+    k = min(n, rng.randrange(1, 5))
+    rng.sample(range(n), k=k)
+    for _ in range(k):
+        rng.randrange(1, 5)
+        rng.choice((1, -1))
+
+
+@pytest.mark.parametrize("sampler, count", [
+    (random_homogeneous, lambda ab, c: len(lyndon_words_of_length(ab, c))),
+    (random_metabelian, lambda ab, c: len(normal_words(ab, c)))])
+def test_samplers_make_the_documented_random_calls(sampler, count):
+    for rank, c in ((2, 2), (2, 5), (3, 3), (3, 4)):
+        ab = unit_alphabet(rank)
+        for seed in range(25):
+            rng, ref = random.Random(seed), random.Random(seed)
+            sampler(ab, c, rng)
+            explicit_draws(ref, count(ab, c))
+            assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("domain", [ZZ, GF(2), GF(3)])
+def test_samplers_match_the_pre_memo_bodies(domain):
+    vanished = 0
+    for rank, c in ((2, 3), (2, 5), (3, 2), (3, 4)):
+        ab = unit_alphabet(rank)
+        for seed in range(40):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                over_z = random.Random()
+                over_z.setstate(ref.getstate())
+                e = random_homogeneous(ab, c, rng, domain)
+                assert e == random_homogeneous_oracle(ab, c, ref, domain)
+                assert all(e.terms.values())
+                vanished += len(e.terms) < len(random_homogeneous_oracle(ab, c, over_z, ZZ).terms)
+                m = random_metabelian(ab, c, rng, domain)
+                assert m == random_metabelian_oracle(ab, c, ref, domain)
+                assert all(m.mixed.terms.values())
+            assert rng.getstate() == ref.getstate()
+    # a drawn +-2 or +-4 vanishes mod 2, and +-3 mod 3
+    assert (vanished > 0) == (domain != ZZ)
 
 
 def test_returned_elements_do_not_share_memo_tables():
