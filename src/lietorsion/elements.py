@@ -311,20 +311,36 @@ def _expand_tree(tree):
     return _expand_bracket(_expand_tree(tree[0]), _expand_tree(tree[1]))
 
 
-def _expand_bracket(left, right) -> dict:
-    """Tensor expansion of [a, b] from the expansions of a and b.
-
-    Plain + and *, so integer or rational coefficients stay exact; over
-    GF(p) the caller reduces the result.
-    """
-    out = {}
+def _bracket_pairs(left, right):
+    """The terms of [a, b]'s tensor expansion, from the expansions of a and b,
+    as (word, coefficient) pairs: each pair of terms (wa, ca), (wb, cb) gives
+    ca cb under wa wb and -ca cb under wb wa.  A word may come more than
+    once and terms that cancel are kept, so the pairs are read through
+    ``add_into`` or an index that sums them.  Plain + and *, so integer or
+    rational coefficients stay exact; over GF(p) the reader reduces."""
     for wa, ca in left.items():
         for wb, cb in right.items():
             c = ca * cb
-            ab, ba = wa + wb, wb + wa
-            out[ab] = out.get(ab, 0) + c
-            out[ba] = out.get(ba, 0) - c
-    return {w: c for w, c in out.items() if c}
+            yield wa + wb, c
+            yield wb + wa, -c
+
+
+def _expand_bracket(left, right) -> dict:
+    """Tensor expansion of [a, b] from the expansions of a and b, without
+    zeros."""
+    out = {}
+    add_into(out, _bracket_pairs(left, right))
+    return out
+
+
+def _lyndon_pairs(alphabet, idx):
+    """The terms of the expansion of a Lyndon word's standard bracketing, of
+    length 2 or more, as ``_bracket_pairs`` of its standard factorisation's
+    two memoised expansions: the word's own expansion is neither built nor
+    stored."""
+    split = _split_point(idx)
+    return _bracket_pairs(_expand_lyndon(alphabet, idx[:split]),
+                          _expand_lyndon(alphabet, idx[split:]))
 
 
 def _expand_lyndon(alphabet, idx, keep=True) -> dict:
@@ -408,8 +424,7 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Lie bracket: the commutator of the tensor expansions, peeled back."""
     a._check_compatible(b)
     out = {}
-    add_into(out, _expand_bracket(to_tensor(a).terms, to_tensor(b).terms).items(), 1,
-             a.domain.p)
+    add_into(out, _bracket_pairs(to_tensor(a).terms, to_tensor(b).terms), 1, a.domain.p)
     return lie_from_tensor(TensorElement(a.alphabet, a.domain, out, _clean=True))
 
 

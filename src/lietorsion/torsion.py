@@ -33,11 +33,14 @@ standard bracketing of a Lyndon word expands to the word once plus larger
 words (Chen, Fox & Lyndon 1958), so these are the Lyndon coordinates times a
 unitriangular matrix, and cokernels, orders and memberships are the same in
 either.  A relation row, the x- or y-image of a degree d-1 basis word, is
-Leibniz on the word's cached tensor expansion, kept on the Lyndon words of
-the image's block: since x and y send each letter to one letter, the block
+Leibniz on the word's tensor expansion, kept on the Lyndon words of the
+image's block: since x and y send each letter to one letter, the block
 lists each of its words under every word one lowering below it (its
-lowered-word index), and the row is one lookup per expansion word.  The
-freeness check's kernels are read off the expansions the same way.  A
+lowered-word index), and the row is one lookup per expansion term.  The
+expansion is never built whole: for the standard factorisation w = uv it
+is P_u P_v - P_v P_u, so its terms are read off the two factors' memoised
+expansions, pair by pair (``elements._lyndon_pairs``).  The freeness
+check's kernels are read off the same pairs.  A
 theorem vector, and theta's image of a theorem word, is read off theta's
 presum tensor (``maps.presum_tensor``), which is the expansion of the Lie
 element, with no peel to Lyndon coordinates.  Only the reference paths
@@ -58,7 +61,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import factorial, prod
 
-from .elements import (IntegralityError, LieElement, TensorElement, ZZ, _expand_lyndon,
+from .elements import (IntegralityError, LieElement, TensorElement, ZZ, _lyndon_pairs,
                        is_prime, lie_from_tensor, lyndon_monomial)
 from .maps import (ActionSpec, _eta_word, _mu_terms, derive, metabelian_normal_coords,
                    metabelian_of_word, mixed_basis, normal_words, presum_tensor)
@@ -151,12 +154,14 @@ class _Degree:
     """One side's degree-d basis, block by block, and what is built over it,
     all on demand."""
 
-    __slots__ = ("blocks", "presentations", "lowered")
+    __slots__ = ("blocks", "presentations", "cokernels", "lowered")
 
     def __init__(self):
         self.blocks = {}              # {a: {word of bidegree (a, d-a): its column in the block}},
                                       # for each a walked so far, empty blocks included
-        self.presentations = {}       # {a: block Presentation}
+        self.presentations = {}       # {a: block Presentation}, until graded_cokernel has read
+                                      # its cokernel, unless a is a theorem block
+        self.cokernels = {}           # {a: block CokernelStructure}, as graded_cokernel read it
         self.lowered = {}             # {(a, var): block a's lowered index}
 
 
@@ -259,18 +264,19 @@ class TorsionEngine:
 
         A row adds each of the word's terms, times its coefficient, to the
         columns the lowered index lists under it: on the Lie side the terms
-        are the word's cached tensor expansion (``derived_row``), on the
-        metabelian side its two integer mu terms (``metabelian_row``)."""
+        of the word's tensor expansion, read pair by pair off its standard
+        factorisation's two memoised expansions with the word's own never
+        built (``derived_row``), on the metabelian side its two integer mu
+        terms (``metabelian_row``)."""
         rec = self._degree(d, side)
         index = rec.lowered.get((a, var))
         if index is None:
             index = rec.lowered[a, var] = self._lowered_index(self._cols(d, a, side), var, side)
         if side == "lie":
-            table, alphabet = self.alphabet.table("lyndon"), self.alphabet
+            alphabet = self.alphabet
 
             def terms(word):
-                # an expansion is never empty: it holds its own word once
-                return (table.get(word) or _expand_lyndon(alphabet, word)).items()
+                return _lyndon_pairs(alphabet, word)
         else:
             def terms(word):
                 return _mu_terms(word).items()
@@ -323,7 +329,13 @@ class TorsionEngine:
         letter raised at a time, and every letter's image is one letter with
         coefficient 1 (checked in ``__init__``).  So a column v gains the
         coefficient of each expansion word that lowers v at one position:
-        one lookup per expansion word in the block's lowered-word index."""
+        one lookup per expansion term in the block's lowered-word index.
+        The terms are those of P_u P_v - P_v P_u for the word's standard
+        factorisation (u, v), each pair of terms (a, ca) of P_u and (b, cb)
+        of P_v giving ca cb under ab and -ca cb under ba
+        (``elements._lyndon_pairs``): a word may come more than once, and
+        the index sums its coefficients, so the word's own expansion is
+        neither built nor stored."""
         return self._row_builder(*self._target(word, var), var, "lie")(word)
 
     def derived_coords(self, word: tuple, var: str) -> dict:
@@ -397,7 +409,9 @@ class TorsionEngine:
 
     def block(self, d: int, a: int, side: str = "lie") -> Presentation:
         """The side's bidegree (a, b) = (a, d-a) piece as a cokernel,
-        eliminated once and cached: the y-images of the block (a, b-1) words
+        eliminated once and cached until ``graded_cokernel`` has read its
+        cokernel, unless it is a Lie theorem block; a block asked for after
+        that is built again: the y-images of the block (a, b-1) words
         and the x-images of the block (a-1, b) words that do not lead a
         y-image, in tensor coordinates on the Lie side.
 
@@ -450,14 +464,25 @@ class TorsionEngine:
         """The side's degree-d cokernel, the direct sum of its blocks: each
         block (a, b) with a < b is counted twice, once for its mirror (b, a).
         Only the blocks a <= d/2 are built, of degree d and of degree d-1
-        (their rows' words), one walk each."""
+        (their rows' words), one walk each.  Each block's cokernel is cached,
+        and its echelon dropped once the cokernel is read, unless it is a
+        theorem block of the degree on the Lie side, whose echelon the
+        theorem checks read again (``order``, ``in``); ``block`` rebuilds a
+        dropped one on request."""
         free, torsion = 0, []
         half = d // 2
         blocks = self._blocks(d, side, 0, half)
         self._blocks(d - 1, side, 0, half)
+        rec = self._degree(d, side)
+        keep = ({self.theorem_block(s, t) for s, t in self.theorem_indices(d)}
+                if side == "lie" and is_prime(self.p) else ())
         for a in range(half + 1):
             if blocks[a]:
-                ck = self.block(d, a, side).cokernel
+                ck = rec.cokernels.get(a)
+                if ck is None:
+                    ck = rec.cokernels[a] = self.block(d, a, side).cokernel
+                    if a not in keep:
+                        rec.presentations.pop(a, None)
                 times = 1 if 2 * a == d else 2
                 free += times * ck.free_rank
                 torsion += ck.torsion * times
@@ -554,14 +579,16 @@ class TorsionEngine:
     def _lie_coords(self, terms: dict, d: int, a: int) -> dict:
         """Lyndon coordinates {word: c} of bidegree (a, d-a) in the block's
         tensor coordinates: the sum of c times each word's expansion on the
-        block's Lyndon words.  A word of another bidegree raises ValueError:
-        every map here preserves bidegree."""
+        block's Lyndon words, read pair by pair off its standard
+        factorisation (``elements._lyndon_pairs``), as a row is.  A word of
+        another bidegree raises ValueError: every map here preserves
+        bidegree."""
         index = self._cols(d, a)
         acc = {}
         for w, c in terms.items():
             if w not in index:
                 raise ValueError(f"{w} of degree {d} lies outside the block ({a},{d - a})")
-            add_into(acc, ((index[u], k) for u, k in _expand_lyndon(self.alphabet, w).items()
+            add_into(acc, ((index[u], k) for u, k in _lyndon_pairs(self.alphabet, w)
                            if u in index), c)
         return acc
 
@@ -675,20 +702,13 @@ class TorsionEngine:
         return top
 
     def torsion_report(self, max_degree=None) -> list[TorsionReport]:
-        """``verify_theorem_degree`` at each degree from 2p to the top.  Once
-        degree d is verified, the sweep reads no expansion of a degree d-1
-        basis word again, so the expansions of the blocks it built leave the
-        alphabet's ``"lyndon"`` memo and memory follows the top degrees
-        rather than the whole sweep."""
-        top = self._top(max_degree)
-        expansions = self.alphabet.table("lyndon")
-        reports = []
-        for d in range(2 * self.p, top + 1):
-            reports.append(self.verify_theorem_degree(d))
-            for cols in self._degree(d - 1).blocks.values():
-                for w in cols:
-                    expansions.pop(w, None)
-        return reports
+        """``verify_theorem_degree`` at each degree from 2p to the top.  No
+        basis word is expanded whole (``_row_builder``) and only the theorem
+        blocks' echelons outlive their degree's cokernel
+        (``graded_cokernel``), so what the sweep keeps is the words of the
+        blocks it built, their cokernels, the theorem echelons and the
+        expansions of words shorter than p."""
+        return [self.verify_theorem_degree(d) for d in range(2 * self.p, self._top(max_degree) + 1)]
 
     # -- the metabelian side ------------------------------------------------
 

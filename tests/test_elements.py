@@ -9,14 +9,17 @@ from functools import reduce
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lietorsion.elements import (GF, QQ, ZZ, DomainError, LieElement,
-                                 NotLieElementError, bracket, bracketing,
+                                 NotLieElementError, _expand_lyndon, _lyndon_pairs,
+                                 bracket, bracketing,
                                  generator_element, left_normalize, leftnormed_tensor,
                                  lyndon_monomial, normal_form, to_tensor,
                                  TensorElement, lie_from_tensor)
 from lietorsion.maps import random_homogeneous
-from lietorsion.words import LyndonWord, lyndon_words, unit_alphabet
+from lietorsion.words import LyndonWord, is_lyndon, lyndon_words, unit_alphabet
+from lietorsion.zlinalg import add_into
 
 
 def oracle_expand(tree):
@@ -243,3 +246,29 @@ def test_degree_and_zero():
     mixed = e + generator_element(AB2, X)
     with pytest.raises(ValueError):
         mixed.degree()
+
+
+@st.composite
+def lyndon_cases(draw):
+    # a rank 2-4 and a Lyndon word of length 2-9 over it: the least rotation
+    # of a drawn word, which is Lyndon unless the word is a power
+    rank = draw(st.integers(2, 4))
+    word = tuple(draw(st.lists(st.integers(0, rank - 1), min_size=2, max_size=9)))
+    least = min(word[i:] + word[:i] for i in range(len(word)))
+    assume(is_lyndon(least))
+    return rank, least
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=lyndon_cases())
+def test_factor_pairs_sum_to_the_lyndon_expansion(case):
+    # the pairs of the standard factorisation's two expansions, summed, are
+    # the word's own expansion, and the commutator oracle's; reading them
+    # stores no expansion of the word itself
+    rank, idx = case
+    alphabet = unit_alphabet(rank)
+    acc = {}
+    add_into(acc, _lyndon_pairs(alphabet, idx))
+    assert idx not in alphabet.table("lyndon")
+    tree = _tree_to_indices(alphabet, bracketing(LyndonWord(alphabet, idx)))
+    assert acc == oracle_expand(tree) == _expand_lyndon(unit_alphabet(rank), idx)

@@ -6,7 +6,11 @@ Leibniz oracle that never touches the package's normal-form machinery.
 """
 
 import functools
+import os
+import subprocess
+import sys
 from math import factorial, prod
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from lietorsion import torsion, zlinalg
 from lietorsion.elements import (ZZ, DomainError, IntegralityError, LieElement,
-                                 TensorElement, leftnormed_tensor, lie_from_tensor,
-                                 lyndon_monomial, normal_form, to_tensor)
+                                 TensorElement, _expand_lyndon, _lyndon_pairs,
+                                 leftnormed_tensor, lie_from_tensor, lyndon_monomial,
+                                 normal_form, to_tensor)
 from lietorsion.maps import (ActionSpec, MetabelianElement, MixedElement, derive, eta,
                              metabelian_normal_coords, metabelian_of_word,
                              mixed_basis, mu, normal_words, peel_strict_keys, theta,
@@ -25,12 +30,14 @@ from lietorsion.torsion import (TorsionEngine, a_generator, a_generators,
                                 graded_cokernel, lie_power_basis,
                                 metabelian_torsion_check, st_of, theorem_element,
                                 torsion_report, verify_theorem_degree)
-from lietorsion.zlinalg import (CokernelStructure, IntLattice, Presentation,
+from lietorsion.zlinalg import (CokernelStructure, IntLattice, Presentation, add_into,
                                 cokernel_structure, integer_kernel,
                                 solve_left, transpose)
 from lietorsion.words import _lyndon_walk
 from heap_oracle import HeapPresentation
 from snf_oracle import dense_snf
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_a_generators_examples():
@@ -292,7 +299,10 @@ def test_theorem_checks_build_no_block_past_the_mirror(p, top):
         assert engine.verify_theorem_degree(d).passed
         assert engine.metabelian_torsion_check(d).passed
         for side in ("lie", "metabelian"):
-            assert max(engine._degree(d, side).presentations) <= d // 2, (p, d, side)
+            # graded_cokernel keeps a block's cokernel and drops its echelon
+            # unless it is a theorem block: the blocks built are both records'
+            rec = engine._degree(d, side)
+            assert max(set(rec.presentations) | set(rec.cokernels)) <= d // 2, (p, d, side)
             for e in (d, d - 1):
                 assert max(engine._degree(e, side).blocks) == d // 2, (p, d, e, side)
 
@@ -861,7 +871,7 @@ def test_checks_keep_at_most_three_side_sums_per_theorem_index():
     # memoised side sums: the theorem word (vy, vx, u^(p-2)) shares both its
     # sides with its normal words, which share their u-led side, so each
     # theorem index leaves at most 3; no left-normed word is memoised, and
-    # no degree-d Lyndon word is expanded at all
+    # no basis word, of length p in either degree, is expanded whole
     p, d = 5, 17
     engine = TorsionEngine(p, d)
     assert len(engine.theorem_indices(d)) == 2
@@ -871,21 +881,130 @@ def test_checks_keep_at_most_three_side_sums_per_theorem_index():
     assert "leftnormed" not in memo
     assert 0 < len(memo["presum"]) <= 3 * len(engine.theorem_indices(d))
     weight = engine.alphabet.word_weight
-    assert any(weight(w) == d - 1 for w in memo["lyndon"])
+    assert memo["lyndon"]
+    assert not any(len(w) == p for w in memo["lyndon"])
     assert not any(weight(w) == d for w in memo["lyndon"])
 
 
-def test_torsion_report_drops_the_expansions_of_each_degree_below():
-    p, top = 3, 14
+def assert_no_whole_expansion_and_only_theorem_echelons(engine):
+    # a relation row and a freeness kernel are read off the standard
+    # factorisation's two factor expansions, so no basis word, of length p,
+    # is expanded whole; graded_cokernel drops a block's echelon once its
+    # cokernel is read unless it is a theorem block, and the metabelian
+    # side keeps none
+    p = engine.p
+    assert not any(len(w) == p for w in engine.alphabet.table("lyndon"))
+    for (side, d), rec in engine._degrees.items():
+        theorem = {engine.theorem_block(s, t) for s, t in engine.theorem_indices(d)}
+        assert set(rec.presentations) <= (theorem if side == "lie" else set()), (side, d)
+
+
+@pytest.mark.parametrize("p,top,freeness", [(2, 12, 10), (3, 14, 12), (5, 17, 15)])
+def test_checks_expand_no_basis_word_and_keep_only_theorem_echelons(p, top, freeness):
     engine = TorsionEngine(p, top)
-    expansions = engine.alphabet.table("lyndon")
-    # verifying a degree expands the basis words one degree below it
-    engine.verify_theorem_degree(top - 1)
-    assert any(w in expansions for w in engine.lie_basis(top - 2))
     reports = engine.torsion_report(top)
     assert reports == [TorsionEngine(p, d).verify_theorem_degree(d)
                        for d in range(2 * p, top + 1)]
-    assert not any(w in expansions for d in range(2 * p, top) for w in engine.lie_basis(d))
+    assert_no_whole_expansion_and_only_theorem_echelons(engine)
+    assert any(engine._degree(d).presentations for d in range(2 * p, top + 1))
+    for d in range(2 * p, top + 1):
+        if engine.theorem_indices(d):
+            # the cokernels cached by the sweep, read again
+            assert engine.verify_theorem_degree(d) == reports[d - 2 * p]
+            assert (engine.metabelian_torsion_check(d)
+                    == TorsionEngine(p, d).metabelian_torsion_check(d)), (p, d)
+            assert_no_whole_expansion_and_only_theorem_echelons(engine)
+    assert engine.bp_freeness_check(freeness) == TorsionEngine(p, freeness).bp_freeness_check()
+    assert_no_whole_expansion_and_only_theorem_echelons(engine)
+
+
+def block_rows(pres):
+    # the rows of a block's echelon, as a set
+    return {frozenset(row.items()) for row in pres._lattice.rows.values()}
+
+
+@pytest.mark.parametrize("p,d", [(2, 16), (3, 17), (5, 17), (4, 14)])
+def test_a_dropped_block_rebuilt_is_a_fresh_engines(p, d):
+    engine = TorsionEngine(p, d)
+    coker = engine.graded_cokernel(d)
+    rec = engine._degree(d)
+    theorem = {engine.theorem_block(s, t) for s, t in engine.theorem_indices(d)}
+    dropped = [a for a in rec.cokernels if a not in theorem]
+    assert dropped and not set(dropped) & set(rec.presentations)
+    for a in rec.cokernels:
+        kept = rec.presentations.get(a)
+        pres = engine.block(d, a)
+        assert kept is None or pres is kept
+        fresh = TorsionEngine(p, d).block(d, a)
+        assert block_rows(pres) == block_rows(fresh), (p, d, a)
+        assert pres.cokernel == fresh.cokernel == rec.cokernels[a], (p, d, a)
+    # the rebuilt echelons are cached again, and the cached cokernels read
+    assert engine.graded_cokernel(d) == coker == TorsionEngine(p, d).graded_cokernel(d)
+
+
+def whole_expansion(engine, word):
+    # the former path: the word's own expansion, built whole and not stored
+    return _expand_lyndon(engine.alphabet, word, keep=False)
+
+
+def whole_expansion_row(engine, d, a, var, word):
+    # a relation row read off the word's whole expansion, one lookup per
+    # expansion word in the block's lowered index
+    index = engine._lowered_index(engine._cols(d, a), var, "lie")
+    acc = {}
+    for w, c in whole_expansion(engine, word).items():
+        for col in index.get(w, ()):
+            acc[col] = acc.get(col, 0) + c
+    return {col: c for col, c in acc.items() if c}
+
+
+@pytest.mark.parametrize("p,d", [(2, 16), (3, 17), (5, 17), (7, 16), (4, 14), (6, 16)])
+def test_rows_and_lie_coords_match_the_whole_expansions(p, d):
+    engine = TorsionEngine(p, d)
+    below = engine.bigrading(d - 1)
+    checked = 0
+    for a, cols in engine.bigrading(d).items():
+        for b, var in ((a - 1, "x"), (a, "y")):
+            for word in below.get(b, ()):
+                assert engine.derived_row(word, var) == whole_expansion_row(
+                    engine, d, a, var, word), (p, d, a, word, var)
+                checked += 1
+        combination = {}
+        for i, word in enumerate(cols):
+            oracle = {cols[w]: c for w, c in whole_expansion(engine, word).items() if w in cols}
+            assert engine._lie_coords({word: 1}, d, a) == oracle, (p, d, a, word)
+            add_into(combination, oracle.items(), i - 2)
+        assert engine._lie_coords({w: i - 2 for i, w in enumerate(cols)}, d, a) == combination
+    assert checked
+    assert not any(len(w) == p for w in engine.alphabet.table("lyndon"))
+
+
+@pytest.mark.parametrize("p,d", [(5, 17), (7, 16)])
+def test_factor_pairs_sum_to_the_whole_expansion_on_every_block_word(p, d):
+    engine = TorsionEngine(p, d)
+    for cols in engine.bigrading(d).values():
+        for word in cols:
+            acc = {}
+            add_into(acc, _lyndon_pairs(engine.alphabet, word))
+            assert acc == whole_expansion(engine, word), word
+
+
+@pytest.mark.slow
+def test_torsion_report_peak_memory_at_p5_d22():
+    # a fresh interpreter runs the sweep, and a second one, its parent,
+    # reads the peak RSS of its only child: rows off the factor expansions
+    # and echelons dropped once read keep the sweep under 90 MiB
+    worker = ("from lietorsion.torsion import torsion_report\n"
+              "assert all(r.passed for r in torsion_report(5, 22))")
+    code = ("import resource, subprocess, sys\n"
+            f"subprocess.run([sys.executable, '-c', {worker!r}], check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    peak_kib = int(done.stdout.split()[-1])
+    assert peak_kib < 90 * 1024, peak_kib
 
 
 def test_action_variables_commute():
