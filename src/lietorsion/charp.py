@@ -18,7 +18,6 @@ on) convert to and from sparse vectors.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from itertools import combinations_with_replacement, product
 from math import factorial, prod
 
@@ -116,7 +115,7 @@ class PBWBasis:
         self.alphabet = unit_alphabet(dim)
         # Lie basis grouped by degree, ordered degree-first then lexicographically
         units = [1] * dim
-        self.lie_basis = {r: _lyndon_walk(units, length=r) for r in range(1, p + 1)}
+        self.lie_basis = {r: _lyndon_walk(units, r).get(0, []) for r in range(1, p + 1)}
         self.types = type_list(p)
         self.m = len(self.types)
         assert self.types[0] == (p,) + (0,) * (p - 1)
@@ -129,11 +128,6 @@ class PBWBasis:
                           for w in product(range(dim), repeat=p)]
         self._expansions = {}
         self._products = {}
-
-    @cached_property
-    def word_index(self) -> dict:
-        """The index of each tensor word, a tuple of letters."""
-        return {w: i for i, w in enumerate(product(range(self.dim), repeat=self.p))}
 
     def _class_of(self, typ):
         per_degree = []

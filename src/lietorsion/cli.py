@@ -298,7 +298,8 @@ def run_report(args):
     one engine per prime at the top degree any of its sections reads: the
     letters u(s,t) are ordered by (degree, s), so a longer alphabet keeps
     every word's indices and each section's answer is that of its own
-    engine."""
+    engine.  The torsion sweep keeps only its top two Lie degrees, so the
+    later sections rebuild the small degrees they read."""
     results = {}
     ok = True
     engines = {p: TorsionEngine(p, top) for p, top in ((2, 10), (3, 11), (5, 14))}

@@ -279,26 +279,25 @@ def normal_words(alphabet, c, max_weight=None, weight=None, blocks=None) -> list
     a range, they come split by the first component of their multidegree, in
     one walk per first letter: {f: the normal words whose first component is
     f} for each f of the range that has any, each list in lexicographic
-    order.
+    order.  Without it the list is block 0 of the grading that gives every
+    letter the component 0.
     """
     if c < 2:
         raise ValueError("normal words need degree >= 2")
     wt = [g.weight for g in alphabet]
     lo, hi = weight_range(weight, max_weight)
     bounds = (*suffix_bounds(wt), weight_index(wt))
-    if blocks is None:
-        return [(b1,) + tail for b1, w1 in enumerate(wt)
-                for tail in multisets(wt, c - 1, lo - w1, hi - w1, below=b1, bounds=bounds)]
-    first = [g.multidegree[0] for g in alphabet]
+    first = [0 if blocks is None else g.multidegree[0] for g in alphabet]
+    want = range(1) if blocks is None else blocks
     found = {}
     for b1, w1 in enumerate(wt):
         f1 = first[b1]
-        if blocks and f1 <= blocks[-1]:
+        if want and f1 <= want[-1]:
             tails = multisets(wt, c - 1, lo - w1, hi - w1, below=b1, bounds=bounds,
-                              first=first, blocks=range(blocks.start - f1, blocks.stop - f1))
+                              first=first, blocks=range(want.start - f1, want.stop - f1))
             for f, tails_f in tails.items():
                 found.setdefault(f + f1, []).extend((b1,) + tail for tail in tails_f)
-    return found
+    return found.get(0, []) if blocks is None else found
 
 
 def metabelian_normal_coords(m: MetabelianElement) -> dict:
@@ -563,13 +562,13 @@ def mixed_basis(alphabet, c, max_weight=None, weight=None) -> list[tuple]:
     lo, hi = weight_range(weight, max_weight)
     bounds = (*suffix_bounds(wt), weight_index(wt))
     return [(a, mult) for a, wa in enumerate(wt)
-            for mult in multisets(wt, c - 1, lo - wa, hi - wa, bounds=bounds)]
+            for mult in multisets(wt, c - 1, lo - wa, hi - wa, bounds=bounds).get(0, ())]
 
 
 def sym_basis(alphabet, c, max_weight=None) -> list[tuple]:
     """Keys (multisets of c letters) of A^c, in lexicographic order."""
     wt = [g.weight for g in alphabet]
-    return multisets(wt, c, *weight_range(max_weight=max_weight))
+    return multisets(wt, c, *weight_range(max_weight=max_weight)).get(0, [])
 
 
 def check_exactness(c, alphabet, degree_cut) -> ExactnessReport:

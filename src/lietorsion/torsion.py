@@ -702,13 +702,19 @@ class TorsionEngine:
         return top
 
     def torsion_report(self, max_degree=None) -> list[TorsionReport]:
-        """``verify_theorem_degree`` at each degree from 2p to the top.  No
+        """``verify_theorem_degree`` at each degree from 2p to the top.  A
+        degree reads the Lie records of d and d-1 alone, so once it is
+        checked the record of d-1 is dropped: no later degree reads it.  No
         basis word is expanded whole (``_row_builder``) and only the theorem
         blocks' echelons outlive their degree's cokernel
-        (``graded_cokernel``), so what the sweep keeps is the words of the
-        blocks it built, their cokernels, the theorem echelons and the
-        expansions of words shorter than p."""
-        return [self.verify_theorem_degree(d) for d in range(2 * self.p, self._top(max_degree) + 1)]
+        (``graded_cokernel``), so what the sweep keeps is the top degree's
+        Lie record (its blocks' words, cokernels and theorem echelons) and
+        the expansions of words shorter than p."""
+        reports = []
+        for d in range(2 * self.p, self._top(max_degree) + 1):
+            reports.append(self.verify_theorem_degree(d))
+            self._degrees.pop(("lie", d - 1), None)
+        return reports
 
     # -- the metabelian side ------------------------------------------------
 

@@ -266,10 +266,12 @@ def _split_point(idx):
 
 
 def lyndon_words(alphabet: Alphabet, max_weight: int) -> list[LyndonWord]:
-    """All Lyndon words of total weight <= max_weight, sorted by (weight, lex)."""
+    """All Lyndon words of total weight <= max_weight, sorted by (weight, lex):
+    the walk's words of each length up to max_weight over the least weight."""
     wt = [g.weight for g in alphabet]
-    found = _lyndon_walk(wt, hi=max_weight)
-    found.sort(key=lambda idx: sum(wt[i] for i in idx))   # stable: lex within a weight
+    found = [idx for n in range(1, int(max_weight // min(wt, default=math.inf)) + 1)
+             for idx in _lyndon_walk(wt, n, hi=max_weight).get(0, ())]
+    found.sort(key=lambda idx: (sum(wt[i] for i in idx), idx))
     return [LyndonWord(alphabet, idx) for idx in found]
 
 
@@ -281,8 +283,8 @@ def lyndon_words_with_content(alphabet: Alphabet, content) -> list[LyndonWord]:
     if any(not 0 <= i < k for i in content):
         raise ValueError(f"letter index out of range in {content}")
     budget = [content.count(a) for a in range(k)]
-    found = _lyndon_walk([g.weight for g in alphabet], length=len(content), budget=budget)
-    return [LyndonWord(alphabet, idx) for idx in found]
+    found = _lyndon_walk([g.weight for g in alphabet], len(content), budget=budget)
+    return [LyndonWord(alphabet, idx) for idx in found.get(0, ())]
 
 
 def lyndon_words_of_length(alphabet: Alphabet, length: int,
@@ -290,11 +292,9 @@ def lyndon_words_of_length(alphabet: Alphabet, length: int,
                            max_weight: int | None = None) -> list[LyndonWord]:
     """Lyndon words of a fixed length, optionally of a given total weight or
     at most a given total weight, in lexicographic order."""
-    if length < 1:
-        return []
     lo, hi = weight_range(weight, max_weight)
-    found = _lyndon_walk([g.weight for g in alphabet], length=length, lo=lo, hi=hi)
-    return [LyndonWord(alphabet, idx) for idx in found]
+    found = _lyndon_walk([g.weight for g in alphabet], length, lo, hi)
+    return [LyndonWord(alphabet, idx) for idx in found.get(0, ())]
 
 
 def weight_range(weight=None, max_weight=None) -> tuple:
@@ -303,73 +303,62 @@ def weight_range(weight=None, max_weight=None) -> tuple:
     return weight or 0, min(b for b in (weight, max_weight, math.inf) if b is not None)
 
 
-def _lyndon_walk(wt, length=None, lo=0, hi=math.inf, budget=None, first=None,
-                 blocks=None):
-    """Index tuples of the Lyndon words over letters of positive weights ``wt``,
-    in lexicographic order, of weight at most ``hi`` and, when ``length`` is
-    given, of exactly that length and weight at least ``lo``; ``budget[a]``
-    caps the uses of letter a.
+def _lyndon_walk(wt, length, lo=0, hi=math.inf, budget=None, first=None,
+                 blocks=range(1)) -> dict:
+    """The Lyndon words over letters of positive weights ``wt`` of ``length``
+    letters and weight in [lo, hi], as index tuples split by a second
+    grading: ``first[c]``, from 0 to wt[c], is one component of letter c's
+    multidegree (0 for every letter when ``first`` is None), and the walk
+    returns {f: the words whose letters' first components sum to f} for each
+    f of the range ``blocks`` that has any, each list in lexicographic
+    order.  ``budget[a]`` caps the uses of letter a.  Without ``first`` every
+    word lies in block 0, the one block of the default ``blocks``.
 
     This is the FKM prenecklace walk (Ruskey, Savage & Wang 1992): a
     prenecklace of period q extends by any letter no smaller than the one q
     places back, and it is Lyndon exactly when q is its length.  Every letter
     of a prenecklace is at least its first, and the last letter of a Lyndon
     word of two letters or more is above its first, so a branch is cut as
-    soon as the letters still to come cannot land the weight in range.
+    soon as the letters still to come cannot land the weight in range.  It
+    is also cut as soon as they cannot land the first sum in ``blocks``: the
+    sum never falls, and it grows by at most the weight still allowed.
     Nothing enumerates the arrangements of a content: eleven copies of one
     letter are a single chain of eleven prefixes.
 
     A prefix's next letters are read off ``weight_index``: the letters from
-    the one q places back on whose weight keeps the prefix in range.  When
-    ``length`` is given the last letter is never walked.  A prefix one
-    letter short closes into a Lyndon word exactly by a letter strictly
-    above the one q places back: an equal letter keeps the period q, below
-    the length, and a larger one makes the period the length.  The prefix's
-    weight w puts that letter's weight in [lo - w, hi - w].  So the words of
-    the prefix are those letters, taken from the index in ascending order,
-    each appended to it; in lexicographic order they are exactly the words
-    between the prefix and its next sibling, so emitting them in place keeps
-    the list's order.
-
-    With ``first`` and ``blocks`` (``length`` given) the words are split by a
-    second grading in the same walk: ``first[c]``, from 0 to wt[c], is one
-    component of letter c's multidegree, and the walk returns {f: the words
-    whose letters' first components sum to f} for each f of the range
-    ``blocks`` that has any, each list in lexicographic order.  A prefix is
-    cut as soon as the letters still to come cannot land that sum in
-    ``blocks``: the sum never falls, and it grows by at most the weight
-    still allowed.
+    the one q places back on whose weight keeps the prefix in range.  The
+    last letter is never walked.  A prefix one letter short closes into a
+    Lyndon word exactly by a letter strictly above the one q places back: an
+    equal letter keeps the period q, below the length, and a larger one
+    makes the period the length.  The prefix's weight w puts that letter's
+    weight in [lo - w, hi - w].  So the words of the prefix are those
+    letters, taken from the index in ascending order, each appended to it;
+    in lexicographic order they are exactly the words between the prefix and
+    its next sibling, so emitting them in place keeps each block's order.
+    A word of one letter is the empty prefix closed by that letter.
     """
-    if first is not None:
-        found_in = {}
-        if not blocks:
-            return found_in
-        bottom, top = blocks[0], blocks[-1]
-    if length is not None and length < 1:
-        return [] if first is None else found_in
+    found = {}
+    if not blocks or length < 1:
+        return found
+    bottom, top = blocks[0], blocks[-1]
     k = len(wt)
+    first = first or [0] * k
     lightest, heaviest = suffix_bounds(wt)
     index = weight_index(wt)
-    found = []
-    if length is None:
-        # the weights a prefix may have: at most hi, on words of at most n letters
-        n = int(hi // min(wt, default=1)) + 1
-        lows, highs = [-math.inf] * (n + 1), [hi] * (n + 1)
     left = math.inf if budget is None else sum(budget)    # the uses of the letters from a on
     # lightest[] never falls, and a word starting at a weighs at least
-    # (length or 1) * lightest[a], so the first letters are a prefix of the alphabet
-    for a in range(bisect_right(lightest, hi / (length or 1))):
-        fits = (budget is None or budget[a]) and left >= (length or 1)
+    # length * lightest[a], so the first letters are a prefix of the alphabet
+    for a in range(bisect_right(lightest, hi / length)):
+        fits = (budget is None or budget[a]) and left >= length
         if budget is not None:
             left -= budget[a]
-        if length is not None:
-            # the weights a prefix of t < length letters may have and still
-            # complete in range: the letters after it are no smaller than a,
-            # and the last of them is above a (so no word of two letters or
-            # more starts with the last letter of the alphabet)
-            light, heavy = (lightest[a + 1], heaviest[a + 1]) if a + 1 < k else (math.inf,) * 2
-            lows = [lo - (length - t - 1) * heaviest[a] - heavy for t in range(length)] + [lo]
-            highs = [hi - (length - t - 1) * lightest[a] - light for t in range(length)] + [hi]
+        # the weights a prefix of t < length letters may have and still
+        # complete in range: the letters after it are no smaller than a, and
+        # the last of them is above a (so no word of two letters or more
+        # starts with the last letter of the alphabet)
+        light, heavy = (lightest[a + 1], heaviest[a + 1]) if a + 1 < k else (math.inf,) * 2
+        lows = [lo - (length - t - 1) * heaviest[a] - heavy for t in range(length)] + [lo]
+        highs = [hi - (length - t - 1) * lightest[a] - light for t in range(length)] + [hi]
         if not (fits and lows[1] <= wt[a] <= highs[1]):
             continue
         # a frame for each prefix of ``word`` that two letters or more still
@@ -383,39 +372,30 @@ def _lyndon_walk(wt, length=None, lo=0, hi=math.inf, budget=None, first=None,
             letters, period, w, f, base = frames[-1]
             t = len(word) + 1                   # the length of the prefix ending in b
             for b in letters:
-                wb = w + wt[b]
-                if first is not None:
-                    fb = f + first[b]
-                    if fb > top or fb + hi - wb < bottom:
-                        continue
+                wb, fb = w + wt[b], f + first[b]
+                if fb > top or fb + hi - wb < bottom:
+                    continue
                 q = period if b == base else t
                 word.append(b)
                 if budget is not None:
                     budget[b] -= 1
-                if q == t and length in (None, t):
-                    if first is None:
-                        found.append(tuple(word))
-                    elif bottom <= fb <= top:
-                        found_in.setdefault(fb, []).append(tuple(word))
-                if t + 1 == length:
-                    ends = _letters_in(index, lo - wb, hi - wb, word[t - q] + 1)
-                    if budget is not None:
-                        ends = [c for c in ends if budget[c]]
-                    prefix = tuple(word)
-                    if first is None:
-                        found += [prefix + (c,) for c in ends]
-                    else:
-                        for c in ends:
-                            g = fb + first[c]
-                            if bottom <= g <= top:
-                                found_in.setdefault(g, []).append(prefix + (c,))
-                elif t != length:
+                if t + 1 < length:
                     nexts = _letters_in(index, lows[t + 1] - wb, highs[t + 1] - wb, word[t - q])
                     if budget is not None:
                         nexts = [c for c in nexts if budget[c]]
-                    frames.append((iter(nexts), q, wb, fb if first is not None else 0,
-                                   word[t - q]))
+                    frames.append((iter(nexts), q, wb, fb, word[t - q]))
                     break
+                if t == length:                 # length 1: the empty prefix closed by b
+                    prefix, ends, fb = (), (b,), f
+                else:
+                    prefix = tuple(word)
+                    ends = _letters_in(index, lo - wb, hi - wb, word[t - q] + 1)
+                    if budget is not None:
+                        ends = [c for c in ends if budget[c]]
+                for c in ends:
+                    g = fb + first[c]
+                    if bottom <= g <= top:
+                        found.setdefault(g, []).append(prefix + (c,))
                 word.pop()
                 if budget is not None:
                     budget[b] += 1
@@ -425,7 +405,7 @@ def _lyndon_walk(wt, length=None, lo=0, hi=math.inf, budget=None, first=None,
                     b = word.pop()
                     if budget is not None:
                         budget[b] += 1
-    return found if first is None else found_in
+    return found
 
 
 def suffix_bounds(wt) -> tuple[list, list]:
@@ -462,85 +442,62 @@ def _letters_in(index, low, high, first) -> list:
 
 
 def multisets(wt, size, lo=0, hi=math.inf, below=None, bounds=None, first=None,
-              blocks=None) -> list[tuple]:
+              blocks=range(1)) -> dict:
     """The multisets of ``size`` letters over positive weights ``wt``, as
-    sorted index tuples in lexicographic order, whose weight lies in
-    [lo, hi]; when ``below`` is given the smallest letter is less than it.
+    sorted index tuples, whose weight lies in [lo, hi]; when ``below`` is
+    given the smallest letter is less than it.  They come split by a second
+    grading, as ``_lyndon_walk`` splits its words: {f: the multisets whose
+    letters' first components ``first`` sum to f} for each f of the range
+    ``blocks`` that has any, each list in lexicographic order, and without
+    ``first`` every multiset in block 0.
 
     A branch is cut as soon as the letters still to come, none smaller than
-    the last one taken, cannot land the weight in range.  The last letter
-    gets no frame: it is any letter from the one before it on whose weight
-    lands the total in [lo, hi], read off ``weight_index`` in ascending
-    order.  In lexicographic order the multisets that share all letters but
-    the last come one after another, in the order of their last letter, so
-    emitting them in place keeps the list's order.  ``bounds`` is
+    the last one taken, cannot land the weight in range, or its first sum is
+    above ``blocks``, or below it by more than the weight still allowed.
+    The last letter gets no frame: it is any letter from the one before it
+    on whose weight lands the total in [lo, hi], read off ``weight_index``
+    in ascending order.  In lexicographic order the multisets that share all
+    letters but the last come one after another, in the order of their last
+    letter, so emitting them in place keeps each block's order; a multiset
+    of one letter is the empty one closed by it.  ``bounds`` is
     ``(*suffix_bounds(wt), weight_index(wt))``, passed in by callers that
     enumerate many times over one alphabet.
-
-    With ``first`` and ``blocks`` the multisets are split by a second grading
-    in the same walk, as ``_lyndon_walk`` splits its words: the result is
-    {f: the multisets whose letters' first components sum to f} for each f
-    of the range ``blocks`` that has any, and a branch is also cut as soon
-    as its first sum is above the range, or below it by more than the weight
-    still allowed.
     """
-    k = len(wt)
-    if first is not None:
-        found_in = {}
-        if not blocks:
-            return found_in
-        bottom, top = blocks[0], blocks[-1]
     if not size:
-        if not lo <= 0 <= hi:
-            return [] if first is None else found_in
-        if first is None:
-            return [()]
-        if 0 in blocks:
-            found_in[0] = [()]
-        return found_in
+        return {0: [()]} if lo <= 0 <= hi and 0 in blocks else {}
+    found = {}
+    if not blocks:
+        return found
+    bottom, top = blocks[0], blocks[-1]
+    k = len(wt)
+    first = first or [0] * k
     lightest, heaviest, index = bounds or (*suffix_bounds(wt), weight_index(wt))
-    stop = k if below is None else min(below, k)
-    if size == 1:
-        ends = _letters_in(index, lo, hi, 0)
-        ends = ends[:bisect_left(ends, stop)]
-        if first is None:
-            return [(a,) for a in ends]
-        for a in ends:
-            if bottom <= first[a] <= top:
-                found_in.setdefault(first[a], []).append((a,))
-        return found_in
-    found = []
     # one frame per position of ``word`` but the last, so a large size
     # costs no recursion: (the letters still to try there, the weight so
     # far, the first-component sum so far)
-    word, frames = [], [(iter(range(stop)), 0, 0)]
+    word, frames = [], [(iter(range(k if below is None else min(below, k))), 0, 0)]
     while frames:
         letters, w, f = frames[-1]
         rest = size - len(word) - 1        # the letters to come after this one
         for a in letters:
-            w2 = w + wt[a]
-            if w2 + rest * lightest[a] <= hi and w2 + rest * heaviest[a] >= lo:
-                f2 = 0
-                if first is not None:
-                    f2 = f + first[a]
-                    if f2 > top or f2 + hi - w2 < bottom:
-                        continue
-                if rest == 1:
-                    prefix = (*word, a)
-                    ends = _letters_in(index, lo - w2, hi - w2, a)
-                    if first is None:
-                        found += [prefix + (b,) for b in ends]
-                    else:
-                        for b in ends:
-                            g = f2 + first[b]
-                            if bottom <= g <= top:
-                                found_in.setdefault(g, []).append(prefix + (b,))
-                else:
-                    word.append(a)
-                    frames.append((iter(range(a, k)), w2, f2))
-                    break
+            w2, f2 = w + wt[a], f + first[a]
+            if (w2 + rest * lightest[a] > hi or w2 + rest * heaviest[a] < lo
+                    or f2 > top or f2 + hi - w2 < bottom):
+                continue
+            if rest > 1:
+                word.append(a)
+                frames.append((iter(range(a, k)), w2, f2))
+                break
+            if rest:
+                prefix, ends = (*word, a), _letters_in(index, lo - w2, hi - w2, a)
+            else:                           # size 1: the empty multiset closed by a
+                prefix, ends, f2 = (), (a,), f
+            for b in ends:
+                g = f2 + first[b]
+                if bottom <= g <= top:
+                    found.setdefault(g, []).append(prefix + (b,))
         else:
             frames.pop()
             if frames:
                 word.pop()
-    return found if first is None else found_in
+    return found

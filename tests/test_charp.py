@@ -2,13 +2,13 @@
 of the degree-p tensor power over GF(p)."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lietorsion.charp import (SummandReport, alpha_vector, beta_vector, bp_space,
-                              check_summand, in_span_mod,
+from lietorsion.charp import (SummandReport, _numeral, alpha_vector, beta_vector,
+                              bp_space, check_summand, in_span_mod,
                               pbw_basis, rank_mod, right_kernel_mod, rref_mod,
                               sigma_vector, type_list)
 from lietorsion.elements import GF, left_normalize, lyndon_monomial
@@ -175,19 +175,19 @@ def test_alpha_beta_examples():
     idx = dict(d.mixed)
     # alpha: a(x)b(x)c -> a(x)(b o c)
     vec = [0] * d.n_tensor
-    vec[d.word_index[(0, 1, 2)]] = 1
+    vec[_numeral((0, 1, 2), d.dim)] = 1
     img = alpha_vector(d, vec)
     expected = [0] * len(idx)
     expected[idx[(0, (1, 2))]] = 1
     assert img == expected
     # symmetrization kills a(x)b(x)c - a(x)c(x)b
-    vec[d.word_index[(0, 2, 1)]] = 3 - 1
+    vec[_numeral((0, 2, 1), d.dim)] = 3 - 1
     assert alpha_vector(d, vec) == [0] * len(idx)
     # beta at p=3: a(x)(b o c) -> 2(a(x)b(x)c + a(x)c(x)b)
     bv = beta_vector(d, (0, (1, 2)))
     want = [0] * d.n_tensor
-    want[d.word_index[(0, 1, 2)]] = 2
-    want[d.word_index[(0, 2, 1)]] = 2
+    want[_numeral((0, 1, 2), d.dim)] = 2
+    want[_numeral((0, 2, 1), d.dim)] = 2
     assert bv == want
 
 
@@ -340,14 +340,14 @@ def test_maps_commute_with_derivation():
 
     def derive_vector(vec):
         out = [0] * d.n_tensor
-        for w, i in d.word_index.items():
+        for i, w in enumerate(product(range(d.dim), repeat=p)):
             c = vec[i] % p
             if not c:
                 continue
             for pos, letter in enumerate(w):
                 for j, k in spec.image(letter, "x").items():
                     w2 = w[:pos] + (j,) + w[pos + 1:]
-                    out[d.word_index[w2]] = (out[d.word_index[w2]] + c * k) % p
+                    out[_numeral(w2, d.dim)] = (out[_numeral(w2, d.dim)] + c * k) % p
         return out
 
     def derive_mixed(vec):

@@ -199,10 +199,11 @@ def test_graded_cokernel_combines_blocks_into_invariant_factors(monkeypatch):
 
 
 def bucketed_basis(engine, d, side):
-    # the whole degree's basis by one unsplit walk, in lexicographic order,
-    # and its words bucketed by bidegree in that order: {a: {word: column}}
+    # the whole degree's basis by one walk, block 0 of the zero grading, in
+    # lexicographic order, and its words bucketed by bidegree in that order:
+    # {a: {word: column}}
     if side == "lie":
-        words = _lyndon_walk(engine._weight, length=engine.p, lo=d, hi=d)
+        words = _lyndon_walk(engine._weight, engine.p, d, d).get(0, [])
     else:
         words = normal_words(engine.alphabet, engine.p, weight=d)
     blocks = {}
@@ -916,6 +917,19 @@ def test_checks_expand_no_basis_word_and_keep_only_theorem_echelons(p, top, free
             assert_no_whole_expansion_and_only_theorem_echelons(engine)
     assert engine.bp_freeness_check(freeness) == TorsionEngine(p, freeness).bp_freeness_check()
     assert_no_whole_expansion_and_only_theorem_echelons(engine)
+
+
+@pytest.mark.parametrize("p,top", [(2, 12), (3, 14), (5, 17)])
+def test_torsion_report_keeps_only_the_top_lie_degree(p, top):
+    # degree d reads the Lie records of d and d-1 alone, so the sweep drops
+    # d-1's once d is checked; a second sweep rebuilds what it reads
+    engine = TorsionEngine(p, top)
+    reports = engine.torsion_report(top)
+    assert list(engine._degrees) == [("lie", top)]
+    assert reports == [TorsionEngine(p, d).verify_theorem_degree(d)
+                       for d in range(2 * p, top + 1)]
+    assert engine.torsion_report(top) == reports
+    assert list(engine._degrees) == [("lie", top)]
 
 
 def block_rows(pres):

@@ -186,8 +186,9 @@ def test_multisets_match_filtered_combinations(weights, size, lo, span, below):
     expected = [m for m in itertools.combinations_with_replacement(range(len(weights)), size)
                 if lo <= sum(weights[i] for i in m) <= hi
                 and (below is None or not m or m[0] < below)]
-    assert multisets(weights, size, lo, hi, below=below) == expected
-    assert (multisets(weights, size)
+    # without a second grading every multiset is in block 0
+    assert multisets(weights, size, lo, hi, below=below) == ({0: expected} if expected else {})
+    assert (multisets(weights, size).get(0, [])
             == list(itertools.combinations_with_replacement(range(len(weights)), size)))
 
 
@@ -197,7 +198,7 @@ def test_enumerators_reach_past_the_recursion_limit():
     ab = Alphabet([Generator("a", (1,)), Generator("b", (2,))])
     assert lyndon_words_with_content(ab, (0,) * n) == []
     assert lyndon_words_of_length(ab, n, weight=n) == []
-    assert multisets([1, 2], n, lo=n + 1, hi=n + 1) == [(0,) * (n - 1) + (1,)]
+    assert multisets([1, 2], n, lo=n + 1, hi=n + 1) == {0: [(0,) * (n - 1) + (1,)]}
 
 
 def test_non_lyndon_rejected():
@@ -282,7 +283,7 @@ def test_walk_matches_product_oracle(weights, length, data):
     assert ([w.idx for w in lyndon_words_of_length(ab, length, max_weight=target)]
             == [w for w in words if weight(w) <= target])
     # a window of weights above 0, as no public entry point passes it
-    assert (_lyndon_walk(weights, length=length, lo=target, hi=target + span)
+    assert (_lyndon_walk(weights, length, target, target + span).get(0, [])
             == [w for w in words if target <= weight(w) <= target + span])
     assert ([w.idx for w in lyndon_words_with_content(ab, content)]
             == [w for w in words if sorted(w) == sorted(content)])
@@ -294,40 +295,69 @@ def test_walk_matches_product_oracle(weights, length, data):
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(weights=WEIGHTS, length=st.integers(1, 6), data=st.data())
 def test_walks_split_by_a_second_grading(weights, length, data):
-    # the split walks against the unsplit ones, bucketed: each letter gets a
-    # first component from 0 to its weight, and the range of first sums asked
-    # for may miss some words, or all of them
+    # the split walks against every word of the length (every multiset of
+    # the size), filtered and bucketed: each letter gets a first component
+    # from 0 to its weight, or 0 in the zero grading (``first`` left out),
+    # and the range of first sums asked for may miss some words, or all
     k = len(weights)
-    first = [data.draw(st.integers(0, w), label=f"first{a}") for a, w in enumerate(weights)]
+    zero = data.draw(st.booleans(), label="zero")
+    first = [0 if zero else data.draw(st.integers(0, w), label=f"first{a}")
+             for a, w in enumerate(weights)]
     lo = data.draw(st.integers(length, 3 * length), label="lo")
     hi = lo + data.draw(st.integers(0, 3), label="span")
     start = data.draw(st.integers(-1, 3 * length), label="start")
     blocks = range(start, start + data.draw(st.integers(0, 4), label="blocks"))
-
-    def split(found):
-        out = {f: [w for w in found if sum(first[a] for a in w) == f] for f in blocks}
-        return {f: words for f, words in out.items() if words}
-
-    assert (_lyndon_walk(weights, length=length, lo=lo, hi=hi, first=first, blocks=blocks)
-            == split(_lyndon_walk(weights, length=length, lo=lo, hi=hi)))
-    size = length - 1
+    budget = data.draw(st.one_of(st.none(), st.lists(st.integers(0, length), min_size=k,
+                                                     max_size=k)), label="budget")
     below = data.draw(st.one_of(st.none(), st.integers(0, k)), label="below")
-    assert (multisets(weights, size, lo - 3, hi - 3, below=below, first=first, blocks=blocks)
-            == split(multisets(weights, size, lo - 3, hi - 3, below=below)))
+
+    def weight(w):
+        return sum(weights[a] for a in w)
+
+    def bucket(found, blocks):
+        out = {}
+        for w in found:
+            f = sum(first[a] for a in w)
+            if f in blocks:
+                out.setdefault(f, []).append(w)
+        return out
+
+    words = [w for w in itertools.product(range(k), repeat=length)
+             if brute_is_lyndon(w) and lo <= weight(w) <= hi
+             and (budget is None or all(w.count(a) <= n for a, n in enumerate(budget)))]
+    cap = None if budget is None else list(budget)
+    assert (_lyndon_walk(weights, length, lo, hi, cap, None if zero else first, blocks)
+            == bucket(words, blocks))
+    assert cap == budget                      # the walk gives back every use it took
+    size = length - 1
+    sets = [m for m in itertools.combinations_with_replacement(range(k), size)
+            if lo - 3 <= weight(m) <= hi - 3 and (below is None or not m or m[0] < below)]
+    assert (multisets(weights, size, lo - 3, hi - 3, below=below,
+                      first=None if zero else first, blocks=blocks)
+            == bucket(sets, blocks))
+    if zero:
+        # the default range is block 0 alone, which holds every word
+        assert _lyndon_walk(weights, length, lo, hi, cap) == bucket(words, range(1))
+        assert multisets(weights, size, lo - 3, hi - 3, below=below) == bucket(sets, range(1))
 
 
 def test_normal_words_split_by_bidegree():
-    # a two-variable alphabet, as the torsion engine's: each list in order
+    # a two-variable alphabet, as the torsion engine's, against the words
+    # b1 > b2 <= ... <= bc among all words: each list in order
     gens = [Generator(f"g{i}", deg) for i, deg in
             enumerate([(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)])]
     ab = Alphabet(gens)
     for c in (2, 3, 4):
+        normal = [w for w in itertools.product(range(len(gens)), repeat=c)
+                  if w[0] > w[1] and list(w[1:]) == sorted(w[1:])]
         for weight in range(2 * c, 4 * c + 1):
-            words = normal_words(ab, c, weight=weight)
+            words = [w for w in normal if ab.word_weight(w) == weight]
+            assert normal_words(ab, c, weight=weight) == words
             split = {a: [w for w in words if ab.word_multidegree(w)[0] == a]
                      for a in range(weight + 1)}
             assert normal_words(ab, c, weight=weight, blocks=range(weight + 1)) == {
                 a: ws for a, ws in split.items() if ws}
+            assert normal_words(ab, c, weight=weight, blocks=range(2, 2)) == {}
 
 
 def test_words_with_content_out_of_range():
