@@ -439,6 +439,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
     ("verify-c4-rank3-seed0", ["verify", "--c", "4", "--rank", "3", "--seed", "0"], 1),
     ("verify-c4-rank3-seed1", ["verify", "--c", "4", "--rank", "3", "--seed", "1"], 1),
     ("verify-c5-rank3-seed1", ["verify", "--c", "5", "--rank", "3", "--seed", "1"], 0),
+    ("torsion-p3-d14", ["torsion", "--prime", "3", "--max-degree", "14"], 0),
+    ("torsion-p4-d12", ["torsion", "--prime", "4", "--max-degree", "12"], 0),
+    ("theorem-p5-s1-t0", ["theorem", "--prime", "5", "--s", "1", "--t", "0"], 0),
+    ("summand-p3-dim3", ["summand", "--prime", "3", "--dim", "3"], 0),
+    ("lyndon-rank3-d5", ["lyndon", "--rank", "3", "--max-degree", "5"], 0),
 ])
 def test_golden_reports(capsys, name, argv, code):
     got, out, _ = run_cli(capsys, *argv)
