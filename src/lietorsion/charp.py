@@ -11,8 +11,10 @@ linear algebra runs on ``zlinalg.IntLattice`` given the modulus p: ranks,
 memberships, and the relations among the eta rows (``maps._eta_word``, at
 most two terms each, read off the standard factorisation with no tensor
 expansion) that span the second derived part, read off their tagged
-echelon.  The list-based functions (``rref_mod``, ``alpha_vector`` and so
-on) convert to and from sparse vectors.
+echelon; each relation's tensor vector is ``zlinalg.combine`` of the
+basis's memoised Lyndon expansions.  The list-based functions
+(``rref_mod``, ``alpha_vector`` and so on) convert to and from sparse
+vectors.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from math import factorial, prod
 from .elements import _expand_lyndon
 from .maps import _distinct_permutations, _eta_word, mixed_basis
 from .words import _lyndon_walk, unit_alphabet
-from .zlinalg import (IntLattice, _dense, _sparse, _tagged, add_into,
+from .zlinalg import (IntLattice, _dense, _sparse, _tagged, add_into, combine,
                       hermite_normal_form, integer_kernel)
 
 
@@ -249,16 +251,10 @@ def _bp_space(data: PBWBasis):
     degree-p part of the second derived ideal: the left kernel of eta."""
     p = data.p
     words = data.lie_basis[p]
-    rows = [{data.mixed[key]: c for key, c in _eta_word(data.alphabet, w).items()}
-            for w in words]
+    eta = data.alphabet.table("eta", _eta_word)
+    rows = [{data.mixed[key]: c for key, c in eta[w].items()} for w in words]
     kernel = _tagged(len(data.mixed), rows, p)[1]
-    tensors = []
-    for v in kernel:
-        acc = {}
-        for pos, c in v.items():
-            add_into(acc, data.factor_terms((words[pos],)).items(), c, p)
-        tensors.append(acc)
-    return kernel, tensors
+    return kernel, [combine(v, lambda pos: data.factor_terms((words[pos],)), p) for v in kernel]
 
 
 def bp_space(p: int, dim: int, data: PBWBasis | None = None):

@@ -298,9 +298,9 @@ def run_report(args):
     one engine per prime at the top degree any of its sections reads: the
     letters u(s,t) are ordered by (degree, s), so a longer alphabet keeps
     every word's indices and each section's answer is that of its own
-    engine.  The torsion sweep keeps only its top two Lie degrees, so the
-    later sections rebuild the small degrees they read."""
-    results = {}
+    engine.  The metabelian sections run before the torsion sweeps, so a
+    sweep reads the Lie degrees they built instead of building them again
+    after it has dropped them; the results keep the order above."""
     ok = True
     engines = {p: TorsionEngine(p, top) for p, top in ((2, 10), (3, 11), (5, 14))}
 
@@ -308,15 +308,7 @@ def run_report(args):
     for c in (2, 3, 4, 5):
         for rank in (2, 3):
             identities.extend(identity_suite(c, rank, args.trials, args.seed))
-    results["identities"] = identities
     ok = ok and all(r["pass"] for r in identities)
-
-    torsion_sections = []
-    for p, top in ((2, 10), (3, 11), (5, 12)):
-        section, section_ok = _torsion_section(engines[p], top)
-        torsion_sections.append(section)
-        ok = ok and section_ok
-    results["torsion"] = torsion_sections
 
     prop33 = []
     for p, d in ((2, 6), (2, 8), (3, 8)):
@@ -330,7 +322,14 @@ def run_report(args):
             "pass": r.passed,
         })
         ok = ok and r.passed
-    results["metabelianComparison"] = prop33
+
+    torsion_sections = []
+    for p, top in ((2, 10), (3, 11), (5, 12)):
+        section, section_ok = _torsion_section(engines[p], top)
+        torsion_sections.append(section)
+        ok = ok and section_ok
+    results = {"identities": identities, "torsion": torsion_sections,
+               "metabelianComparison": prop33}
 
     freeness = []
     for p, top in ((2, 8), (3, 9), (5, 14)):

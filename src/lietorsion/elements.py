@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import reduce
 
 from .words import Generator, LyndonWord, _split_point, is_lyndon
-from .zlinalg import add_into
+from .zlinalg import add_into, combine
 
 
 class DomainError(ValueError):
@@ -338,31 +338,36 @@ def _lyndon_pairs(alphabet, idx):
     length 2 or more, as ``_bracket_pairs`` of its standard factorisation's
     two memoised expansions: the word's own expansion is neither built nor
     stored."""
+    table = alphabet.table("lyndon", _lyndon_expansion)
     split = _split_point(idx)
-    return _bracket_pairs(_expand_lyndon(alphabet, idx[:split]),
-                          _expand_lyndon(alphabet, idx[split:]))
+    return _bracket_pairs(table[idx[:split]], table[idx[split:]])
 
 
 def _expand_lyndon(alphabet, idx, keep=True) -> dict:
     """Tensor expansion of the standard bracketing of a Lyndon word, over Z.
 
-    Memoised in the alphabet: the dict returned is the table's, read-only.
-    With ``keep`` false an expansion the table lacks is computed, with those
-    of its factors, and not stored, so only one bracketing's expansions are
-    held at a time.
+    Read from the alphabet's ``"lyndon"`` table: the dict returned is the
+    table's, read-only.  With ``keep`` false an expansion the table lacks is
+    computed, with those of its factors, and not stored, so only one
+    bracketing's expansions are held at a time.  An expansion is never
+    empty: it holds the word once.
     """
-    table = alphabet.table("lyndon")
-    out = table.get(idx)
-    if out is None:
-        if len(idx) == 1:
-            out = {idx: 1}
-        else:
-            split = _split_point(idx)
-            out = _expand_bracket(_expand_lyndon(alphabet, idx[:split], keep),
-                                  _expand_lyndon(alphabet, idx[split:], keep))
-        if keep:
-            table[idx] = out
-    return out
+    table = alphabet.table("lyndon", _lyndon_expansion)
+    return table[idx] if keep else table.get(idx) or _lyndon_expansion(alphabet, idx, False)
+
+
+def _lyndon_expansion(alphabet, idx, keep=True) -> dict:
+    """The ``"lyndon"`` table's compute: [P_u, P_v] for the standard
+    factorisation (u, v) of idx, from the factors' expansions, read from the
+    table, or through ``_expand_lyndon`` with ``keep`` false."""
+    if len(idx) == 1:
+        return {idx: 1}
+    split = _split_point(idx)
+    if keep:
+        table = alphabet.table("lyndon", _lyndon_expansion)
+        return _expand_bracket(table[idx[:split]], table[idx[split:]])
+    return _expand_bracket(_expand_lyndon(alphabet, idx[:split], False),
+                           _expand_lyndon(alphabet, idx[split:], False))
 
 
 def leftnormed_tensor(letters) -> dict:
@@ -373,14 +378,9 @@ def leftnormed_tensor(letters) -> dict:
 
 def to_tensor(e: LieElement) -> TensorElement:
     """The canonical embedding into the tensor ring."""
-    table, p = e.alphabet.table("lyndon"), e.domain.p
-    out = {}
-    for w, c in e.terms.items():
-        terms = table.get(w)
-        if terms is None:
-            terms = _expand_lyndon(e.alphabet, w)
-        add_into(out, terms.items(), c, p)
-    return TensorElement(e.alphabet, e.domain, out, _clean=True)
+    table = e.alphabet.table("lyndon", _lyndon_expansion)
+    return TensorElement(e.alphabet, e.domain, combine(e.terms, table.__getitem__, e.domain.p),
+                         _clean=True)
 
 
 def lie_from_tensor(t: TensorElement, keep=True) -> LieElement:

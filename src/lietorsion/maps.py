@@ -15,9 +15,9 @@ from functools import partial
 from .elements import (DomainError, LieElement, MixedElement, SymElement,
                        TensorElement, ZZ, _expand_lyndon, leftnormed_tensor,
                        lie_from_tensor, lie_zero, to_tensor)
-from .words import (Alphabet, _split_point, lyndon_words_of_length, multisets,
+from .words import (Alphabet, MemoTable, _split_point, lyndon_words_of_length, multisets,
                     suffix_bounds, weight_index, weight_range)
-from .zlinalg import IntLattice, _tagged, add_into
+from .zlinalg import IntLattice, _tagged, add_into, combine
 
 
 class ActionSpec:
@@ -27,9 +27,10 @@ class ActionSpec:
     integer coefficient} describing the degree-1 image.  Pairs may be left
     undefined when the target leaves a degree cut; using one raises KeyError.
 
-    ``_memo`` holds ``derive``'s integer image of each basis key, one table
-    per (element type, variable), computed once and dropped with the spec;
-    so ``table`` must not change after the first ``derive``.
+    ``_memo`` holds ``derive``'s integer image of each basis key, one
+    self-filling table per (element type, variable), each image computed
+    once and dropped with the spec; so ``table`` must not change after the
+    first ``derive``.
     """
 
     def __init__(self, alphabet: Alphabet, variables, images):
@@ -41,7 +42,7 @@ class ActionSpec:
                 raise ValueError(f"unknown variable {var!r}")
             table[(i, var)] = {j: int(c) for j, c in img.items() if c}
         self.table = table
-        self._memo = {}
+        self._memo = MemoTable(self, _derive_table)
 
     def image(self, i, var):
         if var not in self.variables:
@@ -65,28 +66,21 @@ def rho(t: TensorElement) -> LieElement:
     """Left-normed bracketing of each tensor word.
 
     Each word's integer Lyndon image is read from the alphabet's ``"rho"``
-    table (``_rho_word``) and added, times the word's coefficient, into one
-    dict, as ``derive`` does: exact over ZZ and QQ, and over GF(p) because
+    table (``_rho_word``) and the images are combined, as ``derive``
+    combines its own: exact over ZZ and QQ, and over GF(p) because
     ``lie_from_tensor`` is a unitriangular integer solve.
     """
     t.degree()  # raises on inhomogeneous input
-    table, p = t.alphabet.table("rho"), t.domain.p
-    acc = {}
-    for word, c in t.terms.items():
-        terms = table.get(word)
-        if terms is None:
-            terms = _rho_word(t.alphabet, word, table)
-        add_into(acc, terms.items(), c, p)
-    return LieElement(t.alphabet, t.domain, acc, _clean=True)
+    table = t.alphabet.table("rho", _rho_word)
+    return LieElement(t.alphabet, t.domain, combine(t.terms, table.__getitem__, t.domain.p),
+                      _clean=True)
 
 
-def _rho_word(alphabet, word, table) -> dict:
-    """Lyndon coordinates over Z of the left-normed bracketing of a word,
-    stored in the alphabet's ``"rho"`` table, which lacks the word: the dict
-    returned is the table's, read-only."""
-    t = TensorElement(alphabet, ZZ, leftnormed_tensor(word), _clean=True)
-    terms = table[word] = lie_from_tensor(t).terms
-    return terms
+def _rho_word(alphabet, word) -> dict:
+    """Lyndon coordinates over Z of the left-normed bracketing of a word:
+    the ``"rho"`` table's compute."""
+    return lie_from_tensor(TensorElement(alphabet, ZZ, leftnormed_tensor(word),
+                                         _clean=True)).terms
 
 
 class MetabelianElement:
@@ -187,29 +181,19 @@ def lam(t: MixedElement, c=None) -> MetabelianElement:
         raise ValueError("mixed element has keys of the wrong degree")
     if c < 2:
         raise ValueError("lambda needs degree >= 2")
-    table, p = t.alphabet.table("lam"), t.domain.p
-    acc = {}
-    for key, coeff in t.terms.items():
-        terms = table.get(key)
-        if terms is None:
-            terms = _lam_key(key, table)
-        add_into(acc, terms.items(), coeff, p)
-    return MetabelianElement(c, MixedElement(t.alphabet, t.domain, acc, _clean=True))
+    table = t.alphabet.table("lam", _lam_key)
+    mixed = MixedElement(t.alphabet, t.domain, combine(t.terms, table.__getitem__, t.domain.p),
+                         _clean=True)
+    return MetabelianElement(c, mixed)
 
 
-def _lam_key(key, table) -> dict:
-    """lam of one mixed key as integer mixed terms, stored in the alphabet's
-    ``"lam"`` table, which lacks the key: the dict returned is the table's,
-    read-only."""
+def _lam_key(alphabet, key) -> dict:
+    """lam of one mixed key (a, rest) as integer mixed terms, the ``"lam"``
+    table's compute: the mu terms of (a, b, rest - b), once per distinct
+    letter b of the sorted rest, times b's count there."""
     a, rest = key
-    terms = table[key] = {}
-    seen = set()
-    for k, b in enumerate(rest):
-        if b not in seen:
-            seen.add(b)
-            add_into(terms, _mu_terms((a, b) + rest[:k] + rest[k + 1:]).items(),
-                     rest.count(b))
-    return terms
+    return combine({(a, b) + rest[:k] + rest[k + 1:]: rest.count(b)
+                    for k, b in enumerate(rest)}, _mu_terms)
 
 
 def eta(e: LieElement, c=None) -> MetabelianElement:
@@ -221,19 +205,16 @@ def eta(e: LieElement, c=None) -> MetabelianElement:
         raise ValueError(f"element has degree {d}, expected {c}")
     if d is None or d < 2:
         raise ValueError("eta needs degree >= 2")
-    table, p = e.alphabet.table("eta"), e.domain.p
-    acc = {}
-    for w, coeff in e.terms.items():
-        terms = table.get(w)
-        if terms is None:
-            terms = _eta_word(e.alphabet, w)
-        add_into(acc, terms.items(), coeff, p)
-    return MetabelianElement(d, MixedElement(e.alphabet, e.domain, acc, _clean=True))
+    table = e.alphabet.table("eta", _eta_word)
+    mixed = MixedElement(e.alphabet, e.domain, combine(e.terms, table.__getitem__, e.domain.p),
+                         _clean=True)
+    return MetabelianElement(d, mixed)
 
 
 def _eta_word(alphabet, w) -> dict:
-    """eta of the Lyndon word w as integer mixed terms, at most two of them,
-    memoised in the alphabet (the dict returned is the table's, read-only).
+    """eta of the Lyndon word w as integer mixed terms, at most two of them:
+    the compute of the alphabet's ``"eta"`` table, through which it reads
+    the factors' terms and every caller reads it.
 
     eta(P) has mu-image alpha(nu(P)), for alpha(a1...ac) = (a1, a2 o ... o ac)
     (the README's proof, by [P, b] on left-normed P).  With (u, v) the
@@ -245,23 +226,19 @@ def _eta_word(alphabet, w) -> dict:
     |u|, |v| >= 2 give 0; v = b a letter gives eta(u) with b added to each
     multiset; u = a a letter gives -(eta(v) with a added).  A letter a is
     (a, ()), alpha of itself."""
-    table = alphabet.table("eta")
-    terms = table.get(w)
-    if terms is None:
-        terms = {}
-        if len(w) == 1:
-            terms[w[0], ()] = 1
-        else:
-            split = _split_point(w)
-            if len(w) - split == 1:
-                b = w[-1]
-                for (a, m), c in _eta_word(alphabet, w[:split]).items():
-                    terms[a, tuple(sorted(m + (b,)))] = c
-            if split == 1:
-                a = w[0]
-                for (b, m), c in _eta_word(alphabet, w[1:]).items():
-                    terms[b, tuple(sorted(m + (a,)))] = -c
-        table[w] = terms
+    if len(w) == 1:
+        return {(w[0], ()): 1}
+    table = alphabet.table("eta", _eta_word)
+    split = _split_point(w)
+    terms = {}
+    if len(w) - split == 1:
+        b = w[-1]
+        for (a, m), c in table[w[:split]].items():
+            terms[a, tuple(sorted(m + (b,)))] = c
+    if split == 1:
+        a = w[0]
+        for (b, m), c in table[w[1:]].items():
+            terms[b, tuple(sorted(m + (a,)))] = -c
     return terms
 
 
@@ -351,23 +328,24 @@ def presum_tensor(alphabet, letters, domain=ZZ) -> dict:
     """theta's double permutation sum as a tensor, {word: coefficient}: the
     left-normed expansions of the words (head, tail permuted), over all
     (c-1)! permutations of each side's tail, summed; the first letter leads
-    with sign +1 and the second with -1.  Each side is one ``_side_sum``.
+    with sign +1 and the second with -1.  Each side is one ``_side_sum``,
+    read from the alphabet's ``"presum"`` table under (head, sorted tail).
     It is the tensor expansion of ``theta_presum``."""
     letters = tuple(letters)
     if len(letters) < 2:
         raise ValueError("theta needs degree >= 2")
+    sides = alphabet.table("presum", _side_sum)
     acc = {}
     for head, tail, sign in ((letters[0], letters[1:], 1),
                              (letters[1], letters[:1] + letters[2:], -1)):
-        add_into(acc, _side_sum(alphabet, head, tail).items(), domain.coerce(sign), domain.p)
+        add_into(acc, sides[head, tuple(sorted(tail))].items(), domain.coerce(sign), domain.p)
     return acc
 
 
-def _side_sum(alphabet, head, tail) -> dict:
+def _side_sum(alphabet, key) -> dict:
     """The sum over Z of the left-normed expansions of (head, o), over all
-    permutations o of the tail, by one walk over the tail's sub-multisets.
-    Memoised in the alphabet's ``"presum"`` table under (head, sorted tail):
-    the dict returned is the table's, read-only.
+    permutations o of the sorted tail, for key = (head, tail), by one walk
+    over the tail's sub-multisets: the ``"presum"`` table's compute.
 
     Level k maps each multiset R of letters still to place to one tensor.
     A step brackets each tensor on the right by each distinct letter b of
@@ -382,24 +360,20 @@ def _side_sum(alphabet, head, tail) -> dict:
     right by a letter is linear (Reutenauer 1993, ch. 1), so the tensors of
     paths that reach the same R may be summed before the walk goes on: every
     continuation from R brackets them alike."""
-    table = alphabet.table("presum")
-    key = (head, tuple(sorted(tail)))
-    out = table.get(key)
-    if out is None:
-        level = {key[1]: {(head,): 1}}
-        for _ in tail:
-            step = {}
-            for rest, tensor in level.items():
-                for k, b in enumerate(rest):
-                    if k and rest[k - 1] == b:
-                        continue
-                    acc = step.setdefault(rest[:k] + rest[k + 1:], {})
-                    n = rest.count(b)
-                    add_into(acc, ((w + (b,), c) for w, c in tensor.items()), n)
-                    add_into(acc, (((b,) + w, c) for w, c in tensor.items()), -n)
-            level = step
-        out = table[key] = level[()]
-    return out
+    head, tail = key
+    level = {tail: {(head,): 1}}
+    for _ in tail:
+        step = {}
+        for rest, tensor in level.items():
+            for k, b in enumerate(rest):
+                if k and rest[k - 1] == b:
+                    continue
+                acc = step.setdefault(rest[:k] + rest[k + 1:], {})
+                n = rest.count(b)
+                add_into(acc, ((w + (b,), c) for w, c in tensor.items()), n)
+                add_into(acc, (((b,) + w, c) for w, c in tensor.items()), -n)
+        level = step
+    return level[()]
 
 
 def _distinct_permutations(items):
@@ -433,30 +407,24 @@ def theta(m, c=None, alphabet=None, domain=ZZ) -> LieElement:
     rational value 4*theta(m_w) is integral.
     """
     if isinstance(m, MetabelianElement):
-        acc = {}
-        for word, coeff in metabelian_normal_coords(m).items():
-            add_into(acc, _theta_terms(m.alphabet, word, m.domain).items(), coeff,
-                     m.domain.p)
-        return LieElement(m.alphabet, m.domain, acc, _clean=True)
+        table, dom = m.alphabet.table("theta", _theta_terms), m.domain
+        terms = combine(metabelian_normal_coords(m), lambda word: table[word, dom], dom.p)
+        return LieElement(m.alphabet, dom, terms, _clean=True)
     letters = tuple(m)
     if c is not None and len(letters) != c:
         raise ValueError(f"monomial has degree {len(letters)}, expected {c}")
     if alphabet is None:
         raise ValueError("an alphabet is required for monomial input")
-    terms = _theta_terms(alphabet, letters, domain)
+    terms = alphabet.table("theta", _theta_terms)[letters, domain]
     return LieElement(alphabet, domain, dict(terms), _clean=True)
 
 
-def _theta_terms(alphabet, letters, domain) -> dict:
-    """Terms of theta of one normal word over domain, memoised in the
-    alphabet: the dict returned is the table's, read-only.  A division that
-    fails raises before anything is stored, so it raises on every call."""
-    table = alphabet.table("theta")
-    terms = table.get((letters, domain))
-    if terms is None:
-        pre = theta_presum(alphabet, letters, domain)
-        terms = table[(letters, domain)] = pre.divided_by(len(letters)).terms
-    return terms
+def _theta_terms(alphabet, key) -> dict:
+    """Terms of theta of one normal word over a domain, key = (word,
+    domain): the ``"theta"`` table's compute.  A division that fails raises,
+    and the table stores nothing, so it raises on every call."""
+    letters, domain = key
+    return theta_presum(alphabet, letters, domain).divided_by(len(letters)).terms
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +468,11 @@ _LEIBNIZ = {TensorElement: leibniz_word, SymElement: leibniz_multiset,
 def derive(x, var, spec: ActionSpec):
     """Leibniz extension of the generator-level action; same type out as in.
 
-    Each basis key's image is read from the spec's memo and added, times the
-    key's coefficient, into one dict.  Metabelian elements are derived through
-    their mu-coordinates.  An element over another alphabet than the spec's
-    raises DomainError.
+    Each basis key's image is read from the spec's memo and the images are
+    combined.  Metabelian elements are derived through their mu-coordinates.
+    An element over another alphabet than the spec's raises DomainError.
+    An image is stored only once it is complete, so an undefined action
+    pair raises KeyError on every call.
     """
     if var not in spec.variables:
         raise KeyError(f"unknown variable {var!r}")
@@ -514,26 +483,21 @@ def derive(x, var, spec: ActionSpec):
         raise TypeError(f"cannot derive {kind.__name__}")
     if x.alphabet != spec.alphabet:
         raise DomainError("the element and the action are over different alphabets")
-    table = spec._memo.get((kind, var))
-    if table is None:
-        table = spec._memo[(kind, var)] = {}
-    p = x.domain.p
-    out = {}
-    for key, c in x.terms.items():
-        img = table.get(key)
-        if img is None:
-            # computed in full before it is stored: an undefined action pair
-            # raises KeyError on every call
-            img = table[key] = _derived_key(kind, key, var, spec)
-        add_into(out, img.items(), c, p)
-    return x._new(out)
+    return x._new(combine(x.terms, spec._memo[kind, var].__getitem__, x.domain.p))
 
 
-def _derived_key(kind, key, var, spec) -> dict:
-    """The integer image of one basis key of the given element type.  Over Z
-    it scales into every domain: a Lyndon word's image is a unitriangular
-    integer solve (``lie_from_tensor``) of the Leibniz image of its tensor
-    expansion, so its reduction mod p is the image over GF(p)."""
+def _derive_table(spec, kind_var) -> MemoTable:
+    """derive's table of one (element type, variable) of the spec."""
+    return MemoTable((spec, *kind_var), _derived_key)
+
+
+def _derived_key(how, key) -> dict:
+    """The integer image of one basis key, how = (spec, element type,
+    variable).  Over Z it scales into every domain: a Lyndon word's image is
+    a unitriangular integer solve (``lie_from_tensor``) of the Leibniz image
+    of its tensor expansion, so its reduction mod p is the image over
+    GF(p)."""
+    spec, kind, var = how
     if kind is LieElement:
         t = TensorElement(spec.alphabet, ZZ, _expand_lyndon(spec.alphabet, key), _clean=True)
         return lie_from_tensor(derive(t, var, spec)).terms
@@ -604,11 +568,7 @@ def random_homogeneous(alphabet, c, rng, domain=ZZ, max_weight=None) -> LieEleme
     of 1 to 4 and a random sign; one that vanishes in the domain is dropped.
     The draws are sample(words, k=min(n, randrange(1, 5))), then
     randrange(1, 5) and choice((1, -1)) per pick."""
-    table = alphabet.table("lyndon_of_length")
-    words = table.get((c, max_weight))
-    if words is None:
-        words = table[(c, max_weight)] = tuple(
-            w.idx for w in lyndon_words_of_length(alphabet, c, max_weight=max_weight))
+    words = alphabet.table("lyndon_of_length", _lyndon_of_length)[c, max_weight]
     if not words:
         return lie_zero(alphabet, domain)
     terms = {}
@@ -619,16 +579,29 @@ def random_homogeneous(alphabet, c, rng, domain=ZZ, max_weight=None) -> LieEleme
     return LieElement(alphabet, domain, terms, _clean=True)
 
 
+def _lyndon_of_length(alphabet, key) -> tuple:
+    """The Lyndon words of c letters and weight at most max_weight, key =
+    (c, max_weight), as index tuples: the sample table of
+    ``random_homogeneous``."""
+    c, max_weight = key
+    return tuple(w.idx for w in lyndon_words_of_length(alphabet, c, max_weight=max_weight))
+
+
+def _mu_images(alphabet, key) -> tuple:
+    """The integer mu terms of each normal word of degree c and weight at
+    most max_weight, key = (c, max_weight), in basis order: the sample table
+    of ``random_metabelian``."""
+    c, max_weight = key
+    return tuple(tuple(_mu_terms(w).items())
+                 for w in normal_words(alphabet, c, max_weight=max_weight))
+
+
 def random_metabelian(alphabet, c, rng, domain=ZZ, max_weight=None) -> MetabelianElement:
     """The metabelian classes of up to four distinct normal words of degree
     c, drawn as in ``random_homogeneous``; each pick adds its word's integer
     mu terms, memoised per (c, max_weight) in basis order, times its
     coefficient."""
-    table = alphabet.table("mu_images")
-    images = table.get((c, max_weight))
-    if images is None:
-        images = table[(c, max_weight)] = tuple(
-            tuple(_mu_terms(w).items()) for w in normal_words(alphabet, c, max_weight=max_weight))
+    images = alphabet.table("mu_images", _mu_images)[c, max_weight]
     acc = {}
     if images:
         for terms in rng.sample(images, k=min(len(images), rng.randrange(1, 5))):

@@ -64,10 +64,11 @@ from math import factorial, prod
 from .elements import (IntegralityError, LieElement, TensorElement, ZZ, _lyndon_pairs,
                        is_prime, lie_from_tensor, lyndon_monomial)
 from .maps import (ActionSpec, _eta_word, _mu_terms, derive, metabelian_normal_coords,
-                   metabelian_of_word, mixed_basis, normal_words, presum_tensor)
+                   metabelian_of_word, mixed_basis, normal_words, peel_strict_keys,
+                   presum_tensor)
 from .words import Alphabet, Generator, LyndonWord, _lyndon_walk, is_lyndon
 from .zlinalg import (CokernelStructure, Presentation, _dense, _divisor_chain, _tagged,
-                      add_into)
+                      add_into, combine)
 
 VARIABLES = ("x", "y")
 
@@ -545,17 +546,8 @@ class TorsionEngine:
         division can be read in tensor coordinates).  A division that fails
         raises IntegralityError, where ``maps.theta`` raises."""
         a = self.theorem_block(s, t)
-        acc = {}
-        for word, c in self._normal_coords(self.theorem_word(s, t)).items():
-            add_into(acc, self._presum_vector(word, d, a, self.p).items(), c)
-        return acc
-
-    @staticmethod
-    def _normal_coords(letters: tuple) -> dict:
-        """The normal-word coordinates of a left-normed monomial's metabelian
-        class, {normal word: coefficient}: by the strict-key rule
-        (``metabelian_row``), the strict keys of its mu terms."""
-        return {(h,) + tail: c for (h, tail), c in _mu_terms(letters).items() if h > tail[0]}
+        return combine(peel_strict_keys(dict(_mu_terms(self.theorem_word(s, t)))),
+                       lambda word: self._presum_vector(word, d, a, self.p))
 
     def _presum_vector(self, letters: tuple, d: int, a: int, n: int) -> dict:
         """theta's presum of a letter tuple of bidegree (a, d-a), divided by
@@ -633,7 +625,7 @@ class TorsionEngine:
           times the other, and their orders are equal.
         - Units.  For p >= 3 the theorem word's class has the two normal
           words (vy, u^(p-2), vx) and (vx, u^(p-2), vy), with coefficients 1
-          and -1 (its strict mu terms, ``_normal_coords``; u is the least
+          and -1 (its strict mu terms, ``maps.peel_strict_keys``; u is the least
           letter), and sigma sends each, letter by letter, to (-1)^p times
           the other normal word of (t, s).  At p = 2 the class is -(vx, vy),
           which sigma sends to -(vy', vx'), whose presum is that of
@@ -754,8 +746,8 @@ class TorsionEngine:
         basis's size."""
         keys = mixed_basis(self.alphabet, self.p, weight=d)
         key_index = {k: i for i, k in enumerate(keys)}
-        rows = [{key_index[key]: c for key, c in _eta_word(self.alphabet, word).items()}
-                for word in self.lie_basis(d)]
+        eta = self.alphabet.table("eta", _eta_word)
+        rows = [{key_index[key]: c for key, c in eta[word].items()} for word in self.lie_basis(d)]
         return rows, len(keys)
 
     def bp_kernel_basis(self, d: int) -> list[list[int]]:
@@ -782,13 +774,14 @@ class TorsionEngine:
             raise ValueError(f"max_degree {top} is below the first degree {2 * self.p}")
         dims, torsion_found = [], []
         below = {}          # {a: K_{d-1,a}, as {Lyndon word: coefficient} vectors}
+        eta = self.alphabet.table("eta", _eta_word)
         for d in range(2 * self.p, top + 1):
             kernels, torsion, rec = {}, [], self._degree(d)
             for a, cols in self.bigrading(d).items():
                 # eta on the block's own mixed keys, numbered as they first appear
                 keys, words = {}, list(cols)
-                etas = [{keys.setdefault(key, len(keys)): c
-                         for key, c in _eta_word(self.alphabet, w).items()} for w in words]
+                etas = [{keys.setdefault(key, len(keys)): c for key, c in eta[w].items()}
+                        for w in words]
                 kernels[a] = [{words[i]: c for i, c in r.items()}
                               for r in _tagged(len(keys), etas)[1]]
                 kernel = Presentation([self._lie_coords(v, d, a) for v in kernels[a]], len(cols))
@@ -798,11 +791,8 @@ class TorsionEngine:
                         continue
                     row = self._row_builder(d, a, var, "lie")
                     for v in below[b]:
-                        vec = {}
-                        for w, c in v.items():
-                            add_into(vec, row(w).items(), c)
-                        images.append(vec)
-                        if vec not in kernel:
+                        images.append(combine(v, row))
+                        if images[-1] not in kernel:
                             raise AssertionError("kernel is not action stable")
                 for var in VARIABLES:
                     rec.lowered.pop((a, var), None)

@@ -57,6 +57,24 @@ class Generator:
         return self.name
 
 
+class MemoTable(dict):
+    """A dict that fills itself: reading a missing key stores and returns
+    compute(owner, key).  A compute that raises stores nothing, so it raises
+    again on the next read.  Only ``table[key]`` computes; ``get`` and
+    ``in`` read what is stored.  A hit is a plain dict lookup, and a miss
+    one call of ``__missing__`` from the dict's own lookup."""
+
+    __slots__ = ("owner", "compute")
+
+    def __init__(self, owner, compute):
+        self.owner = owner
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(self.owner, key)
+        return value
+
+
 class Alphabet:
     """An ordered finite sequence of generators.
 
@@ -66,7 +84,8 @@ class Alphabet:
     are interchangeable.
 
     ``memo`` holds the tables of ``table``: images of basis words under the
-    package's linear maps, computed once and dropped with the alphabet.
+    package's linear maps, each computed once, on its first read, and
+    dropped with the alphabet.
     """
 
     __slots__ = ("generators", "_by_name", "_hash", "memo", "__weakref__")
@@ -86,12 +105,15 @@ class Alphabet:
         self._hash = hash(gens)
         self.memo = {}
 
-    def table(self, name) -> dict:
-        """The memo table ``name`` of this alphabet; a value stored there is
-        a function of its key and this alphabet alone and is never mutated."""
+    def table(self, name, compute) -> "MemoTable":
+        """The memo table ``name`` of this alphabet, which fills itself:
+        ``table[key]`` is compute(alphabet, key), computed on the first read
+        and stored.  A stored value is a function of its key and this
+        alphabet alone and is never mutated.  The table is made on the first
+        call with the name, whose ``compute`` it keeps."""
         t = self.memo.get(name)
         if t is None:
-            t = self.memo[name] = {}
+            t = self.memo[name] = MemoTable(self, compute)
         return t
 
     def __len__(self):

@@ -15,7 +15,8 @@ the l-saturation chain count the divisors by their power of l.  A pivot
 that trial division cannot factor sends B to alternating echelons of its
 rows and of its columns instead.  Orders follow the pivot-product rule.
 
-``add_into`` is the package's sparse accumulator, over Z, Q or GF(p).
+``add_into`` is the package's sparse accumulator, over Z, Q or GF(p), and
+``combine`` applies a linear map given on a basis through it.
 """
 
 from __future__ import annotations
@@ -58,6 +59,19 @@ def add_into(acc: dict, pairs, scale=1, p=None) -> None:
                 acc[key] = s
             else:
                 acc.pop(key, None)
+
+
+def combine(terms: dict, image, p=None) -> dict:
+    """The sum of c * image(key) over ``terms.items()``, as a new dict
+    without zeros, reduced mod p when p is given: a linear map given on a
+    basis, applied to a combination of basis keys.  ``image(key)`` is a dict,
+    often a memo table's (``words.MemoTable``), which is read and never
+    returned or changed.
+    """
+    acc = {}
+    for key, c in terms.items():
+        add_into(acc, image(key).items(), c, p)
+    return acc
 
 
 def _sparse(vec, ncols, p=None):
@@ -180,11 +194,8 @@ def _prime_powers(lattice, ell) -> list:
         counts.append(len(relations))
         if _pivot_product(lattice) % ell ** (len(relations) + 1):
             break
-        lifts = []
-        for x in relations:
-            w = {}
-            add_into(w, ((j, c * v) for i, c in x.items() for j, v in basis[i].items()))
-            lifts.append({j: v // ell for j, v in w.items()})
+        lifts = [{j: v // ell for j, v in combine(x, basis.__getitem__).items()}
+                 for x in relations]
         lattice = _grown(lattice, lifts)
     return [ell ** sum(k > i for k in counts) for i in range(max(counts, default=0))]
 

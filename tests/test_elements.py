@@ -269,6 +269,6 @@ def test_factor_pairs_sum_to_the_lyndon_expansion(case):
     alphabet = unit_alphabet(rank)
     acc = {}
     add_into(acc, _lyndon_pairs(alphabet, idx))
-    assert idx not in alphabet.table("lyndon")
+    assert idx not in alphabet.memo.get("lyndon", {})
     tree = _tree_to_indices(alphabet, bracketing(LyndonWord(alphabet, idx)))
     assert acc == oracle_expand(tree) == _expand_lyndon(unit_alphabet(rank), idx)

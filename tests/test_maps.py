@@ -19,7 +19,7 @@ from lietorsion.elements import (GF, QQ, DomainError, IntegralityError, LieEleme
                                  generator_element, left_normalize, leftnormed_tensor,
                                  lie_from_tensor, lie_zero, lyndon_monomial, normal_form,
                                  to_tensor)
-from lietorsion.maps import (ActionSpec, MetabelianElement, _eta_word, _mu_terms,
+from lietorsion.maps import (ActionSpec, MetabelianElement, _eta_word, _mu_terms, peel_strict_keys,
                              check_exactness, derive, eta, kappa, lam,
                              metabelian_normal_coords, metabelian_of_word, mixed_basis,
                              mu, normal_words, nu, presum_tensor, random_action,
@@ -175,7 +175,7 @@ def theorem_words(ab, p):
     # of its metabelian class: (vy, u^(p-2), vx) and (vx, u^(p-2), vy) for p > 2
     u, vx, vy = ab.index("u(0,0)"), ab.index("u(1,0)"), ab.index("u(0,1)")
     word = (vy, vx) + (u,) * (p - 2)
-    return [word, *TorsionEngine._normal_coords(word)]
+    return [word, *peel_strict_keys(dict(_mu_terms(word)))]
 
 
 def test_theta_presum_matches_permutation_sum():

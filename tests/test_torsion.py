@@ -559,9 +559,9 @@ def test_theorem_element_keeps_no_peeled_expansion(p, s, t):
     # them, and the element is the one a memoised peel gives
     engine = TorsionEngine(p, p * (s + t + 2) + 2)
     e = engine.theorem_element(s, t)
-    assert not engine.alphabet.table("lyndon")
+    assert not engine.alphabet.memo.get("lyndon", {})
     kept = theta_presum(engine.alphabet, engine.theorem_word(s, t))
-    assert engine.alphabet.table("lyndon")
+    assert engine.alphabet.memo.get("lyndon", {})
     assert e == kept.divided_by(factorial(p - 2) * p)
 
 
@@ -894,7 +894,7 @@ def assert_no_whole_expansion_and_only_theorem_echelons(engine):
     # cokernel is read unless it is a theorem block, and the metabelian
     # side keeps none
     p = engine.p
-    assert not any(len(w) == p for w in engine.alphabet.table("lyndon"))
+    assert not any(len(w) == p for w in engine.alphabet.memo.get("lyndon", {}))
     for (side, d), rec in engine._degrees.items():
         theorem = {engine.theorem_block(s, t) for s, t in engine.theorem_indices(d)}
         assert set(rec.presentations) <= (theorem if side == "lie" else set()), (side, d)
@@ -990,7 +990,7 @@ def test_rows_and_lie_coords_match_the_whole_expansions(p, d):
             add_into(combination, oracle.items(), i - 2)
         assert engine._lie_coords({w: i - 2 for i, w in enumerate(cols)}, d, a) == combination
     assert checked
-    assert not any(len(w) == p for w in engine.alphabet.table("lyndon"))
+    assert not any(len(w) == p for w in engine.alphabet.memo.get("lyndon", {}))
 
 
 @pytest.mark.parametrize("p,d", [(5, 17), (7, 16)])

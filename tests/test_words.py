@@ -372,3 +372,29 @@ def test_words_with_long_repeated_content():
     ab = unit_alphabet(2)
     assert lyndon_words_with_content(ab, (0,) * 11) == []
     assert [w.idx for w in lyndon_words_with_content(ab, (0,) * 10 + (1,))] == [(0,) * 10 + (1,)]
+
+
+def test_alphabet_table_fills_itself_once_and_stores_no_failure():
+    # a key is computed on its first read alone, from the alphabet and the
+    # key; a compute that raises leaves no entry, so it raises again
+    alphabet = unit_alphabet(2)
+    calls = []
+
+    def factorial(ab, n):
+        assert ab is alphabet
+        calls.append(n)
+        if n < 0:
+            raise ArithmeticError(n)
+        return 1 if n == 0 else n * ab.table("factorial", factorial)[n - 1]
+
+    table = alphabet.table("factorial", factorial)
+    assert alphabet.table("factorial", factorial) is table is alphabet.memo["factorial"]
+    assert table[4] == 24 and calls == [4, 3, 2, 1, 0]
+    assert table[4] == 24 and table[2] == 2 and calls == [4, 3, 2, 1, 0]
+    assert dict(table) == {0: 1, 1: 1, 2: 2, 3: 6, 4: 24}
+    for _ in range(2):
+        with pytest.raises(ArithmeticError):
+            table[-1]
+    assert calls == [4, 3, 2, 1, 0, -1, -1] and -1 not in table
+    assert table.get(7) is None and 7 not in table and len(calls) == 7
+    assert unit_alphabet(2).memo == {}

@@ -55,6 +55,51 @@ def test_add_into_matches_a_dense_accumulator(case):
     assert acc == {j: x for j, x in enumerate(dense) if x}
 
 
+@st.composite
+def linear_combinations(draw):
+    # images on a few columns, so keys repeat across images; a twin pair
+    # (an image and a copy of it, with opposite coefficients) cancels
+    p = draw(st.sampled_from([None, 2, 3, 7]))
+    n = draw(st.integers(1, 5))
+    image = st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3).filter(bool), max_size=n)
+    images = draw(st.lists(image, min_size=1, max_size=5))
+    coeff = st.integers(-4, 4)
+    if p is None:
+        coeff = st.one_of(coeff, st.fractions(Fraction(-3), Fraction(3), max_denominator=4))
+    terms = draw(st.dictionaries(st.integers(0, len(images) - 1), coeff))
+    if draw(st.booleans()):
+        c = draw(coeff)
+        images.append(dict(images[0]))
+        terms = {0: c, len(images) - 1: -c}
+    return p, n, images, terms
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=linear_combinations())
+def test_combine_matches_a_naive_sum(case):
+    p, n, images, terms = case
+    dense = [0] * n
+    for key, c in terms.items():
+        for j, v in images[key].items():
+            dense[j] += c * v
+    if p is not None:
+        dense = [x % p for x in dense]
+    before = [dict(img) for img in images]
+    out = zlinalg.combine(terms, images.__getitem__, p)
+    assert out == {j: x for j, x in enumerate(dense) if x}
+    assert images == before                      # the images are left as they were
+    assert all(out is not img for img in images)
+    out[n] = 1                                   # and the result aliases none of them
+    assert images == before
+
+
+def test_combine_cancels_to_the_empty_dict():
+    image = {(0, 1): 2, (1, 0): -2}
+    assert zlinalg.combine({"a": 1, "b": -1}, {"a": image, "b": dict(image)}.__getitem__) == {}
+    assert zlinalg.combine({"a": 3}, {"a": image}.__getitem__, 3) == {}
+    assert zlinalg.combine({}, {}.__getitem__) == {}
+
+
 def det(m):
     n = len(m)
     if n == 0:
