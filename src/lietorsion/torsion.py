@@ -67,8 +67,8 @@ from .maps import (ActionSpec, _eta_word, _mu_terms, derive, metabelian_normal_c
                    metabelian_of_word, mixed_basis, normal_words, peel_strict_keys,
                    presum_tensor)
 from .words import Alphabet, Generator, LyndonWord, _lyndon_walk, is_lyndon
-from .zlinalg import (CokernelStructure, Presentation, _dense, _divisor_chain, _tagged,
-                      add_into, combine)
+from .zlinalg import (CokernelStructure, Presentation, _dense, _divisor_chain,
+                      _owned_presentation, _tagged, add_into, combine)
 
 VARIABLES = ("x", "y")
 
@@ -259,7 +259,9 @@ class TorsionEngine:
     def _row_builder(self, d: int, a: int, var: str, side: str):
         """The one row builder of both sides: a function from a degree d-1
         basis word whose var-image lies in block (a, d-a) to that image,
-        {column of the block: coefficient}, without zeros.  The degree
+        {column of the block: coefficient}, without zeros, a new dict the
+        caller may hand to the echelon (``block``).  On the metabelian side
+        column j is written n-1-j, as the block presents it.  The degree
         record, the block's lowered index (built here on first use) and the
         table of the words' terms are fetched once, not once per row.
 
@@ -272,7 +274,11 @@ class TorsionEngine:
         rec = self._degree(d, side)
         index = rec.lowered.get((a, var))
         if index is None:
-            index = rec.lowered[a, var] = self._lowered_index(self._cols(d, a, side), var, side)
+            cols = self._cols(d, a, side)
+            if side == "metabelian":
+                last = len(cols) - 1        # the block presents column j as n-1-j
+                cols = {w: last - col for w, col in cols.items()}
+            index = rec.lowered[a, var] = self._lowered_index(cols, var, side)
         if side == "lie":
             alphabet = self.alphabet
 
@@ -287,7 +293,9 @@ class TorsionEngine:
             for w, c in terms(word):
                 for col in index.get(w, ()):
                     acc[col] = acc.get(col, 0) + c
-            return {col: c for col, c in acc.items() if c}
+            if 0 in acc.values():
+                return {col: c for col, c in acc.items() if c}
+            return acc
         return row
 
     def _lowered_index(self, cols: dict, var: str, side: str) -> dict:
@@ -368,8 +376,10 @@ class TorsionEngine:
         head, and lowering different letters of T leaves different
         multisets.  So the block lists v under each such term that often
         (its lowered-key index), and the row is one lookup per mu term."""
-        row = self._row_builder(*self._target(word, var), var, "metabelian")(word)
-        return dict(sorted(row.items()))
+        d, a = self._target(word, var)
+        last = len(self._cols(d, a, "metabelian")) - 1
+        row = self._row_builder(d, a, var, "metabelian")(word)
+        return {last - j: row[j] for j in sorted(row, reverse=True)}
 
     # -- the block presentation, on either side -----------------------------
 
@@ -440,9 +450,11 @@ class TorsionEngine:
 
         The echelon pivots on a row's smallest column, the Lie leading word.
         The metabelian leading word is the largest, so there column j is
-        presented as n-1-j, which leaves the cokernel as it is.  The rows of
-        each variable come from one ``_row_builder``, and the block's lowered
-        index is dropped once they are built.
+        presented as n-1-j, which leaves the cokernel as it is: the row
+        builder writes it so.  The rows of each variable come from one
+        ``_row_builder``, and the block's lowered index is dropped once they
+        are built.  The echelon takes the rows over without a copy
+        (``zlinalg._owned_presentation``).
         """
         rec = self._degree(d, side)
         pres = rec.presentations.get(a)
@@ -455,10 +467,7 @@ class TorsionEngine:
                 if ws:
                     rows += map(self._row_builder(d, a, var, side), ws)
                 rec.lowered.pop((a, var), None)
-            n = len(self._cols(d, a, side))
-            if side == "metabelian":
-                rows = [{n - 1 - j: c for j, c in r.items()} for r in rows]
-            pres = rec.presentations[a] = Presentation(rows, n)
+            pres = rec.presentations[a] = _owned_presentation(rows, len(self._cols(d, a, side)))
         return pres
 
     def graded_cokernel(self, d: int, side: str = "lie") -> CokernelStructure:
@@ -784,7 +793,8 @@ class TorsionEngine:
                         for w in words]
                 kernels[a] = [{words[i]: c for i, c in r.items()}
                               for r in _tagged(len(keys), etas)[1]]
-                kernel = Presentation([self._lie_coords(v, d, a) for v in kernels[a]], len(cols))
+                kernel = _owned_presentation([self._lie_coords(v, d, a) for v in kernels[a]],
+                                             len(cols))
                 images = []
                 for b, var in ((a - 1, "x"), (a, "y")):
                     if not below.get(b):
@@ -797,7 +807,7 @@ class TorsionEngine:
                 for var in VARIABLES:
                     rec.lowered.pop((a, var), None)
                 if 2 * a <= d:
-                    ck = Presentation(images, len(cols)).cokernel
+                    ck = _owned_presentation(images, len(cols)).cokernel
                     torsion += ck.torsion * (1 if 2 * a == d else 2)
             torsion_found.append(tuple(q for q in _divisor_chain(torsion) if q > 1))
             below = kernels

@@ -11,9 +11,18 @@ Hermite transforms, kernels and left solves read them there.
 Smith forms, cokernels and element orders all go through one
 ``Presentation``: the Z echelon B of the relations.  Only primes l dividing
 a pivot of B divide an elementary divisor, and the ranks over GF(l) along
-the l-saturation chain count the divisors by their power of l.  A pivot
-that trial division cannot factor sends B to alternating echelons of its
-rows and of its columns instead.  Orders follow the pivot-product rule.
+the l-saturation chain count the divisors by their power of l: the rows
+whose pivot l does not divide are read in place, and only the others are
+reduced mod l.  A pivot that trial division cannot factor sends B to
+alternating echelons of its rows and of its columns instead.  Orders follow
+the pivot-product rule.
+
+Vectors from outside the package (``Presentation(rows, ncols)``,
+``IntLattice.add`` and ``in``) are checked and copied by ``_sparse``.  The
+package hands its own vectors to ``IntLattice._reduce``, which takes them
+over: the torsion engine's block rows through ``_owned_presentation``, and
+the saturation chain's lifts (``_grown``) and the GF(l) residues of
+``_relations_mod``.
 
 ``add_into`` is the package's sparse accumulator, over Z, Q or GF(p), and
 ``combine`` applies a linear map given on a basis through it.
@@ -137,13 +146,24 @@ class Presentation:
         the order [L + Zv : L] is the product of L's pivots over L + Zv's.
         """
         base = self._lattice
-        grown = _grown(base, [vec])
+        grown = _grown(base, [_sparse(vec, base.ncols)])
         if grown.rank > base.rank:
             return None
         return _pivot_product(base) // _pivot_product(grown)
 
     def __contains__(self, vec) -> bool:
         return vec in self._lattice
+
+
+def _owned_presentation(rows, ncols) -> Presentation:
+    """The Presentation of sparse rows the package built itself, which it
+    takes over: each is a dict with no zero and no column outside
+    range(ncols), and goes into the echelon (``IntLattice._reduce``) with no
+    check and no copy, so the caller must not read it again."""
+    pres = Presentation((), ncols)
+    for r in sorted(rows, key=len):     # short rows fill least
+        pres._lattice._reduce(r, grow=True)
+    return pres
 
 
 # pivots are factored by trial division below this bound
@@ -166,12 +186,13 @@ def _pivot_product(lattice) -> int:
 
 
 def _grown(lattice, vecs) -> IntLattice:
-    """A copy of the lattice with vecs added.  The copy shares the stored
-    rows, since ``_reduce`` replaces a stored row and never changes one."""
+    """A copy of the lattice with the sparse vecs added, which it takes over
+    (see ``IntLattice._reduce``).  The copy shares the stored rows, since
+    ``_reduce`` replaces a stored row and never changes one."""
     out = IntLattice(lattice.ncols, (), lattice.p)
     out.rows = dict(lattice.rows)
     for v in vecs:
-        out.add(v)
+        out._reduce(v, grow=True)
     return out
 
 
@@ -179,25 +200,83 @@ def _prime_powers(lattice, ell) -> list:
     """The powers of the prime ell among the elementary divisors of Z^n / L.
 
     The divisors that ell divides are counted by the relations x among the
-    echelon rows B over GF(ell), and {v : ell v in L} is L plus the rows
-    (x B) / ell.  So the j-th count along that saturation chain is the number
-    of divisors with v_ell >= j.  It stops at a count k = 0, or at k = v_ell
-    of the pivot product, which bounds v_ell of the divisors' product: then
-    each of the k divisors takes one factor of ell.
+    echelon rows B over GF(ell) (``_relations_mod``), and {v : ell v in L}
+    is L plus the rows (x B) / ell.  So the j-th count along that saturation
+    chain is the number of divisors with v_ell >= j.  It stops at a count
+    k = 0, or at k = v_ell of the pivot product, which bounds v_ell of the
+    divisors' product: then each of the k divisors takes one factor of ell.
+
+    Any basis of the relations gives the same chain.  The lift (x B) / ell
+    depends only on x mod ell, modulo L: x' = x + ell y, with y integral,
+    lifts to (x B) / ell + y B.  And it is additive modulo L, so the lifts
+    of a basis span, modulo L, the lifts of every relation: each grown
+    lattice is {v : ell v in L} whichever basis is read.
     """
     counts = []
     while True:
-        basis = list(lattice.rows.values())
-        relations = _tagged(lattice.ncols, basis, ell)[1]
+        relations = _relations_mod(lattice, ell)
         if not relations:
             break
         counts.append(len(relations))
         if _pivot_product(lattice) % ell ** (len(relations) + 1):
             break
-        lifts = [{j: v // ell for j, v in combine(x, basis.__getitem__).items()}
-                 for x in relations]
-        lattice = _grown(lattice, lifts)
+        rows = lattice.rows
+        lattice = _grown(lattice, [{j: v // ell for j, v in combine(x, rows.__getitem__).items()}
+                                   for x in relations])
     return [ell ** sum(k > i for k in counts) for i in range(max(counts, default=0))]
+
+
+def _relations_mod(lattice, ell) -> list:
+    """A basis of the relations among the echelon rows B of the lattice over
+    GF(ell), each {pivot column of a row: coefficient in [0, ell)}.
+
+    Call a row a unit row when ell does not divide its pivot.  The unit rows
+    are an echelon basis mod ell as they stand: their pivot columns are
+    distinct and their pivots invertible mod ell.  So the rank of B over
+    GF(ell) is the number of unit rows plus the rank of the other rows'
+    residues modulo the unit rows' span, and only those residues are
+    reduced, in one tagged GF(ell) echelon as in ``_tagged``: the i-th of m
+    is tagged by a 1 at column ncols + m-1-i.  Its rows start as the unit
+    rows, each read in place (``_UnitRow``) as itself over its pivot mod
+    ell, tagged at ncols + m + its pivot, above every other tag.  A residue
+    whose columns below the tags vanish is a relation x, with x B = 0 mod
+    ell, and rests on its own tag, the least of its tags, as in ``_tagged``.
+    These relations are independent, since their own tags differ, and they
+    are m minus the residues' rank of them: the number of rows minus the
+    rank, which is the dimension of the relations among B's rows mod ell.
+    """
+    ncols, rows = lattice.ncols, lattice.rows
+    others = [k for k, row in rows.items() if row[k] % ell == 0]
+    top = ncols + len(others) - 1
+    residues = IntLattice(top + 1 + ncols, (), ell)
+    residues.rows = {k: _UnitRow(row, pow(row[k], -1, ell), top + 1 + k)
+                     for k, row in rows.items() if row[k] % ell}
+    for i, k in enumerate(others):
+        v = {j: r for j, x in rows[k].items() if (r := x % ell)}
+        v[top - i] = 1
+        residues._reduce(v, grow=True)
+    return [{others[top - j] if j <= top else j - top - 1: c for j, c in residues.rows[t].items()}
+            for t in sorted((t for t in residues.rows if t >= ncols), reverse=True)]
+
+
+class _UnitRow:
+    """A Z echelon row whose pivot ell does not divide, read in place as a
+    row of a tagged GF(ell) echelon: the row times the pivot's inverse mod
+    ell, plus that inverse at its tag column.  ``IntLattice._reduce`` reads
+    the pivot entry, which is 1, and the items, scaled as they are read."""
+
+    __slots__ = ("row", "inverse", "tag")
+
+    def __init__(self, row, inverse, tag):
+        self.row, self.inverse, self.tag = row, inverse, tag
+
+    def __getitem__(self, pivot):
+        return 1
+
+    def items(self):
+        inverse = self.inverse
+        yield from ((j, x * inverse) for j, x in self.row.items())
+        yield self.tag, inverse
 
 
 def _alternating_divisors(lattice) -> list:
@@ -312,9 +391,11 @@ class IntLattice:
         divides, so v ends empty exactly when it lay in the lattice.  With
         grow that entry joins the lattice: v becomes a new row, or the xgcd
         step gives the row the gcd and v the rest.  ``add`` and ``in`` hand
-        it a checked copy; package code may hand it a vector of its own,
-        which must hold no zero and no column out of range, with its values
-        in [0, p) given p, and which it consumes.
+        it a checked copy.  Package code hands it vectors of its own, which
+        must hold no zero and no column out of range, with their values in
+        [0, p) given p, and which it consumes: the torsion engine's block
+        and freeness rows (``_owned_presentation``), the saturation chain's
+        lifts (``_grown``) and the GF(l) residues of ``_relations_mod``.
         """
         p = self.p
         while v:

@@ -1,12 +1,21 @@
-"""A dense Smith form, the oracle the sparse elimination is checked against.
+"""A dense Smith form, the oracle the sparse elimination is checked against,
+and the saturation chain read off whole tagged GF(l) echelons.
 
-It shares no code with the package: each step clears the row and column
-through a pivot of least absolute value (ties by position), so intermediate
-entries stay small on the test matrices, and the diagonal is put in divisor
-order by gcd/lcm pairs at the end.
+``dense_snf`` shares no code with the package: each step clears the row and
+column through a pivot of least absolute value (ties by position), so
+intermediate entries stay small on the test matrices, and the diagonal is
+put in divisor order by gcd/lcm pairs at the end.
+
+``tagged_prime_powers`` is the Smith reading that ``zlinalg._prime_powers``
+replaced: at each step of the l-saturation chain it copies every echelon
+row into one tagged GF(l) echelon (``zlinalg._tagged``) and reads the
+relations off it, the unit rows included.
 """
 
 from math import gcd
+
+from lietorsion import zlinalg
+from lietorsion.zlinalg import IntLattice, _pivot_product, _tagged, combine
 
 
 def dense_snf(a, n) -> tuple:
@@ -90,3 +99,57 @@ def _chain(diag):
             g = gcd(ds[i], ds[j])
             ds[i], ds[j] = g, ds[i] // g * ds[j]
     return tuple(ds)
+
+
+def tagged_relations(lattice, ell) -> list:
+    """The relations among the echelon rows mod ell, {pivot column of a
+    row: coefficient}, read off one tagged echelon of all of them."""
+    pivots = list(lattice.rows)
+    basis = [lattice.rows[j] for j in pivots]
+    return [{pivots[i]: c for i, c in x.items()}
+            for x in _tagged(lattice.ncols, basis, ell)[1]]
+
+
+def tagged_prime_powers(lattice, ell) -> list:
+    """The powers of the prime ell among the elementary divisors of
+    Z^n / L, by the saturation chain over ``tagged_relations``."""
+    counts = []
+    while True:
+        relations = tagged_relations(lattice, ell)
+        if not relations:
+            break
+        counts.append(len(relations))
+        if _pivot_product(lattice) % ell ** (len(relations) + 1):
+            break
+        grown = IntLattice(lattice.ncols)
+        grown.rows = dict(lattice.rows)
+        for x in relations:
+            grown.add({j: v // ell for j, v in combine(x, lattice.rows.__getitem__).items()})
+        lattice = grown
+    return [ell ** sum(k > i for k in counts) for i in range(max(counts, default=0))]
+
+
+def check_reading(lattice, ell):
+    """Assert that ``zlinalg._prime_powers`` gives the oracle's powers of
+    ell, and that at each level of its chain it reads as many relations as
+    the whole tagged echelon of that level's lattice, each a true relation
+    mod ell.  Returns the number of levels read."""
+    levels = []
+    real = zlinalg._relations_mod
+
+    def spy(lat, p):
+        levels.append((lat, real(lat, p)))
+        return levels[-1][1]
+
+    zlinalg._relations_mod = spy
+    try:
+        powers = zlinalg._prime_powers(lattice, ell)
+    finally:
+        zlinalg._relations_mod = real
+    assert powers == tagged_prime_powers(lattice, ell), (powers, ell)
+    for lat, relations in levels:
+        assert len(relations) == len(tagged_relations(lat, ell)), ell
+        for x in relations:
+            assert x and all(0 < c < ell for c in x.values()), x
+            assert not combine(x, lat.rows.__getitem__, ell), x
+    return len(levels)

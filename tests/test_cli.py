@@ -441,12 +441,12 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
     ("verify-c5-rank3-seed1", ["verify", "--c", "5", "--rank", "3", "--seed", "1"], 0),
     ("torsion-p3-d14", ["torsion", "--prime", "3", "--max-degree", "14"], 0),
     ("torsion-p4-d12", ["torsion", "--prime", "4", "--max-degree", "12"], 0),
-    ("torsion-p5-d18", ["torsion", "--prime", "5", "--max-degree", "18"], 0),
-    ("torsion-p4-d18", ["torsion", "--prime", "4", "--max-degree", "18"], 0),
-    ("torsion-p6-d20", ["torsion", "--prime", "6", "--max-degree", "20"], 0),
     ("theorem-p5-s1-t0", ["theorem", "--prime", "5", "--s", "1", "--t", "0"], 0),
     ("summand-p3-dim3", ["summand", "--prime", "3", "--dim", "3"], 0),
     ("lyndon-rank3-d5", ["lyndon", "--rank", "3", "--max-degree", "5"], 0),
+    ("torsion-p5-d18", ["torsion", "--prime", "5", "--max-degree", "18"], 0),
+    ("torsion-p4-d18", ["torsion", "--prime", "4", "--max-degree", "18"], 0),
+    ("torsion-p6-d20", ["torsion", "--prime", "6", "--max-degree", "20"], 0),
 ])
 def test_golden_reports(capsys, name, argv, code):
     got, out, _ = run_cli(capsys, *argv)

@@ -35,7 +35,7 @@ from lietorsion.zlinalg import (CokernelStructure, IntLattice, Presentation, add
                                 solve_left, transpose)
 from lietorsion.words import _lyndon_walk
 from heap_oracle import HeapPresentation
-from snf_oracle import dense_snf
+from snf_oracle import check_reading, dense_snf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -164,17 +164,19 @@ def test_no_presentation_spans_a_whole_degree(monkeypatch):
     # and images go block by block, so every Presentation is one block wide,
     # and the freeness check builds no whole degree's mixed basis or eta rows
     widths = []
-    real = zlinalg.Presentation
 
-    def spy(rows, ncols):
-        widths.append(ncols)
-        return real(rows, ncols)
+    def spy(real):
+        def presentation(rows, ncols):
+            widths.append(ncols)
+            return real(rows, ncols)
+        return presentation
 
     def refuse(*args, **kwargs):
         raise AssertionError("a whole degree's mixed basis was built")
 
-    monkeypatch.setattr(torsion, "Presentation", spy)
-    monkeypatch.setattr(zlinalg, "Presentation", spy)
+    monkeypatch.setattr(torsion, "Presentation", spy(zlinalg.Presentation))
+    monkeypatch.setattr(zlinalg, "Presentation", spy(zlinalg.Presentation))
+    monkeypatch.setattr(torsion, "_owned_presentation", spy(zlinalg._owned_presentation))
     monkeypatch.setattr(torsion, "mixed_basis", refuse)
     engine = TorsionEngine(3, 14)
     monkeypatch.setattr(engine, "eta_matrix", refuse)
@@ -415,9 +417,14 @@ def test_pruned_blocks_match_the_unpruned_rows(monkeypatch, p, d):
     # below, built here (test_graded_cokernel_matches_whole_degree_presentation
     # compares the lower degrees' cokernels)
     given = []
-    real = torsion.Presentation
-    monkeypatch.setattr(torsion, "Presentation",
-                        lambda rows, ncols: given.append(rows) or real(rows, ncols))
+    real = torsion._owned_presentation
+
+    def spy(rows, ncols):
+        # copies: the echelon takes the rows over
+        given.append([dict(r) for r in rows])
+        return real(rows, ncols)
+
+    monkeypatch.setattr(torsion, "_owned_presentation", spy)
     lie = witt_block_ranks(p, d)[0]
     engine = TorsionEngine(p, d)
     checked = 0
@@ -468,6 +475,22 @@ def test_no_engine_block_takes_the_alternating_echelons(monkeypatch, p, top):
         for d in range(2 * p, top + 1):
             for a in engine.bigrading(d, side):
                 engine.block(d, a, side).snf      # refuse raises on the fallback
+
+
+@pytest.mark.parametrize("p,top", [(3, 14), (5, 17), (4, 14), (6, 16)])
+def test_block_smith_readings_match_the_tagged_oracle(p, top):
+    # every block of every degree, on both sides, for each prime dividing a
+    # pivot: the relation reading against the tagged echelon of all the rows
+    engine = TorsionEngine(p, top)
+    levels = 0
+    for side in ("lie", "metabelian"):
+        for d in range(2 * p, top + 1):
+            for a in engine.bigrading(d, side):
+                lattice = engine.block(d, a, side)._lattice
+                pivots = {row[j] for j, row in lattice.rows.items()}
+                for ell in set().union(*map(zlinalg._small_primes, pivots)):
+                    levels += check_reading(lattice, ell)
+    assert levels
 
 
 def test_graded_cokernel_examples():
@@ -815,7 +838,14 @@ def test_bp_freeness_check_counts_each_presented_block_for_its_mirror(monkeypatc
     class Z2(torsion.Presentation):
         cokernel = CokernelStructure(0, (2,))
 
-    monkeypatch.setattr(torsion, "Presentation", Z2)
+    real = torsion._owned_presentation
+
+    def z2(rows, ncols):
+        pres = real(rows, ncols)
+        pres.__class__ = Z2
+        return pres
+
+    monkeypatch.setattr(torsion, "_owned_presentation", z2)
     engine = TorsionEngine(3, 11)
     r = engine.bp_freeness_check(11)
     assert r.torsion_found == tuple((2,) * len(engine.bigrading(d)) for d in range(6, 12))
@@ -1003,13 +1033,9 @@ def test_factor_pairs_sum_to_the_whole_expansion_on_every_block_word(p, d):
             assert acc == whole_expansion(engine, word), word
 
 
-@pytest.mark.slow
-def test_torsion_report_peak_memory_at_p5_d22():
-    # a fresh interpreter runs the sweep, and a second one, its parent,
-    # reads the peak RSS of its only child: rows off the factor expansions
-    # and echelons dropped once read keep the sweep under 90 MiB
-    worker = ("from lietorsion.torsion import torsion_report\n"
-              "assert all(r.passed for r in torsion_report(5, 22))")
+def child_peak_kib(worker):
+    """The peak RSS, in KiB, of a fresh interpreter that runs ``worker``: a
+    second one, its parent, reads the peak of its only child."""
     code = ("import resource, subprocess, sys\n"
             f"subprocess.run([sys.executable, '-c', {worker!r}], check=True)\n"
             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
@@ -1017,8 +1043,25 @@ def test_torsion_report_peak_memory_at_p5_d22():
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    peak_kib = int(done.stdout.split()[-1])
+    return int(done.stdout.split()[-1])
+
+
+@pytest.mark.slow
+def test_torsion_report_peak_memory_at_p5_d22():
+    # rows off the factor expansions and echelons dropped once read keep
+    # the sweep under 90 MiB
+    peak_kib = child_peak_kib("from lietorsion.torsion import torsion_report\n"
+                              "assert all(r.passed for r in torsion_report(5, 22))")
     assert peak_kib < 90 * 1024, peak_kib
+
+
+@pytest.mark.slow
+def test_theorem_degree_peak_memory_at_p7_d23():
+    # block rows go into the echelon without a copy, and the Smith reading
+    # copies only the rows whose pivot l divides: under 110 MiB
+    peak_kib = child_peak_kib("from lietorsion.torsion import verify_theorem_degree\n"
+                              "assert verify_theorem_degree(7, 23).passed")
+    assert peak_kib < 110 * 1024, peak_kib
 
 
 def test_action_variables_commute():

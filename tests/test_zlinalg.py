@@ -2,6 +2,7 @@
 and a dense gcd-stepping Hermite form; the sparse accumulator against a dense
 one."""
 
+import copy
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -19,7 +20,7 @@ from lietorsion.zlinalg import (CokernelStructure, IntLattice, Presentation,
                                 hermite_normal_form, integer_kernel,
                                 order_in_cokernel, saturation, smith_normal_form,
                                 solve_left, transpose)
-from snf_oracle import dense_snf
+from snf_oracle import check_reading, dense_snf
 
 
 @st.composite
@@ -403,6 +404,35 @@ def test_snf_saturation_chain_steps(monkeypatch, rows, want, steps):
     assert dense_divisors(rows, n) == want == sympy_divisors(rows, n)
 
 
+@st.composite
+def ell_echelons(draw):
+    """A prime ell and a sparse Z echelon, its rows' pivots drawn from units
+    mod ell, ell, ell^2 and 2 ell, and its other entries mostly units."""
+    ell = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 7))
+    entry = st.sampled_from([1, -1, ell + 1, ell, -2 * ell, 2 * ell - 1])
+    rows = []
+    for j in sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))):
+        row = {j: draw(st.sampled_from([ell, 1, ell * ell, ell + 1, 2 * ell]))}
+        if j < n - 1:
+            row |= draw(st.dictionaries(st.integers(j + 1, n - 1), entry))
+        rows.append(row)
+    return ell, n, rows
+
+
+@PROPERTY
+@given(ell_echelons())
+def test_relation_reading_matches_the_tagged_oracle(case):
+    # the unit rows read in place and the others' residues give the same
+    # relation count at each level of the chain as one tagged echelon of all
+    # the rows, so the same powers of ell; and the Smith form is the dense one
+    ell, n, rows = case
+    lattice = IntLattice(n, rows)
+    assert lattice.rows == {min(r): r for r in rows}
+    assert check_reading(lattice, ell) >= 1
+    assert Presentation(rows, n).snf.divisors == dense_divisors([_dense(r, n) for r in rows], n)
+
+
 @pytest.mark.parametrize("rows", [
     [[2 * 65537]],
     [[2 ** 61 - 1, 0], [0, 4]],
@@ -566,6 +596,32 @@ def test_widths_that_disagree_raise(call, error):
 def test_dict_columns_out_of_range_raise(call, col):
     with pytest.raises(ValueError, match="column index out of range in ambient rank 3"):
         call({1: 1, col: 2})
+
+
+# each entry for vectors from outside the package, handed a list of rows
+OUTSIDE_ENTRIES = {
+    "presentation": lambda rows: Presentation(rows, 4).cokernel,
+    "smith": lambda rows: smith_normal_form(rows, 4),
+    "cokernel": lambda rows: cokernel_structure(rows, 4),
+    "lattice-add": lambda rows: [IntLattice(4).add(r) for r in rows],
+    "lattice-contains": lambda rows: [r in IntLattice(4, [[2, 0, 0, 0]]) for r in rows],
+    "presentation-contains": lambda rows: [r in Presentation([{0: 2}], 4) for r in rows],
+    "order": lambda rows: [Presentation([{0: 2}], 4).order(r) for r in rows],
+}
+
+
+@pytest.mark.parametrize("name", OUTSIDE_ENTRIES)
+def test_outside_vectors_are_checked_and_left_as_given(name):
+    # the engine's own rows go into the echelon without a copy; a caller's
+    # rows are checked, copied, and never changed
+    call = OUTSIDE_ENTRIES[name]
+    rows = [{0: 2, 1: 4, 3: -6}, {1: 6, 2: 3}, {0: 4, 2: 0, 3: 1}, [0, 2, 0, 4], {3: 5}]
+    given = copy.deepcopy(rows)
+    call(rows)
+    assert rows == given
+    for bad in ({1: 1, 4: 2}, {-1: 1}, [1, 2, 3], [1, 2, 3, 4, 5]):
+        with pytest.raises(ValueError):
+            call([{0: 1}, bad])
 
 
 def test_transpose_shapes():
