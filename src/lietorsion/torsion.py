@@ -19,13 +19,16 @@ bidegree (a, b) is read off its own block's echelon, for a <= b only: the
 swap sends the theorem element of (s, t) to +-1 times that of (t, s), and
 theta's image likewise, so an index past the mirror takes its mirror's
 order and unit (``_mirrored``).  The theorem checks build no block past the
-mirror, of degree d or of degree d-1.  Each block owns its columns,
-numbered in basis order (``bigrading(d)`` gives each block's {word:
-column}), and every vector the engine builds is written in the columns of
-its own block.  A degree's words are generated block by block, on demand:
-one walk carries each prefix's first bidegree component and emits only the
-blocks asked for, each in lexicographic order, so a block's columns are
-those of the whole basis bucketed by bidegree.
+mirror, of degree d or of degree d-1.  Each block owns its columns
+(``bigrading(d)`` gives each block's {word: column}), and every vector the
+engine builds is written in the columns of its own block.  A degree's words
+are generated block by block, on demand: one walk carries each prefix's
+first bidegree component and emits only the blocks asked for, each in
+lexicographic order.  A Lie block numbers its words from its first, a
+metabelian block from its last, so on both sides a relation row's leading
+word is its least column (``block``).  The engine keeps, per side and
+degree, the blocks' words and cokernels, and on the Lie side of a prime
+engine the theorem blocks' echelons.
 
 Every Lie-side vector is read in tensor coordinates: its coordinate on a
 degree-d Lyndon word w is the coefficient of w in its tensor expansion.  The
@@ -34,9 +37,9 @@ words (Chen, Fox & Lyndon 1958), so these are the Lyndon coordinates times a
 unitriangular matrix, and cokernels, orders and memberships are the same in
 either.  A relation row, the x- or y-image of a degree d-1 basis word, is
 Leibniz on the word's tensor expansion, kept on the Lyndon words of the
-image's block: since x and y send each letter to one letter, the block
-lists each of its words under every word one lowering below it (its
-lowered-word index), and the row is one lookup per expansion term.  The
+image's block: since x and y send each letter to one letter, the block's
+row builder lists each block word under every word one lowering below it
+(its lowered-word index), and the row is one lookup per expansion term.  The
 expansion is never built whole: for the standard factorisation w = uv it
 is P_u P_v - P_v P_u, so its terms are read off the two factors' memoised
 expansions, pair by pair (``elements._lyndon_pairs``).  The freeness
@@ -155,24 +158,23 @@ class _Degree:
     """One side's degree-d basis, block by block, and what is built over it,
     all on demand."""
 
-    __slots__ = ("blocks", "presentations", "cokernels", "lowered")
+    __slots__ = ("blocks", "presentations", "cokernels")
 
     def __init__(self):
         self.blocks = {}              # {a: {word of bidegree (a, d-a): its column in the block}},
                                       # for each a walked so far, empty blocks included
-        self.presentations = {}       # {a: block Presentation}, until graded_cokernel has read
-                                      # its cokernel, unless a is a theorem block
+        self.presentations = {}       # {a: block Presentation}, Lie theorem blocks of a prime
+                                      # engine only
         self.cokernels = {}           # {a: block CokernelStructure}, as graded_cokernel read it
-        self.lowered = {}             # {(a, var): block a's lowered index}
 
 
 class TorsionEngine:
     """One modulus up to one ambient degree.  Everything cached is one record
     per side and degree (``_Degree``): the side "lie" is the Lie power on
     Lyndon words, "metabelian" the metabelian power in normal words.  The
-    relation rows are rebuilt on each call; every block reads its own rows
-    once.  Past ``max_degree`` the alphabet is cut, so a degree above it
-    raises ValueError."""
+    relation rows and their lowered indexes are rebuilt on each call; every
+    block reads its own rows once.  Past ``max_degree`` the alphabet is cut,
+    so a degree above it raises ValueError."""
 
     def __init__(self, p: int, max_degree: int):
         if p < 2:
@@ -219,8 +221,10 @@ class TorsionEngine:
         a in [lo, hi] built: those not built yet come from one walk that
         carries each prefix's first bidegree component and prunes to them
         (``words._lyndon_walk``, ``maps.normal_words``).  Each block's words
-        are in lexicographic order, so its columns are those of the whole
-        basis bucketed by bidegree.  The cache's, read-only."""
+        are in lexicographic order.  A Lie block numbers them 0, 1, ... from
+        its first word, a metabelian block from its last, so that on both
+        sides a row's leading word is its least column (see ``block``).  The
+        cache's, read-only."""
         blocks = self._degree(d, side).blocks
         todo = [a for a in range(lo, hi + 1) if a not in blocks]
         if todo:
@@ -231,7 +235,9 @@ class TorsionEngine:
             else:
                 found = normal_words(self.alphabet, self.p, weight=d, blocks=want)
             for a in todo:
-                blocks[a] = {w: col for col, w in enumerate(found.get(a, ()))}
+                words = found.get(a, ())
+                cols = range(len(words)) if side == "lie" else range(len(words) - 1, -1, -1)
+                blocks[a] = dict(zip(words, cols))
         return blocks
 
     def _cols(self, d: int, a: int, side: str = "lie") -> dict:
@@ -248,37 +254,25 @@ class TorsionEngine:
 
     # -- relation rows ------------------------------------------------------
 
-    def _target(self, word: tuple, var: str) -> tuple[int, int]:
-        """The degree and the first bidegree component of the block that
-        holds the var-image of a basis word: x raises the first component, y
-        the second."""
-        a = sum(map(self._first.__getitem__, word))
-        d = sum(map(self._weight.__getitem__, word)) + 1
-        return d, a + (var == "x")
-
     def _row_builder(self, d: int, a: int, var: str, side: str):
         """The one row builder of both sides: a function from a degree d-1
         basis word whose var-image lies in block (a, d-a) to that image,
         {column of the block: coefficient}, without zeros, a new dict the
-        caller may hand to the echelon (``block``).  On the metabelian side
-        column j is written n-1-j, as the block presents it.  The degree
-        record, the block's lowered index (built here on first use) and the
-        table of the words' terms are fetched once, not once per row.
+        caller may hand to the echelon (``block``).  The block's lowered
+        index is built here, once per builder, and goes with it; the table
+        of the words' terms is fetched once, not once per row.
 
         A row adds each of the word's terms, times its coefficient, to the
-        columns the lowered index lists under it: on the Lie side the terms
-        of the word's tensor expansion, read pair by pair off its standard
-        factorisation's two memoised expansions with the word's own never
-        built (``derived_row``), on the metabelian side its two integer mu
-        terms (``metabelian_row``)."""
-        rec = self._degree(d, side)
-        index = rec.lowered.get((a, var))
-        if index is None:
-            cols = self._cols(d, a, side)
-            if side == "metabelian":
-                last = len(cols) - 1        # the block presents column j as n-1-j
-                cols = {w: last - col for w, col in cols.items()}
-            index = rec.lowered[a, var] = self._lowered_index(cols, var, side)
+        columns the lowered index lists under it (``_lowered_index`` proves
+        that this is the image): on the Lie side the terms of the word's
+        tensor expansion, on the metabelian side its two integer mu terms.
+        The expansion terms are those of P_u P_v - P_v P_u for the word's
+        standard factorisation (u, v), each pair of terms (a, ca) of P_u and
+        (b, cb) of P_v giving ca cb under ab and -ca cb under ba
+        (``elements._lyndon_pairs``): a word may come more than once, and
+        the row sums its coefficients, so the word's own expansion is
+        neither built nor stored."""
+        index = self._lowered_index(self._cols(d, a, side), var, side)
         if side == "lie":
             alphabet = self.alphabet
 
@@ -300,13 +294,38 @@ class TorsionEngine:
 
     def _lowered_index(self, cols: dict, var: str, side: str) -> dict:
         """The lowered index of a block's {word: column}, for one variable:
-        {term one var-lowering below a block word: [its columns]}.
+        {term one var-lowering below a block word: [its columns]}, such that
+        the var-image of a degree d-1 basis word in the block's columns
+        adds each of the word's terms, times its coefficient, to each
+        column listed under it (``_row_builder``).
 
-        On the Lie side the terms are words, and a block word v is listed
-        under v lowered at each position once: lowering it at two positions
-        gives two different words.  On the metabelian side they are mixed
-        keys, and a normal word (h, T) is listed under the keys one lowering
-        below its strict key (h, T), as often as ``metabelian_row`` counts."""
+        Lie side.  The terms are the words of the basis word's tensor
+        expansion, and the image's expansion is, by Leibniz, that expansion
+        with one letter raised at a time.  Every letter's image is one
+        letter with coefficient 1 (checked in ``__init__``), so a block
+        word v gains the coefficient of each expansion word that lowers v
+        at one position, and v is listed under v lowered at each position
+        once: lowering it at two positions gives two different words.
+
+        Metabelian side, by the strict-key rule.  mu of the class n_w of a
+        normal word w = (b1, tail) is its strict key (b1, tail),
+        b1 > min(tail), minus the key (b2, b1 o tail[1:]), which is not
+        strict, since b2 is at most every letter of tail and below b1.  So
+        strict keys match normal words one to one, and an element's
+        coordinate on w is the coefficient of w's strict key in its mu
+        image.  The image of n_w is Leibniz on w's two mu terms, and a block
+        word v = (h, T) gains the coefficient of each term that Leibniz
+        takes to the key (h, T):
+        - a term (lower(h), T), whose head Leibniz raises once;
+        - a term (h, M), where M is T with one letter t lowered.  Leibniz
+          raises each distinct letter of a multiset once, times its
+          multiplicity (``maps.leibniz_multiset``), and M reaches T only by
+          raising a copy of lower(t), the one letter M has in place of t.  So
+          the term counts as many times as lower(t) occurs in M.
+        These are all: a head move keeps the multiset and a tail move the
+        head, and lowering different letters of T leaves different
+        multisets.  So v is listed under each such term that often (its
+        lowered-key index), and the row is one lookup per mu term."""
         lower = self._lower[var]
         index = {}
         if side == "lie":
@@ -329,57 +348,11 @@ class TorsionEngine:
                 index.setdefault((head, m), []).extend([col] * m.count(low))
         return index
 
-    def derived_row(self, word: tuple, var: str) -> dict:
-        """The var-image of a degree d-1 basis word in tensor coordinates:
-        {column of the image's block: coefficient of that Lyndon word in the
-        image's tensor expansion}, without zeros.
-
-        By Leibniz, the image's expansion is the word's expansion with one
-        letter raised at a time, and every letter's image is one letter with
-        coefficient 1 (checked in ``__init__``).  So a column v gains the
-        coefficient of each expansion word that lowers v at one position:
-        one lookup per expansion term in the block's lowered-word index.
-        The terms are those of P_u P_v - P_v P_u for the word's standard
-        factorisation (u, v), each pair of terms (a, ca) of P_u and (b, cb)
-        of P_v giving ca cb under ab and -ca cb under ba
-        (``elements._lyndon_pairs``): a word may come more than once, and
-        the index sums its coefficients, so the word's own expansion is
-        neither built nor stored."""
-        return self._row_builder(*self._target(word, var), var, "lie")(word)
-
     def derived_coords(self, word: tuple, var: str) -> dict:
         """The var-image of a basis word in Lyndon coordinates, {Lyndon word:
         coefficient}, by the reference path ``maps.derive``."""
         self._degree(self.alphabet.word_weight(word) + 1)    # refuses a cut degree
         return derive(lyndon_monomial(self.alphabet, word), var, self.action).terms
-
-    def metabelian_row(self, word: tuple, var: str) -> dict:
-        """The var-image of a degree d-1 normal word as {column of the
-        image's block: coefficient}, in column order, read off strict keys
-        with no peel.  Not cached: each row is read by one block alone.
-
-        Strict-key rule: mu of the class n_w of a normal word w = (b1, tail)
-        is its strict key (b1, tail), b1 > min(tail), minus the key
-        (b2, b1 o tail[1:]), which is not strict, since b2 is at most every
-        letter of tail and below b1.  So strict keys match normal words one
-        to one, and an element's coordinate on w is the coefficient of w's
-        strict key in its mu image.  The image of n_w is Leibniz on w's two
-        mu terms, and a block word v = (h, T) gains the coefficient of each
-        term that Leibniz takes to the key (h, T):
-        - a term (lower(h), T), whose head Leibniz raises once;
-        - a term (h, M), where M is T with one letter t lowered.  Leibniz
-          raises each distinct letter of a multiset once, times its
-          multiplicity (``maps.leibniz_multiset``), and M reaches T only by
-          raising a copy of lower(t), the one letter M has in place of t.  So
-          the term counts as many times as lower(t) occurs in M.
-        These are all: a head move keeps the multiset and a tail move the
-        head, and lowering different letters of T leaves different
-        multisets.  So the block lists v under each such term that often
-        (its lowered-key index), and the row is one lookup per mu term."""
-        d, a = self._target(word, var)
-        last = len(self._cols(d, a, "metabelian")) - 1
-        row = self._row_builder(d, a, var, "metabelian")(word)
-        return {last - j: row[j] for j in sorted(row, reverse=True)}
 
     # -- the block presentation, on either side -----------------------------
 
@@ -402,8 +375,10 @@ class TorsionEngine:
     def bigrading(self, d: int, side: str = "lie") -> dict:
         """The side's degree-d basis split by bidegree: {a: {word of
         bidegree (a, d-a): its column in the block}} over the blocks that
-        hold words, in ascending a, each in basis order.  Builds every block
-        of the degree; the inner dicts are the cache's, read-only."""
+        hold words, in ascending a, each in basis order and numbered as
+        ``_blocks`` says: from the first word on the Lie side, from the last
+        on the metabelian side.  Builds every block of the degree; the inner
+        dicts are the cache's, read-only."""
         blocks = self._blocks(d, side, 0, d)
         return {a: blocks[a] for a in sorted(blocks) if blocks[a]}
 
@@ -419,12 +394,12 @@ class TorsionEngine:
         return low is not None and low > word[1]
 
     def block(self, d: int, a: int, side: str = "lie") -> Presentation:
-        """The side's bidegree (a, b) = (a, d-a) piece as a cokernel,
-        eliminated once and cached until ``graded_cokernel`` has read its
-        cokernel, unless it is a Lie theorem block; a block asked for after
-        that is built again: the y-images of the block (a, b-1) words
-        and the x-images of the block (a-1, b) words that do not lead a
-        y-image, in tensor coordinates on the Lie side.
+        """The side's bidegree (a, b) = (a, d-a) piece as a cokernel: the
+        y-images of the block (a, b-1) words and the x-images of the block
+        (a-1, b) words that do not lead a y-image, in tensor coordinates on
+        the Lie side.  Only a Lie theorem block of a prime engine is cached,
+        since the theorem checks read its echelon again (``order``, ``in``);
+        any other block is eliminated on each call.
 
         The y-image of a basis word w of block (a-1, b-1) has a leading word
         w' with coefficient 1, and w -> w' is one to one.  On the Lie side w'
@@ -435,25 +410,23 @@ class TorsionEngine:
         the least.  On the metabelian side w' is w with its head b1 raised:
         (b1 y, tail) is the largest strict key of the image, with coefficient
         1, and a normal word's coordinate is its strict key's coefficient
-        (``metabelian_row``).  So the columns D of block (a-1, b)
-        that are leading words and the rest C satisfy, with x y = y x:
+        (``_lowered_index``), so w' is the image's largest normal word, and
+        its least column, since a metabelian block numbers its words from
+        the last (``_blocks``).  So the columns D of block (a-1, b) that are
+        leading words and the rest C satisfy, with x y = y x:
 
         1. each leading column w' is a Z-combination of C modulo the
-           y-images of block (a-1, b-1), by induction from the far end of
-           the column order (the last column on the Lie side, the first on
-           the metabelian side): y w is w' plus columns beyond w', each in
-           C or a leading column already written so;
+           y-images of block (a-1, b-1), by induction from the last column:
+           y w is w' plus columns beyond w', each in C or a leading column
+           already written so;
         2. hence x of block (a-1, b) lies in x<C> + x y (a-1, b-1), and
            x y (a-1, b-1) = y x (a-1, b-1) lies in y (a, b-1);
         3. so the rows kept span the same lattice, and exactly as many rows
            as block (a-1, b-1) has words are dropped.
 
-        The echelon pivots on a row's smallest column, the Lie leading word.
-        The metabelian leading word is the largest, so there column j is
-        presented as n-1-j, which leaves the cokernel as it is: the row
-        builder writes it so.  The rows of each variable come from one
-        ``_row_builder``, and the block's lowered index is dropped once they
-        are built.  The echelon takes the rows over without a copy
+        The echelon pivots on a row's smallest column, the leading word on
+        either side.  The rows of each variable come from one
+        ``_row_builder``, and the echelon takes them over without a copy
         (``zlinalg._owned_presentation``).
         """
         rec = self._degree(d, side)
@@ -466,33 +439,28 @@ class TorsionEngine:
             for var, ws in (("x", xs), ("y", ys)):
                 if ws:
                     rows += map(self._row_builder(d, a, var, side), ws)
-                rec.lowered.pop((a, var), None)
-            pres = rec.presentations[a] = _owned_presentation(rows, len(self._cols(d, a, side)))
+            pres = _owned_presentation(rows, len(self._cols(d, a, side)))
+            if side == "lie" and is_prime(self.p) and a in {
+                    self.theorem_block(s, t) for s, t in self.theorem_indices(d)}:
+                rec.presentations[a] = pres
         return pres
 
     def graded_cokernel(self, d: int, side: str = "lie") -> CokernelStructure:
         """The side's degree-d cokernel, the direct sum of its blocks: each
         block (a, b) with a < b is counted twice, once for its mirror (b, a).
         Only the blocks a <= d/2 are built, of degree d and of degree d-1
-        (their rows' words), one walk each.  Each block's cokernel is cached,
-        and its echelon dropped once the cokernel is read, unless it is a
-        theorem block of the degree on the Lie side, whose echelon the
-        theorem checks read again (``order``, ``in``); ``block`` rebuilds a
-        dropped one on request."""
+        (their rows' words), one walk each.  Each block's cokernel is
+        cached; which echelons outlive it is ``block``'s rule."""
         free, torsion = 0, []
         half = d // 2
         blocks = self._blocks(d, side, 0, half)
         self._blocks(d - 1, side, 0, half)
-        rec = self._degree(d, side)
-        keep = ({self.theorem_block(s, t) for s, t in self.theorem_indices(d)}
-                if side == "lie" and is_prime(self.p) else ())
+        cokernels = self._degree(d, side).cokernels
         for a in range(half + 1):
             if blocks[a]:
-                ck = rec.cokernels.get(a)
+                ck = cokernels.get(a)
                 if ck is None:
-                    ck = rec.cokernels[a] = self.block(d, a, side).cokernel
-                    if a not in keep:
-                        rec.presentations.pop(a, None)
+                    ck = cokernels[a] = self.block(d, a, side).cokernel
                 times = 1 if 2 * a == d else 2
                 free += times * ck.free_rank
                 torsion += ck.torsion * times
@@ -707,8 +675,7 @@ class TorsionEngine:
         degree reads the Lie records of d and d-1 alone, so once it is
         checked the record of d-1 is dropped: no later degree reads it.  No
         basis word is expanded whole (``_row_builder``) and only the theorem
-        blocks' echelons outlive their degree's cokernel
-        (``graded_cokernel``), so what the sweep keeps is the top degree's
+        blocks' echelons are cached (``block``), so what the sweep keeps is the top degree's
         Lie record (its blocks' words, cokernels and theorem echelons) and
         the expansions of words shorter than p."""
         reports = []
@@ -785,7 +752,7 @@ class TorsionEngine:
         below = {}          # {a: K_{d-1,a}, as {Lyndon word: coefficient} vectors}
         eta = self.alphabet.table("eta", _eta_word)
         for d in range(2 * self.p, top + 1):
-            kernels, torsion, rec = {}, [], self._degree(d)
+            kernels, torsion = {}, []
             for a, cols in self.bigrading(d).items():
                 # eta on the block's own mixed keys, numbered as they first appear
                 keys, words = {}, list(cols)
@@ -804,8 +771,6 @@ class TorsionEngine:
                         images.append(combine(v, row))
                         if images[-1] not in kernel:
                             raise AssertionError("kernel is not action stable")
-                for var in VARIABLES:
-                    rec.lowered.pop((a, var), None)
                 if 2 * a <= d:
                     ck = _owned_presentation(images, len(cols)).cokernel
                     torsion += ck.torsion * (1 if 2 * a == d else 2)

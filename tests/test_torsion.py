@@ -203,7 +203,8 @@ def test_graded_cokernel_combines_blocks_into_invariant_factors(monkeypatch):
 def bucketed_basis(engine, d, side):
     # the whole degree's basis by one walk, block 0 of the zero grading, in
     # lexicographic order, and its words bucketed by bidegree in that order:
-    # {a: {word: column}}
+    # {a: {word: column}}, a Lie block numbered from its first word, a
+    # metabelian block from its last
     if side == "lie":
         words = _lyndon_walk(engine._weight, engine.p, d, d).get(0, [])
     else:
@@ -212,6 +213,9 @@ def bucketed_basis(engine, d, side):
     for w in words:
         cols = blocks.setdefault(engine.alphabet.word_multidegree(w)[0], {})
         cols[w] = len(cols)
+    if side == "metabelian":
+        blocks = {a: {w: len(cols) - 1 - j for w, j in cols.items()}
+                  for a, cols in blocks.items()}
     return words, blocks
 
 
@@ -302,8 +306,8 @@ def test_theorem_checks_build_no_block_past_the_mirror(p, top):
         assert engine.verify_theorem_degree(d).passed
         assert engine.metabelian_torsion_check(d).passed
         for side in ("lie", "metabelian"):
-            # graded_cokernel keeps a block's cokernel and drops its echelon
-            # unless it is a theorem block: the blocks built are both records'
+            # graded_cokernel keeps a block's cokernel, block caches only a
+            # theorem block's echelon: the blocks built are both records'
             rec = engine._degree(d, side)
             assert max(set(rec.presentations) | set(rec.cokernels)) <= d // 2, (p, d, side)
             for e in (d, d - 1):
@@ -319,9 +323,12 @@ def test_bigrading_partitions_the_basis_in_order():
             assert sorted(w for cols in blocks.values() for w in cols) == sorted(basis)
             assert sum(map(len, blocks.values())) == len(basis)
             for a, cols in blocks.items():
-                # each block numbers its words 0, 1, ... in basis order
+                # each block lists its words in basis order and numbers them
+                # 0, 1, ... from the first on the Lie side, from the last on
+                # the metabelian side
                 assert list(cols) == [w for w in basis if w in cols]
-                assert list(cols.values()) == list(range(len(cols)))
+                columns = list(range(len(cols)))
+                assert list(cols.values()) == (columns if side == "lie" else columns[::-1])
                 for w in cols:
                     assert engine.alphabet.word_multidegree(w) == (a, d - a)
     with pytest.raises(KeyError):
@@ -428,18 +435,16 @@ def test_pruned_blocks_match_the_unpruned_rows(monkeypatch, p, d):
     lie = witt_block_ranks(p, d)[0]
     engine = TorsionEngine(p, d)
     checked = 0
-    for side, row, lead in (("lie", engine.derived_row, min),
-                            ("metabelian", engine.metabelian_row, max)):
+    for side in ("lie", "metabelian"):
         def images(e, var, a0):
-            # the var-images of block (a0, e-a0), in their block's columns
-            return [row(w, var) for w in engine.bigrading(e, side).get(a0, ())]
+            # the var-images of block (a0, e-a0), in their block's columns,
+            # by one row builder for the target block and the variable
+            row = engine._row_builder(e + 1, a0 + (var == "x"), var, side)
+            return [row(w) for w in engine.bigrading(e, side).get(a0, ())]
 
         for a, cols in engine.bigrading(d, side).items():
             b, n = d - a, len(cols)
             xs, ys = images(d - 1, "x", a - 1), images(d - 1, "y", a)
-            if side == "metabelian":
-                # the block presents column j as n-1-j, its leading words first
-                xs, ys = ([{n - 1 - j: c for j, c in r.items()} for r in m] for m in (xs, ys))
             pres = engine.block(d, a, side)
             rows = given.pop()
             assert pres.cokernel == HeapPresentation(xs + ys, n).cokernel, (side, p, d, a)
@@ -447,10 +452,12 @@ def test_pruned_blocks_match_the_unpruned_rows(monkeypatch, p, d):
             assert {_key(r) for r in ys} <= kept
             dropped = [i for i, r in enumerate(xs) if _key(r) not in kept]
             assert all(xs[i] in pres for i in dropped), (side, p, d, a)
-            # the dropped x-rows are the leading columns, each with
-            # coefficient 1, of the y-images of block (a-1, b-1)
-            leads = [(lead(r), r[lead(r)]) for r in images(d - 2, "y", a - 1)]
-            assert sorted(leads) == [(i, 1) for i in dropped], (side, p, d, a)
+            # the dropped x-rows are those of the leading columns, each with
+            # coefficient 1, of the y-images of block (a-1, b-1): on either
+            # side a row's least column
+            column = list(engine.bigrading(d - 1, side).get(a - 1, {}).values())
+            leads = [(min(r), r[min(r)]) for r in images(d - 2, "y", a - 1)]
+            assert sorted(leads) == sorted((column[i], 1) for i in dropped), (side, p, d, a)
             count = len(xs) - len(dropped) + len(ys)
             assert len(rows) == count
             if side == "lie":
@@ -885,16 +892,14 @@ def test_engine_refuses_an_action_its_lowered_word_index_cannot_read(monkeypatch
 
 def test_blocks_drop_their_lowered_word_index():
     engine = TorsionEngine(5, 16)
-    for side, basis, row in (("lie", engine.lie_basis, engine.derived_row),
-                             ("metabelian", engine.normal_basis, engine.metabelian_row)):
+    for side, basis in (("lie", engine.lie_basis), ("metabelian", engine.normal_basis)):
         word = basis(15)[0]
-        assert row(word, "x")
-        assert engine._degree(16, side).lowered
+        a = engine.alphabet.word_multidegree(word)[0] + 1
+        assert engine._row_builder(16, a, "x", side)(word)
     engine.graded_cokernel(16)
     for a in engine.bigrading(16, "metabelian"):
         engine.block(16, a, "metabelian")
     assert engine.bp_freeness_check(16).passed
-    assert not any(rec.lowered for rec in engine._degrees.values())
 
 
 def test_checks_keep_at_most_three_side_sums_per_theorem_index():
@@ -920,9 +925,8 @@ def test_checks_keep_at_most_three_side_sums_per_theorem_index():
 def assert_no_whole_expansion_and_only_theorem_echelons(engine):
     # a relation row and a freeness kernel are read off the standard
     # factorisation's two factor expansions, so no basis word, of length p,
-    # is expanded whole; graded_cokernel drops a block's echelon once its
-    # cokernel is read unless it is a theorem block, and the metabelian
-    # side keeps none
+    # is expanded whole; block caches only a theorem block's echelon, and
+    # the metabelian side keeps none
     p = engine.p
     assert not any(len(w) == p for w in engine.alphabet.memo.get("lyndon", {}))
     for (side, d), rec in engine._degrees.items():
@@ -982,8 +986,35 @@ def test_a_dropped_block_rebuilt_is_a_fresh_engines(p, d):
         fresh = TorsionEngine(p, d).block(d, a)
         assert block_rows(pres) == block_rows(fresh), (p, d, a)
         assert pres.cokernel == fresh.cokernel == rec.cokernels[a], (p, d, a)
-    # the rebuilt echelons are cached again, and the cached cokernels read
+    # only the theorem echelons stay cached, and the cached cokernels read
     assert engine.graded_cokernel(d) == coker == TorsionEngine(p, d).graded_cokernel(d)
+
+
+@pytest.mark.parametrize("p,d", [(3, 14), (5, 17), (4, 14)])
+def test_block_caches_exactly_the_lie_theorem_echelons_of_a_prime_engine(p, d):
+    # block called directly, on a fresh engine and after graded_cokernel: a
+    # second call returns the cached echelon only for a Lie theorem block of
+    # a prime engine; every other block is eliminated again, with the same
+    # rows, and leaves nothing in the record
+    for after in (False, True):
+        engine = TorsionEngine(p, d)
+        assert engine.theorem_indices(d)
+        if after:
+            for side in ("lie", "metabelian"):
+                engine.graded_cokernel(d, side)
+        theorem = ({engine.theorem_block(s, t) for s, t in engine.theorem_indices(d)}
+                   if torsion.is_prime(p) else set())
+        for side in ("lie", "metabelian"):
+            blocks = engine.bigrading(d, side)
+            for a in blocks:
+                pres = engine.block(d, a, side)
+                again = engine.block(d, a, side)
+                cached = side == "lie" and a in theorem
+                assert (again is pres) == cached, (p, d, side, a, after)
+                assert block_rows(again) == block_rows(pres)
+            want = theorem & set(blocks) if side == "lie" else set()
+            assert set(engine._degree(d, side).presentations) == want, (p, d, side, after)
+            assert not engine._degree(d - 1, side).presentations
 
 
 def whole_expansion(engine, word):
@@ -1009,9 +1040,10 @@ def test_rows_and_lie_coords_match_the_whole_expansions(p, d):
     checked = 0
     for a, cols in engine.bigrading(d).items():
         for b, var in ((a - 1, "x"), (a, "y")):
+            row = engine._row_builder(d, a, var, "lie")
             for word in below.get(b, ()):
-                assert engine.derived_row(word, var) == whole_expansion_row(
-                    engine, d, a, var, word), (p, d, a, word, var)
+                assert row(word) == whole_expansion_row(engine, d, a, var, word), (
+                    p, d, a, word, var)
                 checked += 1
         combination = {}
         for i, word in enumerate(cols):
@@ -1090,8 +1122,8 @@ def tensor_round_trip_coords(engine, word, var):
 
 @pytest.mark.parametrize("p,top", [(2, 16), (3, 15), (5, 15), (7, 16)])
 def test_derived_coords_match_tensor_round_trip(p, top):
-    # derived_row is the round trip's tensor image on the Lyndon words of
-    # its target block; derived_coords its Lyndon coordinates.  Every word of
+    # a row is the round trip's tensor image on the Lyndon words of its
+    # target block; derived_coords its Lyndon coordinates.  Every word of
     # the image lies in that block: x raises the first bidegree component,
     # y the second
     engine = TorsionEngine(p, top)
@@ -1099,16 +1131,18 @@ def test_derived_coords_match_tensor_round_trip(p, top):
     bidegree = engine.alphabet.word_multidegree
     checked = 0
     for d in range(2 * p + 1, top + 1):
-        for word in engine.lie_basis(d - 1):
+        for b, words in engine.bigrading(d - 1).items():
             for var in ("x", "y"):
-                a = bidegree(word)[0] + (var == "x")
+                a = b + (var == "x")
                 index = engine.bigrading(d).get(a, {})
-                image = tensor_round_trip(oracle, word, var)
-                assert all(bidegree(w) == (a, d - a) for w in image.terms)
-                assert engine.derived_coords(word, var) == lie_from_tensor(image).terms
-                assert engine.derived_row(word, var) == {
-                    index[w]: c for w, c in image.terms.items() if w in index}
-                checked += 1
+                row = engine._row_builder(d, a, var, "lie")
+                for word in words:
+                    image = tensor_round_trip(oracle, word, var)
+                    assert all(bidegree(w) == (a, d - a) for w in image.terms)
+                    assert engine.derived_coords(word, var) == lie_from_tensor(image).terms
+                    assert row(word) == {
+                        index[w]: c for w, c in image.terms.items() if w in index}
+                    checked += 1
     assert checked
 
 
@@ -1328,9 +1362,9 @@ def metabelian_matrix_oracle(engine, d):
 
 @pytest.mark.parametrize("p,top", [(2, 16), (3, 14), (5, 15), (7, 16), (4, 12)])
 def test_metabelian_rows_match_dense_oracle(p, top):
-    # metabelian_row against the oracle's whole-degree rows, each block
-    # column mapped back through its block's words; every word of the
-    # oracle's image lies in the row's target block
+    # each block's metabelian rows against the oracle's whole-degree rows,
+    # each block column mapped back through its block's words; every word
+    # of the oracle's image lies in the row's target block
     engine = TorsionEngine(p, top)
     bidegree = engine.alphabet.word_multidegree
     checked = 0
@@ -1341,19 +1375,27 @@ def test_metabelian_rows_match_dense_oracle(p, top):
         want = metabelian_matrix_oracle(engine, d)
         pairs = [(word, var) for word in engine.normal_basis(d - 1) for var in ("x", "y")]
         assert len(pairs) == len(want)
+        rows = {}
+        for b, words in engine.bigrading(d - 1, "metabelian").items():
+            for var in ("x", "y"):
+                a = b + (var == "x")
+                row = engine._row_builder(d, a, var, "metabelian")
+                rows.update(((word, var), (a, row(word))) for word in words)
         for (word, var), ref in zip(pairs, want):
-            a = bidegree(word)[0] + (var == "x")
+            a, row = rows[word, var]
+            assert a == bidegree(word)[0] + (var == "x")
             assert all(bidegree(basis[j]) == (a, d - a) for j, c in enumerate(ref) if c)
-            row = engine.metabelian_row(word, var)
-            assert list(row) == sorted(row) and all(row.values())
-            words = list(engine.bigrading(d, "metabelian").get(a, ()))
+            assert all(row.values())
+            words = {j: w for w, j in engine.bigrading(d, "metabelian").get(a, {}).items()}
             assert zlinalg._dense({index[words[j]]: c for j, c in row.items()}, n) == ref, (p, d)
         assert engine.metabelian_matrix(d) == want
         ds = dense_snf(want, n)
         coker = CokernelStructure(n - len(ds), tuple(q for q in ds if q > 1))
         for a in engine.bigrading(d, "metabelian"):
+            # no metabelian echelon is cached: each call eliminates afresh
             pres = engine.block(d, a, "metabelian")
-            assert pres is engine.block(d, a, "metabelian")
+            again = engine.block(d, a, "metabelian")
+            assert again is not pres and block_rows(again) == block_rows(pres)
         assert engine.graded_cokernel(d, "metabelian") == coker, (p, d)
         checked += len(pairs)
     assert checked
