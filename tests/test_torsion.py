@@ -6,6 +6,7 @@ Leibniz oracle that never touches the package's normal-form machinery.
 """
 
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -1094,6 +1095,40 @@ def test_theorem_degree_peak_memory_at_p7_d23():
     peak_kib = child_peak_kib("from lietorsion.torsion import verify_theorem_degree\n"
                               "assert verify_theorem_degree(7, 23).passed")
     assert peak_kib < 110 * 1024, peak_kib
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def reach_json(p, d):
+    """One engine's theorem and metabelian checks of degree d as JSON: both
+    reports, every block cokernel each side built, as [free rank, torsion],
+    and each theorem vector's order (null where it is not integral)."""
+    engine = TorsionEngine(p, d)
+    doc = {"verify_theorem_degree": engine.verify_theorem_degree(d)._asdict(),
+           "metabelian_torsion_check": engine.metabelian_torsion_check(d)._asdict()}
+
+    def order(s, t):
+        try:
+            vec = engine.theorem_vector(s, t, d)
+        except IntegralityError:
+            return None
+        return engine.block(d, engine.theorem_block(s, t)).order(vec)
+
+    doc["theorem_orders"] = engine._mirrored(d, order)
+    for side in ("lie", "metabelian"):
+        cokernels = engine._degree(d, side).cokernels
+        doc[f"{side}_blocks"] = {str(a): [ck.free_rank, list(ck.torsion)]
+                                 for a, ck in sorted(cokernels.items())}
+    return json.dumps(doc, indent=1) + "\n"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p,d", [(5, 24), (7, 23), (5, 22)])
+def test_reach_checks_match_the_golden_json(p, d):
+    # every block cokernel, theorem order and unit at the reach degrees,
+    # pinned byte for byte
+    assert reach_json(p, d) == (GOLDEN / f"reach-p{p}-d{d}.json").read_text()
 
 
 def test_action_variables_commute():
