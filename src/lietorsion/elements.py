@@ -311,36 +311,54 @@ def _expand_tree(tree):
     return _expand_bracket(_expand_tree(tree[0]), _expand_tree(tree[1]))
 
 
-def _bracket_pairs(left, right):
-    """The terms of [a, b]'s tensor expansion, from the expansions of a and b,
-    as (word, coefficient) pairs: each pair of terms (wa, ca), (wb, cb) gives
-    ca cb under wa wb and -ca cb under wb wa.  A word may come more than
-    once and terms that cancel are kept, so the pairs are read through
-    ``add_into`` or an index that sums them.  Plain + and *, so integer or
-    rational coefficients stay exact; over GF(p) the reader reduces."""
+class _Words:
+    """The index that lists each word under itself alone (``_bracket_into``)."""
+
+    @staticmethod
+    def get(word):
+        return (word,)
+
+
+def _bracket_into(acc, left, right, index=_Words, scale=1) -> None:
+    """Add scale times the tensor expansion of [a, b], from the expansions of
+    a and b, into acc through ``index``: each pair of terms (wa, ca), (wb,
+    cb) adds ca cb to every key ``index.get`` lists under wa wb and -ca cb
+    to every key under wb wa (none for a word it lists nothing under).  The
+    one pair loop: zeros stay in acc for the caller to drop, and plain + and
+    * keep integer or rational coefficients exact."""
+    get = index.get
     for wa, ca in left.items():
+        ca *= scale
         for wb, cb in right.items():
-            c = ca * cb
-            yield wa + wb, c
-            yield wb + wa, -c
+            keys = get(wa + wb)
+            if keys:
+                c = ca * cb
+                for key in keys:
+                    acc[key] = acc.get(key, 0) + c
+            keys = get(wb + wa)
+            if keys:
+                c = ca * cb
+                for key in keys:
+                    acc[key] = acc.get(key, 0) - c
 
 
 def _expand_bracket(left, right) -> dict:
     """Tensor expansion of [a, b] from the expansions of a and b, without
     zeros."""
     out = {}
-    add_into(out, _bracket_pairs(left, right))
-    return out
+    _bracket_into(out, left, right)
+    return {w: c for w, c in out.items() if c} if 0 in out.values() else out
 
 
-def _lyndon_pairs(alphabet, idx):
-    """The terms of the expansion of a Lyndon word's standard bracketing, of
-    length 2 or more, as ``_bracket_pairs`` of its standard factorisation's
-    two memoised expansions: the word's own expansion is neither built nor
-    stored."""
+def _lyndon_into(acc, alphabet, idx, index=_Words, scale=1) -> None:
+    """Add scale times the expansion of a Lyndon word's standard bracketing,
+    of length 2 or more, into acc through ``index``, as ``_bracket_into``
+    of its standard factorisation's two memoised expansions, read from the
+    alphabet's ``"lyndon"`` table in place: the word's own expansion is
+    neither built nor stored."""
     table = alphabet.table("lyndon", _lyndon_expansion)
     split = _split_point(idx)
-    return _bracket_pairs(table[idx[:split]], table[idx[split:]])
+    _bracket_into(acc, table[idx[:split]], table[idx[split:]], index, scale)
 
 
 def _expand_lyndon(alphabet, idx, keep=True) -> dict:
@@ -423,9 +441,8 @@ def normal_form(alphabet, expr, domain=ZZ) -> LieElement:
 def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Lie bracket: the commutator of the tensor expansions, peeled back."""
     a._check_compatible(b)
-    out = {}
-    add_into(out, _bracket_pairs(to_tensor(a).terms, to_tensor(b).terms), 1, a.domain.p)
-    return lie_from_tensor(TensorElement(a.alphabet, a.domain, out, _clean=True))
+    terms = _expand_bracket(to_tensor(a).terms, to_tensor(b).terms)
+    return lie_from_tensor(TensorElement(a.alphabet, a.domain, terms))
 
 
 def left_normalize(x, alphabet=None, domain=None):

@@ -15,8 +15,8 @@ from functools import partial
 from .elements import (DomainError, LieElement, MixedElement, SymElement,
                        TensorElement, ZZ, _expand_lyndon, leftnormed_tensor,
                        lie_from_tensor, lie_zero, to_tensor)
-from .words import (Alphabet, MemoTable, _split_point, lyndon_words_of_length, multisets,
-                    suffix_bounds, weight_index, weight_range)
+from .words import (Alphabet, MemoTable, _grading, _split_point, lyndon_words_of_length,
+                    multisets, weight_range)
 from .zlinalg import IntLattice, _tagged, add_into, combine
 
 
@@ -261,10 +261,8 @@ def normal_words(alphabet, c, max_weight=None, weight=None, blocks=None) -> list
     """
     if c < 2:
         raise ValueError("normal words need degree >= 2")
-    wt = [g.weight for g in alphabet]
     lo, hi = weight_range(weight, max_weight)
-    bounds = (*suffix_bounds(wt), weight_index(wt))
-    first = [0 if blocks is None else g.multidegree[0] for g in alphabet]
+    wt, first, bounds = alphabet.table("grading", _grading)[None if blocks is None else 0]
     want = range(1) if blocks is None else blocks
     found = {}
     for b1, w1 in enumerate(wt):
@@ -522,9 +520,8 @@ class ExactnessReport(namedtuple("ExactnessReport", [
 def mixed_basis(alphabet, c, max_weight=None, weight=None) -> list[tuple]:
     """Keys (a, multiset of c-1 letters) of A (x) A^(c-1), in lexicographic
     order, of total weight at most max_weight or exactly weight."""
-    wt = [g.weight for g in alphabet]
     lo, hi = weight_range(weight, max_weight)
-    bounds = (*suffix_bounds(wt), weight_index(wt))
+    wt, _, bounds = alphabet.table("grading", _grading)[None]
     return [(a, mult) for a, wa in enumerate(wt)
             for mult in multisets(wt, c - 1, lo - wa, hi - wa, bounds=bounds).get(0, ())]
 

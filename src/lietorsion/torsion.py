@@ -41,9 +41,9 @@ image's block: since x and y send each letter to one letter, the block's
 row builder lists each block word under every word one lowering below it
 (its lowered-word index), and the row is one lookup per expansion term.  The
 expansion is never built whole: for the standard factorisation w = uv it
-is P_u P_v - P_v P_u, so its terms are read off the two factors' memoised
-expansions, pair by pair (``elements._lyndon_pairs``).  The freeness
-check's kernels are read off the same pairs.  A
+is P_u P_v - P_v P_u, so one kernel call per row reads it through the index
+off the two factors' memoised expansions in place (``elements._lyndon_into``).
+The freeness check's kernels go through the same kernel.  A
 theorem vector, and theta's image of a theorem word, is read off theta's
 presum tensor (``maps.presum_tensor``), which is the expansion of the Lie
 element, with no peel to Lyndon coordinates.  Only the reference paths
@@ -64,14 +64,14 @@ from __future__ import annotations
 from collections import namedtuple
 from math import factorial, prod
 
-from .elements import (IntegralityError, LieElement, TensorElement, ZZ, _lyndon_pairs,
+from .elements import (IntegralityError, LieElement, TensorElement, ZZ, _lyndon_into,
                        is_prime, lie_from_tensor, lyndon_monomial)
 from .maps import (ActionSpec, _eta_word, _mu_terms, derive, metabelian_normal_coords,
                    metabelian_of_word, mixed_basis, normal_words, peel_strict_keys,
                    presum_tensor)
-from .words import Alphabet, Generator, LyndonWord, _lyndon_walk, is_lyndon
+from .words import Alphabet, Generator, LyndonWord, _grading, _lyndon_walk, is_lyndon
 from .zlinalg import (CokernelStructure, Presentation, _dense, _divisor_chain,
-                      _owned_presentation, _tagged, add_into, combine)
+                      _owned_presentation, _tagged, combine)
 
 VARIABLES = ("x", "y")
 
@@ -185,20 +185,17 @@ class TorsionEngine:
         self.max_degree = max_degree
         self.alphabet = a_alphabet(max(2, max_degree - 2 * (p - 1)))
         self.action = a_action(self.alphabet)
-        # the lowered indexes need each letter's image to be one letter with
-        # coefficient 1, and no two letters to share one
-        images = self.action.table
-        if any(list(img.values()) != [1] for img in images.values()):
-            raise ValueError("each letter's image must be one letter with coefficient 1")
-        # per variable, the letter whose image each letter is, or None
-        self._lower = {}
-        for var in VARIABLES:
-            lower = {j: i for (i, v), img in images.items() if v == var for j in img}
-            if len(lower) != sum(v == var for _, v in images):
+        # per variable, the letter whose image each letter is, or None, in
+        # one pass over the images: the lowered indexes need each image to
+        # be one letter with coefficient 1, and no two letters to share one
+        self._lower = {var: [None] * len(self.alphabet) for var in VARIABLES}
+        for (i, var), img in self.action.table.items():
+            if list(img.values()) != [1]:
+                raise ValueError("each letter's image must be one letter with coefficient 1")
+            lower, (j,) = self._lower[var], img
+            if lower[j] is not None:
                 raise ValueError(f"two letters share an image under {var!r}")
-            self._lower[var] = [lower.get(j) for j in range(len(self.alphabet))]
-        self._first = [g.multidegree[0] for g in self.alphabet]
-        self._weight = [g.weight for g in self.alphabet]
+            lower[j] = i
         self._degrees = {}
 
     # -- bases ------------------------------------------------------------
@@ -230,8 +227,9 @@ class TorsionEngine:
         if todo:
             want = range(todo[0], todo[-1] + 1)
             if side == "lie":
-                found = _lyndon_walk(self._weight, length=self.p, lo=d, hi=d,
-                                     first=self._first, blocks=want)
+                weight, first, bounds = self.alphabet.table("grading", _grading)[0]
+                found = _lyndon_walk(weight, self.p, d, d, first=first, blocks=want,
+                                     bounds=bounds)
             else:
                 found = normal_words(self.alphabet, self.p, weight=d, blocks=want)
             for a in todo:
@@ -259,34 +257,34 @@ class TorsionEngine:
         basis word whose var-image lies in block (a, d-a) to that image,
         {column of the block: coefficient}, without zeros, a new dict the
         caller may hand to the echelon (``block``).  The block's lowered
-        index is built here, once per builder, and goes with it; the table
-        of the words' terms is fetched once, not once per row.
+        index is built here, once per builder, and goes with it.
 
         A row adds each of the word's terms, times its coefficient, to the
         columns the lowered index lists under it (``_lowered_index`` proves
         that this is the image): on the Lie side the terms of the word's
         tensor expansion, on the metabelian side its two integer mu terms.
-        The expansion terms are those of P_u P_v - P_v P_u for the word's
-        standard factorisation (u, v), each pair of terms (a, ca) of P_u and
-        (b, cb) of P_v giving ca cb under ab and -ca cb under ba
-        (``elements._lyndon_pairs``): a word may come more than once, and
-        the row sums its coefficients, so the word's own expansion is
-        neither built nor stored."""
+        The expansion is P_u P_v - P_v P_u for the word's standard
+        factorisation (u, v), and one kernel call reads it through the
+        index off the two factors' memoised expansions in place
+        (``elements._lyndon_into``): each pair of terms (a, ca) of P_u and
+        (b, cb) of P_v adds ca cb to the columns under ab and -ca cb to
+        those under ba, and the row sums a word that comes more than once,
+        so the word's own expansion is neither built nor stored."""
         index = self._lowered_index(self._cols(d, a, side), var, side)
         if side == "lie":
             alphabet = self.alphabet
 
-            def terms(word):
-                return _lyndon_pairs(alphabet, word)
+            def fill(acc, word):
+                _lyndon_into(acc, alphabet, word, index)
         else:
-            def terms(word):
-                return _mu_terms(word).items()
+            def fill(acc, word):
+                for w, c in _mu_terms(word).items():
+                    for col in index.get(w, ()):
+                        acc[col] = acc.get(col, 0) + c
 
         def row(word):
             acc = {}
-            for w, c in terms(word):
-                for col in index.get(w, ()):
-                    acc[col] = acc.get(col, 0) + c
+            fill(acc, word)
             if 0 in acc.values():
                 return {col: c for col, c in acc.items() if c}
             return acc
@@ -330,10 +328,13 @@ class TorsionEngine:
         index = {}
         if side == "lie":
             for v, col in cols.items():
+                key = list(v)
                 for pos, letter in enumerate(v):
                     low = lower[letter]
                     if low is not None:
-                        index.setdefault(v[:pos] + (low,) + v[pos + 1:], []).append(col)
+                        key[pos] = low
+                        index.setdefault(tuple(key), []).append(col)
+                        key[pos] = letter
             return index
         for v, col in cols.items():
             head, tail = v[0], v[1:]
@@ -344,7 +345,9 @@ class TorsionEngine:
                 low = lower[letter]
                 if low is None or (pos and tail[pos - 1] == letter):
                     continue
-                m = tuple(sorted(tail[:pos] + (low,) + tail[pos + 1:]))
+                m = list(tail)
+                m[pos] = low
+                m = tuple(sorted(m))
                 index.setdefault((head, m), []).extend([col] * m.count(low))
         return index
 
@@ -545,21 +548,24 @@ class TorsionEngine:
         cols = self._cols(d, a)
         return {cols[w]: ZZ.divide_exact(c, n) for w, c in tensor.items() if w in cols}
 
-    def _lie_coords(self, terms: dict, d: int, a: int) -> dict:
-        """Lyndon coordinates {word: c} of bidegree (a, d-a) in the block's
-        tensor coordinates: the sum of c times each word's expansion on the
-        block's Lyndon words, read pair by pair off its standard
-        factorisation (``elements._lyndon_pairs``), as a row is.  A word of
-        another bidegree raises ValueError: every map here preserves
-        bidegree."""
-        index = self._cols(d, a)
-        acc = {}
-        for w, c in terms.items():
-            if w not in index:
-                raise ValueError(f"{w} of degree {d} lies outside the block ({a},{d - a})")
-            add_into(acc, ((index[u], k) for u, k in _lyndon_pairs(self.alphabet, w)
-                           if u in index), c)
-        return acc
+    def _lie_coords(self, d: int, a: int):
+        """A function from Lyndon coordinates {word: c} of bidegree (a, d-a)
+        to the block's tensor coordinates: the sum of c times each word's
+        expansion on the block's Lyndon words, read off its standard
+        factorisation through the block's {word: (column,)} by the row
+        kernel (``elements._lyndon_into``), as a row is.  A word of another
+        bidegree raises ValueError: every map here preserves bidegree."""
+        cols = self._cols(d, a)
+        index = {w: (col,) for w, col in cols.items()}
+
+        def coords(terms):
+            acc = {}
+            for w, c in terms.items():
+                if w not in cols:
+                    raise ValueError(f"{w} of degree {d} lies outside the block ({a},{d - a})")
+                _lyndon_into(acc, self.alphabet, w, index, c)
+            return {col: c for col, c in acc.items() if c}
+        return coords
 
     def theorem_indices(self, d: int) -> list[tuple[int, int]]:
         p = self.p
@@ -760,7 +766,7 @@ class TorsionEngine:
                         for w in words]
                 kernels[a] = [{words[i]: c for i, c in r.items()}
                               for r in _tagged(len(keys), etas)[1]]
-                kernel = _owned_presentation([self._lie_coords(v, d, a) for v in kernels[a]],
+                kernel = _owned_presentation(list(map(self._lie_coords(d, a), kernels[a])),
                                              len(cols))
                 images = []
                 for b, var in ((a - 1, "x"), (a, "y")):

@@ -326,7 +326,7 @@ def weight_range(weight=None, max_weight=None) -> tuple:
 
 
 def _lyndon_walk(wt, length, lo=0, hi=math.inf, budget=None, first=None,
-                 blocks=range(1)) -> dict:
+                 blocks=range(1), bounds=None) -> dict:
     """The Lyndon words over letters of positive weights ``wt`` of ``length``
     letters and weight in [lo, hi], as index tuples split by a second
     grading: ``first[c]``, from 0 to wt[c], is one component of letter c's
@@ -358,6 +358,7 @@ def _lyndon_walk(wt, length, lo=0, hi=math.inf, budget=None, first=None,
     in lexicographic order they are exactly the words between the prefix and
     its next sibling, so emitting them in place keeps each block's order.
     A word of one letter is the empty prefix closed by that letter.
+    ``bounds`` is as in ``multisets``.
     """
     found = {}
     if not blocks or length < 1:
@@ -365,8 +366,7 @@ def _lyndon_walk(wt, length, lo=0, hi=math.inf, budget=None, first=None,
     bottom, top = blocks[0], blocks[-1]
     k = len(wt)
     first = first or [0] * k
-    lightest, heaviest = suffix_bounds(wt)
-    index = weight_index(wt)
+    lightest, heaviest, index = bounds or (*suffix_bounds(wt), weight_index(wt))
     left = math.inf if budget is None else sum(budget)    # the uses of the letters from a on
     # lightest[] never falls, and a word starting at a weighs at least
     # length * lightest[a], so the first letters are a prefix of the alphabet
@@ -430,6 +430,15 @@ def _lyndon_walk(wt, length, lo=0, hi=math.inf, budget=None, first=None,
     return found
 
 
+def _grading(alphabet, component) -> tuple:
+    """The ``"grading"`` table's compute, which every walk reads: the letters'
+    weights, their ``component`` of the multidegree (all 0 when it is None),
+    and the weights' ``(*suffix_bounds, weight_index)``."""
+    wt = [g.weight for g in alphabet]
+    first = [0 if component is None else g.multidegree[component] for g in alphabet]
+    return wt, first, (*suffix_bounds(wt), weight_index(wt))
+
+
 def suffix_bounds(wt) -> tuple[list, list]:
     """The lists lightest[a] = min(wt[a:]) and heaviest[a] = max(wt[a:]),
     each one running minimum or maximum from the last letter down."""
@@ -476,14 +485,17 @@ def multisets(wt, size, lo=0, hi=math.inf, below=None, bounds=None, first=None,
     A branch is cut as soon as the letters still to come, none smaller than
     the last one taken, cannot land the weight in range, or its first sum is
     above ``blocks``, or below it by more than the weight still allowed.
-    The last letter gets no frame: it is any letter from the one before it
-    on whose weight lands the total in [lo, hi], read off ``weight_index``
-    in ascending order.  In lexicographic order the multisets that share all
-    letters but the last come one after another, in the order of their last
-    letter, so emitting them in place keeps each block's order; a multiset
-    of one letter is the empty one closed by it.  ``bounds`` is
-    ``(*suffix_bounds(wt), weight_index(wt))``, passed in by callers that
-    enumerate many times over one alphabet.
+    Each frame's letters stop where n of them, the one tried and those to
+    come, outweigh what is left of hi even at their lightest: ``lightest``
+    never falls, so no later letter fits either.  The last letter gets no
+    frame: it is any letter from the one before it on whose weight lands
+    the total in [lo, hi], read off ``weight_index`` in ascending order, and
+    a multiset of one letter is read off it alone.  In lexicographic order
+    the multisets that share all letters but the last come one after
+    another, in the order of their last letter, so emitting them in place
+    keeps each block's order.  ``bounds`` is ``(*suffix_bounds(wt),
+    weight_index(wt))``, passed in by callers that enumerate many times over
+    one alphabet.
     """
     if not size:
         return {0: [()]} if lo <= 0 <= hi and 0 in blocks else {}
@@ -494,10 +506,18 @@ def multisets(wt, size, lo=0, hi=math.inf, below=None, bounds=None, first=None,
     k = len(wt)
     first = first or [0] * k
     lightest, heaviest, index = bounds or (*suffix_bounds(wt), weight_index(wt))
+    end = k if below is None else min(below, k)
+    if size == 1:
+        for b in _letters_in(index, lo, hi, 0):
+            if b >= end:
+                break
+            if bottom <= first[b] <= top:
+                found.setdefault(first[b], []).append((b,))
+        return found
     # one frame per position of ``word`` but the last, so a large size
     # costs no recursion: (the letters still to try there, the weight so
     # far, the first-component sum so far)
-    word, frames = [], [(iter(range(k if below is None else min(below, k))), 0, 0)]
+    word, frames = [], [(iter(range(min(end, bisect_right(lightest, hi / size)))), 0, 0)]
     while frames:
         letters, w, f = frames[-1]
         rest = size - len(word) - 1        # the letters to come after this one
@@ -508,13 +528,11 @@ def multisets(wt, size, lo=0, hi=math.inf, below=None, bounds=None, first=None,
                 continue
             if rest > 1:
                 word.append(a)
-                frames.append((iter(range(a, k)), w2, f2))
+                frames.append((iter(range(a, bisect_right(lightest, (hi - w2) / rest))),
+                               w2, f2))
                 break
-            if rest:
-                prefix, ends = (*word, a), _letters_in(index, lo - w2, hi - w2, a)
-            else:                           # size 1: the empty multiset closed by a
-                prefix, ends, f2 = (), (a,), f
-            for b in ends:
+            prefix = (*word, a)
+            for b in _letters_in(index, lo - w2, hi - w2, a):
                 g = f2 + first[b]
                 if bottom <= g <= top:
                     found.setdefault(g, []).append(prefix + (b,))

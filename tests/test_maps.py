@@ -699,6 +699,31 @@ def test_bases_match_full_enumeration_on_91_letters():
         assert mixed_basis(ab, 2, max_weight=d) == [k for k, x in mixed if x <= d]
 
 
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(degrees=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
+                        min_size=1, max_size=6),
+       c=st.sampled_from([2, 3]), data=st.data())
+def test_normal_words_split_by_blocks_match_filtered_products(degrees, c, data):
+    # letters of two-variable multidegrees whose weights come in any order,
+    # against every word b1 > b2 <= ... <= bc of itertools.product, filtered
+    # by an exact or a maximal weight and bucketed by first component
+    ab = Alphabet([Generator(f"g{i}", deg) for i, deg in enumerate(degrees)])
+    exact = data.draw(st.booleans(), label="exact")
+    cut = data.draw(st.integers(c, 6 * c), label="cut")
+    start = data.draw(st.integers(-1, 3 * c + 1), label="start")
+    blocks = range(start, start + data.draw(st.integers(0, 5), label="blocks"))
+    split = {}
+    for w in itertools.product(range(len(ab)), repeat=c):
+        if w[0] <= w[1] or list(w[1:]) != sorted(w[1:]):
+            continue
+        weight = ab.word_weight(w)
+        f = ab.word_multidegree(w)[0]
+        if (weight == cut if exact else weight <= cut) and f in blocks:
+            split.setdefault(f, []).append(w)
+    cap = {"weight": cut} if exact else {"max_weight": cut}
+    assert normal_words(ab, c, blocks=blocks, **cap) == split
+
+
 # -- derive: the per-type Leibniz loops it replaced are the oracles -----------
 
 def derive_wordlike_oracle(t, var, spec):

@@ -19,11 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 from lietorsion import torsion, zlinalg
 from lietorsion.elements import (ZZ, DomainError, IntegralityError, LieElement,
-                                 TensorElement, _expand_lyndon, _lyndon_pairs,
+                                 TensorElement, _expand_lyndon, _lyndon_into,
                                  leftnormed_tensor, lie_from_tensor, lyndon_monomial,
                                  normal_form, to_tensor)
-from lietorsion.maps import (ActionSpec, MetabelianElement, MixedElement, derive, eta,
-                             metabelian_normal_coords, metabelian_of_word,
+from lietorsion.maps import (ActionSpec, MetabelianElement, MixedElement, _mu_terms, derive,
+                             eta, metabelian_normal_coords, metabelian_of_word,
                              mixed_basis, mu, normal_words, peel_strict_keys, theta,
                              theta_presum)
 from lietorsion.torsion import (TorsionEngine, a_generator, a_generators,
@@ -207,7 +207,7 @@ def bucketed_basis(engine, d, side):
     # {a: {word: column}}, a Lie block numbered from its first word, a
     # metabelian block from its last
     if side == "lie":
-        words = _lyndon_walk(engine._weight, engine.p, d, d).get(0, [])
+        words = _lyndon_walk([g.weight for g in engine.alphabet], engine.p, d, d).get(0, [])
     else:
         words = normal_words(engine.alphabet, engine.p, weight=d)
     blocks = {}
@@ -338,9 +338,9 @@ def test_bigrading_partitions_the_basis_in_order():
     a = engine.theorem_block(s, t)
     assert engine.alphabet.word_multidegree(engine.theorem_word(s, t)) == (a, 14 - a)
     terms = engine.theorem_element(s, t).terms
-    assert engine._lie_coords(terms, 14, a) == engine.theorem_vector(s, t, 14)
+    assert engine._lie_coords(14, a)(terms) == engine.theorem_vector(s, t, 14)
     with pytest.raises(ValueError, match="outside the block"):
-        engine._lie_coords(terms, 14, a + 1)
+        engine._lie_coords(14, a + 1)(terms)
 
 
 def mobius(n):
@@ -1023,15 +1023,90 @@ def whole_expansion(engine, word):
     return _expand_lyndon(engine.alphabet, word, keep=False)
 
 
-def whole_expansion_row(engine, d, a, var, word):
-    # a relation row read off the word's whole expansion, one lookup per
-    # expansion word in the block's lowered index
-    index = engine._lowered_index(engine._cols(d, a), var, "lie")
+@functools.cache
+def commutator_expansion(word):
+    # the standard bracketing of a Lyndon word expanded by [a, b] = ab - ba,
+    # written apart from the package: the right factor is the longest
+    # proper suffix that is strictly below its proper rotations
+    if len(word) == 1:
+        return {word: 1}
+    split = next(i for i in range(1, len(word))
+                 if all(word[i:] < word[j:] + word[i:j] for j in range(i + 1, len(word))))
+    out = {}
+    for wa, ca in commutator_expansion(word[:split]).items():
+        for wb, cb in commutator_expansion(word[split:]).items():
+            out[wa + wb] = out.get(wa + wb, 0) + ca * cb
+            out[wb + wa] = out.get(wb + wa, 0) - ca * cb
+    return {w: c for w, c in out.items() if c}
+
+
+def slicing_lowered_index(engine, cols, var, side):
+    # the oracle of ``_lowered_index``, {key: [columns]}, each key cut and
+    # glued from slices of a block word, with the lowering read off the
+    # letters' names: u(s,t) lowers to u(s-1,t) by x and to u(s,t-1) by y
+    letter = {torsion.st_of(g): i for i, g in enumerate(engine.alphabet)}
+    lower = []
+    for g in engine.alphabet:
+        s, t = torsion.st_of(g)
+        lower.append(letter.get((s - 1, t) if var == "x" else (s, t - 1)))
+    index = {}
+    for v, col in cols.items():
+        if side == "lie":
+            for pos, x in enumerate(v):
+                if lower[x] is not None:
+                    index.setdefault(v[:pos] + (lower[x],) + v[pos + 1:], []).append(col)
+            continue
+        head, tail = v[0], v[1:]
+        if lower[head] is not None:
+            index.setdefault((lower[head], tail), []).append(col)
+        for pos, x in enumerate(tail):
+            if lower[x] is None or (pos and tail[pos - 1] == x):
+                continue
+            m = tuple(sorted(tail[:pos] + (lower[x],) + tail[pos + 1:]))
+            index.setdefault((head, m), []).extend([col] * m.count(lower[x]))
+    return index
+
+
+def oracle_row(terms, index):
+    # each term, times its coefficient, on every column listed under it
     acc = {}
-    for w, c in whole_expansion(engine, word).items():
+    for w, c in terms.items():
         for col in index.get(w, ()):
             acc[col] = acc.get(col, 0) + c
     return {col: c for col, c in acc.items() if c}
+
+
+def whole_expansion_row(engine, d, a, var, word):
+    # a relation row read off the word's whole expansion, one lookup per
+    # expansion word in the block's slicing lowered index
+    index = slicing_lowered_index(engine, engine._cols(d, a), var, "lie")
+    return oracle_row(whole_expansion(engine, word), index)
+
+
+@pytest.mark.parametrize("p,d", [(2, 16), (3, 14), (5, 17), (4, 14), (6, 16)])
+def test_row_kernel_matches_the_slicing_oracle_on_every_block(p, d):
+    # every row of both variables on every block of both sides, against the
+    # whole expansion (the mu terms on the metabelian side) read through the
+    # slicing oracle's index, which the engine's index equals; the whole
+    # expansion is checked against the commutator rule written here
+    engine = TorsionEngine(p, d)
+    checked = 0
+    for side in ("lie", "metabelian"):
+        below = engine.bigrading(d - 1, side)
+        for a, cols in engine.bigrading(d, side).items():
+            for b, var in ((a - 1, "x"), (a, "y")):
+                index = slicing_lowered_index(engine, cols, var, side)
+                assert engine._lowered_index(cols, var, side) == index, (side, a, var)
+                row = engine._row_builder(d, a, var, side)
+                for word in below.get(b, ()):
+                    if side == "lie":
+                        terms = whole_expansion(engine, word)
+                        assert terms == commutator_expansion(word), word
+                    else:
+                        terms = _mu_terms(word)
+                    assert row(word) == oracle_row(terms, index), (side, a, var, word)
+                    checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("p,d", [(2, 16), (3, 17), (5, 17), (7, 16), (4, 14), (6, 16)])
@@ -1049,9 +1124,9 @@ def test_rows_and_lie_coords_match_the_whole_expansions(p, d):
         combination = {}
         for i, word in enumerate(cols):
             oracle = {cols[w]: c for w, c in whole_expansion(engine, word).items() if w in cols}
-            assert engine._lie_coords({word: 1}, d, a) == oracle, (p, d, a, word)
+            assert engine._lie_coords(d, a)({word: 1}) == oracle, (p, d, a, word)
             add_into(combination, oracle.items(), i - 2)
-        assert engine._lie_coords({w: i - 2 for i, w in enumerate(cols)}, d, a) == combination
+        assert engine._lie_coords(d, a)({w: i - 2 for i, w in enumerate(cols)}) == combination
     assert checked
     assert not any(len(w) == p for w in engine.alphabet.memo.get("lyndon", {}))
 
@@ -1062,8 +1137,8 @@ def test_factor_pairs_sum_to_the_whole_expansion_on_every_block_word(p, d):
     for cols in engine.bigrading(d).values():
         for word in cols:
             acc = {}
-            add_into(acc, _lyndon_pairs(engine.alphabet, word))
-            assert acc == whole_expansion(engine, word), word
+            _lyndon_into(acc, engine.alphabet, word)
+            assert {w: c for w, c in acc.items() if c} == whole_expansion(engine, word), word
 
 
 def child_peak_kib(worker):
@@ -1231,8 +1306,8 @@ def lyndon_round_trip_vectors(engine, s, t, d):
     # coordinates, then expanded again on their block by _lie_coords
     a = engine.theorem_block(s, t)
     m = metabelian_of_word(engine.alphabet, engine.theorem_word(s, t))
-    return (engine._lie_coords(engine.theorem_element(s, t).terms, d, a),
-            engine._lie_coords(theta(m).terms, d, a))
+    return (engine._lie_coords(d, a)(engine.theorem_element(s, t).terms),
+            engine._lie_coords(d, a)(theta(m).terms))
 
 
 @pytest.mark.parametrize("p,top", [(2, 18), (3, 23), (5, 17), (7, 16), (11, 24), (13, 28),
@@ -1284,7 +1359,7 @@ def test_reading_a_divisor_off_the_tensor_matches_the_lyndon_division(case):
         with pytest.raises(IntegralityError):
             engine._tensor_vector(tensor, d, a, n)
     else:
-        assert engine._tensor_vector(tensor, d, a, n) == engine._lie_coords(quotient.terms, d, a)
+        assert engine._tensor_vector(tensor, d, a, n) == engine._lie_coords(d, a)(quotient.terms)
 
 
 def test_derived_coords_at_the_degree_cut_raise_value_error():

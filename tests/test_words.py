@@ -176,18 +176,29 @@ def test_unit_alphabet_has_at_most_26_letters():
         unit_alphabet(27)
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(weights=st.lists(st.integers(1, 4), min_size=0, max_size=5),
-       size=st.integers(0, 5), lo=st.integers(0, 12), span=st.integers(0, 8),
-       below=st.one_of(st.none(), st.integers(0, 6)))
-def test_multisets_match_filtered_combinations(weights, size, lo, span, below):
-    # weights in any order, so the pruning cannot lean on sorted letters
+       size=st.one_of(st.just(1), st.integers(0, 5)), lo=st.integers(0, 12),
+       span=st.integers(0, 8), below=st.one_of(st.none(), st.integers(0, 6)), data=st.data())
+def test_multisets_match_filtered_combinations(weights, size, lo, span, below, data):
+    # weights in any order, so the pruning cannot lean on sorted letters;
+    # one letter (read off the weight index alone), ``below`` and a second
+    # grading drawn together
     hi = lo + span
     expected = [m for m in itertools.combinations_with_replacement(range(len(weights)), size)
                 if lo <= sum(weights[i] for i in m) <= hi
                 and (below is None or not m or m[0] < below)]
     # without a second grading every multiset is in block 0
     assert multisets(weights, size, lo, hi, below=below) == ({0: expected} if expected else {})
+    first = [data.draw(st.integers(0, w), label=f"first{a}") for a, w in enumerate(weights)]
+    start = data.draw(st.integers(-1, 2 * size + 1), label="start")
+    blocks = range(start, start + data.draw(st.integers(0, 4), label="blocks"))
+    split = {}
+    for m in expected:
+        f = sum(first[i] for i in m)
+        if f in blocks:
+            split.setdefault(f, []).append(m)
+    assert multisets(weights, size, lo, hi, below=below, first=first, blocks=blocks) == split
     assert (multisets(weights, size).get(0, [])
             == list(itertools.combinations_with_replacement(range(len(weights)), size)))
 
@@ -293,7 +304,7 @@ def test_walk_matches_product_oracle(weights, length, data):
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(weights=WEIGHTS, length=st.integers(1, 6), data=st.data())
+@given(weights=WEIGHTS, length=st.one_of(st.just(2), st.integers(1, 6)), data=st.data())
 def test_walks_split_by_a_second_grading(weights, length, data):
     # the split walks against every word of the length (every multiset of
     # the size), filtered and bucketed: each letter gets a first component
