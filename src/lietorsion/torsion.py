@@ -27,8 +27,7 @@ first bidegree component and emits only the blocks asked for, each in
 lexicographic order.  A Lie block numbers its words from its first, a
 metabelian block from its last, so on both sides a relation row's leading
 word is its least column (``block``).  The engine keeps, per side and
-degree, the blocks' words and cokernels, and on the Lie side of a prime
-engine the theorem blocks' echelons.
+degree, the blocks' words and one record per block read (``block_record``).
 
 Every Lie-side vector is read in tensor coordinates: its coordinate on a
 degree-d Lyndon word w is the coefficient of w in its tensor expansion.  The
@@ -154,27 +153,26 @@ class FreenessReport(namedtuple("FreenessReport", [
         return self.all_torsion_free
 
 
-class _Degree:
-    """One side's degree-d basis, block by block, and what is built over it,
-    all on demand."""
+# What ``TorsionEngine.block_record`` keeps of a block: its cokernel and, on a
+# Lie theorem block of a prime engine, the theorem vector's order (None when
+# infinite, NOT_INTEGRAL when the vector is not integral) and its metabelian
+# unit (None when none matches, UNREAD when not asked for); else both None.
+BlockRecord = namedtuple("BlockRecord", ["cokernel", "order", "unit"])
+NOT_INTEGRAL, UNREAD = "not integral", "unread"
 
-    __slots__ = ("blocks", "presentations", "cokernels")
-
-    def __init__(self):
-        self.blocks = {}              # {a: {word of bidegree (a, d-a): its column in the block}},
-                                      # for each a walked so far, empty blocks included
-        self.presentations = {}       # {a: block Presentation}, Lie theorem blocks of a prime
-                                      # engine only
-        self.cokernels = {}           # {a: block CokernelStructure}, as graded_cokernel read it
+# One side's degree-d basis, {a: {word of bidegree (a, d-a): its column in the
+# block}} for each a walked so far, empty blocks included, and {a: BlockRecord}
+# for each block read so far, all built on demand.
+_Degree = namedtuple("_Degree", ["blocks", "records"])
 
 
 class TorsionEngine:
     """One modulus up to one ambient degree.  Everything cached is one record
     per side and degree (``_Degree``): the side "lie" is the Lie power on
-    Lyndon words, "metabelian" the metabelian power in normal words.  The
-    relation rows and their lowered indexes are rebuilt on each call; every
-    block reads its own rows once.  Past ``max_degree`` the alphabet is cut,
-    so a degree above it raises ValueError."""
+    Lyndon words, "metabelian" the metabelian power in normal words.  A
+    block's rows, lowered indexes and echelon live only while it is read
+    (``block_record``).  Past ``max_degree`` the alphabet is cut, so a
+    degree above it raises ValueError."""
 
     def __init__(self, p: int, max_degree: int):
         if p < 2:
@@ -210,7 +208,7 @@ class TorsionEngine:
             if d > self.max_degree:
                 raise ValueError(f"degree {d} is above the engine's max_degree "
                                  f"{self.max_degree}, where the alphabet is cut")
-            rec = self._degrees[side, d] = _Degree()
+            rec = self._degrees[side, d] = _Degree({}, {})
         return rec
 
     def _blocks(self, d: int, side: str, lo: int, hi: int) -> dict:
@@ -262,14 +260,9 @@ class TorsionEngine:
         A row adds each of the word's terms, times its coefficient, to the
         columns the lowered index lists under it (``_lowered_index`` proves
         that this is the image): on the Lie side the terms of the word's
-        tensor expansion, on the metabelian side its two integer mu terms.
-        The expansion is P_u P_v - P_v P_u for the word's standard
-        factorisation (u, v), and one kernel call reads it through the
-        index off the two factors' memoised expansions in place
-        (``elements._lyndon_into``): each pair of terms (a, ca) of P_u and
-        (b, cb) of P_v adds ca cb to the columns under ab and -ca cb to
-        those under ba, and the row sums a word that comes more than once,
-        so the word's own expansion is neither built nor stored."""
+        tensor expansion, read off its standard factorisation's two memoised
+        expansions in place (``elements._lyndon_into``) and neither built
+        nor stored, on the metabelian side its two integer mu terms."""
         index = self._lowered_index(self._cols(d, a, side), var, side)
         if side == "lie":
             alphabet = self.alphabet
@@ -400,9 +393,8 @@ class TorsionEngine:
         """The side's bidegree (a, b) = (a, d-a) piece as a cokernel: the
         y-images of the block (a, b-1) words and the x-images of the block
         (a-1, b) words that do not lead a y-image, in tensor coordinates on
-        the Lie side.  Only a Lie theorem block of a prime engine is cached,
-        since the theorem checks read its echelon again (``order``, ``in``);
-        any other block is eliminated on each call.
+        the Lie side, eliminated anew on each call: the engine keeps what
+        ``block_record`` reads off it, not the echelon.
 
         The y-image of a basis word w of block (a-1, b-1) has a leading word
         w' with coefficient 1, and w -> w' is one to one.  On the Lie side w'
@@ -432,41 +424,64 @@ class TorsionEngine:
         ``_row_builder``, and the echelon takes them over without a copy
         (``zlinalg._owned_presentation``).
         """
-        rec = self._degree(d, side)
-        pres = rec.presentations.get(a)
-        if pres is None:
-            below = self._blocks(d - 1, side, a - 1, a)
-            xs = [w for w in below[a - 1] if not self._leads_y_image(w, side)]
-            ys = below[a]
-            rows = []
-            for var, ws in (("x", xs), ("y", ys)):
-                if ws:
-                    rows += map(self._row_builder(d, a, var, side), ws)
-            pres = _owned_presentation(rows, len(self._cols(d, a, side)))
-            if side == "lie" and is_prime(self.p) and a in {
-                    self.theorem_block(s, t) for s, t in self.theorem_indices(d)}:
-                rec.presentations[a] = pres
-        return pres
+        below = self._blocks(d - 1, side, a - 1, a)
+        xs = [w for w in below[a - 1] if not self._leads_y_image(w, side)]
+        rows = []
+        for var, ws in (("x", xs), ("y", below[a])):
+            if ws:
+                rows += map(self._row_builder(d, a, var, side), ws)
+        return _owned_presentation(rows, len(self._cols(d, a, side)))
+
+    def block_record(self, d: int, a: int, side: str = "lie", unit: bool = False) -> BlockRecord:
+        """Block (a, d-a) read once and kept in the degree's record; its
+        echelon (``block``) is dropped on return.  On a Lie theorem block of
+        a prime engine the theorem vector is built once, read for its order
+        and, if ``unit``, for the least u in 1..p-1 such that theta's image
+        (``theta_vector``) minus u times it lies in the block's relations;
+        then a vector that is not integral raises IntegralityError.  A kept
+        record that lacks a unit asked for is read anew."""
+        records = self._degree(d, side).records
+        rec = records.get(a)
+        if rec is not None and not (unit and rec.unit == UNREAD):
+            return rec
+        pres = self.block(d, a, side)
+        ck, order, theta_unit = pres.cokernel, None, None
+        index = {self.theorem_block(s, t): (s, t) for s, t in self.theorem_indices(d)}.get(a)
+        if side == "lie" and index is not None and is_prime(self.p):
+            theta_unit = UNREAD
+            try:
+                vec = self.theorem_vector(*index, d)
+            except IntegralityError:
+                if unit:
+                    raise
+                order = NOT_INTEGRAL
+            else:
+                order = pres.order(vec)
+                if unit:
+                    image = self.theta_vector(*index, d)
+                    theta_unit = next((u for u in range(1, self.p) if {
+                        j: x for j in image | vec
+                        if (x := image.get(j, 0) - u * vec.get(j, 0))} in pres), None)
+        records[a] = rec = BlockRecord(ck, order, theta_unit)
+        return rec
+
+    def _half_records(self, d: int, side: str, unit: bool = False) -> dict:
+        """{a: ``block_record``} over the side's degree-d blocks a <= d/2
+        that hold words, the blocks of degrees d and d-1 walked once each."""
+        half = d // 2
+        blocks = self._blocks(d, side, 0, half)
+        self._blocks(d - 1, side, 0, half)
+        return {a: self.block_record(d, a, side, unit) for a in range(half + 1) if blocks[a]}
 
     def graded_cokernel(self, d: int, side: str = "lie") -> CokernelStructure:
         """The side's degree-d cokernel, the direct sum of its blocks: each
         block (a, b) with a < b is counted twice, once for its mirror (b, a).
-        Only the blocks a <= d/2 are built, of degree d and of degree d-1
-        (their rows' words), one walk each.  Each block's cokernel is
-        cached; which echelons outlive it is ``block``'s rule."""
+        Only the records of the blocks a <= d/2 are read (``_half_records``)."""
         free, torsion = 0, []
-        half = d // 2
-        blocks = self._blocks(d, side, 0, half)
-        self._blocks(d - 1, side, 0, half)
-        cokernels = self._degree(d, side).cokernels
-        for a in range(half + 1):
-            if blocks[a]:
-                ck = cokernels.get(a)
-                if ck is None:
-                    ck = cokernels[a] = self.block(d, a, side).cokernel
-                times = 1 if 2 * a == d else 2
-                free += times * ck.free_rank
-                torsion += ck.torsion * times
+        for a, rec in self._half_records(d, side).items():
+            times = 1 if 2 * a == d else 2
+            free += times * rec.cokernel.free_rank
+            torsion += rec.cokernel.torsion * times
         return CokernelStructure(free, tuple(q for q in _divisor_chain(torsion) if q > 1))
 
     # -- theorem elements ---------------------------------------------------
@@ -583,8 +598,8 @@ class TorsionEngine:
         """read(s, t) at each theorem index of degree d, in ``theorem_indices``
         order, called only where s <= t: an index (s, t) with s > t takes the
         value of its mirror (t, s).  So no block past the mirror, a > d/2, is
-        built.  ``read`` here is a theorem vector's order or unit, and an
-        IntegralityError on one index is one on its mirror.
+        built.  ``read`` here is a theorem block record's order or unit, and
+        an IntegralityError on one index is one on its mirror.
 
         Proof.  Let sigma send u(s,t) to -u(t,s).  It swaps the two bidegree
         components and turns the action of x into that of y: sigma(u x) =
@@ -651,17 +666,9 @@ class TorsionEngine:
         if not theorem_checked:
             return TorsionReport(p, d, n, coker, 0, True, True, True,
                                  torsion_all_p, True, False)
-
-        def order(s, t):
-            try:
-                vec = self.theorem_vector(s, t, d)
-            except IntegralityError:
-                return skipped
-            return self.block(d, self.theorem_block(s, t)).order(vec)
-
-        skipped = object()
         pairs = self.theorem_indices(d)
-        orders = [q for q in self._mirrored(d, order) if q is not skipped]
+        orders = [q for q in self._mirrored(d, lambda s, t: self.block_record(
+            d, self.theorem_block(s, t)).order) if q != NOT_INTEGRAL]
         all_order_p = all(q == p for q in orders)
         independent = all(q is not None and q > 1 for q in orders)
         spanning = independent and prod(orders) == prod(coker.torsion)
@@ -680,10 +687,10 @@ class TorsionEngine:
         """``verify_theorem_degree`` at each degree from 2p to the top.  A
         degree reads the Lie records of d and d-1 alone, so once it is
         checked the record of d-1 is dropped: no later degree reads it.  No
-        basis word is expanded whole (``_row_builder``) and only the theorem
-        blocks' echelons are cached (``block``), so what the sweep keeps is the top degree's
-        Lie record (its blocks' words, cokernels and theorem echelons) and
-        the expansions of words shorter than p."""
+        basis word is expanded whole (``_row_builder``) and no echelon
+        outlives its block (``block_record``), so what the sweep keeps is the
+        top degree's Lie record (its blocks' words and records) and the
+        expansions of words shorter than p."""
         reports = []
         for d in range(2 * self.p, self._top(max_degree) + 1):
             reports.append(self.verify_theorem_degree(d))
@@ -696,26 +703,19 @@ class TorsionEngine:
         """theta's image of each theorem word (``theta_vector``) is compared
         with the theorem vector in their common block, both in tensor
         coordinates: a unit u matches when image minus u times vector lies in
-        the block's relations, one membership test in the block's echelon.
-        Only the indices s <= t are read; one past the mirror takes its
-        mirror's unit (``_mirrored``)."""
+        the block's relations, read while its echelon is built
+        (``block_record``).  Only the indices s <= t are read; one past the
+        mirror takes its mirror's unit (``_mirrored``)."""
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         p = self.p
+        self._half_records(d, "lie", unit=True)
         l_coker = self.graded_cokernel(d)
         m_coker = self.graded_cokernel(d, "metabelian")
         ranks_agree = (len(l_coker.torsion) == len(m_coker.torsion)
                        and all(q == p for q in l_coker.torsion + m_coker.torsion))
-
-        def unit(s, t):
-            pres = self.block(d, self.theorem_block(s, t))
-            vec = self.theta_vector(s, t, d)
-            target = self.theorem_vector(s, t, d)
-            return next((u for u in range(1, p) if {
-                j: x for j in vec | target
-                if (x := vec.get(j, 0) - u * target.get(j, 0))} in pres), None)
-
-        units = self._mirrored(d, unit)
+        units = self._mirrored(
+            d, lambda s, t: self.block_record(d, self.theorem_block(s, t), unit=True).unit)
         return MetabelianTorsionReport(p, d, l_coker.torsion, m_coker.torsion, ranks_agree,
                                        None not in units,
                                        tuple(u for u in units if u is not None))

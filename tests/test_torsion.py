@@ -6,6 +6,7 @@ Leibniz oracle that never touches the package's normal-form machinery.
 """
 
 import functools
+import gc
 import json
 import os
 import subprocess
@@ -307,10 +308,9 @@ def test_theorem_checks_build_no_block_past_the_mirror(p, top):
         assert engine.verify_theorem_degree(d).passed
         assert engine.metabelian_torsion_check(d).passed
         for side in ("lie", "metabelian"):
-            # graded_cokernel keeps a block's cokernel, block caches only a
-            # theorem block's echelon: the blocks built are both records'
-            rec = engine._degree(d, side)
-            assert max(set(rec.presentations) | set(rec.cokernels)) <= d // 2, (p, d, side)
+            # every block read leaves its record: the blocks built are the
+            # records'
+            assert max(engine._degree(d, side).records) <= d // 2, (p, d, side)
             for e in (d, d - 1):
                 assert max(engine._degree(e, side).blocks) == d // 2, (p, d, e, side)
 
@@ -923,35 +923,46 @@ def test_checks_keep_at_most_three_side_sums_per_theorem_index():
     assert not any(weight(w) == d for w in memo["lyndon"])
 
 
-def assert_no_whole_expansion_and_only_theorem_echelons(engine):
+def reachable(root):
+    # every object reachable from root, by the collector's referents
+    seen, todo = {id(root): root}, [root]
+    while todo:
+        for obj in gc.get_referents(todo.pop()):
+            if id(obj) not in seen and not isinstance(obj, type):
+                seen[id(obj)] = obj
+                todo.append(obj)
+    return seen.values()
+
+
+def assert_no_whole_expansion_and_no_echelon(engine):
     # a relation row and a freeness kernel are read off the standard
     # factorisation's two factor expansions, so no basis word, of length p,
-    # is expanded whole; block caches only a theorem block's echelon, and
-    # the metabelian side keeps none
+    # is expanded whole; a block's record keeps what was read off its
+    # echelon, and no echelon outlives its block
     p = engine.p
     assert not any(len(w) == p for w in engine.alphabet.memo.get("lyndon", {}))
-    for (side, d), rec in engine._degrees.items():
-        theorem = {engine.theorem_block(s, t) for s, t in engine.theorem_indices(d)}
-        assert set(rec.presentations) <= (theorem if side == "lie" else set()), (side, d)
+    kept = list(reachable(engine._degrees))
+    assert any(isinstance(obj, torsion.BlockRecord) for obj in kept)
+    assert not [obj for obj in kept if isinstance(obj, (Presentation, IntLattice))]
 
 
 @pytest.mark.parametrize("p,top,freeness", [(2, 12, 10), (3, 14, 12), (5, 17, 15)])
 def test_checks_expand_no_basis_word_and_keep_only_theorem_echelons(p, top, freeness):
+    # the name predates the block records: no echelon at all is kept now
     engine = TorsionEngine(p, top)
     reports = engine.torsion_report(top)
     assert reports == [TorsionEngine(p, d).verify_theorem_degree(d)
                        for d in range(2 * p, top + 1)]
-    assert_no_whole_expansion_and_only_theorem_echelons(engine)
-    assert any(engine._degree(d).presentations for d in range(2 * p, top + 1))
+    assert_no_whole_expansion_and_no_echelon(engine)
     for d in range(2 * p, top + 1):
         if engine.theorem_indices(d):
-            # the cokernels cached by the sweep, read again
+            # the records kept by the sweep, read again
             assert engine.verify_theorem_degree(d) == reports[d - 2 * p]
             assert (engine.metabelian_torsion_check(d)
                     == TorsionEngine(p, d).metabelian_torsion_check(d)), (p, d)
-            assert_no_whole_expansion_and_only_theorem_echelons(engine)
+            assert_no_whole_expansion_and_no_echelon(engine)
     assert engine.bp_freeness_check(freeness) == TorsionEngine(p, freeness).bp_freeness_check()
-    assert_no_whole_expansion_and_only_theorem_echelons(engine)
+    assert_no_whole_expansion_and_no_echelon(engine)
 
 
 @pytest.mark.parametrize("p,top", [(2, 12), (3, 14), (5, 17)])
@@ -976,46 +987,62 @@ def block_rows(pres):
 def test_a_dropped_block_rebuilt_is_a_fresh_engines(p, d):
     engine = TorsionEngine(p, d)
     coker = engine.graded_cokernel(d)
-    rec = engine._degree(d)
-    theorem = {engine.theorem_block(s, t) for s, t in engine.theorem_indices(d)}
-    dropped = [a for a in rec.cokernels if a not in theorem]
-    assert dropped and not set(dropped) & set(rec.presentations)
-    for a in rec.cokernels:
-        kept = rec.presentations.get(a)
+    records = engine._degree(d).records
+    assert records
+    for a, rec in records.items():
         pres = engine.block(d, a)
-        assert kept is None or pres is kept
         fresh = TorsionEngine(p, d).block(d, a)
         assert block_rows(pres) == block_rows(fresh), (p, d, a)
-        assert pres.cokernel == fresh.cokernel == rec.cokernels[a], (p, d, a)
-    # only the theorem echelons stay cached, and the cached cokernels read
+        assert pres.cokernel == fresh.cokernel == rec.cokernel, (p, d, a)
+    # the kept records read again, as a fresh engine's blocks
     assert engine.graded_cokernel(d) == coker == TorsionEngine(p, d).graded_cokernel(d)
 
 
 @pytest.mark.parametrize("p,d", [(3, 14), (5, 17), (4, 14)])
-def test_block_caches_exactly_the_lie_theorem_echelons_of_a_prime_engine(p, d):
-    # block called directly, on a fresh engine and after graded_cokernel: a
-    # second call returns the cached echelon only for a Lie theorem block of
-    # a prime engine; every other block is eliminated again, with the same
-    # rows, and leaves nothing in the record
+def test_block_eliminates_anew_on_every_call(p, d):
+    # block called directly, on a fresh engine and after graded_cokernel:
+    # two calls give two echelons with the same rows, and the degree's
+    # record keeps no echelon, only a block's read
     for after in (False, True):
         engine = TorsionEngine(p, d)
         assert engine.theorem_indices(d)
         if after:
             for side in ("lie", "metabelian"):
                 engine.graded_cokernel(d, side)
-        theorem = ({engine.theorem_block(s, t) for s, t in engine.theorem_indices(d)}
-                   if torsion.is_prime(p) else set())
         for side in ("lie", "metabelian"):
-            blocks = engine.bigrading(d, side)
-            for a in blocks:
+            for a in engine.bigrading(d, side):
                 pres = engine.block(d, a, side)
                 again = engine.block(d, a, side)
-                cached = side == "lie" and a in theorem
-                assert (again is pres) == cached, (p, d, side, a, after)
+                assert again is not pres, (p, d, side, a, after)
                 assert block_rows(again) == block_rows(pres)
-            want = theorem & set(blocks) if side == "lie" else set()
-            assert set(engine._degree(d, side).presentations) == want, (p, d, side, after)
-            assert not engine._degree(d - 1, side).presentations
+                assert engine.block_record(d, a, side).cokernel == pres.cokernel
+        assert not [obj for obj in reachable(engine._degrees)
+                    if isinstance(obj, (Presentation, IntLattice))]
+
+
+@pytest.mark.parametrize("p,top", [(2, 16), (3, 14), (5, 17)])
+def test_theorem_checks_in_either_order_match_fresh_engines(p, top):
+    # at every theorem degree, on one engine, the metabelian check then the
+    # theorem check, and the theorem check then the metabelian check: a
+    # record kept without its unit is read anew for it
+    indices = TorsionEngine(p, top).theorem_indices
+    for d in range(2 * p, top + 1):
+        if not indices(d):
+            continue
+        fresh = (TorsionEngine(p, top).verify_theorem_degree(d),
+                 TorsionEngine(p, top).metabelian_torsion_check(d))
+        assert fresh[0].passed and fresh[1].passed, (p, d)
+        engine = TorsionEngine(p, top)
+        check = engine.metabelian_torsion_check(d)
+        assert (engine.verify_theorem_degree(d), check) == fresh, (p, d)
+        engine = TorsionEngine(p, top)
+        report = engine.verify_theorem_degree(d)
+        theorem = [engine.theorem_block(s, t) for s, t in engine.theorem_indices(d)]
+        assert {engine._degree(d).records[a].unit for a in theorem if 2 * a <= d} == {
+            torsion.UNREAD}
+        assert (report, engine.metabelian_torsion_check(d)) == fresh, (p, d)
+        assert torsion.UNREAD not in {engine._degree(d).records[a].unit
+                                      for a in theorem if 2 * a <= d}
 
 
 def whole_expansion(engine, word):
@@ -1172,6 +1199,16 @@ def test_theorem_degree_peak_memory_at_p7_d23():
     assert peak_kib < 110 * 1024, peak_kib
 
 
+@pytest.mark.slow
+def test_theorem_degree_peak_memory_at_p5_d27():
+    # no echelon outlives its block: the theorem blocks 6 and 11 are read
+    # for their orders and dropped before blocks 12 and 13 are built, which
+    # keeps the degree under 295 MiB; kept to the end, they took it to 308
+    peak_kib = child_peak_kib("from lietorsion.torsion import verify_theorem_degree\n"
+                              "assert verify_theorem_degree(5, 27).passed")
+    assert peak_kib < 295 * 1024, peak_kib
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -1184,17 +1221,14 @@ def reach_json(p, d):
            "metabelian_torsion_check": engine.metabelian_torsion_check(d)._asdict()}
 
     def order(s, t):
-        try:
-            vec = engine.theorem_vector(s, t, d)
-        except IntegralityError:
-            return None
-        return engine.block(d, engine.theorem_block(s, t)).order(vec)
+        q = engine.block_record(d, engine.theorem_block(s, t)).order
+        return None if q == torsion.NOT_INTEGRAL else q
 
     doc["theorem_orders"] = engine._mirrored(d, order)
     for side in ("lie", "metabelian"):
-        cokernels = engine._degree(d, side).cokernels
-        doc[f"{side}_blocks"] = {str(a): [ck.free_rank, list(ck.torsion)]
-                                 for a, ck in sorted(cokernels.items())}
+        records = engine._degree(d, side).records
+        doc[f"{side}_blocks"] = {str(a): [rec.cokernel.free_rank, list(rec.cokernel.torsion)]
+                                 for a, rec in sorted(records.items())}
     return json.dumps(doc, indent=1) + "\n"
 
 
